@@ -24,10 +24,72 @@ namespace dynamips::core {
 
 namespace {
 
-/// One shard's private analyzer set for the Atlas study. The metrics sink
-/// is part of the shard state and merges through the same ordered
-/// reduction, so counter totals are independent of the thread count.
+/// Clock read inside a per-item body. The metrics-off instantiation
+/// compiles it to a constant: AtlasStudyConfig::metrics promises no clock
+/// read when metrics are off.
+template <bool kOn>
+std::uint64_t tick() {
+  if constexpr (kOn)
+    return obs::now_ns();
+  else
+    return 0;
+}
+
+// --- item sources ---------------------------------------------------------
+//
+// Where analysis_pass reads item i from; the generator and file paths
+// differ only here. A simulator builds item i by value, as a pure function
+// of (config, i), so shards generate concurrently and race on nothing. A
+// loaded dataset hands out a const reference, so no item is copied.
+// Generator runs alone time the `<study>.generate` phase and publish the
+// simulator's metrics; file runs fold their `ingest` sink (never
+// checkpointed) in with the shard sinks.
+
+struct AtlasGenerated {
+  static constexpr bool kGenerated = true;
+  const atlas::AtlasSimulator& sim;
+  obs::MetricsSink* ingest = nullptr;
+
+  std::size_t size() const { return sim.probe_count(); }
+  atlas::ProbeSeries item(std::size_t i) const { return sim.series_for(i); }
+  void publish(obs::MetricsSink& m) const { sim.publish_metrics(m); }
+};
+
+struct CdnGenerated {
+  static constexpr bool kGenerated = true;
+  const cdn::CdnSimulator& sim;
+  obs::MetricsSink* ingest = nullptr;
+
+  std::size_t size() const { return sim.entry_count(); }
+  cdn::AssociationLog item(std::size_t i) const { return sim.generate(i); }
+  void publish(obs::MetricsSink& m) const { sim.publish_metrics(m); }
+};
+
+template <typename Item>
+struct Loaded {
+  static constexpr bool kGenerated = false;
+  const std::vector<Item>& dataset;
+  obs::MetricsSink* ingest;
+
+  std::size_t size() const { return dataset.size(); }
+  const Item& item(std::size_t i) const { return dataset[i]; }
+  void publish(obs::MetricsSink&) const {}
+};
+
+// --- shards ---------------------------------------------------------------
+//
+// One shard's private state: its analyzers plus a metrics sink that merges
+// through the same ordered reduction, so counter totals are independent of
+// the thread count. Each shard type writes its study's per-item body once,
+// for every source, as `process<kMetered>`: the metrics-off instantiation
+// compiles every metric block away (no clock read, no metric call), so the
+// plain and instrumented loops cannot drift apart. Metric handles are
+// resolved once per range; the hot loop does no map lookups.
+
 struct AtlasShard {
+  using Study = AtlasStudy;
+  static constexpr const char* kName = "atlas";
+
   Sanitizer sanitizer;
   DurationAnalyzer durations;
   SpatialAnalyzer spatial;
@@ -37,6 +99,59 @@ struct AtlasShard {
   AtlasShard(const bgp::Rib& rib, const SanitizeOptions& sanitize,
              const ChangeOptions& changes)
       : sanitizer(rib, sanitize), durations(changes), spatial(rib) {}
+
+  template <bool kMetered, typename Source>
+  void process(const Source& source, std::size_t from, std::size_t to) {
+    obs::Counter *c_probes = nullptr, *c_records = nullptr, *c_clean = nullptr;
+    obs::Histogram* h_records = nullptr;
+    obs::PhaseStats *p_gen = nullptr, *p_san = nullptr, *p_dur = nullptr,
+                    *p_spa = nullptr, *p_inf = nullptr;
+    if constexpr (kMetered) {
+      c_probes = &metrics.counter(Source::kGenerated ? "atlas.probes_generated"
+                                                     : "atlas.probes_loaded");
+      c_records = &metrics.counter("atlas.echo_records");
+      c_clean = &metrics.counter("atlas.clean_probes");
+      h_records = &metrics.histogram("atlas.records_per_probe", 0, 6, 5);
+      if constexpr (Source::kGenerated)
+        p_gen = &metrics.phase("atlas.generate");
+      p_san = &metrics.phase("atlas.sanitize");
+      p_dur = &metrics.phase("atlas.durations.add");
+      p_spa = &metrics.phase("atlas.spatial.add");
+      p_inf = &metrics.phase("atlas.inference.add");
+    }
+    for (std::size_t i = from; i < to; ++i) {
+      [[maybe_unused]] const std::uint64_t t0 =
+          tick<kMetered && Source::kGenerated>();
+      decltype(auto) series = source.item(i);
+      ProbeObservations obs = from_series(series);
+      [[maybe_unused]] const std::uint64_t t1 = tick<kMetered>();
+      if constexpr (kMetered) {
+        if constexpr (Source::kGenerated) p_gen->record(t1 - t0);
+        c_probes->add(1);
+        c_records->add(series.records.size());
+        h_records->record(double(series.records.size()));
+      }
+      auto cleaned = sanitizer.sanitize(obs);
+      if constexpr (kMetered) {
+        p_san->record(obs::now_ns() - t1);
+        c_clean->add(cleaned.size());
+      }
+      for (const CleanProbe& cp : cleaned) {
+        [[maybe_unused]] const std::uint64_t a0 = tick<kMetered>();
+        durations.add(cp);
+        [[maybe_unused]] const std::uint64_t a1 = tick<kMetered>();
+        spatial.add(cp);
+        [[maybe_unused]] const std::uint64_t a2 = tick<kMetered>();
+        inference.add(cp);
+        if constexpr (kMetered) {
+          const std::uint64_t a3 = obs::now_ns();
+          p_dur->record(a1 - a0);
+          p_spa->record(a2 - a1);
+          p_inf->record(a3 - a2);
+        }
+      }
+    }
+  }
 
   void merge(AtlasShard&& other) {
     sanitizer.merge(std::move(other.sanitizer));
@@ -53,6 +168,20 @@ struct AtlasShard {
     inference.finalize();
   }
 
+  /// Non-consuming extraction: snapshot() yields the finalized results and
+  /// leaves the accumulators intact (the streaming driver relies on this).
+  void extract(AtlasStudy& study) const {
+    study.sanitize = sanitizer.snapshot();
+    study.durations = durations.snapshot();
+    study.spatial = spatial.snapshot();
+    InferenceSnapshot inferred = inference.snapshot();
+    study.subscriber_inference = std::move(inferred.subscriber);
+    study.pool_inference = std::move(inferred.pools);
+  }
+
+  /// Study-level metrics, recorded on the reduced root shard.
+  void publish(const AtlasStudy& study) { study.sanitize.publish(metrics); }
+
   void save(io::ckpt::Writer& w) const {
     sanitizer.save(w);
     durations.save(w);
@@ -66,9 +195,10 @@ struct AtlasShard {
   }
 };
 
-/// One shard's private state for the CDN study (analyzer + metrics sink),
-/// mirroring AtlasShard so both studies checkpoint through the same path.
 struct CdnShard {
+  using Study = CdnStudy;
+  static constexpr const char* kName = "cdn";
+
   CdnAnalyzer analyzer;
   obs::MetricsSink metrics;
 
@@ -76,12 +206,53 @@ struct CdnShard {
            const std::unordered_set<bgp::Asn>& mobile_asns)
       : analyzer(options, mobile_asns) {}
 
+  template <bool kMetered, typename Source>
+  void process(const Source& source, std::size_t from, std::size_t to) {
+    obs::Counter *c_logs = nullptr, *c_tuples = nullptr;
+    obs::Histogram* h_tuples = nullptr;
+    obs::PhaseStats *p_gen = nullptr, *p_add = nullptr;
+    if constexpr (kMetered) {
+      c_logs = &metrics.counter(Source::kGenerated ? "cdn.logs_generated"
+                                                   : "cdn.logs_loaded");
+      c_tuples = &metrics.counter("cdn.association_tuples");
+      h_tuples = &metrics.histogram("cdn.tuples_per_log", 0, 8, 5);
+      if constexpr (Source::kGenerated) p_gen = &metrics.phase("cdn.generate");
+      p_add = &metrics.phase("cdn.analyzer.add");
+    }
+    for (std::size_t i = from; i < to; ++i) {
+      [[maybe_unused]] const std::uint64_t t0 =
+          tick<kMetered && Source::kGenerated>();
+      decltype(auto) log = source.item(i);
+      [[maybe_unused]] const std::uint64_t t1 = tick<kMetered>();
+      if constexpr (kMetered) {
+        if constexpr (Source::kGenerated) p_gen->record(t1 - t0);
+        c_logs->add(1);
+        c_tuples->add(log.records.size());
+        h_tuples->record(double(log.records.size()));
+      }
+      analyzer.add(log);
+      if constexpr (kMetered) p_add->record(obs::now_ns() - t1);
+    }
+  }
+
   void merge(CdnShard&& other) {
     analyzer.merge(std::move(other.analyzer));
     metrics.merge(std::move(other.metrics));
   }
 
   void finalize() { analyzer.finalize(); }
+
+  void extract(CdnStudy& study) const { study.analyzer = analyzer.snapshot(); }
+
+  void publish(const CdnStudy& study) {
+    metrics.counter("cdn.tuples_kept").add(study.analyzer.total_tuples());
+    metrics.counter("cdn.tuples_mismatched")
+        .add(study.analyzer.total_mismatched());
+    // Spill accounting lives on the analyzer, never in snapshots or
+    // checkpoints; resumed shards therefore report only their own spills.
+    metrics.counter("cdn.spill_runs").add(analyzer.spill_runs());
+    metrics.counter("cdn.spill_bytes").add(analyzer.spill_bytes());
+  }
 
   void save(io::ckpt::Writer& w) const {
     analyzer.save(w);
@@ -168,16 +339,31 @@ std::uint64_t atlas_gen_fingerprint(
   return io::ckpt::fnv1a(w.buffer());
 }
 
+/// The tag and input files of a file-driven run's fingerprint. Streams pass
+/// no paths: a stream's batch list grows over its lifetime and is validated
+/// through the checkpoint's consumed-batch high-water mark instead.
+void fingerprint_inputs(io::ckpt::Writer& w, const char* tag,
+                        const std::vector<std::string>* paths) {
+  w.str(tag);
+  if (!paths) return;
+  w.u64(paths->size());
+  for (const auto& path : *paths) w.str(path);
+}
+
+void fingerprint_reader(io::ckpt::Writer& w, const io::ReaderOptions& r) {
+  w.f64(r.max_reject_fraction);
+  w.u64(r.max_consecutive_rejects);
+}
+
+/// Fingerprint of an Atlas run over the files `paths`, or of an Atlas
+/// stream when `paths` is null.
 std::uint64_t atlas_file_fingerprint(
-    const std::vector<std::string>& paths,
+    const std::vector<std::string>* paths,
     const std::vector<simnet::IspProfile>& isps,
     const AtlasFileStudyConfig& config) {
   io::ckpt::Writer w;
-  w.str("atlas.files");
-  w.u64(paths.size());
-  for (const auto& path : paths) w.str(path);
-  w.f64(config.reader.max_reject_fraction);
-  w.u64(config.reader.max_consecutive_rejects);
+  fingerprint_inputs(w, paths ? "atlas.files" : "atlas.stream", paths);
+  fingerprint_reader(w, config.reader);
   fingerprint_atlas_analysis(w, config.sanitize, config.changes, isps,
                              config.metrics != nullptr);
   return io::ckpt::fnv1a(w.buffer());
@@ -208,15 +394,14 @@ std::uint64_t cdn_gen_fingerprint(
   return io::ckpt::fnv1a(w.buffer());
 }
 
-std::uint64_t cdn_file_fingerprint(const std::vector<std::string>& paths,
+/// Fingerprint of a CDN run over the files `paths`, or of a CDN stream
+/// when `paths` is null.
+std::uint64_t cdn_file_fingerprint(const std::vector<std::string>* paths,
                                    const CdnFileStudyConfig& config) {
   io::ckpt::Writer w;
-  w.str("cdn.files");
-  w.u64(paths.size());
-  for (const auto& path : paths) w.str(path);
+  fingerprint_inputs(w, paths ? "cdn.files" : "cdn.stream", paths);
   fingerprint_assoc(w, config.assoc);
-  w.f64(config.reader.max_reject_fraction);
-  w.u64(config.reader.max_consecutive_rejects);
+  fingerprint_reader(w, config.reader);
   // Unordered-set iteration order is not canonical; sort before hashing.
   std::vector<bgp::Asn> mobile(config.mobile_asns.begin(),
                                config.mobile_asns.end());
@@ -246,6 +431,24 @@ ShardRange process_slice(const CheckpointConfig& cc,
   return {std::size_t(item_count), std::size_t(item_count)};
 }
 
+/// Reject a checkpoint written by another study kind or under different
+/// parameters; `what` names the run ("study" or "stream") in the message.
+Status check_resume_identity(const io::StudyCheckpoint& ck, std::uint32_t kind,
+                             std::uint64_t fingerprint, const char* what) {
+  if (ck.kind != kind)
+    return Status(StatusCode::kFailedPrecondition,
+                  std::string("checkpoint was written by the ") +
+                      io::checkpoint_kind_name(ck.kind) +
+                      " study and cannot resume the " +
+                      io::checkpoint_kind_name(kind) + " study");
+  if (ck.config_fingerprint != fingerprint)
+    return Status(StatusCode::kFailedPrecondition,
+                  std::string("checkpoint config fingerprint does not match "
+                              "this run; resume requires the exact original ") +
+                      what + " parameters");
+  return Status::Ok();
+}
+
 Status plan_shards(const CheckpointConfig& cc, std::uint32_t kind,
                    std::uint64_t fingerprint, std::uint64_t item_count,
                    unsigned threads, ShardPlan& plan) {
@@ -266,16 +469,8 @@ Status plan_shards(const CheckpointConfig& cc, std::uint32_t kind,
     return Status::Ok();
   }
   const io::StudyCheckpoint& ck = *cc.resume;
-  if (ck.kind != kind)
-    return Status(StatusCode::kFailedPrecondition,
-                  std::string("checkpoint was written by the ") +
-                      io::checkpoint_kind_name(ck.kind) +
-                      " study and cannot resume the " +
-                      io::checkpoint_kind_name(kind) + " study");
-  if (ck.config_fingerprint != fingerprint)
-    return Status(StatusCode::kFailedPrecondition,
-                  "checkpoint config fingerprint does not match this run; "
-                  "resume requires the exact original study parameters");
+  Status same = check_resume_identity(ck, kind, fingerprint, "study");
+  if (!same.ok()) return same;
   if (ck.item_count != item_count)
     return Status(StatusCode::kFailedPrecondition,
                   "checkpoint covers " + std::to_string(ck.item_count) +
@@ -469,88 +664,44 @@ Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
   }
 }
 
-}  // namespace
+// --- the analysis pass ---------------------------------------------------
+//
+// Every study run is this one sequence: plan (or restore) the shard
+// partition, drive the shards through `exec`, reduce in index order,
+// finalize, extract the results into `study` via the analyzers'
+// non-consuming snapshot()s, and publish metrics. The generator and file
+// entrypoints and every stream re-finalization run through here; they
+// differ only in the item source and the shard type. `metrics` is passed
+// explicitly (not read from the study config) so the streaming driver can
+// run intermediate passes unrecorded and record only the final one.
 
-Expected<AtlasStudy> run_atlas_study_supervised(
-    const std::vector<simnet::IspProfile>& isps,
-    const AtlasStudyConfig& config, const CheckpointConfig& checkpoint) {
-  AtlasStudy study;
-  simnet::announce_all(isps, study.rib);
-  for (const auto& isp : isps) study.as_names[isp.asn] = isp.name;
-
-  atlas::AtlasSimulator sim(isps, config.atlas);
-  const std::uint64_t fingerprint = atlas_gen_fingerprint(isps, config);
-
-  ShardExecutor exec(config.threads);
+template <typename Source, typename MakeShard>
+Status analysis_pass(ShardExecutor& exec, const CheckpointConfig& cc,
+                     std::uint32_t kind, std::uint64_t fingerprint,
+                     obs::MetricsRegistry* metrics, const Source& source,
+                     const MakeShard& make_shard,
+                     typename std::invoke_result_t<MakeShard>::Study& study) {
+  using Shard = std::invoke_result_t<MakeShard>;
+  const std::string name = Shard::kName;
   ShardPlan plan;
-  Status planned = plan_shards(checkpoint, io::kCkptAtlasGen, fingerprint,
-                               sim.probe_count(), exec.thread_count(), plan);
-  if (!planned.ok()) return planned.with_context("atlas study");
+  Status planned = plan_shards(cc, kind, fingerprint, source.size(),
+                               exec.thread_count(), plan);
+  if (!planned.ok()) return planned;
 
-  std::vector<AtlasShard> shards;
+  std::vector<Shard> shards;
   shards.reserve(plan.ranges.size());
   for (std::size_t s = 0; s < plan.ranges.size(); ++s)
-    shards.emplace_back(study.rib, config.sanitize, config.changes);
+    shards.push_back(make_shard());
   obs::MetricsSink sup;
-  Status restored =
-      restore_shards(checkpoint, shards, sup, config.metrics);
-  if (!restored.ok()) return restored.with_context("atlas study");
+  Status restored = restore_shards(cc, shards, sup, metrics);
+  if (!restored.ok()) return restored;
 
-  // Per-probe generation is a pure function of (config, isps, index), and
-  // each shard writes only its own analyzer set, so shards race on nothing.
+  const std::string wall = name + ".shard_wall";
   auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    AtlasShard& shard = shards[s];
-    if (!config.metrics) {
-      for (std::size_t i = from; i < to; ++i) {
-        ProbeObservations obs = from_series(sim.series_for(i));
-        for (const CleanProbe& cp : shard.sanitizer.sanitize(obs)) {
-          shard.durations.add(cp);
-          shard.spatial.add(cp);
-          shard.inference.add(cp);
-        }
-      }
-      return;
-    }
-    // Instrumented variant of the loop above: identical analyzer calls,
-    // plus shard-local counters and per-phase spans (no shared state).
-    obs::MetricsSink& m = shard.metrics;
-    obs::Counter& c_probes = m.counter("atlas.probes_generated");
-    obs::Counter& c_records = m.counter("atlas.echo_records");
-    obs::Counter& c_clean = m.counter("atlas.clean_probes");
-    obs::Histogram& h_records = m.histogram("atlas.records_per_probe", 0, 6, 5);
-    obs::PhaseStats& p_gen = m.phase("atlas.generate");
-    obs::PhaseStats& p_san = m.phase("atlas.sanitize");
-    obs::PhaseStats& p_dur = m.phase("atlas.durations.add");
-    obs::PhaseStats& p_spa = m.phase("atlas.spatial.add");
-    obs::PhaseStats& p_inf = m.phase("atlas.inference.add");
-    const std::uint64_t shard_start = obs::now_ns();
-    for (std::size_t i = from; i < to; ++i) {
-      std::uint64_t t0 = obs::now_ns();
-      atlas::ProbeSeries series = sim.series_for(i);
-      ProbeObservations obs = from_series(series);
-      std::uint64_t t1 = obs::now_ns();
-      p_gen.record(t1 - t0);
-      c_probes.add(1);
-      c_records.add(series.records.size());
-      h_records.record(double(series.records.size()));
-      auto cleaned = shard.sanitizer.sanitize(obs);
-      std::uint64_t t2 = obs::now_ns();
-      p_san.record(t2 - t1);
-      c_clean.add(cleaned.size());
-      for (const CleanProbe& cp : cleaned) {
-        std::uint64_t a0 = obs::now_ns();
-        shard.durations.add(cp);
-        std::uint64_t a1 = obs::now_ns();
-        shard.spatial.add(cp);
-        std::uint64_t a2 = obs::now_ns();
-        shard.inference.add(cp);
-        std::uint64_t a3 = obs::now_ns();
-        p_dur.record(a1 - a0);
-        p_spa.record(a2 - a1);
-        p_inf.record(a3 - a2);
-      }
-    }
-    m.phase("atlas.shard_wall").record(obs::now_ns() - shard_start);
+    if (!metrics) return shards[s].template process<false>(source, from, to);
+    const std::uint64_t start = obs::now_ns();
+    shards[s].template process<true>(source, from, to);
+    shards[s].metrics.phase(wall).record(obs::now_ns() - start);
   };
   auto save_shard = [&](std::size_t s) {
     io::ckpt::Writer w;
@@ -558,59 +709,74 @@ Expected<AtlasStudy> run_atlas_study_supervised(
     return w.take();
   };
 
-  Status drove =
-      drive_shards(exec, checkpoint, io::kCkptAtlasGen, fingerprint,
-                   sim.probe_count(), plan, config.metrics, sup, process,
-                   save_shard);
+  Status drove = drive_shards(exec, cc, kind, fingerprint, source.size(),
+                              plan, metrics, sup, process, save_shard);
   if (!drove.ok()) {
     // The checkpoint (if any) is already durable; fold the partial shard
     // sinks into the registry so an interrupted tool run can still report.
-    if (config.metrics) {
+    if (metrics) {
       obs::MetricsSink partial;
-      for (AtlasShard& shard : shards) partial.merge(std::move(shard.metrics));
+      for (Shard& shard : shards) partial.merge(std::move(shard.metrics));
+      if (source.ingest) partial.merge(std::move(*source.ingest));
       partial.merge(std::move(sup));
-      config.metrics->merge(std::move(partial));
+      metrics->merge(std::move(partial));
     }
-    return drove.with_context("atlas study");
+    return drove;
   }
 
   std::vector<std::uint64_t> shard_ns;
-  if (config.metrics)
-    for (AtlasShard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase("atlas.shard_wall").total_ns);
+  if (metrics)
+    for (Shard& shard : shards)
+      shard_ns.push_back(shard.metrics.phase(wall).total_ns);
 
   // Ordered reduction: shard 0 absorbs the rest in index order, which keeps
   // every append-ordered vector in the exact order of the serial run.
-  AtlasShard& root = shards.front();
-  {
-    std::uint64_t t0 = config.metrics ? obs::now_ns() : 0;
-    for (std::size_t s = 1; s < shards.size(); ++s)
-      root.merge(std::move(shards[s]));
-    std::uint64_t t1 = config.metrics ? obs::now_ns() : 0;
-    root.finalize();
-    if (config.metrics) {
-      root.metrics.phase("atlas.merge").record(t1 - t0);
-      root.metrics.phase("atlas.finalize").record(obs::now_ns() - t1);
-    }
+  Shard& root = shards.front();
+  const std::uint64_t t0 = metrics ? obs::now_ns() : 0;
+  for (std::size_t s = 1; s < shards.size(); ++s)
+    root.merge(std::move(shards[s]));
+  const std::uint64_t t1 = metrics ? obs::now_ns() : 0;
+  root.finalize();
+  if (metrics) {
+    root.metrics.phase(name + ".merge").record(t1 - t0);
+    root.metrics.phase(name + ".finalize").record(obs::now_ns() - t1);
   }
+  root.extract(study);
 
-  // Non-consuming extraction: snapshot() yields the finalized results and
-  // leaves the accumulators intact (the streaming driver relies on this).
-  study.sanitize = root.sanitizer.snapshot();
-  study.durations = root.durations.snapshot();
-  study.spatial = root.spatial.snapshot();
-  InferenceSnapshot inferred = root.inference.snapshot();
-  study.subscriber_inference = std::move(inferred.subscriber);
-  study.pool_inference = std::move(inferred.pools);
-
-  if (config.metrics) {
-    study.sanitize.publish(root.metrics);
-    sim.publish_metrics(root.metrics);
-    root.metrics.gauge("atlas.shards").set(double(plan.ranges.size()));
-    root.metrics.gauge("atlas.shard_imbalance").set(imbalance_ratio(shard_ns));
+  if (metrics) {
+    root.publish(study);
+    source.publish(root.metrics);
+    root.metrics.gauge(name + ".shards").set(double(plan.ranges.size()));
+    root.metrics.gauge(name + ".shard_imbalance")
+        .set(imbalance_ratio(shard_ns));
+    if (source.ingest) root.metrics.merge(std::move(*source.ingest));
     root.metrics.merge(std::move(sup));
-    config.metrics->merge(std::move(root.metrics));
+    metrics->merge(std::move(root.metrics));
   }
+  return Status::Ok();
+}
+
+void init_atlas_study(const std::vector<simnet::IspProfile>& isps,
+                      AtlasStudy& study) {
+  simnet::announce_all(isps, study.rib);
+  for (const auto& isp : isps) study.as_names[isp.asn] = isp.name;
+}
+
+}  // namespace
+
+Expected<AtlasStudy> run_atlas_study_supervised(
+    const std::vector<simnet::IspProfile>& isps,
+    const AtlasStudyConfig& config, const CheckpointConfig& checkpoint) {
+  AtlasStudy study;
+  init_atlas_study(isps, study);
+  atlas::AtlasSimulator sim(isps, config.atlas);
+  ShardExecutor exec(config.threads);
+  Status ran = analysis_pass(
+      exec, checkpoint, io::kCkptAtlasGen, atlas_gen_fingerprint(isps, config),
+      config.metrics, AtlasGenerated{sim},
+      [&] { return AtlasShard(study.rib, config.sanitize, config.changes); },
+      study);
+  if (!ran.ok()) return ran.with_context("atlas study");
   return study;
 }
 
@@ -628,102 +794,14 @@ Expected<CdnStudy> run_cdn_study_supervised(
   CdnStudy study;
   for (const auto& entry : population)
     study.asn_names[entry.isp.asn] = entry.isp.name;
-
-  const std::uint64_t fingerprint = cdn_gen_fingerprint(population, config);
-
-  ShardExecutor exec(config.threads);
-  ShardPlan plan;
-  Status planned = plan_shards(checkpoint, io::kCkptCdnGen, fingerprint,
-                               sim.entry_count(), exec.thread_count(), plan);
-  if (!planned.ok()) return planned.with_context("cdn study");
-
   const std::unordered_set<bgp::Asn> mobile = sim.mobile_asns();
-  std::vector<CdnShard> shards(plan.ranges.size(),
-                               CdnShard(config.assoc, mobile));
-  obs::MetricsSink sup;
-  Status restored =
-      restore_shards(checkpoint, shards, sup, config.metrics);
-  if (!restored.ok()) return restored.with_context("cdn study");
-
-  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    CdnShard& shard = shards[s];
-    if (!config.metrics) {
-      for (std::size_t i = from; i < to; ++i)
-        shard.analyzer.add(sim.generate(i));
-      return;
-    }
-    obs::MetricsSink& m = shard.metrics;
-    obs::Counter& c_logs = m.counter("cdn.logs_generated");
-    obs::Counter& c_tuples = m.counter("cdn.association_tuples");
-    obs::Histogram& h_tuples = m.histogram("cdn.tuples_per_log", 0, 8, 5);
-    obs::PhaseStats& p_gen = m.phase("cdn.generate");
-    obs::PhaseStats& p_add = m.phase("cdn.analyzer.add");
-    const std::uint64_t shard_start = obs::now_ns();
-    for (std::size_t i = from; i < to; ++i) {
-      std::uint64_t t0 = obs::now_ns();
-      cdn::AssociationLog log = sim.generate(i);
-      std::uint64_t t1 = obs::now_ns();
-      p_gen.record(t1 - t0);
-      c_logs.add(1);
-      c_tuples.add(log.records.size());
-      h_tuples.record(double(log.records.size()));
-      shard.analyzer.add(log);
-      p_add.record(obs::now_ns() - t1);
-    }
-    m.phase("cdn.shard_wall").record(obs::now_ns() - shard_start);
-  };
-  auto save_shard = [&](std::size_t s) {
-    io::ckpt::Writer w;
-    shards[s].save(w);
-    return w.take();
-  };
-
-  Status drove =
-      drive_shards(exec, checkpoint, io::kCkptCdnGen, fingerprint,
-                   sim.entry_count(), plan, config.metrics, sup, process,
-                   save_shard);
-  if (!drove.ok()) {
-    if (config.metrics) {
-      obs::MetricsSink partial;
-      for (CdnShard& shard : shards) partial.merge(std::move(shard.metrics));
-      partial.merge(std::move(sup));
-      config.metrics->merge(std::move(partial));
-    }
-    return drove.with_context("cdn study");
-  }
-
-  std::vector<std::uint64_t> shard_ns;
-  if (config.metrics)
-    for (CdnShard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase("cdn.shard_wall").total_ns);
-
-  {
-    std::uint64_t t0 = config.metrics ? obs::now_ns() : 0;
-    for (std::size_t s = 1; s < shards.size(); ++s)
-      shards.front().merge(std::move(shards[s]));
-    std::uint64_t t1 = config.metrics ? obs::now_ns() : 0;
-    shards.front().finalize();
-    study.analyzer = shards.front().analyzer.snapshot();
-    if (config.metrics) {
-      shards.front().metrics.phase("cdn.merge").record(t1 - t0);
-      shards.front().metrics.phase("cdn.finalize").record(obs::now_ns() - t1);
-    }
-  }
-
-  if (config.metrics) {
-    obs::MetricsSink& m = shards.front().metrics;
-    m.counter("cdn.tuples_kept").add(study.analyzer.total_tuples());
-    m.counter("cdn.tuples_mismatched").add(study.analyzer.total_mismatched());
-    // Spill accounting lives on the analyzer, never in snapshots or
-    // checkpoints; resumed shards therefore report only their own spills.
-    m.counter("cdn.spill_runs").add(shards.front().analyzer.spill_runs());
-    m.counter("cdn.spill_bytes").add(shards.front().analyzer.spill_bytes());
-    sim.publish_metrics(m);
-    m.gauge("cdn.shards").set(double(plan.ranges.size()));
-    m.gauge("cdn.shard_imbalance").set(imbalance_ratio(shard_ns));
-    m.merge(std::move(sup));
-    config.metrics->merge(std::move(m));
-  }
+  ShardExecutor exec(config.threads);
+  Status ran = analysis_pass(
+      exec, checkpoint, io::kCkptCdnGen,
+      cdn_gen_fingerprint(population, config), config.metrics,
+      CdnGenerated{sim}, [&] { return CdnShard(config.assoc, mobile); },
+      study);
+  if (!ran.ok()) return ran.with_context("cdn study");
   return study;
 }
 
@@ -735,392 +813,6 @@ CdnStudy run_cdn_study(const std::vector<cdn::PopulationEntry>& population,
 }
 
 // ------------------------------------------------- file-driven entrypoints
-
-namespace {
-
-/// Load one dataset file after another through the given loader,
-/// accumulating into `dataset` (shared codepath of both from_files
-/// entrypoints). The loader dispatches CSV vs columnar by extension
-/// (io::load_echo_file / io::load_assoc_file), so `.col` batches ride
-/// alongside `.csv` in any input list.
-template <typename Loader, typename Merger, typename Dataset>
-Status load_dataset_files(const std::vector<std::string>& paths,
-                          const io::ReaderOptions& reader,
-                          io::IngestStats* ingest, Loader&& load,
-                          Merger&& merge_into, Dataset& dataset) {
-  for (const auto& path : paths) {
-    auto part = load(path, reader, ingest);
-    if (!part.ok()) {
-      Status st = part.status();
-      return st.with_context(path);
-    }
-    merge_into(dataset, part.take());
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-namespace {
-
-// --- shared analysis passes ----------------------------------------------
-//
-// One full sharded analysis over an in-memory dataset: plan (or restore)
-// the shard partition, drive the shards through `exec`, reduce in index
-// order, and extract the finalized results into `study` via the analyzers'
-// non-consuming snapshot()s. Both the one-shot _from_files entrypoints and
-// the streaming driver's re-finalization passes run through here, which is
-// what makes an incremental stream byte-identical to a one-shot run over
-// the same batches. `metrics` is passed explicitly (not read from the study
-// config) so the streaming driver can run intermediate passes unrecorded
-// and record only the final one; `ingest_sink`, when non-null, is folded
-// into the registry alongside the per-shard sinks.
-
-Status atlas_analysis_pass(const std::vector<atlas::ProbeSeries>& dataset,
-                           const SanitizeOptions& sanitize,
-                           const ChangeOptions& changes,
-                           obs::MetricsRegistry* metrics, ShardExecutor& exec,
-                           const CheckpointConfig& cc, std::uint32_t kind,
-                           std::uint64_t fingerprint,
-                           obs::MetricsSink* ingest_sink, AtlasStudy& study) {
-  ShardPlan plan;
-  Status planned = plan_shards(cc, kind, fingerprint, dataset.size(),
-                               exec.thread_count(), plan);
-  if (!planned.ok()) return planned;
-
-  std::vector<AtlasShard> shards;
-  shards.reserve(plan.ranges.size());
-  for (std::size_t s = 0; s < plan.ranges.size(); ++s)
-    shards.emplace_back(study.rib, sanitize, changes);
-  obs::MetricsSink sup;
-  Status restored = restore_shards(cc, shards, sup, metrics);
-  if (!restored.ok()) return restored;
-
-  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    AtlasShard& shard = shards[s];
-    if (!metrics) {
-      for (std::size_t i = from; i < to; ++i) {
-        ProbeObservations obs = from_series(dataset[i]);
-        for (const CleanProbe& cp : shard.sanitizer.sanitize(obs)) {
-          shard.durations.add(cp);
-          shard.spatial.add(cp);
-          shard.inference.add(cp);
-        }
-      }
-      return;
-    }
-    obs::MetricsSink& m = shard.metrics;
-    obs::Counter& c_probes = m.counter("atlas.probes_loaded");
-    obs::Counter& c_records = m.counter("atlas.echo_records");
-    obs::Counter& c_clean = m.counter("atlas.clean_probes");
-    obs::Histogram& h_records = m.histogram("atlas.records_per_probe", 0, 6, 5);
-    obs::PhaseStats& p_san = m.phase("atlas.sanitize");
-    obs::PhaseStats& p_dur = m.phase("atlas.durations.add");
-    obs::PhaseStats& p_spa = m.phase("atlas.spatial.add");
-    obs::PhaseStats& p_inf = m.phase("atlas.inference.add");
-    const std::uint64_t shard_start = obs::now_ns();
-    for (std::size_t i = from; i < to; ++i) {
-      const atlas::ProbeSeries& series = dataset[i];
-      ProbeObservations obs = from_series(series);
-      std::uint64_t t1 = obs::now_ns();
-      c_probes.add(1);
-      c_records.add(series.records.size());
-      h_records.record(double(series.records.size()));
-      auto cleaned = shard.sanitizer.sanitize(obs);
-      std::uint64_t t2 = obs::now_ns();
-      p_san.record(t2 - t1);
-      c_clean.add(cleaned.size());
-      for (const CleanProbe& cp : cleaned) {
-        std::uint64_t a0 = obs::now_ns();
-        shard.durations.add(cp);
-        std::uint64_t a1 = obs::now_ns();
-        shard.spatial.add(cp);
-        std::uint64_t a2 = obs::now_ns();
-        shard.inference.add(cp);
-        std::uint64_t a3 = obs::now_ns();
-        p_dur.record(a1 - a0);
-        p_spa.record(a2 - a1);
-        p_inf.record(a3 - a2);
-      }
-    }
-    m.phase("atlas.shard_wall").record(obs::now_ns() - shard_start);
-  };
-  auto save_shard = [&](std::size_t s) {
-    io::ckpt::Writer w;
-    shards[s].save(w);
-    return w.take();
-  };
-
-  Status drove = drive_shards(exec, cc, kind, fingerprint, dataset.size(),
-                              plan, metrics, sup, process, save_shard);
-  if (!drove.ok()) {
-    // The checkpoint (if any) is already durable; fold the partial shard
-    // sinks into the registry so an interrupted tool run can still report.
-    if (metrics) {
-      obs::MetricsSink partial;
-      for (AtlasShard& shard : shards) partial.merge(std::move(shard.metrics));
-      if (ingest_sink) partial.merge(std::move(*ingest_sink));
-      partial.merge(std::move(sup));
-      metrics->merge(std::move(partial));
-    }
-    return drove;
-  }
-
-  std::vector<std::uint64_t> shard_ns;
-  if (metrics)
-    for (AtlasShard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase("atlas.shard_wall").total_ns);
-
-  // Ordered reduction: shard 0 absorbs the rest in index order, which keeps
-  // every append-ordered vector in the exact order of the serial run.
-  AtlasShard& root = shards.front();
-  {
-    std::uint64_t t0 = metrics ? obs::now_ns() : 0;
-    for (std::size_t s = 1; s < shards.size(); ++s)
-      root.merge(std::move(shards[s]));
-    std::uint64_t t1 = metrics ? obs::now_ns() : 0;
-    root.finalize();
-    if (metrics) {
-      root.metrics.phase("atlas.merge").record(t1 - t0);
-      root.metrics.phase("atlas.finalize").record(obs::now_ns() - t1);
-    }
-  }
-
-  // Non-consuming extraction; the accumulators stay valid for further adds.
-  study.sanitize = root.sanitizer.snapshot();
-  study.durations = root.durations.snapshot();
-  study.spatial = root.spatial.snapshot();
-  InferenceSnapshot inferred = root.inference.snapshot();
-  study.subscriber_inference = std::move(inferred.subscriber);
-  study.pool_inference = std::move(inferred.pools);
-
-  if (metrics) {
-    study.sanitize.publish(root.metrics);
-    root.metrics.gauge("atlas.shards").set(double(plan.ranges.size()));
-    root.metrics.gauge("atlas.shard_imbalance").set(imbalance_ratio(shard_ns));
-    if (ingest_sink) root.metrics.merge(std::move(*ingest_sink));
-    root.metrics.merge(std::move(sup));
-    metrics->merge(std::move(root.metrics));
-  }
-  return Status::Ok();
-}
-
-Status cdn_analysis_pass(std::vector<cdn::AssociationLog>& dataset,
-                         const AssocOptions& assoc,
-                         const std::unordered_set<bgp::Asn>& mobile_asns,
-                         const std::map<bgp::Asn, bgp::Registry>& registries,
-                         obs::MetricsRegistry* metrics, ShardExecutor& exec,
-                         const CheckpointConfig& cc, std::uint32_t kind,
-                         std::uint64_t fingerprint,
-                         obs::MetricsSink* ingest_sink, CdnStudy& study) {
-  // The CSV schema carries no access-type or registry attribution; graft
-  // the caller's ground truth onto the loaded logs. Idempotent — the
-  // streaming driver re-grafts on every re-finalization pass.
-  for (auto& log : dataset) {
-    log.mobile = mobile_asns.count(log.asn) > 0;
-    auto reg = registries.find(log.asn);
-    log.registry =
-        reg == registries.end() ? bgp::Registry::kRipe : reg->second;
-  }
-
-  ShardPlan plan;
-  Status planned = plan_shards(cc, kind, fingerprint, dataset.size(),
-                               exec.thread_count(), plan);
-  if (!planned.ok()) return planned;
-
-  std::vector<CdnShard> shards(plan.ranges.size(),
-                               CdnShard(assoc, mobile_asns));
-  obs::MetricsSink sup;
-  Status restored = restore_shards(cc, shards, sup, metrics);
-  if (!restored.ok()) return restored;
-
-  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    CdnShard& shard = shards[s];
-    if (!metrics) {
-      for (std::size_t i = from; i < to; ++i) shard.analyzer.add(dataset[i]);
-      return;
-    }
-    obs::MetricsSink& m = shard.metrics;
-    obs::Counter& c_logs = m.counter("cdn.logs_loaded");
-    obs::Counter& c_tuples = m.counter("cdn.association_tuples");
-    obs::Histogram& h_tuples = m.histogram("cdn.tuples_per_log", 0, 8, 5);
-    obs::PhaseStats& p_add = m.phase("cdn.analyzer.add");
-    const std::uint64_t shard_start = obs::now_ns();
-    for (std::size_t i = from; i < to; ++i) {
-      const cdn::AssociationLog& log = dataset[i];
-      std::uint64_t t0 = obs::now_ns();
-      c_logs.add(1);
-      c_tuples.add(log.records.size());
-      h_tuples.record(double(log.records.size()));
-      shard.analyzer.add(log);
-      p_add.record(obs::now_ns() - t0);
-    }
-    m.phase("cdn.shard_wall").record(obs::now_ns() - shard_start);
-  };
-  auto save_shard = [&](std::size_t s) {
-    io::ckpt::Writer w;
-    shards[s].save(w);
-    return w.take();
-  };
-
-  Status drove = drive_shards(exec, cc, kind, fingerprint, dataset.size(),
-                              plan, metrics, sup, process, save_shard);
-  if (!drove.ok()) {
-    if (metrics) {
-      obs::MetricsSink partial;
-      for (CdnShard& shard : shards) partial.merge(std::move(shard.metrics));
-      if (ingest_sink) partial.merge(std::move(*ingest_sink));
-      partial.merge(std::move(sup));
-      metrics->merge(std::move(partial));
-    }
-    return drove;
-  }
-
-  std::vector<std::uint64_t> shard_ns;
-  if (metrics)
-    for (CdnShard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase("cdn.shard_wall").total_ns);
-
-  {
-    std::uint64_t t0 = metrics ? obs::now_ns() : 0;
-    for (std::size_t s = 1; s < shards.size(); ++s)
-      shards.front().merge(std::move(shards[s]));
-    std::uint64_t t1 = metrics ? obs::now_ns() : 0;
-    shards.front().finalize();
-    study.analyzer = shards.front().analyzer.snapshot();
-    if (metrics) {
-      shards.front().metrics.phase("cdn.merge").record(t1 - t0);
-      shards.front().metrics.phase("cdn.finalize").record(obs::now_ns() - t1);
-    }
-  }
-
-  if (metrics) {
-    obs::MetricsSink& m = shards.front().metrics;
-    m.counter("cdn.tuples_kept").add(study.analyzer.total_tuples());
-    m.counter("cdn.tuples_mismatched").add(study.analyzer.total_mismatched());
-    m.counter("cdn.spill_runs").add(shards.front().analyzer.spill_runs());
-    m.counter("cdn.spill_bytes").add(shards.front().analyzer.spill_bytes());
-    m.gauge("cdn.shards").set(double(plan.ranges.size()));
-    m.gauge("cdn.shard_imbalance").set(imbalance_ratio(shard_ns));
-    if (ingest_sink) m.merge(std::move(*ingest_sink));
-    m.merge(std::move(sup));
-    metrics->merge(std::move(m));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Expected<AtlasStudy> run_atlas_study_from_files(
-    const std::vector<std::string>& paths,
-    const std::vector<simnet::IspProfile>& isps,
-    const AtlasFileStudyConfig& config, io::IngestStats* ingest,
-    const CheckpointConfig& checkpoint) {
-  AtlasStudy study;
-  simnet::announce_all(isps, study.rib);
-  for (const auto& isp : isps) study.as_names[isp.asn] = isp.name;
-
-  // Ingest metrics land in a local sink merged into the registry at the
-  // end, like every per-shard sink (no locks while loading). The sink is
-  // never checkpointed: a resumed run re-ingests the same files and
-  // reproduces identical ingest counters.
-  obs::MetricsSink ingest_sink;
-  io::ReaderOptions ropts = config.reader;
-  if (config.metrics && !ropts.metrics) ropts.metrics = &ingest_sink;
-
-  std::vector<atlas::ProbeSeries> dataset;
-  const std::uint64_t load_start = obs::now_ns();
-  Status loaded = load_dataset_files(
-      paths, ropts, ingest,
-      [](const std::string& path, const io::ReaderOptions& r,
-         io::IngestStats* st) { return io::load_echo_file(path, r, st); },
-      [](std::vector<atlas::ProbeSeries>& into,
-         std::vector<atlas::ProbeSeries>&& more) {
-        io::merge_echo_datasets(into, std::move(more));
-      },
-      dataset);
-  if (!loaded.ok()) return loaded.with_context("atlas study");
-  const std::uint64_t load_ns = obs::now_ns() - load_start;
-  if (ingest) ingest->load_wall_ns += load_ns;
-  if (config.metrics) ingest_sink.phase("atlas.ingest").record(load_ns);
-
-  const std::uint64_t fingerprint =
-      atlas_file_fingerprint(paths, isps, config);
-
-  ShardExecutor exec(config.threads);
-  Status ran = atlas_analysis_pass(dataset, config.sanitize, config.changes,
-                                   config.metrics, exec, checkpoint,
-                                   io::kCkptAtlasFile, fingerprint,
-                                   &ingest_sink, study);
-  if (!ran.ok()) return ran.with_context("atlas study");
-  return study;
-}
-
-Expected<CdnStudy> run_cdn_study_from_files(
-    const std::vector<std::string>& paths, const CdnFileStudyConfig& config,
-    io::IngestStats* ingest, const CheckpointConfig& checkpoint) {
-  obs::MetricsSink ingest_sink;
-  io::ReaderOptions ropts = config.reader;
-  if (config.metrics && !ropts.metrics) ropts.metrics = &ingest_sink;
-
-  std::vector<cdn::AssociationLog> dataset;
-  const std::uint64_t load_start = obs::now_ns();
-  Status loaded = load_dataset_files(
-      paths, ropts, ingest,
-      [](const std::string& path, const io::ReaderOptions& r,
-         io::IngestStats* st) { return io::load_assoc_file(path, r, st); },
-      [](std::vector<cdn::AssociationLog>& into,
-         std::vector<cdn::AssociationLog>&& more) {
-        io::merge_assoc_datasets(into, std::move(more));
-      },
-      dataset);
-  if (!loaded.ok()) return loaded.with_context("cdn study");
-  const std::uint64_t load_ns = obs::now_ns() - load_start;
-  if (ingest) ingest->load_wall_ns += load_ns;
-  if (config.metrics) ingest_sink.phase("cdn.ingest").record(load_ns);
-
-  CdnStudy study;
-  study.asn_names = config.asn_names;
-
-  const std::uint64_t fingerprint = cdn_file_fingerprint(paths, config);
-
-  ShardExecutor exec(config.threads);
-  Status ran = cdn_analysis_pass(dataset, config.assoc, config.mobile_asns,
-                                 config.registries, config.metrics, exec,
-                                 checkpoint, io::kCkptCdnFile, fingerprint,
-                                 &ingest_sink, study);
-  if (!ran.ok()) return ran.with_context("cdn study");
-  return study;
-}
-
-// --------------------------------------------------- streaming entrypoints
-
-bool natural_name_less(std::string_view a, std::string_view b) {
-  auto digit = [](char c) { return c >= '0' && c <= '9'; };
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (digit(a[i]) && digit(b[j])) {
-      std::size_t ia = i, jb = j;
-      while (ia < a.size() && digit(a[ia])) ++ia;
-      while (jb < b.size() && digit(b[jb])) ++jb;
-      std::size_t za = i, zb = j;
-      while (za < ia && a[za] == '0') ++za;  // strip leading zeros
-      while (zb < jb && b[zb] == '0') ++zb;
-      std::string_view va = a.substr(za, ia - za);
-      std::string_view vb = b.substr(zb, jb - zb);
-      if (va.size() != vb.size()) return va.size() < vb.size();
-      if (va != vb) return va < vb;
-      if (ia - i != jb - j) return ia - i < jb - j;
-      i = ia;
-      j = jb;
-      continue;
-    }
-    if (a[i] != b[j]) return a[i] < b[j];
-    ++i;
-    ++j;
-  }
-  return a.size() - i < b.size() - j;
-}
 
 namespace {
 
@@ -1244,44 +936,217 @@ bool load_assoc_dataset(io::ckpt::Reader& r,
   return r.ok();
 }
 
-// --- stream fingerprints --------------------------------------------------
+// --- file policies --------------------------------------------------------
 //
-// Like the file fingerprints but without the input paths: a stream's
-// batch list grows over its lifetime and is validated separately through
-// the checkpoint's consumed-batch high-water mark. Threads stay excluded
-// (results are thread-invariant).
+// The per-study glue of file-driven runs, one-shot and streamed alike: how
+// to load a batch file into the accumulated dataset (CSV vs columnar is
+// dispatched by extension, so `.col` batches ride alongside `.csv`), how
+// to (de)serialize that dataset for stream checkpoints, and how to run one
+// analysis pass over it.
 
-std::uint64_t atlas_stream_fingerprint(
-    const std::vector<simnet::IspProfile>& isps,
-    const AtlasFileStudyConfig& config) {
-  io::ckpt::Writer w;
-  w.str("atlas.stream");
-  w.f64(config.reader.max_reject_fraction);
-  w.u64(config.reader.max_consecutive_rejects);
-  fingerprint_atlas_analysis(w, config.sanitize, config.changes, isps,
-                             config.metrics != nullptr);
-  return io::ckpt::fnv1a(w.buffer());
+/// Merge one loaded batch into `dataset` and count its records. A batch
+/// that failed to load merges nothing.
+template <typename Dataset>
+Status merge_batch(Expected<Dataset> part,
+                   void (*merge)(Dataset&, Dataset&&), Dataset& dataset,
+                   std::uint64_t& records) {
+  if (!part.ok()) return part.status();
+  Dataset batch = part.take();
+  records = 0;
+  for (const auto& item : batch) records += item.records.size();
+  merge(dataset, std::move(batch));
+  return Status::Ok();
 }
 
-std::uint64_t cdn_stream_fingerprint(const CdnFileStudyConfig& config) {
-  io::ckpt::Writer w;
-  w.str("cdn.stream");
-  fingerprint_assoc(w, config.assoc);
-  w.f64(config.reader.max_reject_fraction);
-  w.u64(config.reader.max_consecutive_rejects);
-  std::vector<bgp::Asn> mobile(config.mobile_asns.begin(),
-                               config.mobile_asns.end());
-  std::sort(mobile.begin(), mobile.end());
-  w.u64(mobile.size());
-  for (bgp::Asn asn : mobile) w.u32(asn);
-  w.u64(config.registries.size());
-  for (const auto& [asn, registry] : config.registries) {
-    w.u32(asn);
-    w.u8(std::uint8_t(registry));
+struct AtlasFilePolicy {
+  const std::vector<simnet::IspProfile>& isps;
+  const AtlasFileStudyConfig& config;
+  ShardExecutor& exec;
+
+  using Dataset = std::vector<atlas::ProbeSeries>;
+  using Study = AtlasStudy;
+  static constexpr std::uint32_t kFileKind = io::kCkptAtlasFile;
+  static constexpr std::uint32_t kStreamKind = io::kCkptAtlasStream;
+  static constexpr const char* kIngestPhase = "atlas.ingest";
+  static constexpr const char* kStudyLabel = "atlas study";
+  static constexpr const char* kStreamLabel = "atlas stream";
+
+  std::uint64_t fingerprint(const std::vector<std::string>* paths) const {
+    return atlas_file_fingerprint(paths, isps, config);
   }
-  w.u8(config.metrics != nullptr ? 1 : 0);
-  return io::ckpt::fnv1a(w.buffer());
+  obs::MetricsRegistry* metrics() const { return config.metrics; }
+  const io::ReaderOptions& reader() const { return config.reader; }
+
+  Status load_batch(const std::string& path, const io::ReaderOptions& ropts,
+                    io::IngestStats* ingest, Dataset& dataset,
+                    std::uint64_t& records) const {
+    return merge_batch(io::load_echo_file(path, ropts, ingest),
+                       io::merge_echo_datasets, dataset, records);
+  }
+
+  void save_dataset(io::ckpt::Writer& w, const Dataset& dataset) const {
+    save_echo_dataset(w, dataset);
+  }
+  bool load_dataset(io::ckpt::Reader& r, Dataset& dataset) const {
+    return load_echo_dataset(r, dataset);
+  }
+
+  void init_study(Study& study) const { init_atlas_study(isps, study); }
+
+  Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
+                  const CheckpointConfig& cc, std::uint32_t kind,
+                  std::uint64_t fp, obs::MetricsSink* ingest_sink,
+                  Study& study) const {
+    return analysis_pass(
+        exec, cc, kind, fp, registry,
+        Loaded<atlas::ProbeSeries>{dataset, ingest_sink},
+        [&] { return AtlasShard(study.rib, config.sanitize, config.changes); },
+        study);
+  }
+};
+
+struct CdnFilePolicy {
+  const CdnFileStudyConfig& config;
+  ShardExecutor& exec;
+
+  using Dataset = std::vector<cdn::AssociationLog>;
+  using Study = CdnStudy;
+  static constexpr std::uint32_t kFileKind = io::kCkptCdnFile;
+  static constexpr std::uint32_t kStreamKind = io::kCkptCdnStream;
+  static constexpr const char* kIngestPhase = "cdn.ingest";
+  static constexpr const char* kStudyLabel = "cdn study";
+  static constexpr const char* kStreamLabel = "cdn stream";
+
+  std::uint64_t fingerprint(const std::vector<std::string>* paths) const {
+    return cdn_file_fingerprint(paths, config);
+  }
+  obs::MetricsRegistry* metrics() const { return config.metrics; }
+  const io::ReaderOptions& reader() const { return config.reader; }
+
+  Status load_batch(const std::string& path, const io::ReaderOptions& ropts,
+                    io::IngestStats* ingest, Dataset& dataset,
+                    std::uint64_t& records) const {
+    return merge_batch(io::load_assoc_file(path, ropts, ingest),
+                       io::merge_assoc_datasets, dataset, records);
+  }
+
+  void save_dataset(io::ckpt::Writer& w, const Dataset& dataset) const {
+    save_assoc_dataset(w, dataset);
+  }
+  bool load_dataset(io::ckpt::Reader& r, Dataset& dataset) const {
+    return load_assoc_dataset(r, dataset);
+  }
+
+  void init_study(Study& study) const { study.asn_names = config.asn_names; }
+
+  Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
+                  const CheckpointConfig& cc, std::uint32_t kind,
+                  std::uint64_t fp, obs::MetricsSink* ingest_sink,
+                  Study& study) const {
+    // The CSV schema carries no access-type or registry attribution; graft
+    // the caller's ground truth onto the loaded logs. Idempotent — the
+    // streaming driver re-grafts on every re-finalization pass.
+    for (auto& log : dataset) {
+      log.mobile = config.mobile_asns.count(log.asn) > 0;
+      auto reg = config.registries.find(log.asn);
+      log.registry =
+          reg == config.registries.end() ? bgp::Registry::kRipe : reg->second;
+    }
+    return analysis_pass(
+        exec, cc, kind, fp, registry,
+        Loaded<cdn::AssociationLog>{dataset, ingest_sink},
+        [&] { return CdnShard(config.assoc, config.mobile_asns); }, study);
+  }
+};
+
+/// A one-shot file study: load every file in order (later files merge into
+/// earlier items), then run one analysis pass. Ingest metrics land in a
+/// local sink folded into the registry with the shard sinks. It is never
+/// checkpointed: a resumed run re-ingests the same files and reproduces
+/// identical ingest counters.
+template <typename Policy>
+Expected<typename Policy::Study> run_file_study(
+    const Policy& policy, const std::vector<std::string>& paths,
+    io::IngestStats* ingest, const CheckpointConfig& checkpoint) {
+  obs::MetricsRegistry* metrics = policy.metrics();
+  obs::MetricsSink ingest_sink;
+  io::ReaderOptions ropts = policy.reader();
+  if (metrics && !ropts.metrics) ropts.metrics = &ingest_sink;
+
+  // The study shell (the Atlas RIB) is built before the dataset is loaded,
+  // so the trie the sanitizer walks per record is not scattered through a
+  // heap fragmented by ingest.
+  typename Policy::Study study;
+  policy.init_study(study);
+  typename Policy::Dataset dataset;
+  const std::uint64_t load_start = obs::now_ns();
+  for (const auto& path : paths) {
+    std::uint64_t records = 0;
+    Status loaded = policy.load_batch(path, ropts, ingest, dataset, records);
+    if (!loaded.ok())
+      return loaded.with_context(path).with_context(Policy::kStudyLabel);
+  }
+  const std::uint64_t load_ns = obs::now_ns() - load_start;
+  if (ingest) ingest->load_wall_ns += load_ns;
+  if (metrics) ingest_sink.phase(Policy::kIngestPhase).record(load_ns);
+
+  Status ran = policy.run_pass(dataset, metrics, checkpoint, Policy::kFileKind,
+                               policy.fingerprint(&paths), &ingest_sink,
+                               study);
+  if (!ran.ok()) return ran.with_context(Policy::kStudyLabel);
+  return study;
 }
+
+}  // namespace
+
+Expected<AtlasStudy> run_atlas_study_from_files(
+    const std::vector<std::string>& paths,
+    const std::vector<simnet::IspProfile>& isps,
+    const AtlasFileStudyConfig& config, io::IngestStats* ingest,
+    const CheckpointConfig& checkpoint) {
+  ShardExecutor exec(config.threads);
+  return run_file_study(AtlasFilePolicy{isps, config, exec}, paths, ingest,
+                        checkpoint);
+}
+
+Expected<CdnStudy> run_cdn_study_from_files(
+    const std::vector<std::string>& paths, const CdnFileStudyConfig& config,
+    io::IngestStats* ingest, const CheckpointConfig& checkpoint) {
+  ShardExecutor exec(config.threads);
+  return run_file_study(CdnFilePolicy{config, exec}, paths, ingest,
+                        checkpoint);
+}
+
+// --------------------------------------------------- streaming entrypoints
+
+bool natural_name_less(std::string_view a, std::string_view b) {
+  auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (digit(a[i]) && digit(b[j])) {
+      std::size_t ia = i, jb = j;
+      while (ia < a.size() && digit(a[ia])) ++ia;
+      while (jb < b.size() && digit(b[jb])) ++jb;
+      std::size_t za = i, zb = j;
+      while (za < ia && a[za] == '0') ++za;  // strip leading zeros
+      while (zb < jb && b[zb] == '0') ++zb;
+      std::string_view va = a.substr(za, ia - za);
+      std::string_view vb = b.substr(zb, jb - zb);
+      if (va.size() != vb.size()) return va.size() < vb.size();
+      if (va != vb) return va < vb;
+      if (ia - i != jb - j) return ia - i < jb - j;
+      i = ia;
+      j = jb;
+      continue;
+    }
+    if (a[i] != b[j]) return a[i] < b[j];
+    ++i;
+    ++j;
+  }
+  return a.size() - i < b.size() - j;
+}
+
+namespace {
 
 // --- watch-directory scanning ---------------------------------------------
 
@@ -1328,105 +1193,6 @@ double batch_lag_seconds(const std::filesystem::path& path) {
   return delta.count() > 0 ? delta.count() : 0.0;
 }
 
-// --- stream policies ------------------------------------------------------
-//
-// The per-study glue the generic follow_stream() loop needs: how to load a
-// batch, how to (de)serialize the accumulated dataset, and how to run one
-// analysis pass.
-
-struct AtlasStreamPolicy {
-  const std::vector<simnet::IspProfile>& isps;
-  const AtlasFileStudyConfig& config;
-  ShardExecutor& exec;
-
-  using Dataset = std::vector<atlas::ProbeSeries>;
-  using Study = AtlasStudy;
-  static constexpr std::uint32_t kind = io::kCkptAtlasStream;
-  static constexpr const char* label = "atlas stream";
-
-  std::uint64_t fingerprint() const {
-    return atlas_stream_fingerprint(isps, config);
-  }
-  obs::MetricsRegistry* metrics() const { return config.metrics; }
-  const io::ReaderOptions& reader() const { return config.reader; }
-
-  Status load_batch(const std::string& path, const io::ReaderOptions& ropts,
-                    io::IngestStats* ingest, Dataset& dataset,
-                    std::uint64_t& records) const {
-    auto part = io::load_echo_file(path, ropts, ingest);
-    if (!part.ok()) return part.status();
-    Dataset batch = part.take();
-    records = 0;
-    for (const atlas::ProbeSeries& series : batch)
-      records += series.records.size();
-    io::merge_echo_datasets(dataset, std::move(batch));
-    return Status::Ok();
-  }
-
-  void save_dataset(io::ckpt::Writer& w, const Dataset& dataset) const {
-    save_echo_dataset(w, dataset);
-  }
-  bool load_dataset(io::ckpt::Reader& r, Dataset& dataset) const {
-    return load_echo_dataset(r, dataset);
-  }
-
-  void init_study(Study& study) const {
-    simnet::announce_all(isps, study.rib);
-    for (const auto& isp : isps) study.as_names[isp.asn] = isp.name;
-  }
-
-  Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
-                  const CheckpointConfig& cc, std::uint64_t fp,
-                  obs::MetricsSink* ingest_sink, Study& study) const {
-    return atlas_analysis_pass(dataset, config.sanitize, config.changes,
-                               registry, exec, cc, kind, fp, ingest_sink,
-                               study);
-  }
-};
-
-struct CdnStreamPolicy {
-  const CdnFileStudyConfig& config;
-  ShardExecutor& exec;
-
-  using Dataset = std::vector<cdn::AssociationLog>;
-  using Study = CdnStudy;
-  static constexpr std::uint32_t kind = io::kCkptCdnStream;
-  static constexpr const char* label = "cdn stream";
-
-  std::uint64_t fingerprint() const { return cdn_stream_fingerprint(config); }
-  obs::MetricsRegistry* metrics() const { return config.metrics; }
-  const io::ReaderOptions& reader() const { return config.reader; }
-
-  Status load_batch(const std::string& path, const io::ReaderOptions& ropts,
-                    io::IngestStats* ingest, Dataset& dataset,
-                    std::uint64_t& records) const {
-    auto part = io::load_assoc_file(path, ropts, ingest);
-    if (!part.ok()) return part.status();
-    Dataset batch = part.take();
-    records = 0;
-    for (const cdn::AssociationLog& log : batch) records += log.records.size();
-    io::merge_assoc_datasets(dataset, std::move(batch));
-    return Status::Ok();
-  }
-
-  void save_dataset(io::ckpt::Writer& w, const Dataset& dataset) const {
-    save_assoc_dataset(w, dataset);
-  }
-  bool load_dataset(io::ckpt::Reader& r, Dataset& dataset) const {
-    return load_assoc_dataset(r, dataset);
-  }
-
-  void init_study(Study& study) const { study.asn_names = config.asn_names; }
-
-  Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
-                  const CheckpointConfig& cc, std::uint64_t fp,
-                  obs::MetricsSink* ingest_sink, Study& study) const {
-    return cdn_analysis_pass(dataset, config.assoc, config.mobile_asns,
-                             config.registries, registry, exec, cc, kind, fp,
-                             ingest_sink, study);
-  }
-};
-
 // --- the stream loop ------------------------------------------------------
 
 template <typename Policy, typename SnapshotFn>
@@ -1442,10 +1208,10 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   std::error_code ec;
   if (!fs::is_directory(watch_dir, ec))
     return Status(StatusCode::kNotFound,
-                  std::string(Policy::label) +
+                  std::string(Policy::kStreamLabel) +
                       ": watch directory does not exist: " + watch_dir);
 
-  const std::uint64_t fingerprint = policy.fingerprint();
+  const std::uint64_t fingerprint = policy.fingerprint(nullptr);
   obs::MetricsRegistry* metrics = policy.metrics();
 
   // All stream-side accounting (`ingest.*`, `stream.*`, `checkpoint.*`)
@@ -1459,16 +1225,9 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
 
   if (stream.resume) {
     const io::StudyCheckpoint& ck = *stream.resume;
-    if (ck.kind != Policy::kind)
-      return Status(StatusCode::kFailedPrecondition,
-                    std::string("checkpoint was written by the ") +
-                        io::checkpoint_kind_name(ck.kind) +
-                        " study and cannot resume the " +
-                        io::checkpoint_kind_name(Policy::kind) + " study");
-    if (ck.config_fingerprint != fingerprint)
-      return Status(StatusCode::kFailedPrecondition,
-                    "checkpoint config fingerprint does not match this run; "
-                    "resume requires the exact original stream parameters");
+    Status same =
+        check_resume_identity(ck, Policy::kStreamKind, fingerprint, "stream");
+    if (!same.ok()) return same;
     if (ck.item_count != ck.consumed.size() || ck.shards.size() != 1)
       return Status(StatusCode::kDataLoss,
                     "checkpoint is corrupt: stream batch accounting is "
@@ -1524,10 +1283,11 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   // so the run can exit kCancelled (exit 3, `--resume-from`) instead of
   // failing outright and discarding the accumulated stream state.
   auto resumable_or = [&](Status failed) -> Status {
+    publish_stats();
     if (!stream.checkpoint_path.empty() &&
         sink.counter("checkpoint.writes").value > 0)
       return Status(StatusCode::kCancelled,
-                    std::string(Policy::label) +
+                    std::string(Policy::kStreamLabel) +
                         ": giving up after repeated IO failures; the last "
                         "durable checkpoint at " +
                         stream.checkpoint_path + " is intact (" +
@@ -1542,7 +1302,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     if (stream.checkpoint_path.empty()) return Status::Ok();
     obs::PhaseTimer timer(&sink.phase("checkpoint.write"));
     io::StudyCheckpoint ck;
-    ck.kind = Policy::kind;
+    ck.kind = Policy::kStreamKind;
     ck.config_fingerprint = fingerprint;
     ck.item_count = consumed.size();
     io::ckpt::Writer w;
@@ -1594,10 +1354,25 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                               // mark checkpoint is already durable, so no
                               // mid-pass snapshot is needed
     Status ran = policy.run_pass(dataset, final_pass ? metrics : nullptr, cc,
-                                 fingerprint, final_pass ? &sink : nullptr,
-                                 study);
+                                 Policy::kStreamKind, fingerprint,
+                                 final_pass ? &sink : nullptr, study);
     if (!ran.ok()) return ran;
     return study;
+  };
+
+  // An intermediate re-finalization, handed to the caller's callback.
+  auto publish_snapshot = [&]() -> Status {
+    Expected<Study> snap = refinalize(/*final_pass=*/false);
+    if (!snap.ok()) {
+      publish_stats();
+      Status st = snap.status();
+      return st.with_context(Policy::kStreamLabel);
+    }
+    on_snapshot(snap.value(), stats);
+    batches_since_refinalize = 0;
+    last_refinalize = std::chrono::steady_clock::now();
+    publish_stats();
+    return Status::Ok();
   };
 
   auto timer_due = [&] {
@@ -1630,15 +1405,12 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   for (;;) {
     if (stream.token && stream.token->requested()) {
       sink.counter("checkpoint.interrupted").add(1);
-      std::string note = std::string(Policy::label) +
+      std::string note = std::string(Policy::kStreamLabel) +
                          " interrupted by shutdown request after " +
                          std::to_string(stats.batches) + " consumed batches";
       if (!stream.checkpoint_path.empty()) {
         Status wrote = write_stream_checkpoint();
-        if (!wrote.ok()) {
-          publish_stats();
-          return resumable_or(wrote);
-        }
+        if (!wrote.ok()) return resumable_or(wrote);
         note += "; checkpoint written to " + stream.checkpoint_path;
       }
       publish_stats();
@@ -1681,10 +1453,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       if (mem && !mem_pressure_prev) {
         stream.governor->count("early_checkpoints");
         Status wrote = write_stream_checkpoint();
-        if (!wrote.ok()) {
-          publish_stats();
-          return resumable_or(wrote);
-        }
+        if (!wrote.ok()) return resumable_or(wrote);
       }
       mem_pressure_prev = mem;
     }
@@ -1694,7 +1463,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       publish_stats();
       if (!final_study.ok()) {
         Status st = final_study.status();
-        return st.with_context(Policy::label);
+        return st.with_context(Policy::kStreamLabel);
       }
       return final_study;
     }
@@ -1702,16 +1471,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     if (fresh.empty()) {
       if (on_snapshot && batches_since_refinalize > 0 && timer_due() &&
           intermediate_allowed()) {
-        Expected<Study> snap = refinalize(/*final_pass=*/false);
-        if (!snap.ok()) {
-          Status st = snap.status();
-          publish_stats();
-          return st.with_context(Policy::label);
-        }
-        on_snapshot(snap.value(), stats);
-        batches_since_refinalize = 0;
-        last_refinalize = std::chrono::steady_clock::now();
-        publish_stats();
+        Status published = publish_snapshot();
+        if (!published.ok()) return published;
         continue;
       }
       interruptible_sleep_ms(stream.poll_ms, stream.token);
@@ -1776,7 +1537,6 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       }
       if (!loaded.ok()) {
         sink.counter("io.giveups").add(1);
-        publish_stats();
         return resumable_or(loaded.with_context(path.string()));
       }
 
@@ -1791,10 +1551,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       ++batches_since_refinalize;
 
       Status wrote = write_stream_checkpoint();
-      if (!wrote.ok()) {
-        publish_stats();
-        return resumable_or(wrote);
-      }
+      if (!wrote.ok()) return resumable_or(wrote);
       publish_stats();
 
       if (on_snapshot &&
@@ -1802,16 +1559,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
             batches_since_refinalize >= stream.refinalize_every_batches) ||
            timer_due()) &&
           intermediate_allowed()) {
-        Expected<Study> snap = refinalize(/*final_pass=*/false);
-        if (!snap.ok()) {
-          Status st = snap.status();
-          publish_stats();
-          return st.with_context(Policy::label);
-        }
-        on_snapshot(snap.value(), stats);
-        batches_since_refinalize = 0;
-        last_refinalize = std::chrono::steady_clock::now();
-        publish_stats();
+        Status published = publish_snapshot();
+        if (!published.ok()) return published;
       }
     }
   }
@@ -1827,7 +1576,7 @@ Expected<AtlasStudy> StreamDriver::follow_atlas(
     const std::string& watch_dir, const std::vector<simnet::IspProfile>& isps,
     const AtlasFileStudyConfig& config, const StreamConfig& stream,
     AtlasSnapshotFn on_snapshot, io::IngestStats* ingest, StreamStats* stats) {
-  AtlasStreamPolicy policy{isps, config, exec_};
+  AtlasFilePolicy policy{isps, config, exec_};
   return follow_stream(policy, watch_dir, stream, on_snapshot, ingest, stats);
 }
 
@@ -1837,28 +1586,8 @@ Expected<CdnStudy> StreamDriver::follow_cdn(const std::string& watch_dir,
                                             CdnSnapshotFn on_snapshot,
                                             io::IngestStats* ingest,
                                             StreamStats* stats) {
-  CdnStreamPolicy policy{config, exec_};
+  CdnFilePolicy policy{config, exec_};
   return follow_stream(policy, watch_dir, stream, on_snapshot, ingest, stats);
-}
-
-Expected<AtlasStudy> run_atlas_stream(
-    const std::string& watch_dir, const std::vector<simnet::IspProfile>& isps,
-    const AtlasFileStudyConfig& config, const StreamConfig& stream,
-    AtlasSnapshotFn on_snapshot, io::IngestStats* ingest, StreamStats* stats) {
-  StreamDriver driver(config.threads);
-  return driver.follow_atlas(watch_dir, isps, config, stream,
-                             std::move(on_snapshot), ingest, stats);
-}
-
-Expected<CdnStudy> run_cdn_stream(const std::string& watch_dir,
-                                  const CdnFileStudyConfig& config,
-                                  const StreamConfig& stream,
-                                  CdnSnapshotFn on_snapshot,
-                                  io::IngestStats* ingest,
-                                  StreamStats* stats) {
-  StreamDriver driver(config.threads);
-  return driver.follow_cdn(watch_dir, config, stream, std::move(on_snapshot),
-                           ingest, stats);
 }
 
 }  // namespace dynamips::core

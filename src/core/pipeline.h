@@ -1,13 +1,26 @@
 // pipeline.h — end-to-end study runners.
 //
 // Convenience orchestration used by the benchmark harness, the examples and
-// the integration tests: generate the synthetic dataset, sanitize it, and
-// run every analyzer, returning one results object per study. Probes/logs
-// are processed one at a time so memory stays flat regardless of scale, and
-// the index space is sharded across a fixed thread pool (core/parallel.h):
-// every analyzer is a mergeable sink, each shard owns a private analyzer
-// set, and shards are reduced in index order, so results are byte-identical
-// for every `threads` setting (`threads = 1` is the plain serial path).
+// the integration tests: generate the synthetic dataset (or load it from
+// files), sanitize it, and run every analyzer, returning one results object
+// per study. Probes/logs are processed one at a time so memory stays flat
+// regardless of scale, and the index space is sharded across a fixed thread
+// pool (core/parallel.h): every analyzer is a mergeable sink, each shard
+// owns a private analyzer set, and shards are reduced in index order, so
+// results are byte-identical for every `threads` setting (`threads = 1` is
+// the plain serial path).
+//
+// Every entrypoint below — generator, file-driven, and each re-finalization
+// of a stream — runs the same `analysis_pass` in pipeline.cpp: plan or
+// restore the shards, drive them in rounds, reduce, finalize, snapshot,
+// publish metrics. The paths differ only in two parameters. The item
+// *source* yields item i (by value from a simulator, by const reference
+// from a loaded dataset) and carries the path-specific metrics: the
+// `*_generated` vs `*_loaded` counters, the generator-only `*.generate`
+// phase, and the file-only ingest sink. The *shard* type (Atlas or CDN)
+// writes its study's per-item body once; it is compiled twice, metered and
+// with every clock read and metric call compiled out, so a run with
+// `metrics == nullptr` and a metered run execute the same analyzer calls.
 #pragma once
 
 #include <functional>
@@ -363,18 +376,5 @@ class StreamDriver {
  private:
   ShardExecutor exec_;
 };
-
-/// Convenience one-call wrappers around a throwaway StreamDriver.
-Expected<AtlasStudy> run_atlas_stream(
-    const std::string& watch_dir, const std::vector<simnet::IspProfile>& isps,
-    const AtlasFileStudyConfig& config, const StreamConfig& stream,
-    AtlasSnapshotFn on_snapshot = {}, io::IngestStats* ingest = nullptr,
-    StreamStats* stats = nullptr);
-Expected<CdnStudy> run_cdn_stream(const std::string& watch_dir,
-                                  const CdnFileStudyConfig& config,
-                                  const StreamConfig& stream,
-                                  CdnSnapshotFn on_snapshot = {},
-                                  io::IngestStats* ingest = nullptr,
-                                  StreamStats* stats = nullptr);
 
 }  // namespace dynamips::core

@@ -131,12 +131,8 @@ inline std::uint64_t fnv1a(std::string_view bytes) {
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(char(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(char((v >> (8 * i)) & 0xFF));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(char((v >> (8 * i)) & 0xFF));
-  }
+  void u32(std::uint32_t v) { little_endian<4>(v); }
+  void u64(std::uint64_t v) { little_endian<8>(v); }
   void i32(std::int32_t v) { u32(std::uint32_t(v)); }
   void f64(double v) {
     std::uint64_t bits;
@@ -152,6 +148,16 @@ class Writer {
   std::string take() { return std::move(buf_); }
 
  private:
+  /// One append per integer rather than one push_back per byte: the
+  /// serialization loops (stream checkpoints carry the whole accumulated
+  /// dataset) stay fast however the compiler inlines them.
+  template <int N>
+  void little_endian(std::uint64_t v) {
+    char bytes[N];
+    for (int i = 0; i < N; ++i) bytes[i] = char((v >> (8 * i)) & 0xFF);
+    buf_.append(bytes, N);
+  }
+
   std::string buf_;
 };
 

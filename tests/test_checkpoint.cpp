@@ -624,6 +624,14 @@ core::CdnStudyConfig small_cdn_config(unsigned threads,
   return cfg;
 }
 
+/// The golden fixtures' CDN study: a smaller population than
+/// small_cdn_config's callers use, to keep the committed files small.
+core::CdnStudyConfig golden_cdn_config() {
+  core::CdnStudyConfig cfg = small_cdn_config(2, nullptr);
+  cfg.cdn.subscriber_scale = 0.02;
+  return cfg;
+}
+
 /// Run `attempt(checkpoint_config)` with a pre-tripped shutdown token until
 /// it completes: every attempt makes exactly one round of progress, gets
 /// cancelled at the boundary, and the next attempt resumes from the
@@ -988,6 +996,114 @@ TEST(InterruptResume, PeriodicCheckpointWithoutPathIsInvalid) {
       isps, small_atlas_config(1, nullptr), cc);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), core::StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------- golden checkpoints
+//
+// Completed shard-0-of-2 checkpoints committed under tests/golden/, one per
+// study kind the pipeline writes in batch mode. Each test decodes its
+// fixture, re-runs the same study and requires the fresh file to equal the
+// fixture byte for byte, so a change to the container format, a config
+// fingerprint or any analyzer's saved state fails here even when it still
+// round-trips in-process. Metrics are off, so no timing enters the bytes.
+// The file studies hash their input paths into the fingerprint; their
+// inputs are therefore written at fixed relative paths.
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+/// Run `shard0` as shard 0 of 2 and compare its completed checkpoint with
+/// tests/golden/<name>.ckpt.
+template <typename Run>
+void expect_golden_shard(const std::string& name, std::uint32_t kind,
+                         Run&& shard0) {
+  const std::string golden =
+      std::string(DYNAMIPS_TEST_GOLDEN_DIR) + "/" + name + ".ckpt";
+  auto fixture = io::read_checkpoint(golden);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().to_string();
+  EXPECT_EQ(fixture->kind, kind);
+  // Slice 0 is complete and the rest of the items belong to shard 1.
+  for (const auto& shard : fixture->shards) EXPECT_EQ(shard.next, shard.end);
+  EXPECT_GT(fixture->items_done(), 0u);
+  EXPECT_LT(fixture->items_done(), fixture->item_count);
+
+  const std::string path = temp_path("golden_" + name + ".ckpt");
+  io::remove_checkpoint_files(path);
+  core::CheckpointConfig cc;
+  cc.path = path;
+  cc.shard_index = 0;
+  cc.shard_count = 2;
+  auto ran = shard0(cc);
+  ASSERT_TRUE(ran.ok()) << ran.status().to_string();
+  const std::string fresh = file_bytes(path);
+  EXPECT_FALSE(fresh.empty());
+  EXPECT_TRUE(fresh == file_bytes(golden))
+      << name << ": the checkpoint written now differs from " << golden;
+  io::remove_checkpoint_files(path);
+}
+
+TEST(GoldenCheckpoint, AtlasGenerator) {
+  expect_golden_shard("atlas-gen", io::kCkptAtlasGen,
+                      [](const core::CheckpointConfig& cc) {
+                        return core::run_atlas_study_supervised(
+                            study_isps(), small_atlas_config(2, nullptr), cc);
+                      });
+}
+
+TEST(GoldenCheckpoint, CdnGenerator) {
+  expect_golden_shard("cdn-gen", io::kCkptCdnGen,
+                      [](const core::CheckpointConfig& cc) {
+                        return core::run_cdn_study_supervised(
+                            cdn::default_cdn_population(0.02),
+                            golden_cdn_config(), cc);
+                      });
+}
+
+TEST(GoldenCheckpoint, AtlasFiles) {
+  const std::string input = "golden-atlas-echo.csv";
+  {
+    io::AtomicFileWriter out(input);
+    ASSERT_TRUE(out.ok());
+    io::write_echo_dataset(out.stream(), atlas_fixture().series);
+    ASSERT_TRUE(out.commit().ok());
+  }
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 2;
+  expect_golden_shard("atlas-file", io::kCkptAtlasFile,
+                      [&](const core::CheckpointConfig& cc) {
+                        return core::run_atlas_study_from_files(
+                            {input}, study_isps(), cfg, nullptr, cc);
+                      });
+  std::filesystem::remove(input);
+}
+
+TEST(GoldenCheckpoint, CdnFiles) {
+  const auto population = cdn::default_cdn_population(0.02);
+  cdn::CdnSimulator sim(population, golden_cdn_config().cdn);
+  std::vector<cdn::AssociationLog> logs;
+  for (std::size_t i = 0; i < sim.entry_count(); ++i)
+    logs.push_back(sim.generate(i));
+  const std::string input = "golden-cdn-assoc.csv";
+  {
+    io::AtomicFileWriter out(input);
+    ASSERT_TRUE(out.ok());
+    io::write_assoc_dataset(out.stream(), logs);
+    ASSERT_TRUE(out.commit().ok());
+  }
+  core::CdnFileStudyConfig cfg;
+  cfg.threads = 2;
+  for (const auto& entry : population) {
+    if (entry.isp.mobile) cfg.mobile_asns.insert(entry.isp.asn);
+    cfg.registries[entry.isp.asn] = entry.isp.registry;
+  }
+  expect_golden_shard("cdn-file", io::kCkptCdnFile,
+                      [&](const core::CheckpointConfig& cc) {
+                        return core::run_cdn_study_from_files({input}, cfg,
+                                                              nullptr, cc);
+                      });
+  std::filesystem::remove(input);
 }
 
 // --------------------------------------------------- multi-process shards

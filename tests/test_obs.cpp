@@ -8,16 +8,23 @@
 //  * zero overhead when disabled: a study run with `metrics == nullptr`
 //    records nothing and produces byte-identical results to a metered run;
 //  * thread-count invariance: every counter and histogram in a study's
-//    metrics document is identical for threads=1 and threads=4.
+//    metrics document is identical for threads=1 and threads=4;
+//  * the metric surface: the exact names each study path records, and each
+//    phase's sample count, pinned per path (generator, files, stream).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cdn/generator.h"
 #include "core/pipeline.h"
+#include "io/readers.h"
 #include "obs/metrics.h"
 #include "obs/metrics_json.h"
 #include "simnet/isp.h"
@@ -358,6 +365,290 @@ TEST(ObsPipeline, MetricsJsonStableAcrossIdenticalRuns) {
   };
   EXPECT_EQ(obs::metrics_to_json(strip(r1.snapshot()), test_meta()),
             obs::metrics_to_json(strip(r2.snapshot()), test_meta()));
+}
+
+
+// ------------------------------------------------------- metric surface
+//
+// Which metrics each study path records is part of its contract: the
+// generator path counts `*_generated` and times `*.generate`, the file
+// path counts `*_loaded` and times `*.ingest`, and a stream records the
+// analysis metrics of its final pass only. Each test pins the sorted
+// names of one path, and every phase's sample count, at threads = 2.
+
+/// "counter:NAME", "gauge:NAME", "histogram:NAME" and "phase:NAME=COUNT"
+/// for every metric in `sink`, sorted.
+std::vector<std::string> metric_surface(const obs::MetricsSink& sink) {
+  std::vector<std::string> out;
+  for (const auto& [name, c] : sink.counters())
+    out.push_back("counter:" + name);
+  for (const auto& [name, g] : sink.gauges()) out.push_back("gauge:" + name);
+  for (const auto& [name, h] : sink.histograms())
+    out.push_back("histogram:" + name);
+  for (const auto& [name, p] : sink.phases())
+    out.push_back("phase:" + name + "=" + std::to_string(p.count));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The sorted union of metric-name groups.
+std::vector<std::string> surface_of(
+    std::initializer_list<std::vector<std::string>> groups) {
+  std::vector<std::string> out;
+  for (const auto& group : groups)
+    out.insert(out.end(), group.begin(), group.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// What every Atlas path records for the 49 probes (48 clean) it analyzes
+// on two shards in one round.
+const std::vector<std::string> kAtlasAnalysis = {
+    "counter:atlas.clean_probes",
+    "counter:atlas.echo_records",
+    "counter:sanitize.dropped_bad_tag",
+    "counter:sanitize.dropped_multihomed",
+    "counter:sanitize.dropped_public_src",
+    "counter:sanitize.dropped_short",
+    "counter:sanitize.dropped_v6_mismatch",
+    "counter:sanitize.probes_kept",
+    "counter:sanitize.probes_seen",
+    "counter:sanitize.split_probes",
+    "counter:sanitize.test_address_records",
+    "counter:sanitize.virtual_probes",
+    "gauge:atlas.shard_imbalance",
+    "gauge:atlas.shards",
+    "histogram:atlas.records_per_probe",
+    "phase:atlas.durations.add=48",
+    "phase:atlas.finalize=1",
+    "phase:atlas.inference.add=48",
+    "phase:atlas.merge=1",
+    "phase:atlas.sanitize=49",
+    "phase:atlas.shard_wall=2",
+    "phase:atlas.spatial.add=48",
+};
+
+// What every CDN path records for its 17 logs on two shards.
+const std::vector<std::string> kCdnAnalysis = {
+    "counter:cdn.association_tuples",
+    "counter:cdn.spill_bytes",
+    "counter:cdn.spill_runs",
+    "counter:cdn.tuples_kept",
+    "counter:cdn.tuples_mismatched",
+    "gauge:cdn.shard_imbalance",
+    "gauge:cdn.shards",
+    "histogram:cdn.tuples_per_log",
+    "phase:cdn.analyzer.add=17",
+    "phase:cdn.finalize=1",
+    "phase:cdn.merge=1",
+    "phase:cdn.shard_wall=2",
+};
+
+// Reader accounting of a clean input.
+const std::vector<std::string> kIngest = {
+    "counter:ingest.lines",
+    "counter:ingest.records",
+};
+
+// A stream of 3 batches with a checkpoint after each.
+const std::vector<std::string> kStream = {
+    "counter:checkpoint.writes",
+    "counter:stream.batches",
+    "counter:stream.records",
+    "counter:stream.refinalize",
+    "gauge:stream.backlog_batches",
+    "gauge:stream.lag_seconds",
+    "phase:checkpoint.write=3",
+};
+
+std::vector<simnet::IspProfile> surface_isps() {
+  auto isps = simnet::paper_isps();
+  isps.resize(2);
+  return isps;
+}
+
+std::vector<atlas::ProbeSeries> surface_echo_dataset() {
+  auto cfg = small_atlas_config(nullptr, 2).atlas;
+  atlas::AtlasSimulator sim(surface_isps(), cfg);
+  std::vector<atlas::ProbeSeries> out;
+  for (std::size_t i = 0; i < sim.probe_count(); ++i)
+    out.push_back(sim.series_for(i));
+  return out;
+}
+
+core::CdnStudyConfig surface_cdn_config(obs::MetricsRegistry* registry) {
+  core::CdnStudyConfig cfg;
+  cfg.cdn.subscriber_scale = 0.02;
+  cfg.cdn.seed = 13;
+  cfg.threads = 2;
+  cfg.metrics = registry;
+  return cfg;
+}
+
+std::vector<cdn::AssociationLog> surface_assoc_dataset() {
+  cdn::CdnSimulator sim(cdn::default_cdn_population(0.02),
+                        surface_cdn_config(nullptr).cdn);
+  std::vector<cdn::AssociationLog> out;
+  for (std::size_t i = 0; i < sim.entry_count(); ++i)
+    out.push_back(sim.generate(i));
+  return out;
+}
+
+core::CdnFileStudyConfig surface_cdn_file_config(
+    obs::MetricsRegistry* registry) {
+  core::CdnFileStudyConfig cfg;
+  cfg.threads = 2;
+  cfg.metrics = registry;
+  for (const auto& entry : cdn::default_cdn_population(0.02)) {
+    if (entry.isp.mobile) cfg.mobile_asns.insert(entry.isp.asn);
+    cfg.registries[entry.isp.asn] = entry.isp.registry;
+  }
+  return cfg;
+}
+
+/// A fresh directory under the test temp dir.
+std::filesystem::path surface_dir(const std::string& name) {
+  auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Write `items` as `parts` batch files (batch-0.csv, ...) plus the stop
+/// sentinel; returns the batch paths in order.
+template <typename Item, typename WriteFn>
+std::vector<std::string> write_surface_batches(
+    const std::filesystem::path& dir, const std::vector<Item>& items,
+    std::size_t parts, WriteFn&& write) {
+  std::vector<std::string> paths;
+  for (std::size_t p = 0; p < parts; ++p) {
+    std::vector<Item> part(items.begin() + p * items.size() / parts,
+                           items.begin() + (p + 1) * items.size() / parts);
+    paths.push_back((dir / ("batch-" + std::to_string(p) + ".csv")).string());
+    std::ofstream os(paths.back());
+    write(os, part);
+  }
+  std::ofstream(dir / "stream.stop") << "stop\n";
+  return paths;
+}
+
+/// Stream settings shared by both stream surface tests: a re-finalization
+/// every 2 of the 3 batches and a checkpoint, kept outside the watched
+/// directory, after each.
+core::StreamConfig surface_stream(const std::string& name) {
+  core::StreamConfig stream;
+  stream.refinalize_every_batches = 2;
+  stream.poll_ms = 1;
+  stream.checkpoint_path = (surface_dir(name) / "stream.ckpt").string();
+  return stream;
+}
+
+TEST(ObsSurface, AtlasGenerator) {
+  obs::MetricsRegistry registry;
+  core::run_atlas_study(surface_isps(), small_atlas_config(&registry, 2));
+  EXPECT_EQ(metric_surface(registry.snapshot()),
+            surface_of({kAtlasAnalysis,
+                        {"counter:atlas.gen.privacy_iid_probes",
+                         "counter:atlas.gen.probes",
+                         "counter:atlas.gen.role_as_switch",
+                         "counter:atlas.gen.role_bad_tag",
+                         "counter:atlas.gen.role_multihomed",
+                         "counter:atlas.gen.role_normal",
+                         "counter:atlas.gen.role_public_src",
+                         "counter:atlas.gen.role_short_lived",
+                         "counter:atlas.gen.test_addr_probes",
+                         "counter:atlas.probes_generated",
+                         "phase:atlas.generate=49"}}));
+}
+
+TEST(ObsSurface, AtlasFiles) {
+  const auto dir = surface_dir("obs_surface_atlas_files");
+  const auto paths = write_surface_batches(
+      dir, surface_echo_dataset(), 1,
+      [](std::ostream& os, const auto& part) {
+        io::write_echo_dataset(os, part);
+      });
+  obs::MetricsRegistry registry;
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 2;
+  cfg.metrics = &registry;
+  auto study = core::run_atlas_study_from_files(paths, surface_isps(), cfg);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(metric_surface(registry.snapshot()),
+            surface_of({kAtlasAnalysis, kIngest,
+                        {"counter:atlas.probes_loaded",
+                         "phase:atlas.ingest=1"}}));
+}
+
+TEST(ObsSurface, AtlasStream) {
+  const auto dir = surface_dir("obs_surface_atlas_stream");
+  write_surface_batches(dir, surface_echo_dataset(), 3,
+                        [](std::ostream& os, const auto& part) {
+                          io::write_echo_dataset(os, part);
+                        });
+  obs::MetricsRegistry registry;
+  core::AtlasFileStudyConfig cfg;
+  cfg.metrics = &registry;
+  int snapshots = 0;
+  core::StreamDriver driver(2);
+  auto study = driver.follow_atlas(
+      dir.string(), surface_isps(), cfg,
+      surface_stream("obs_surface_atlas_stream_ckpt"),
+      [&](const core::AtlasStudy&, const core::StreamStats&) { ++snapshots; });
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(snapshots, 1);
+  EXPECT_EQ(metric_surface(registry.snapshot()),
+            surface_of({kAtlasAnalysis, kIngest, kStream,
+                        {"counter:atlas.probes_loaded"}}));
+}
+
+TEST(ObsSurface, CdnGenerator) {
+  obs::MetricsRegistry registry;
+  core::run_cdn_study(cdn::default_cdn_population(0.02),
+                      surface_cdn_config(&registry));
+  EXPECT_EQ(metric_surface(registry.snapshot()),
+            surface_of({kCdnAnalysis,
+                        {"counter:cdn.gen.mobile_entries",
+                         "counter:cdn.gen.population_entries",
+                         "counter:cdn.gen.subscribers",
+                         "counter:cdn.logs_generated",
+                         "phase:cdn.generate=17"}}));
+}
+
+TEST(ObsSurface, CdnFiles) {
+  const auto dir = surface_dir("obs_surface_cdn_files");
+  const auto paths = write_surface_batches(
+      dir, surface_assoc_dataset(), 1,
+      [](std::ostream& os, const auto& part) {
+        io::write_assoc_dataset(os, part);
+      });
+  obs::MetricsRegistry registry;
+  auto study = core::run_cdn_study_from_files(
+      paths, surface_cdn_file_config(&registry));
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(metric_surface(registry.snapshot()),
+            surface_of({kCdnAnalysis, kIngest,
+                        {"counter:cdn.logs_loaded", "phase:cdn.ingest=1"}}));
+}
+
+TEST(ObsSurface, CdnStream) {
+  const auto dir = surface_dir("obs_surface_cdn_stream");
+  write_surface_batches(dir, surface_assoc_dataset(), 3,
+                        [](std::ostream& os, const auto& part) {
+                          io::write_assoc_dataset(os, part);
+                        });
+  obs::MetricsRegistry registry;
+  int snapshots = 0;
+  core::StreamDriver driver(2);
+  auto study = driver.follow_cdn(
+      dir.string(), surface_cdn_file_config(&registry),
+      surface_stream("obs_surface_cdn_stream_ckpt"),
+      [&](const core::CdnStudy&, const core::StreamStats&) { ++snapshots; });
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(snapshots, 1);
+  EXPECT_EQ(metric_surface(registry.snapshot()),
+            surface_of({kCdnAnalysis, kIngest, kStream,
+                        {"counter:cdn.logs_loaded"}}));
 }
 
 }  // namespace

@@ -529,8 +529,8 @@ TEST(BatchOrdering, MixedWidthNamesConsumeInProductionOrder) {
     stream.max_batches = 2;
     stream.checkpoint_path = ckpt;
     core::StreamStats stats;
-    auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
-                                        {}, nullptr, &stats);
+    auto study = core::StreamDriver(cfg.threads).follow_atlas(
+        watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(stats.batches, 2u);
   }
@@ -551,8 +551,8 @@ TEST(BatchOrdering, MixedWidthNamesConsumeInProductionOrder) {
     stream.checkpoint_path = ckpt;
     stream.resume = &*ck;
     core::StreamStats stats;
-    auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
-                                        {}, nullptr, &stats);
+    auto study = core::StreamDriver(cfg.threads).follow_atlas(
+        watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(stats.batches, 4u);
     EXPECT_EQ(atlas_signature(*study), want);
@@ -591,8 +591,8 @@ TEST(BatchOrdering, ColumnarBatchesMixFreelyWithCsvInOneStream) {
   cfg.threads = 2;
   core::StreamConfig stream;
   core::StreamStats stats;
-  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
-                                      {}, nullptr, &stats);
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(stats.batches, 4u);
   EXPECT_EQ(atlas_signature(*study), want);
@@ -621,7 +621,7 @@ TEST(AtlasStream, MatchesOneShotAtAnyThreadCount) {
     std::uint64_t windowed = 0;
     std::string mid_signature;
     core::StreamStats stats;
-    auto study = core::run_atlas_stream(
+    auto study = core::StreamDriver(cfg.threads).follow_atlas(
         watch.string(), fx.isps, cfg, stream,
         [&](const core::AtlasStudy& snap, const core::StreamStats& at) {
           ++windowed;
@@ -664,9 +664,8 @@ TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
     stream.max_batches = 2;
     stream.checkpoint_path = ckpt;
     core::StreamStats stats;
-    auto study =
-        core::run_atlas_stream(watch.string(), fx.isps, cfg, stream, {},
-                               nullptr, &stats);
+    auto study = core::StreamDriver(cfg.threads).follow_atlas(
+        watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(stats.batches, 2u);
   }
@@ -687,9 +686,8 @@ TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
     stream.checkpoint_path = ckpt;
     stream.resume = &*ck;
     core::StreamStats stats;
-    auto study =
-        core::run_atlas_stream(watch.string(), fx.isps, cfg, stream, {},
-                               nullptr, &stats);
+    auto study = core::StreamDriver(cfg.threads).follow_atlas(
+        watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(atlas_signature(*study), want);
     EXPECT_EQ(stats.batches, 4u);
@@ -725,8 +723,8 @@ TEST(AtlasStream, PreTrippedTokenCancelsWithDurableCheckpoint) {
   core::StreamConfig stream;
   stream.checkpoint_path = ckpt;
   stream.token = &token;
-  auto cancelled =
-      core::run_atlas_stream(watch.string(), fx.isps, cfg, stream);
+  auto cancelled = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, stream);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
   EXPECT_TRUE(contains(cancelled.status().message(),
@@ -745,8 +743,8 @@ TEST(AtlasStream, PreTrippedTokenCancelsWithDurableCheckpoint) {
   stream2.token = &token;
   stream2.resume = &*ck;
   core::StreamStats stats;
-  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream2,
-                                      {}, nullptr, &stats);
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, stream2, {}, nullptr, &stats);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 3u);
@@ -765,7 +763,7 @@ TEST(AtlasStream, ResumeValidationRejectsMismatches) {
   // Missing watch directory.
   {
     core::StreamConfig stream;
-    auto missing = core::run_atlas_stream(
+    auto missing = core::StreamDriver(cfg.threads).follow_atlas(
         (watch / "does-not-exist").string(), fx.isps, cfg, stream);
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
@@ -777,8 +775,8 @@ TEST(AtlasStream, ResumeValidationRejectsMismatches) {
     wrong.kind = io::kCkptCdnStream;
     core::StreamConfig stream;
     stream.resume = &wrong;
-    auto rejected =
-        core::run_atlas_stream(watch.string(), fx.isps, cfg, stream);
+    auto rejected = core::StreamDriver(cfg.threads).follow_atlas(
+        watch.string(), fx.isps, cfg, stream);
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
     EXPECT_TRUE(contains(rejected.status().message(), "cannot resume"))
@@ -791,8 +789,8 @@ TEST(AtlasStream, ResumeValidationRejectsMismatches) {
     core::StreamConfig stream;
     stream.max_batches = 1;
     stream.checkpoint_path = ckpt;
-    auto phase1 =
-        core::run_atlas_stream(watch.string(), fx.isps, cfg, stream);
+    auto phase1 = core::StreamDriver(cfg.threads).follow_atlas(
+        watch.string(), fx.isps, cfg, stream);
     ASSERT_TRUE(phase1.ok()) << phase1.status().to_string();
     auto ck = io::read_checkpoint(ckpt);
     ASSERT_TRUE(ck.ok()) << ck.status().to_string();
@@ -801,8 +799,8 @@ TEST(AtlasStream, ResumeValidationRejectsMismatches) {
     other.sanitize.min_observation_hours += 1;
     core::StreamConfig resume;
     resume.resume = &*ck;
-    auto rejected =
-        core::run_atlas_stream(watch.string(), fx.isps, other, resume);
+    auto rejected = core::StreamDriver(other.threads).follow_atlas(
+        watch.string(), fx.isps, other, resume);
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
     EXPECT_TRUE(contains(rejected.status().message(), "fingerprint"))
@@ -828,8 +826,8 @@ TEST(CdnStream, ResumeAtDifferentThreadCountIsByteIdentical) {
     stream.max_batches = 1;
     stream.checkpoint_path = ckpt;
     core::StreamStats stats;
-    auto study = core::run_cdn_stream(watch.string(), cdn_file_config(4),
-                                      stream, {}, nullptr, &stats);
+    auto study = core::StreamDriver(4).follow_cdn(
+        watch.string(), cdn_file_config(4), stream, {}, nullptr, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(stats.batches, 1u);
   }
@@ -845,8 +843,8 @@ TEST(CdnStream, ResumeAtDifferentThreadCountIsByteIdentical) {
     stream.checkpoint_path = ckpt;
     stream.resume = &*ck;
     core::StreamStats stats;
-    auto study = core::run_cdn_stream(watch.string(), cdn_file_config(1),
-                                      stream, {}, nullptr, &stats);
+    auto study = core::StreamDriver(1).follow_cdn(
+        watch.string(), cdn_file_config(1), stream, {}, nullptr, &stats);
     ASSERT_TRUE(study.ok()) << study.status().to_string();
     EXPECT_EQ(cdn_signature(*study), want);
     EXPECT_EQ(stats.batches, 3u);
@@ -896,8 +894,8 @@ TEST_F(StreamFailpoints, TransientIoFaultsRetryAndConverge) {
   stream.io_retry_base_ms = 1;
   stream.io_retry_seed = 42;
   core::StreamStats stats;
-  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
-                                      {}, nullptr, &stats);
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 3u);
@@ -933,8 +931,8 @@ TEST_F(StreamFailpoints, ExhaustedRetriesGiveUpResumably) {
   stream.poll_ms = 10;
   stream.io_retry_attempts = 2;
   stream.io_retry_base_ms = 1;
-  auto gave_up =
-      core::run_atlas_stream(watch.string(), fx.isps, cfg, stream);
+  auto gave_up = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, stream);
   ASSERT_FALSE(gave_up.ok());
   EXPECT_EQ(gave_up.status().code(), StatusCode::kCancelled);
   EXPECT_TRUE(contains(gave_up.status().message(), "is intact"))
@@ -950,8 +948,8 @@ TEST_F(StreamFailpoints, ExhaustedRetriesGiveUpResumably) {
   resume.checkpoint_path = ckpt;
   resume.resume = &*ck;
   core::StreamStats stats;
-  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, resume,
-                                      {}, nullptr, &stats);
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, resume, {}, nullptr, &stats);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 3u);
@@ -1025,7 +1023,7 @@ TEST(StreamGovernor, MemoryPressureDefersIntermediateRefinalizes) {
     stream.governor = &governor;
     std::uint64_t windowed = 0;
     core::StreamStats stats;
-    auto study = core::run_atlas_stream(
+    auto study = core::StreamDriver(cfg.threads).follow_atlas(
         watch.string(), fx.isps, cfg, stream,
         [&](const core::AtlasStudy&, const core::StreamStats&) {
           ++windowed;
@@ -1085,8 +1083,8 @@ TEST(StreamGovernor, DiskSoftPressureDropsRetentionAndShedsQuarantine) {
   stream.checkpoint_path = (ckdir / "study.ckpt").string();
   stream.governor = &governor;
   core::StreamStats stats;
-  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
-                                      {}, nullptr, &stats);
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 4u);
@@ -1140,8 +1138,8 @@ TEST(StreamGovernor, DiskHardPressurePausesIngestUntilSpaceRecovers) {
   stream.governor = &governor;
   stream.poll_ms = 5;
   core::StreamStats stats;
-  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
-                                      {}, nullptr, &stats);
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 3u);
@@ -1174,7 +1172,7 @@ TEST(StreamGovernor, LagBackpressureSkipsIntermediateRefinalizes) {
   stream.max_lag_seconds = 1.0;
   std::uint64_t windowed = 0;
   core::StreamStats stats;
-  auto study = core::run_atlas_stream(
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
       watch.string(), fx.isps, cfg, stream,
       [&](const core::AtlasStudy&, const core::StreamStats&) { ++windowed; },
       nullptr, &stats);
@@ -1204,8 +1202,8 @@ TEST(StreamGovernor, BoundedBacklogStillConsumesEveryBatch) {
   stream.max_backlog_batches = 1;
   stream.poll_ms = 5;
   core::StreamStats stats;
-  auto study = core::run_atlas_stream(watch.string(), fx.isps, cfg, stream,
-                                      {}, nullptr, &stats);
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, stream, {}, nullptr, &stats);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(stats.batches, 4u);
   EXPECT_EQ(atlas_signature(*study), want);

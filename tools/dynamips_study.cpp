@@ -12,6 +12,11 @@
 //                       [--checkpoint-every N] [--checkpoint-out FILE]
 //                       [--resume-from FILE] [--deadline-seconds S]
 //
+// Numeric flag values are parsed strictly (parse_number): the whole token
+// must be a number inside the flag's range, so `--threads abc`, `12x`, an
+// empty value, `-1` for a count, or `--max-reject-fraction 1.5` exit 2
+// naming the flag instead of silently becoming 0.
+//
 // With --metrics-out the pipeline records throughput counters, per-phase
 // timings, and shard balance into the process-wide metrics registry and
 // writes the schema-versioned JSON document (obs/metrics_json.h) to FILE;
@@ -94,8 +99,9 @@
 // quarantine shedding, ingest pauses) without changing final outputs, and
 // /v1/readyz reports the governed state (503 + Retry-After while
 // degraded) while /v1/healthz stays a pure liveness probe.
+#include <charconv>
 #include <chrono>
-#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -103,6 +109,8 @@
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #ifdef __unix__
@@ -153,6 +161,35 @@ void usage(const char* argv0) {
                "[--restart-backoff-max-ms MS] [--stall-timeout-seconds S] "
                "[--heartbeat-timeout-seconds S]\n",
                argv0);
+}
+
+template <typename T>
+std::string bound_text(T bound) {
+  if constexpr (std::is_integral_v<T>) {
+    return std::to_string(bound);
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", bound);
+    return buf;
+  }
+}
+
+/// Parse a numeric flag value strictly: the whole token must be a number
+/// in [lo, hi]. std::from_chars takes no sign on an unsigned flag, no
+/// leading blank and no trailing junk; NaN fails the range check. A bad
+/// value exits 2 naming the flag instead of silently becoming 0.
+template <typename T>
+T parse_number(const std::string& flag, const char* text, T lo, T hi) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec == std::errc() && ptr == end && ptr != text && value >= lo &&
+      value <= hi)
+    return value;
+  std::fprintf(stderr, "%s: expected %s in [%s, %s], got '%s'\n",
+               flag.c_str(), std::is_integral_v<T> ? "an integer" : "a number",
+               bound_text(lo).c_str(), bound_text(hi).c_str(), text);
+  std::exit(2);
 }
 
 std::vector<std::string> split_paths(const std::string& list) {
@@ -279,14 +316,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flag families; see parse_number.
+    auto u64 = [&](std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX) {
+      return parse_number(arg, next(), lo, hi);
+    };
+    auto seconds = [&] { return parse_number(arg, next(), 0.0, 1e9); };
+    auto millis = [&] { return u64(0, 1000000000); };
+    auto megabytes = [&] { return u64(0, UINT64_MAX >> 20); };
     if (arg == "--scale") {
-      scale = std::atof(next());
+      scale = parse_number(arg, next(), 1e-6, 100.0);
     } else if (arg == "--window") {
-      window = std::strtoull(next(), nullptr, 10);
+      window = u64(1, 10000000);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = u64();
     } else if (arg == "--threads") {
-      threads = unsigned(std::strtoul(next(), nullptr, 10));
+      threads = unsigned(u64(0, 4096));
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (arg == "--bench-out") {
@@ -298,41 +342,40 @@ int main(int argc, char** argv) {
     } else if (arg == "--quarantine-out") {
       quarantine_out = next();
     } else if (arg == "--max-reject-fraction") {
-      reader_opts.max_reject_fraction = std::atof(next());
+      reader_opts.max_reject_fraction = parse_number(arg, next(), 0.0, 1.0);
     } else if (arg == "--max-consecutive-rejects") {
-      reader_opts.max_consecutive_rejects =
-          std::strtoull(next(), nullptr, 10);
+      reader_opts.max_consecutive_rejects = u64();
     } else if (arg == "--checkpoint-every") {
-      checkpoint_every = std::strtoull(next(), nullptr, 10);
+      checkpoint_every = u64();
     } else if (arg == "--checkpoint-out") {
       checkpoint_out = next();
     } else if (arg == "--resume-from") {
       resume_from = next();
     } else if (arg == "--deadline-seconds") {
-      deadline_seconds = std::atof(next());
+      deadline_seconds = seconds();
     } else if (arg == "--follow") {
       follow_dir = next();
     } else if (arg == "--refinalize-every") {
-      refinalize_every = std::strtoull(next(), nullptr, 10);
+      refinalize_every = u64();
     } else if (arg == "--refinalize-seconds") {
-      refinalize_seconds = std::atof(next());
+      refinalize_seconds = seconds();
     } else if (arg == "--poll-ms") {
-      poll_ms = std::strtoull(next(), nullptr, 10);
+      poll_ms = millis();
     } else if (arg == "--max-batches") {
-      max_batches = std::strtoull(next(), nullptr, 10);
+      max_batches = u64();
     } else if (arg == "--io-retries") {
-      io_retries = std::strtoull(next(), nullptr, 10);
+      io_retries = u64(0, 1000);
     } else if (arg == "--io-retry-base-ms") {
-      io_retry_base_ms = std::strtoull(next(), nullptr, 10);
+      io_retry_base_ms = millis();
     } else if (arg == "--send-timeout-ms") {
-      send_timeout_ms = std::strtoull(next(), nullptr, 10);
+      send_timeout_ms = millis();
     } else if (arg == "--max-connections") {
-      max_connections = std::strtoull(next(), nullptr, 10);
+      max_connections = u64();
     } else if (arg == "--failpoints") {
       failpoints_spec = next();
       failpoints_flag = true;
     } else if (arg == "--spill-mb") {
-      spill_mb = std::strtoull(next(), nullptr, 10);
+      spill_mb = megabytes();
     } else if (arg == "--spill-dir") {
       spill_dir = next();
     } else if (arg == "--shard") {
@@ -340,34 +383,30 @@ int main(int argc, char** argv) {
     } else if (arg == "--merge-shards") {
       merge_shards = next();
     } else if (arg == "--max-rss-mb") {
-      max_rss_mb = std::strtoull(next(), nullptr, 10);
+      max_rss_mb = megabytes();
     } else if (arg == "--min-disk-free-mb") {
-      min_disk_free_mb = std::strtoull(next(), nullptr, 10);
+      min_disk_free_mb = megabytes();
     } else if (arg == "--max-lag-seconds") {
-      max_lag_seconds = std::atof(next());
+      max_lag_seconds = seconds();
     } else if (arg == "--max-backlog-batches") {
-      max_backlog_batches = std::strtoull(next(), nullptr, 10);
+      max_backlog_batches = u64();
     } else if (arg == "--supervise") {
       supervise_flag = true;
     } else if (arg == "--restart-max") {
-      restart_max = std::strtoull(next(), nullptr, 10);
+      restart_max = u64();
     } else if (arg == "--restart-window-seconds") {
-      restart_window_seconds = std::atof(next());
+      restart_window_seconds = seconds();
     } else if (arg == "--restart-backoff-ms") {
-      restart_backoff_ms = std::strtoull(next(), nullptr, 10);
+      restart_backoff_ms = millis();
     } else if (arg == "--restart-backoff-max-ms") {
-      restart_backoff_max_ms = std::strtoull(next(), nullptr, 10);
+      restart_backoff_max_ms = millis();
     } else if (arg == "--stall-timeout-seconds") {
-      stall_timeout_seconds = std::atof(next());
+      stall_timeout_seconds = seconds();
     } else if (arg == "--heartbeat-timeout-seconds") {
-      heartbeat_timeout_seconds = std::atof(next());
+      heartbeat_timeout_seconds = seconds();
     } else if (arg == "--serve") {
       serve = true;
-      serve_port = std::strtoull(next(), nullptr, 10);
-      if (serve_port > 65535) {
-        std::fprintf(stderr, "--serve: port out of range\n");
-        return 2;
-      }
+      serve_port = u64(0, 65535);
     } else if (arg == "--no-csv") {
       no_csv = true;
     } else if (arg == "--atlas-only") {
@@ -409,26 +448,23 @@ int main(int argc, char** argv) {
   // Multi-process sharding: parse "--shard I/N" and reject the modes a
   // partial run cannot compose with.
   if (!shard_spec.empty()) {
-    std::size_t slash = shard_spec.find('/');
-    char* endp = nullptr;
-    unsigned long i_val =
-        slash == std::string::npos
-            ? ULONG_MAX
-            : std::strtoul(shard_spec.c_str(), &endp, 10);
-    unsigned long n_val =
-        slash == std::string::npos
-            ? 0
-            : std::strtoul(shard_spec.c_str() + slash + 1, nullptr, 10);
-    if (slash == std::string::npos || endp != shard_spec.c_str() + slash ||
-        n_val == 0 || i_val >= n_val || n_val > 4096) {
+    // Both parts strict, like every numeric flag: digits only, nothing
+    // trailing ("0/2x" is rejected, not read as 0/2).
+    auto part = [&](std::size_t from, std::size_t to, std::uint32_t& out) {
+      const char* end = shard_spec.data() + to;
+      auto [ptr, ec] = std::from_chars(shard_spec.data() + from, end, out);
+      return from < to && ec == std::errc() && ptr == end;
+    };
+    const std::size_t slash = shard_spec.find('/');
+    if (slash == std::string::npos || !part(0, slash, shard_index) ||
+        !part(slash + 1, shard_spec.size(), shard_count) ||
+        shard_index >= shard_count || shard_count > 4096) {
       std::fprintf(stderr,
-                   "--shard expects I/N with 0 <= I < N (e.g. --shard 0/4), "
+                   "--shard: expected I/N with 0 <= I < N (e.g. --shard 0/4), "
                    "got '%s'\n",
                    shard_spec.c_str());
       return 2;
     }
-    shard_index = std::uint32_t(i_val);
-    shard_count = std::uint32_t(n_val);
     if (atlas == cdn) {
       std::fprintf(stderr,
                    "--shard requires exactly one of --atlas-only or "
@@ -961,6 +997,7 @@ int main(int argc, char** argv) {
     stream.max_lag_seconds = max_lag_seconds;
     stream.max_backlog_batches = max_backlog_batches;
 
+    core::StreamDriver driver(threads);
     core::StreamStats sstats;
     io::IngestStats istats;
     auto report = [&](const core::Status& st,
@@ -983,7 +1020,7 @@ int main(int argc, char** argv) {
       cfg.metrics = registry;
       cfg.reader = reader_opts;
       auto t0 = std::chrono::steady_clock::now();
-      auto result = core::run_atlas_stream(
+      auto result = driver.follow_atlas(
           follow_dir, simnet::paper_isps(), cfg, stream,
           [&](const core::AtlasStudy& snap, const core::StreamStats& st) {
             std::printf("[stream] refinalize #%llu: %llu batches, "
@@ -1036,7 +1073,7 @@ int main(int argc, char** argv) {
       cfg.asn_names[entry.isp.asn] = entry.isp.name;
     }
     auto t0 = std::chrono::steady_clock::now();
-    auto result = core::run_cdn_stream(
+    auto result = driver.follow_cdn(
         follow_dir, cfg, stream,
         [&](const core::CdnStudy& snap, const core::StreamStats& st) {
           std::printf("[stream] refinalize #%llu: %llu batches, "
