@@ -15,7 +15,9 @@
 //   DYNAMIPS_DEADLINE_SECONDS  soft watchdog; interrupt after S seconds
 // plus `--threads N`, `--metrics-out FILE`, `--checkpoint-every N`,
 // `--checkpoint-out FILE`, `--resume-from FILE` and `--deadline-seconds S`
-// flags (parsed by bench::init) that override the env vars. Thread count
+// flags (parsed by bench::init) that override the env vars. Every number,
+// flag or env var, is parsed strictly (core/parse_number.h): `abc`, `12x`
+// or an out-of-range value exits 2 naming its source. Thread count
 // never changes results — only wall-clock, which each study reports to
 // stderr together with its throughput. When metrics are enabled the shared
 // studies record into the process-wide obs::MetricsRegistry and
@@ -30,12 +32,14 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
 
+#include "core/parse_number.h"
 #include "core/pipeline.h"
 #include "core/shutdown.h"
 #include "io/checkpoint.h"
@@ -46,19 +50,34 @@
 
 namespace dynamips::bench {
 
-inline double env_double(const char* name, double fallback) {
+/// Value ranges shared by the flags and their environment variables.
+inline constexpr std::uint64_t kMaxThreads = 4096;
+inline constexpr double kMaxSeconds = 1e9;
+
+/// A numeric environment knob, parsed strictly (core/parse_number.h):
+/// unset or empty means `fallback`; any other value must be a number in
+/// [lo, hi], or the process exits 2 naming the variable.
+template <typename T>
+T env_number(const char* name, T fallback, T lo, T hi) {
   const char* v = std::getenv(name);
-  return v ? std::atof(v) : fallback;
+  return v && *v ? core::parse_number_or_exit(name, v, lo, hi) : fallback;
 }
 
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::strtoull(v, nullptr, 10) : fallback;
+inline double env_scale() {
+  return env_number("DYNAMIPS_SCALE", 0.3, 1e-6, 100.0);
+}
+inline std::uint64_t env_seed() {
+  return env_number<std::uint64_t>("DYNAMIPS_SEED", 1, 0, UINT64_MAX);
+}
+inline std::uint64_t env_window() {
+  return env_number<std::uint64_t>("DYNAMIPS_WINDOW_HOURS", 30000, 1,
+                                   10000000);
 }
 
 /// Shard/thread count used by both shared studies: 0 = hardware_concurrency.
 inline unsigned& thread_setting() {
-  static unsigned threads = unsigned(env_u64("DYNAMIPS_THREADS", 0));
+  static unsigned threads = unsigned(
+      env_number<std::uint64_t>("DYNAMIPS_THREADS", 0, 0, kMaxThreads));
   return threads;
 }
 
@@ -80,7 +99,8 @@ inline std::string env_string(const char* name) {
 
 /// Periodic-checkpoint interval in work items per shard; 0 disables.
 inline std::uint64_t& checkpoint_every_setting() {
-  static std::uint64_t every = env_u64("DYNAMIPS_CHECKPOINT_EVERY", 0);
+  static std::uint64_t every = env_number<std::uint64_t>(
+      "DYNAMIPS_CHECKPOINT_EVERY", 0, 0, UINT64_MAX);
   return every;
 }
 
@@ -99,7 +119,8 @@ inline std::string& resume_from_setting() {
 
 /// Soft watchdog in seconds; 0 disables.
 inline double& deadline_setting() {
-  static double seconds = env_double("DYNAMIPS_DEADLINE_SECONDS", 0);
+  static double seconds =
+      env_number("DYNAMIPS_DEADLINE_SECONDS", 0.0, 0.0, kMaxSeconds);
   return seconds;
 }
 
@@ -110,45 +131,62 @@ inline std::string& binary_name() {
 }
 
 /// Parse shared command-line flags (`--threads N`, `--metrics-out FILE`,
-/// and their `=` forms). Call first thing in main, before touching the
-/// studies. Consumed flags are stripped from argv (argc is updated), so
-/// binaries with their own argument parsing — e.g. google-benchmark in
-/// bench_micro — never see them.
+/// ..., each also in its `--flag=V` form). Numbers are parsed strictly with
+/// the ranges of their environment variables; a bad value exits 2 naming
+/// the flag. Call first thing in main, before touching the studies.
+/// Consumed flags are stripped from argv (argc is updated), so binaries
+/// with their own argument parsing — e.g. google-benchmark in bench_micro
+/// — never see them.
 inline void init(int& argc, char** argv) {
   if (argc > 0 && argv[0]) {
     const char* base = std::strrchr(argv[0], '/');
     binary_name() = base ? base + 1 : argv[0];
   }
+  const struct {
+    const char* name;
+    void (*set)(const char* flag, const char* value);
+  } flags[] = {
+      {"--threads",
+       [](const char* f, const char* v) {
+         thread_setting() = unsigned(
+             core::parse_number_or_exit<std::uint64_t>(f, v, 0, kMaxThreads));
+       }},
+      {"--metrics-out",
+       [](const char*, const char* v) { metrics_out_setting() = v; }},
+      {"--checkpoint-every",
+       [](const char* f, const char* v) {
+         checkpoint_every_setting() =
+             core::parse_number_or_exit<std::uint64_t>(f, v, 0, UINT64_MAX);
+       }},
+      {"--checkpoint-out",
+       [](const char*, const char* v) { checkpoint_out_setting() = v; }},
+      {"--resume-from",
+       [](const char*, const char* v) { resume_from_setting() = v; }},
+      {"--deadline-seconds",
+       [](const char* f, const char* v) {
+         deadline_setting() =
+             core::parse_number_or_exit(f, v, 0.0, kMaxSeconds);
+       }},
+  };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      thread_setting() = unsigned(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      thread_setting() = unsigned(std::strtoul(arg + 10, nullptr, 10));
-    } else if (std::strcmp(arg, "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_out_setting() = argv[++i];
-    } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-      metrics_out_setting() = arg + 14;
-    } else if (std::strcmp(arg, "--checkpoint-every") == 0 && i + 1 < argc) {
-      checkpoint_every_setting() = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      checkpoint_every_setting() = std::strtoull(arg + 19, nullptr, 10);
-    } else if (std::strcmp(arg, "--checkpoint-out") == 0 && i + 1 < argc) {
-      checkpoint_out_setting() = argv[++i];
-    } else if (std::strncmp(arg, "--checkpoint-out=", 17) == 0) {
-      checkpoint_out_setting() = arg + 17;
-    } else if (std::strcmp(arg, "--resume-from") == 0 && i + 1 < argc) {
-      resume_from_setting() = argv[++i];
-    } else if (std::strncmp(arg, "--resume-from=", 14) == 0) {
-      resume_from_setting() = arg + 14;
-    } else if (std::strcmp(arg, "--deadline-seconds") == 0 && i + 1 < argc) {
-      deadline_setting() = std::atof(argv[++i]);
-    } else if (std::strncmp(arg, "--deadline-seconds=", 19) == 0) {
-      deadline_setting() = std::atof(arg + 19);
-    } else {
-      argv[out++] = argv[i];
+    bool consumed = false;
+    for (const auto& flag : flags) {
+      const std::size_t n = std::strlen(flag.name);
+      if (std::strncmp(arg, flag.name, n) != 0 ||
+          (arg[n] != '=' && arg[n] != '\0'))
+        continue;
+      // A trailing flag without a value stays in argv.
+      const char* value =
+          arg[n] == '=' ? arg + n + 1 : (i + 1 < argc ? argv[++i] : nullptr);
+      if (value) {
+        flag.set(flag.name, value);
+        consumed = true;
+      }
+      break;
     }
+    if (!consumed) argv[out++] = argv[i];
   }
   argc = out;
   argv[argc] = nullptr;
@@ -235,9 +273,9 @@ inline int finish() {
                      double(obs::peak_rss_bytes()));
   obs::MetricsMeta meta;
   meta.binary = binary_name();
-  meta.scale = env_double("DYNAMIPS_SCALE", 0.3);
-  meta.seed = env_u64("DYNAMIPS_SEED", 1);
-  meta.window_hours = env_u64("DYNAMIPS_WINDOW_HOURS", 30000);
+  meta.scale = env_scale();
+  meta.seed = env_seed();
+  meta.window_hours = env_window();
   meta.threads = core::resolve_threads(thread_setting());
   if (!obs::write_metrics_json(path, registry.snapshot(), meta)) {
     std::fprintf(stderr, "[bench] cannot write metrics to %s\n",
@@ -272,9 +310,9 @@ inline T take_or_exit(core::Expected<T> result, const char* what) {
 
 inline core::AtlasStudyConfig default_atlas_config() {
   core::AtlasStudyConfig cfg;
-  cfg.atlas.probe_scale = env_double("DYNAMIPS_SCALE", 0.3);
-  cfg.atlas.window_hours = env_u64("DYNAMIPS_WINDOW_HOURS", 30000);
-  cfg.atlas.seed = env_u64("DYNAMIPS_SEED", 1);
+  cfg.atlas.probe_scale = env_scale();
+  cfg.atlas.window_hours = env_window();
+  cfg.atlas.seed = env_seed();
   cfg.threads = thread_setting();
   cfg.metrics = study_metrics();
   return cfg;
@@ -282,8 +320,8 @@ inline core::AtlasStudyConfig default_atlas_config() {
 
 inline core::CdnStudyConfig default_cdn_config() {
   core::CdnStudyConfig cfg;
-  cfg.cdn.subscriber_scale = env_double("DYNAMIPS_SCALE", 0.3);
-  cfg.cdn.seed = env_u64("DYNAMIPS_SEED", 1) * 977;
+  cfg.cdn.subscriber_scale = env_scale();
+  cfg.cdn.seed = env_seed() * 977;
   cfg.threads = thread_setting();
   cfg.metrics = study_metrics();
   return cfg;

@@ -14,6 +14,7 @@
 // An output path ending in `.col` switches that file to the binary
 // columnar batch format (io/columnar.h) — same records, same downstream
 // results, ~an order of magnitude faster to ingest.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include "cdn/generator.h"
 #include "core/assoc.h"
 #include "core/durations.h"
+#include "core/parse_number.h"
 #include "core/sanitize.h"
 #include "io/atomic_file.h"
 #include "io/columnar.h"
@@ -129,11 +131,13 @@ int main(int argc, char** argv) {
     else if (arg == "--assoc-out")
       assoc_out = next();
     else if (arg == "--scale")
-      scale = std::atof(next());
+      scale = core::parse_number_or_exit(arg, next(), 1e-6, 100.0);
     else if (arg == "--window")
-      window = std::strtoull(next(), nullptr, 10);
+      window = core::parse_number_or_exit<std::uint64_t>(arg, next(), 1,
+                                                         10000000);
     else if (arg == "--seed")
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = core::parse_number_or_exit<std::uint64_t>(arg, next(), 0,
+                                                       UINT64_MAX);
     else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;

@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/parse_number.h"
+
 namespace dynamips::core {
 
 namespace {
@@ -38,16 +40,9 @@ std::uint64_t hash_seed_token(std::string_view token) {
 }
 
 bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    std::uint64_t next = value * 10 + std::uint64_t(c - '0');
-    if (next < value) return false;  // overflow
-    value = next;
-  }
-  *out = value;
-  return true;
+  auto value = parse_number<std::uint64_t>(text);
+  if (value) *out = *value;
+  return value.has_value();
 }
 
 /// predicate := @A | @A..B | @A.. | *F%SEED  (empty = fire on every hit)

@@ -17,6 +17,7 @@
 
 #include "atlas/generator.h"
 #include "cdn/generator.h"
+#include "core/intern.h"
 #include "core/pipeline.h"
 #include "io/checkpoint.h"
 #include "io/columnar.h"
@@ -426,6 +427,132 @@ TEST(ColumnarStudy, CorruptBatchFailsStudyCleanly) {
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), core::StatusCode::kDataLoss)
       << out.status().to_string();
+}
+
+// ------------------------------------------------------- golden batches
+//
+// tests/golden/echo.col and tests/golden/assoc.col are DYNCOL1 batches
+// written by the current encoder. Each test decodes its fixture to the
+// expected records and re-encodes them to the same bytes, so a codec
+// change that still round-trips in-process but cannot read the batches
+// already on disk, or writes different ones, fails here. The records are a
+// pure function of their index (no simulator), so the fixtures change only
+// when the format does; a deliberate format change rewrites them with
+// io::write_echo_columnar / io::write_assoc_columnar of golden_echo() /
+// golden_assoc().
+
+std::string golden_bytes(const std::string& name) {
+  std::ifstream is(std::string(DYNAMIPS_TEST_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+/// 3 probes x 100 records: v4 then v6 at each hour, addresses that move
+/// every few hours, two tags on the middle probe.
+std::vector<atlas::ProbeSeries> golden_echo() {
+  std::vector<atlas::ProbeSeries> out(3);
+  for (std::uint32_t p = 0; p < out.size(); ++p) {
+    atlas::ProbeSeries& series = out[p];
+    series.meta.probe_id = 1000 + p;
+    if (p == 1)
+      series.meta.tags = {core::tag_pool().intern("datacentre"),
+                          core::tag_pool().intern("multihomed")};
+    for (std::uint32_t r = 0; r < 100; ++r) {
+      atlas::EchoRecord rec;
+      rec.probe_id = series.meta.probe_id;
+      rec.hour = 7 * p + r / 2;
+      if (r % 2 == 0) {
+        rec.family = atlas::Family::kV4;
+        rec.x_client_ip4 = net::IPv4Address(0x0A000000u + (p << 16) + r / 16);
+        rec.src_addr4 = net::IPv4Address(0xC0A80102u + p);
+      } else {
+        rec.family = atlas::Family::kV6;
+        rec.x_client_ip6 = net::IPv6Address(
+            0x20010DB800000000ull + (std::uint64_t(p) << 16) + r / 20, 1 + p);
+        rec.src_addr6 = rec.x_client_ip6;
+      }
+      series.records.push_back(rec);
+    }
+  }
+  return out;
+}
+
+/// 2 logs x 150 records: three associations a day, the /24 moving every 7
+/// records and a fresh /64 on every record.
+std::vector<cdn::AssociationLog> golden_assoc() {
+  std::vector<cdn::AssociationLog> out(2);
+  for (std::uint32_t l = 0; l < out.size(); ++l) {
+    cdn::AssociationLog& log = out[l];
+    log.asn = 3320 + 100 * l;
+    for (std::uint32_t r = 0; r < 150; ++r) {
+      cdn::AssociationRecord rec;
+      rec.day = r / 3;
+      rec.v4_24 = net::Prefix4(
+          net::IPv4Address(0x50000000u + (l << 16) + ((r / 7) << 8)), 24);
+      rec.v6_64 = net::Prefix6(
+          net::IPv6Address(0x2003000000000000ull + (std::uint64_t(l) << 32) + r,
+                           0),
+          64);
+      rec.asn4 = rec.asn6 = log.asn;
+      log.records.push_back(rec);
+    }
+  }
+  return out;
+}
+
+TEST(GoldenColumnar, EchoBatchDecodesAndReencodes) {
+  const std::string bytes = golden_bytes("echo.col");
+  ASSERT_FALSE(bytes.empty());
+  auto decoded = io::decode_echo_columnar(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  const auto expected = golden_echo();
+  ASSERT_EQ(decoded->size(), expected.size());
+  for (std::size_t p = 0; p < expected.size(); ++p) {
+    const auto& a = expected[p];
+    const auto& b = (*decoded)[p];
+    EXPECT_EQ(a.meta.probe_id, b.meta.probe_id);
+    EXPECT_EQ(a.meta.tags, b.meta.tags);
+    ASSERT_EQ(a.records.size(), b.records.size());
+    for (std::size_t r = 0; r < a.records.size(); ++r) {
+      const auto& x = a.records[r];
+      const auto& y = b.records[r];
+      EXPECT_EQ(x.probe_id, y.probe_id);
+      EXPECT_EQ(x.hour, y.hour);
+      EXPECT_EQ(x.family, y.family);
+      EXPECT_EQ(x.x_client_ip4, y.x_client_ip4);
+      EXPECT_EQ(x.src_addr4, y.src_addr4);
+      EXPECT_EQ(x.x_client_ip6, y.x_client_ip6);
+      EXPECT_EQ(x.src_addr6, y.src_addr6);
+    }
+  }
+  EXPECT_TRUE(io::encode_echo_columnar(*decoded) == bytes);
+  EXPECT_TRUE(io::encode_echo_columnar(expected) == bytes);
+}
+
+TEST(GoldenColumnar, AssocBatchDecodesAndReencodes) {
+  const std::string bytes = golden_bytes("assoc.col");
+  ASSERT_FALSE(bytes.empty());
+  auto decoded = io::decode_assoc_columnar(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  const auto expected = golden_assoc();
+  ASSERT_EQ(decoded->size(), expected.size());
+  for (std::size_t l = 0; l < expected.size(); ++l) {
+    const auto& a = expected[l];
+    const auto& b = (*decoded)[l];
+    EXPECT_EQ(a.asn, b.asn);
+    ASSERT_EQ(a.records.size(), b.records.size());
+    for (std::size_t r = 0; r < a.records.size(); ++r) {
+      const auto& x = a.records[r];
+      const auto& y = b.records[r];
+      EXPECT_EQ(x.day, y.day);
+      EXPECT_EQ(x.v4_24, y.v4_24);
+      EXPECT_EQ(x.v6_64, y.v6_64);
+      EXPECT_EQ(x.asn4, y.asn4);
+      EXPECT_EQ(x.asn6, y.asn6);
+    }
+  }
+  EXPECT_TRUE(io::encode_assoc_columnar(*decoded) == bytes);
+  EXPECT_TRUE(io::encode_assoc_columnar(expected) == bytes);
 }
 
 }  // namespace

@@ -2,20 +2,12 @@
 // and export every artifact's underlying series as CSV, mirroring the
 // paper's supplemental data release.
 //
-// Usage: dynamips_study [output_dir] [--scale S] [--window HOURS]
-//                       [--seed N] [--threads N] [--metrics-out FILE]
-//                       [--atlas-only|--cdn-only]
-//                       [--atlas-in F[,F...]] [--cdn-in F[,F...]]
-//                       [--quarantine-out FILE]
-//                       [--max-reject-fraction R]
-//                       [--max-consecutive-rejects N]
-//                       [--checkpoint-every N] [--checkpoint-out FILE]
-//                       [--resume-from FILE] [--deadline-seconds S]
-//
-// Numeric flag values are parsed strictly (parse_number): the whole token
-// must be a number inside the flag's range, so `--threads abc`, `12x`, an
-// empty value, `-1` for a count, or `--max-reject-fraction 1.5` exit 2
-// naming the flag instead of silently becoming 0.
+// Usage: dynamips_study [output_dir] [flags]; `dynamips_study --help` lists
+// every flag with its value range and default, generated from the flag
+// table (flag_table) that the parser itself reads. Numeric values are parsed
+// strictly (core/parse_number.h): `--threads abc`, `12x`, an empty value,
+// `-1` for a count or `--max-reject-fraction 1.5` exit 2 naming the flag.
+// Contradictory flag combinations (kConflicts) exit 2 as well.
 //
 // With --metrics-out the pipeline records throughput counters, per-phase
 // timings, and shard balance into the process-wide metrics registry and
@@ -99,18 +91,17 @@
 // quarantine shedding, ingest pauses) without changing final outputs, and
 // /v1/readyz reports the governed state (503 + Retry-After while
 // degraded) while /v1/healthz stays a pure liveness probe.
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
-#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #ifdef __unix__
@@ -118,6 +109,7 @@
 #endif
 
 #include "core/failpoint.h"
+#include "core/parse_number.h"
 #include "core/pipeline.h"
 #include "core/resource.h"
 #include "core/shutdown.h"
@@ -136,61 +128,325 @@ using namespace dynamips;
 
 namespace {
 
-void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [output_dir] [--scale S] [--window HOURS] "
-               "[--seed N] [--threads N] [--metrics-out FILE] "
-               "[--bench-out FILE] "
-               "[--atlas-only|--cdn-only] "
-               "[--atlas-in F[,F...]] [--cdn-in F[,F...]] "
-               "[--quarantine-out FILE] [--max-reject-fraction R] "
-               "[--max-consecutive-rejects N] "
-               "[--checkpoint-every N] [--checkpoint-out FILE] "
-               "[--resume-from FILE] [--deadline-seconds S] "
-               "[--follow DIR] [--refinalize-every N] "
-               "[--refinalize-seconds S] [--poll-ms MS] [--max-batches N] "
-               "[--io-retries N] [--io-retry-base-ms MS] "
-               "[--serve PORT] [--send-timeout-ms MS] [--max-connections N] "
-               "[--no-csv] [--failpoints SPEC] "
-               "[--spill-mb N] [--spill-dir DIR] "
-               "[--shard I/N] [--merge-shards F[,F...]] "
-               "[--max-rss-mb N] [--min-disk-free-mb N] "
-               "[--max-lag-seconds S] [--max-backlog-batches N] "
-               "[--supervise] [--restart-max N] "
-               "[--restart-window-seconds S] [--restart-backoff-ms MS] "
-               "[--restart-backoff-max-ms MS] [--stall-timeout-seconds S] "
-               "[--heartbeat-timeout-seconds S]\n",
-               argv0);
+// ------------------------------------------------------------ flag table
+
+/// Every setting the command line can change. A subsystem's settings live
+/// in its own config struct, whose defaults are the command-line defaults.
+struct Options {
+  std::filesystem::path out_dir = "dynamips_results";
+  double scale = 0.3;
+  std::uint64_t window = 30000, seed = 1;
+  std::uint64_t threads = 0;  // 0 = hardware_concurrency
+  bool atlas_only = false, cdn_only = false;
+  std::string metrics_out, bench_out;
+  std::string atlas_in, cdn_in, quarantine_out;
+  io::ReaderOptions reader;
+  std::string checkpoint_out, resume_from;
+  std::uint64_t checkpoint_every = 0;
+  double deadline_seconds = 0;
+  std::string follow_dir;
+  core::StreamConfig stream;
+  bool serve = false, no_csv = false;
+  std::uint64_t serve_port = 0;
+  lg::ServerConfig server;
+  bool failpoints = false;
+  std::string failpoints_spec;
+  core::AssocOptions assoc;  // spill budget and directory
+  std::string shard_spec, merge_shards;
+  std::uint32_t shard_index = 0, shard_count = 1;  // parsed from shard_spec
+  core::ResourceBudgets budgets;
+  bool supervise = false;
+  core::SuperviseConfig restart;
+  double restart_window_seconds = 60, stall_timeout_seconds = 0,
+         heartbeat_timeout_seconds = 60;
+  bool help = false;
+
+  bool follows() const { return !follow_dir.empty(); }
+  bool shards() const { return !shard_spec.empty(); }
+  bool merges() const { return !merge_shards.empty(); }
+  bool resumes() const { return !resume_from.empty(); }
+  bool reads_files() const { return !atlas_in.empty() || !cdn_in.empty(); }
+  bool one_study() const { return atlas_only != cdn_only; }
+};
+using O = Options;
+
+/// What a flag's value sets: nothing (a switch), a string, or a number
+/// parsed strictly into [lo, hi].
+struct Switch {};
+struct Text {
+  std::string* field;
+};
+template <typename T>
+struct Number {
+  T* field;
+  T lo, hi;
+};
+using Target =
+    std::variant<Switch, Text, Number<std::uint64_t>, Number<double>>;
+
+// The numeric families.
+Number<std::uint64_t> count(std::uint64_t& field, std::uint64_t lo = 0,
+                            std::uint64_t hi = UINT64_MAX) {
+  return {&field, lo, hi};
+}
+Number<std::uint64_t> millis(std::uint64_t& field) {
+  return {&field, 0, 1000000000};
+}
+Number<std::uint64_t> megabytes(std::uint64_t& field) {
+  return {&field, 0, UINT64_MAX >> 20};
+}
+Number<double> seconds(double& field) { return {&field, 0, 1e9}; }
+
+struct Flag {
+  const char* name;
+  const char* metavar;  // "" for a switch
+  Target target;
+  const char* help;
+  bool* given = nullptr;     // set whenever the flag appears
+  bool child_drops = false;  // --supervise strips it (and its value)
+};
+
+/// The flag table over `o`'s fields: the parser, usage() and the
+/// supervisor's child-argv filter all read it.
+std::vector<Flag> flag_table(Options& o) {
+  return {
+      {"--scale", "S", Number<double>{&o.scale, 1e-6, 100},
+       "probe/subscriber scale factor"},
+      {"--window", "HOURS", count(o.window, 1, 10000000),
+       "Atlas observation window"},
+      {"--seed", "N", count(o.seed), "simulation seed"},
+      {"--threads", "N", count(o.threads, 0, 4096),
+       "shard/thread count, 0 = all cores"},
+      {"--atlas-only", "", Switch{}, "run only the Atlas IP-echo study",
+       &o.atlas_only},
+      {"--cdn-only", "", Switch{}, "run only the CDN association study",
+       &o.cdn_only},
+      {"--atlas-in", "F[,F...]", Text{&o.atlas_in},
+       "analyze echo datasets (.csv/.col) instead of generating"},
+      {"--cdn-in", "F[,F...]", Text{&o.cdn_in},
+       "analyze association datasets (.csv/.col) instead of generating"},
+      {"--quarantine-out", "FILE", Text{&o.quarantine_out},
+       "write rejected input lines to FILE"},
+      {"--max-reject-fraction", "R",
+       Number<double>{&o.reader.max_reject_fraction, 0, 1},
+       "fail an input whose share of rejected lines exceeds R"},
+      {"--max-consecutive-rejects", "N",
+       count(o.reader.max_consecutive_rejects),
+       "fail an input after N rejected lines in a row"},
+      {"--metrics-out", "FILE", Text{&o.metrics_out},
+       "write the metrics JSON document to FILE"},
+      {"--bench-out", "FILE", Text{&o.bench_out},
+       "write a dynamips.bench.v1 throughput document to FILE"},
+      {"--checkpoint-every", "N", count(o.checkpoint_every),
+       "checkpoint every N items per shard, 0 = only on interrupt"},
+      {"--checkpoint-out", "FILE", Text{&o.checkpoint_out},
+       "checkpoint path (default <output_dir>/study.ckpt)"},
+      {"--resume-from", "FILE", Text{&o.resume_from},
+       "continue an interrupted run from its checkpoint", nullptr, true},
+      {"--deadline-seconds", "S", seconds(o.deadline_seconds),
+       "interrupt the run after S seconds, 0 = never"},
+      {"--follow", "DIR", Text{&o.follow_dir},
+       "stream the batch files dropped into DIR"},
+      {"--refinalize-every", "N", count(o.stream.refinalize_every_batches),
+       "re-finalize the stream every N batches"},
+      {"--refinalize-seconds", "S", seconds(o.stream.refinalize_seconds),
+       "also re-finalize every S seconds"},
+      {"--poll-ms", "MS", millis(o.stream.poll_ms),
+       "watch-directory poll interval"},
+      {"--max-batches", "N", count(o.stream.max_batches),
+       "end the stream after N batches, 0 = never"},
+      {"--io-retries", "N", count(o.stream.io_retry_attempts, 0, 1000),
+       "retries of a failed batch load or checkpoint write"},
+      {"--io-retry-base-ms", "MS", millis(o.stream.io_retry_base_ms),
+       "first retry backoff"},
+      {"--serve", "PORT", count(o.serve_port, 0, 65535),
+       "serve the looking-glass on 127.0.0.1:PORT, 0 = any free port",
+       &o.serve},
+      {"--send-timeout-ms", "MS", millis(o.server.send_timeout_ms),
+       "looking-glass per-connection send deadline"},
+      {"--max-connections", "N", count(o.server.max_connections),
+       "looking-glass connection cap, 0 = none"},
+      {"--no-csv", "", Switch{}, "streaming: skip the CSV re-publications",
+       &o.no_csv},
+      {"--failpoints", "SPEC", Text{&o.failpoints_spec},
+       "arm fault injection (wins over DYNAMIPS_FAILPOINTS)", &o.failpoints},
+      {"--spill-mb", "N", megabytes(o.assoc.spill_mb),
+       "CDN sort memory before spilling to disk, 0 = unbounded"},
+      {"--spill-dir", "DIR", Text{&o.assoc.spill_dir},
+       "spill directory (default: the system temp dir)"},
+      {"--shard", "I/N", Text{&o.shard_spec},
+       "analyze slice I of N into a shard checkpoint"},
+      {"--merge-shards", "F[,F...]", Text{&o.merge_shards},
+       "merge completed shard checkpoints into the results"},
+      {"--max-rss-mb", "N", megabytes(o.budgets.max_rss_mb),
+       "resident-memory budget, 0 = none"},
+      {"--min-disk-free-mb", "N", megabytes(o.budgets.min_disk_free_mb),
+       "free-disk floor, 0 = none"},
+      {"--max-lag-seconds", "S", seconds(o.stream.max_lag_seconds),
+       "stream lag budget, 0 = none"},
+      {"--max-backlog-batches", "N", count(o.stream.max_backlog_batches),
+       "stream backlog budget"},
+      {"--supervise", "", Switch{},
+       "run the study as a child process, restarted when it fails",
+       &o.supervise, true},
+      {"--restart-max", "N", count(o.restart.crash_loop_failures),
+       "give up after N failures inside the restart window", nullptr, true},
+      {"--restart-window-seconds", "S", seconds(o.restart_window_seconds),
+       "crash-loop window", nullptr, true},
+      {"--restart-backoff-ms", "MS", millis(o.restart.backoff_base_ms),
+       "first restart backoff", nullptr, true},
+      {"--restart-backoff-max-ms", "MS", millis(o.restart.backoff_max_ms),
+       "restart backoff cap", nullptr, true},
+      {"--stall-timeout-seconds", "S", seconds(o.stall_timeout_seconds),
+       "kill a child whose checkpoint stalls this long, 0 = never", nullptr,
+       true},
+      {"--heartbeat-timeout-seconds", "S",
+       seconds(o.heartbeat_timeout_seconds),
+       "kill a child whose heartbeat is older than this", nullptr, true},
+      {"--help", "", Switch{}, "print this help and exit", &o.help},
+      {"-h", "", Switch{}, "same as --help", &o.help},
+  };
 }
 
-template <typename T>
-std::string bound_text(T bound) {
-  if constexpr (std::is_integral_v<T>) {
-    return std::to_string(bound);
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", bound);
-    return buf;
+/// Flag combinations that select no coherent run; each exits 2.
+struct Conflict {
+  bool (*applies)(const Options&);
+  const char* message;
+};
+
+const Conflict kConflicts[] = {
+    {[](const O& o) { return o.follows() && !o.one_study(); },
+     "--follow requires exactly one of --atlas-only or --cdn-only (a stream "
+     "carries one batch schema)"},
+    {[](const O& o) { return o.follows() && o.reads_files(); },
+     "--follow and --atlas-in/--cdn-in are mutually exclusive"},
+    {[](const O& o) { return o.no_csv && !o.follows(); },
+     "--no-csv only applies to streaming runs (--follow); one-shot runs "
+     "exist to write CSVs"},
+    {[](const O& o) { return o.shards() && !o.one_study(); },
+     "--shard requires exactly one of --atlas-only or --cdn-only (one "
+     "checkpoint kind per shard file)"},
+    {[](const O& o) {
+       return o.shards() && (o.follows() || o.serve || o.supervise ||
+                             o.resumes() || o.merges());
+     },
+     "--shard is a batch mode: it cannot combine with --follow, --serve, "
+     "--supervise, --resume-from or --merge-shards"},
+    {[](const O& o) { return o.merges() && (o.follows() || o.resumes()); },
+     "--merge-shards cannot combine with --follow or --resume-from"},
+    {[](const O& o) { return o.atlas_only && o.cdn_only; },
+     "--atlas-only and --cdn-only are mutually exclusive (together they "
+     "select no study)"},
+    {[](const O& o) { return o.cdn_only && !o.atlas_in.empty(); },
+     "--atlas-in cannot combine with --cdn-only (the Atlas study does not "
+     "run)"},
+    {[](const O& o) { return o.atlas_only && !o.cdn_in.empty(); },
+     "--cdn-in cannot combine with --atlas-only (the CDN study does not "
+     "run)"},
+};
+
+template <typename... Fs>
+struct overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+overloaded(Fs...) -> overloaded<Fs...>;
+
+const Flag* find_flag(const std::vector<Flag>& flags, std::string_view arg) {
+  for (const Flag& flag : flags)
+    if (arg == flag.name) return &flag;
+  return nullptr;
+}
+
+bool takes_value(const Flag& flag) {
+  return !std::holds_alternative<Switch>(flag.target);
+}
+
+/// The usage text, generated from the flag table: each flag with its help,
+/// and a number's range and nonzero default.
+void usage(const char* argv0) {
+  Options defaults;
+  std::fprintf(stderr, "usage: %s [output_dir] [flags]\n", argv0);
+  for (const Flag& flag : flag_table(defaults)) {
+    std::string notes;
+    std::visit(overloaded{[](const auto&) {},
+                          [&]<typename T>(const Number<T>& n) {
+                            notes = "; [" + core::bound_text(n.lo) + ", " +
+                                    core::bound_text(n.hi) + "]";
+                            if (*n.field != 0)
+                              notes += ", default " +
+                                       core::bound_text(*n.field);
+                          }},
+               flag.target);
+    std::fprintf(stderr, "  %-34s %s%s\n",
+                 (std::string(flag.name) + " " + flag.metavar).c_str(),
+                 flag.help, notes.c_str());
   }
 }
 
-/// Parse a numeric flag value strictly: the whole token must be a number
-/// in [lo, hi]. std::from_chars takes no sign on an unsigned flag, no
-/// leading blank and no trailing junk; NaN fails the range check. A bad
-/// value exits 2 naming the flag instead of silently becoming 0.
-template <typename T>
-T parse_number(const std::string& flag, const char* text, T lo, T hi) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec == std::errc() && ptr == end && ptr != text && value >= lo &&
-      value <= hi)
-    return value;
-  std::fprintf(stderr, "%s: expected %s in [%s, %s], got '%s'\n",
-               flag.c_str(), std::is_integral_v<T> ? "an integer" : "a number",
-               bound_text(lo).c_str(), bound_text(hi).c_str(), text);
-  std::exit(2);
+/// "I/N" with 0 <= I < N <= 4096; both parts strict like every numeric
+/// flag ("0/2x" is rejected, not read as 0/2).
+bool parse_shard(Options& opt) {
+  const std::string_view spec = opt.shard_spec;
+  const std::size_t slash = spec.find('/');
+  std::optional<std::uint32_t> index, count;
+  if (slash != std::string_view::npos) {
+    index = core::parse_number<std::uint32_t>(spec.substr(0, slash));
+    count = core::parse_number<std::uint32_t>(spec.substr(slash + 1), 0, 4096);
+  }
+  if (!index || !count || *index >= *count) {
+    std::fprintf(stderr,
+                 "--shard: expected I/N with 0 <= I < N (e.g. --shard 0/4), "
+                 "got '%s'\n",
+                 opt.shard_spec.c_str());
+    return false;
+  }
+  opt.shard_index = *index;
+  opt.shard_count = *count;
+  return true;
 }
+
+/// Parse argv into `opt` through its flag table, then reject kConflicts.
+/// Returns the exit code when the run ends here: 0 for --help, 2 for a
+/// usage error.
+std::optional<int> parse_args(int argc, char** argv, Options& opt) {
+  const std::vector<Flag> flags = flag_table(opt);
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const Flag* flag = find_flag(flags, arg);
+    if (!flag && (arg.empty() || arg[0] != '-')) {
+      opt.out_dir = arg;
+      continue;
+    }
+    if (!flag || (takes_value(*flag) && i + 1 >= argc)) {
+      usage(argv[0]);  // unknown flag or missing value
+      return 2;
+    }
+    if (flag->given) *flag->given = true;
+    const char* value = takes_value(*flag) ? argv[++i] : nullptr;
+    std::visit(overloaded{[](Switch) {},
+                          [&](Text t) { *t.field = value; },
+                          [&]<typename T>(Number<T> n) {
+                            *n.field = core::parse_number_or_exit(
+                                flag->name, value, n.lo, n.hi);
+                          }},
+               flag->target);
+    if (opt.help) {
+      usage(argv[0]);
+      return 0;
+    }
+  }
+  if (opt.shards() && !parse_shard(opt)) return 2;
+  for (const Conflict& conflict : kConflicts) {
+    if (conflict.applies(opt)) {
+      std::fprintf(stderr, "%s\n", conflict.message);
+      return 2;
+    }
+  }
+  return std::nullopt;
+}
+
+// ----------------------------------------------------------------- outputs
 
 std::vector<std::string> split_paths(const std::string& list) {
   std::vector<std::string> out;
@@ -204,7 +460,7 @@ std::vector<std::string> split_paths(const std::string& list) {
   return out;
 }
 
-/// Write one result CSV via tmp + rename: readers never observe a
+/// Write one output file via tmp + rename: readers never observe a
 /// half-written file, and a crash leaves the previous version intact.
 template <typename Fn>
 bool write_file(const std::filesystem::path& path, Fn&& writer) {
@@ -224,270 +480,400 @@ bool write_file(const std::filesystem::path& path, Fn&& writer) {
   return true;
 }
 
-/// Publish the Atlas study's result CSVs (shared by the one-shot path, the
-/// streaming re-finalization callback, and the stream's final write).
-bool write_atlas_outputs(const std::filesystem::path& out_dir,
-                         const core::AtlasStudy& study) {
-  return write_file(out_dir / "fig1_duration_curves.csv",
-                    [&](std::ostream& os) {
-                      io::write_duration_curves_csv(os, study);
-                    }) &&
-         write_file(out_dir / "fig5_cpl.csv",
-                    [&](std::ostream& os) { io::write_cpl_csv(os, study); }) &&
-         write_file(out_dir / "table2_bgp_moves.csv",
-                    [&](std::ostream& os) {
-                      io::write_bgp_moves_csv(os, study);
-                    }) &&
-         write_file(out_dir / "fig6_inference.csv", [&](std::ostream& os) {
-           io::write_inference_csv(os, study);
-         });
-}
-
-bool write_cdn_outputs(const std::filesystem::path& out_dir,
-                       const core::CdnStudy& study) {
-  return write_file(out_dir / "fig23_assoc_durations.csv",
-                    [&](std::ostream& os) {
-                      io::write_assoc_durations_csv(os, study);
-                    }) &&
-         write_file(out_dir / "fig4_degrees.csv",
-                    [&](std::ostream& os) {
-                      io::write_degrees_csv(os, study);
-                    }) &&
-         write_file(out_dir / "fig7_zero_boundaries.csv",
-                    [&](std::ostream& os) {
-                      io::write_zero_boundaries_csv(os, study);
-                    });
+/// Publish a study's result CSVs (the one-shot path, every streaming
+/// re-finalization, and the stream's final write).
+template <typename Kind>
+bool write_outputs(const std::filesystem::path& out_dir,
+                   const typename Kind::Study& study) {
+  for (const auto& output : Kind::outputs)
+    if (!write_file(out_dir / output.file,
+                    [&](std::ostream& os) { output.write(os, study); }))
+      return false;
+  return true;
 }
 
 /// Remove output files a failed study may have left from a previous run, so
 /// a nonzero exit never pairs with stale-but-plausible results.
-void remove_stale_outputs(const std::filesystem::path& out_dir,
-                          std::initializer_list<const char*> names) {
-  for (const char* name : names) {
+template <typename Kind>
+void remove_stale_outputs(const std::filesystem::path& out_dir) {
+  for (const auto& output : Kind::outputs) {
     std::error_code ec;
-    if (std::filesystem::remove(out_dir / name, ec))
+    if (std::filesystem::remove(out_dir / output.file, ec))
       std::fprintf(stderr, "  removed stale %s\n",
-                   (out_dir / name).string().c_str());
+                   (out_dir / output.file).string().c_str());
   }
+}
+
+// ------------------------------------------------------------ study runner
+
+/// The run-wide state every study shares: options and the services main()
+/// sets up before the studies run.
+struct Run {
+  const Options& opt;
+  unsigned effective;  // resolved thread count, for the banners
+  obs::MetricsRegistry* registry;
+  core::ShutdownToken& token;
+  core::ResourceGovernor& governor;
+  lg::LgService& service;
+};
+
+/// Throughput accounting for --bench-out. The ingest figures are
+/// file-driven only: records accepted and wall time inside the load phase,
+/// the number the columnar format exists to move.
+struct Tally {
+  std::uint64_t records = 0, ingest_records = 0;
+  double secs = 0, ingest_secs = 0;
+};
+
+template <typename Study>
+struct Output {
+  const char* file;
+  void (*write)(std::ostream&, const Study&);
+};
+
+/// Per-study traits for run_study: outputs, record count, looking-glass
+/// publisher, wall phase, and the three ways to produce the study.
+struct AtlasKind {
+  using Study = core::AtlasStudy;
+  static constexpr const char *name = "atlas", *label = "Atlas",
+                              *unit = "probes", *batches = "echo",
+                              *wall_phase = "study.atlas_wall";
+  static constexpr std::string O::*input = &O::atlas_in;
+  static constexpr Output<Study> outputs[] = {
+      {"fig1_duration_curves.csv", io::write_duration_curves_csv},
+      {"fig5_cpl.csv", io::write_cpl_csv},
+      {"table2_bgp_moves.csv", io::write_bgp_moves_csv},
+      {"fig6_inference.csv", io::write_inference_csv},
+  };
+  static constexpr auto snapshot = lg::build_atlas_snapshot;
+  static constexpr auto publish = &lg::LgService::publish_atlas;
+
+  static std::uint64_t records(const Study& study) {
+    return study.sanitize.probes_seen;
+  }
+  static core::AtlasFileStudyConfig file_config(const Run& run) {
+    core::AtlasFileStudyConfig cfg;
+    cfg.threads = unsigned(run.opt.threads);
+    cfg.metrics = run.registry;
+    cfg.reader = run.opt.reader;
+    return cfg;
+  }
+  static auto generate(const Run& run, const core::CheckpointConfig& cc) {
+    const Options& o = run.opt;
+    std::printf("Atlas study (scale %.2f, window %llu h, seed %llu, "
+                "%u shards)...\n",
+                o.scale, (unsigned long long)o.window,
+                (unsigned long long)o.seed, run.effective);
+    core::AtlasStudyConfig cfg;
+    cfg.atlas.probe_scale = o.scale;
+    cfg.atlas.window_hours = o.window;
+    cfg.atlas.seed = o.seed;
+    cfg.threads = unsigned(o.threads);
+    cfg.metrics = run.registry;
+    return core::run_atlas_study_supervised(simnet::paper_isps(), cfg, cc);
+  }
+  static auto from_files(const Run& run, const std::vector<std::string>& in,
+                         auto... rest) {
+    return core::run_atlas_study_from_files(in, simnet::paper_isps(),
+                                            file_config(run), rest...);
+  }
+  static auto follow(core::StreamDriver& driver, const Run& run,
+                     auto... rest) {
+    return driver.follow_atlas(run.opt.follow_dir, simnet::paper_isps(),
+                               file_config(run), rest...);
+  }
+};
+
+struct CdnKind {
+  using Study = core::CdnStudy;
+  static constexpr const char *name = "cdn", *label = "CDN",
+                              *unit = "tuples", *batches = "association",
+                              *wall_phase = "study.cdn_wall";
+  static constexpr std::string O::*input = &O::cdn_in;
+  static constexpr Output<Study> outputs[] = {
+      {"fig23_assoc_durations.csv", io::write_assoc_durations_csv},
+      {"fig4_degrees.csv", io::write_degrees_csv},
+      {"fig7_zero_boundaries.csv", io::write_zero_boundaries_csv},
+  };
+  static constexpr auto snapshot = lg::build_cdn_snapshot;
+  static constexpr auto publish = &lg::LgService::publish_cdn;
+
+  static std::uint64_t records(const Study& study) {
+    return study.analyzer.total_tuples() + study.analyzer.total_mismatched();
+  }
+  static core::CdnFileStudyConfig file_config(const Run& run) {
+    core::CdnFileStudyConfig cfg;
+    cfg.threads = unsigned(run.opt.threads);
+    cfg.metrics = run.registry;
+    cfg.reader = run.opt.reader;
+    cfg.assoc = run.opt.assoc;
+    // The CSV schema carries no access-type/registry ground truth; take
+    // the attribution of the known population profiles (ASNs absent from
+    // it analyze as fixed-line RIPE).
+    for (const auto& entry : cdn::default_cdn_population()) {
+      if (entry.isp.mobile) cfg.mobile_asns.insert(entry.isp.asn);
+      cfg.registries[entry.isp.asn] = entry.isp.registry;
+      cfg.asn_names[entry.isp.asn] = entry.isp.name;
+    }
+    return cfg;
+  }
+  static auto generate(const Run& run, const core::CheckpointConfig& cc) {
+    const Options& o = run.opt;
+    std::printf("CDN study (scale %.2f, seed %llu, %u shards)...\n", o.scale,
+                (unsigned long long)o.seed, run.effective);
+    core::CdnStudyConfig cfg;
+    cfg.cdn.subscriber_scale = o.scale;
+    cfg.cdn.seed = o.seed * 977;
+    cfg.threads = unsigned(o.threads);
+    cfg.metrics = run.registry;
+    cfg.assoc = o.assoc;
+    return core::run_cdn_study_supervised(cdn::default_cdn_population(o.scale),
+                                          cfg, cc);
+  }
+  static auto from_files(const Run& run, const std::vector<std::string>& in,
+                         auto... rest) {
+    return core::run_cdn_study_from_files(in, file_config(run), rest...);
+  }
+  static auto follow(core::StreamDriver& driver, const Run& run,
+                     auto... rest) {
+    return driver.follow_cdn(run.opt.follow_dir, file_config(run), rest...);
+  }
+};
+
+/// Run one study — generated, from files, or streamed with --follow — and
+/// publish it: the shard checkpoint under --shard, else the looking-glass
+/// snapshot and the result CSVs. Returns the exit code: 0, 1 on failure
+/// (stale CSVs removed), 3 when interrupted and resumable.
+template <typename Kind>
+int run_study(const Run& run, const io::StudyCheckpoint* resume,
+              Tally& tally) {
+  using Study = typename Kind::Study;
+  const Options& opt = run.opt;
+  const bool follow = opt.follows();
+  io::IngestStats istats;
+  core::StreamStats sstats;
+  auto t0 = std::chrono::steady_clock::now();
+  core::Expected<Study> result = [&]() -> core::Expected<Study> {
+    if (follow) {
+      std::printf("Following %s for %s batches (%u shards)...\n",
+                  opt.follow_dir.c_str(), Kind::batches, run.effective);
+      core::StreamConfig stream = opt.stream;
+      stream.checkpoint_path = opt.checkpoint_out;
+      stream.token = &run.token;
+      stream.resume = resume;
+      stream.io_retry_seed = opt.seed;
+      stream.governor = &run.governor;
+      core::StreamDriver driver(unsigned(opt.threads));
+      return Kind::follow(
+          driver, run, stream,
+          [&](const Study& snap, const core::StreamStats& st) {
+            std::printf("[stream] refinalize #%llu: %llu batches, "
+                        "%llu records\n",
+                        (unsigned long long)st.refinalizes,
+                        (unsigned long long)st.batches,
+                        (unsigned long long)st.records);
+            if (opt.serve)
+              (run.service.*Kind::publish)(Kind::snapshot(
+                  snap, st.refinalizes, st.batches, st.records));
+            if (!opt.no_csv) write_outputs<Kind>(opt.out_dir, snap);
+          },
+          &istats, &sstats);
+    }
+    core::CheckpointConfig cc;
+    cc.every_items = opt.checkpoint_every;
+    cc.path = opt.checkpoint_out;
+    cc.token = &run.token;
+    cc.resume = resume;
+    cc.shard_index = opt.shard_index;
+    cc.shard_count = opt.shard_count;
+    const std::string& input = opt.*Kind::input;
+    if (input.empty()) return Kind::generate(run, cc);
+    std::printf("%s study from %s (%u shards)...\n", Kind::label,
+                input.c_str(), run.effective);
+    auto loaded = Kind::from_files(run, split_paths(input), &istats, cc);
+    std::printf("  ingested %s\n", istats.summary().c_str());
+    tally.ingest_records = istats.records_accepted;
+    tally.ingest_secs = double(istats.load_wall_ns) * 1e-9;
+    return loaded;
+  }();
+
+  if (!result.ok()) {
+    const core::Status& st = result.status();
+    if (st.code() == core::StatusCode::kCancelled) {
+      std::fprintf(stderr, "%s\n  resume with --resume-from %s\n",
+                   st.to_string().c_str(), opt.checkpoint_out.c_str());
+      return 3;
+    }
+    std::fprintf(stderr, "%s%s failed: %s\n", follow ? "stream" : Kind::name,
+                 follow ? "" : " study", st.to_string().c_str());
+    remove_stale_outputs<Kind>(opt.out_dir);
+    return 1;
+  }
+  const Study study = result.take();
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  if (run.registry)
+    run.registry->record_phase(Kind::wall_phase, std::uint64_t(secs * 1e9));
+  tally.records = Kind::records(study);
+  tally.secs = secs;
+  if (follow) {
+    std::printf("  stream done: %llu batches, %llu records, "
+                "%llu refinalizes; ingested %s\n",
+                (unsigned long long)sstats.batches,
+                (unsigned long long)sstats.records,
+                (unsigned long long)sstats.refinalizes,
+                istats.summary().c_str());
+  } else {
+    std::printf("  analyzed %llu %s in %.2fs\n",
+                (unsigned long long)tally.records, Kind::unit, secs);
+  }
+  if (opt.shard_count > 1) {
+    std::printf("  shard %u/%u complete; merge with --merge-shards %s\n",
+                opt.shard_index, opt.shard_count, opt.checkpoint_out.c_str());
+    return 0;
+  }
+  // One-shot studies publish generation 1; a stream's final
+  // re-finalization does not fire on_snapshot, so the completed study is
+  // published as its own generation.
+  if (opt.serve)
+    (run.service.*Kind::publish)(
+        Kind::snapshot(study, sstats.refinalizes + 1, sstats.batches,
+                       follow ? sstats.records : tally.records));
+  if (!opt.no_csv && !write_outputs<Kind>(opt.out_dir, study)) return 1;
+  return 0;
+}
+
+/// The dynamips.bench.v1 document: per-study wall time and records/sec.
+void write_bench(std::ostream& os, const Options& opt, unsigned effective,
+                 const Tally& atlas, const Tally& cdn) {
+  const double total_secs = atlas.secs + cdn.secs;
+  auto rate = [](double n, double secs) { return secs > 0 ? n / secs : 0; };
+  char buf[2048];
+  std::snprintf(
+      buf, sizeof buf,
+      "{\n"
+      "  \"schema\": \"dynamips.bench.v1\",\n"
+      "  \"meta\": {\"binary\": \"dynamips_study\", \"scale\": %g, "
+      "\"seed\": %llu, \"window_hours\": %llu, \"threads\": %u},\n"
+      "  \"counts\": {\"atlas_probes\": %llu, \"cdn_tuples\": %llu, "
+      "\"nan_dropped\": %llu},\n"
+      "  \"wall_s\": {\"atlas\": %.3f, \"cdn\": %.3f, \"total\": %.3f, "
+      "\"atlas_ingest\": %.3f, \"cdn_ingest\": %.3f},\n"
+      "  \"metrics\": {\n"
+      "    \"atlas_probes_per_sec\": %.1f,\n"
+      "    \"cdn_tuples_per_sec\": %.1f,\n"
+      "    \"records_per_sec\": %.1f,\n"
+      "    \"atlas_ingest_records_per_sec\": %.1f,\n"
+      "    \"cdn_ingest_tuples_per_sec\": %.1f\n"
+      "  }\n"
+      "}\n",
+      opt.scale, (unsigned long long)opt.seed, (unsigned long long)opt.window,
+      effective, (unsigned long long)atlas.records,
+      (unsigned long long)cdn.records,
+      (unsigned long long)stats::nan_dropped(), atlas.secs, cdn.secs,
+      total_secs, atlas.ingest_secs, cdn.ingest_secs,
+      rate(double(atlas.records), atlas.secs),
+      rate(double(cdn.records), cdn.secs),
+      rate(double(atlas.records + cdn.records), total_secs),
+      rate(double(atlas.ingest_records), atlas.ingest_secs),
+      rate(double(cdn.ingest_records), cdn.ingest_secs));
+  os << buf;
+}
+
+// -------------------------------------------------------------- supervisor
+
+/// Supervisor mode: re-run this binary as a child (minus the flags marked
+/// child_drops) and keep it alive — restart with capped exponential
+/// backoff, re-inject --resume-from whenever a durable checkpoint exists,
+/// kill a hung/stalled child, give up on a crash loop.
+int supervise_child(int argc, char** argv, const Options& opt,
+                    core::ShutdownToken& token) {
+  const std::string& checkpoint_out = opt.checkpoint_out;
+  std::vector<std::string> child_argv;
+#ifdef __unix__
+  char exe[4096];
+  ssize_t n = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
+  child_argv.push_back(n > 0 ? std::string(exe, std::size_t(n))
+                             : std::string(argv[0]));
+#else
+  child_argv.push_back(argv[0]);
+#endif
+  Options unused;  // the filter only reads the table's names and shapes
+  const std::vector<Flag> flags = flag_table(unused);
+  for (int i = 1; i < argc; ++i) {
+    const Flag* flag = find_flag(flags, argv[i]);
+    const int span = flag && takes_value(*flag) ? 2 : 1;  // flag + value
+    if (!flag || !flag->child_drops)
+      child_argv.insert(child_argv.end(), argv + i, argv + i + span);
+    i += span - 1;
+  }
+  // Children inherit the heartbeat path (and any DYNAMIPS_FAILPOINTS
+  // already in our environment) by plain env inheritance.
+  const std::string heartbeat_path = (opt.out_dir / ".heartbeat").string();
+#ifdef __unix__
+  ::setenv("DYNAMIPS_HEARTBEAT_FILE", heartbeat_path.c_str(), 1);
+#endif
+
+  core::SuperviseConfig scfg = opt.restart;
+  scfg.crash_loop_window_ms =
+      std::uint64_t(opt.restart_window_seconds * 1000.0);
+  scfg.stall_timeout_ms = std::uint64_t(opt.stall_timeout_seconds * 1000.0);
+  scfg.heartbeat_timeout_ms =
+      std::uint64_t(opt.heartbeat_timeout_seconds * 1000.0);
+
+  core::ProcessChild child(child_argv);
+  core::SuperviseHooks hooks;
+  hooks.stop = [&token] { return token.requested(); };
+  hooks.sleep_ms = [&token](std::uint64_t ms) {
+    core::interruptible_sleep_ms(ms, &token);
+  };
+  hooks.resume_path = [&]() -> std::string {
+    std::error_code rec;
+    if (std::filesystem::exists(checkpoint_out, rec) ||
+        std::filesystem::exists(checkpoint_out + ".prev", rec))
+      return checkpoint_out;  // with_fallback reads .prev when needed
+    if (!opt.resume_from.empty() &&
+        std::filesystem::exists(opt.resume_from, rec))
+      return opt.resume_from;
+    return "";
+  };
+  hooks.progress = [&] { return core::file_progress_token(checkpoint_out); };
+  hooks.heartbeat_age_ms = [&] { return core::file_age_ms(heartbeat_path); };
+  hooks.describe_checkpoint = [&]() -> std::string {
+    std::string used;
+    auto ck = io::read_checkpoint_with_fallback(checkpoint_out, &used);
+    if (!ck.ok())
+      return "no durable checkpoint yet; the next launch starts fresh";
+    return "last durable checkpoint: " + used + " (" +
+           io::checkpoint_kind_name(ck.value().kind) + ", " +
+           std::to_string(ck.value().items_done()) + " of " +
+           std::to_string(ck.value().item_count) + " items)";
+  };
+  hooks.metrics = &obs::MetricsRegistry::global();
+  hooks.log = [&child](const std::string& line) {
+    std::fprintf(stderr, "supervise[child pid %ld]: %s\n", child.pid(),
+                 line.c_str());
+    std::fflush(stderr);
+  };
+
+  core::SuperviseReport rep = core::supervise(child, scfg, hooks);
+  std::fprintf(stderr,
+               "supervise: exiting %d (%llu launches, %llu restarts, "
+               "%llu stall kills)%s%s\n",
+               rep.exit_code, (unsigned long long)rep.launches,
+               (unsigned long long)rep.restarts,
+               (unsigned long long)rep.stall_kills,
+               rep.diagnosis.empty() ? "" : ": ", rep.diagnosis.c_str());
+  return rep.exit_code;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::filesystem::path out_dir = "dynamips_results";
-  double scale = 0.3;
-  std::uint64_t window = 30000, seed = 1;
-  unsigned threads = 0;  // 0 = hardware_concurrency
-  bool atlas = true, cdn = true;
-  std::string metrics_out, bench_out;
-  std::string atlas_in, cdn_in, quarantine_out;
-  std::string checkpoint_out, resume_from;
-  std::uint64_t checkpoint_every = 0;
-  double deadline_seconds = 0;
-  std::string follow_dir;
-  std::uint64_t refinalize_every = 8, poll_ms = 200, max_batches = 0;
-  double refinalize_seconds = 0;
-  bool serve = false, no_csv = false;
-  std::uint64_t serve_port = 0;
-  std::uint64_t io_retries = 3, io_retry_base_ms = 20;
-  std::uint64_t send_timeout_ms = 5000, max_connections = 0;
-  std::string failpoints_spec;
-  bool failpoints_flag = false;
-  io::ReaderOptions reader_opts;
-  std::uint64_t spill_mb = 0;
-  std::string spill_dir;
-  std::string shard_spec, merge_shards;
-  std::uint32_t shard_index = 0, shard_count = 1;
-  std::uint64_t max_rss_mb = 0, min_disk_free_mb = 0;
-  double max_lag_seconds = 0;
-  std::uint64_t max_backlog_batches = 64;
-  bool supervise_flag = false;
-  std::uint64_t restart_max = 5;
-  double restart_window_seconds = 60;
-  std::uint64_t restart_backoff_ms = 500, restart_backoff_max_ms = 30000;
-  double stall_timeout_seconds = 0, heartbeat_timeout_seconds = 60;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Numeric flag families; see parse_number.
-    auto u64 = [&](std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX) {
-      return parse_number(arg, next(), lo, hi);
-    };
-    auto seconds = [&] { return parse_number(arg, next(), 0.0, 1e9); };
-    auto millis = [&] { return u64(0, 1000000000); };
-    auto megabytes = [&] { return u64(0, UINT64_MAX >> 20); };
-    if (arg == "--scale") {
-      scale = parse_number(arg, next(), 1e-6, 100.0);
-    } else if (arg == "--window") {
-      window = u64(1, 10000000);
-    } else if (arg == "--seed") {
-      seed = u64();
-    } else if (arg == "--threads") {
-      threads = unsigned(u64(0, 4096));
-    } else if (arg == "--metrics-out") {
-      metrics_out = next();
-    } else if (arg == "--bench-out") {
-      bench_out = next();
-    } else if (arg == "--atlas-in") {
-      atlas_in = next();
-    } else if (arg == "--cdn-in") {
-      cdn_in = next();
-    } else if (arg == "--quarantine-out") {
-      quarantine_out = next();
-    } else if (arg == "--max-reject-fraction") {
-      reader_opts.max_reject_fraction = parse_number(arg, next(), 0.0, 1.0);
-    } else if (arg == "--max-consecutive-rejects") {
-      reader_opts.max_consecutive_rejects = u64();
-    } else if (arg == "--checkpoint-every") {
-      checkpoint_every = u64();
-    } else if (arg == "--checkpoint-out") {
-      checkpoint_out = next();
-    } else if (arg == "--resume-from") {
-      resume_from = next();
-    } else if (arg == "--deadline-seconds") {
-      deadline_seconds = seconds();
-    } else if (arg == "--follow") {
-      follow_dir = next();
-    } else if (arg == "--refinalize-every") {
-      refinalize_every = u64();
-    } else if (arg == "--refinalize-seconds") {
-      refinalize_seconds = seconds();
-    } else if (arg == "--poll-ms") {
-      poll_ms = millis();
-    } else if (arg == "--max-batches") {
-      max_batches = u64();
-    } else if (arg == "--io-retries") {
-      io_retries = u64(0, 1000);
-    } else if (arg == "--io-retry-base-ms") {
-      io_retry_base_ms = millis();
-    } else if (arg == "--send-timeout-ms") {
-      send_timeout_ms = millis();
-    } else if (arg == "--max-connections") {
-      max_connections = u64();
-    } else if (arg == "--failpoints") {
-      failpoints_spec = next();
-      failpoints_flag = true;
-    } else if (arg == "--spill-mb") {
-      spill_mb = megabytes();
-    } else if (arg == "--spill-dir") {
-      spill_dir = next();
-    } else if (arg == "--shard") {
-      shard_spec = next();
-    } else if (arg == "--merge-shards") {
-      merge_shards = next();
-    } else if (arg == "--max-rss-mb") {
-      max_rss_mb = megabytes();
-    } else if (arg == "--min-disk-free-mb") {
-      min_disk_free_mb = megabytes();
-    } else if (arg == "--max-lag-seconds") {
-      max_lag_seconds = seconds();
-    } else if (arg == "--max-backlog-batches") {
-      max_backlog_batches = u64();
-    } else if (arg == "--supervise") {
-      supervise_flag = true;
-    } else if (arg == "--restart-max") {
-      restart_max = u64();
-    } else if (arg == "--restart-window-seconds") {
-      restart_window_seconds = seconds();
-    } else if (arg == "--restart-backoff-ms") {
-      restart_backoff_ms = millis();
-    } else if (arg == "--restart-backoff-max-ms") {
-      restart_backoff_max_ms = millis();
-    } else if (arg == "--stall-timeout-seconds") {
-      stall_timeout_seconds = seconds();
-    } else if (arg == "--heartbeat-timeout-seconds") {
-      heartbeat_timeout_seconds = seconds();
-    } else if (arg == "--serve") {
-      serve = true;
-      serve_port = u64(0, 65535);
-    } else if (arg == "--no-csv") {
-      no_csv = true;
-    } else if (arg == "--atlas-only") {
-      cdn = false;
-    } else if (arg == "--cdn-only") {
-      atlas = false;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage(argv[0]);
-      return 2;
-    } else {
-      out_dir = arg;
-    }
-  }
-
-  if (!follow_dir.empty()) {
-    if (atlas == cdn) {
-      std::fprintf(stderr,
-                   "--follow requires exactly one of --atlas-only or "
-                   "--cdn-only (a stream carries one batch schema)\n");
-      return 2;
-    }
-    if (!atlas_in.empty() || !cdn_in.empty()) {
-      std::fprintf(stderr,
-                   "--follow and --atlas-in/--cdn-in are mutually "
-                   "exclusive\n");
-      return 2;
-    }
-  }
-  if (no_csv && follow_dir.empty()) {
-    std::fprintf(stderr,
-                 "--no-csv only applies to streaming runs (--follow); "
-                 "one-shot runs exist to write CSVs\n");
-    return 2;
-  }
-
-  // Multi-process sharding: parse "--shard I/N" and reject the modes a
-  // partial run cannot compose with.
-  if (!shard_spec.empty()) {
-    // Both parts strict, like every numeric flag: digits only, nothing
-    // trailing ("0/2x" is rejected, not read as 0/2).
-    auto part = [&](std::size_t from, std::size_t to, std::uint32_t& out) {
-      const char* end = shard_spec.data() + to;
-      auto [ptr, ec] = std::from_chars(shard_spec.data() + from, end, out);
-      return from < to && ec == std::errc() && ptr == end;
-    };
-    const std::size_t slash = shard_spec.find('/');
-    if (slash == std::string::npos || !part(0, slash, shard_index) ||
-        !part(slash + 1, shard_spec.size(), shard_count) ||
-        shard_index >= shard_count || shard_count > 4096) {
-      std::fprintf(stderr,
-                   "--shard: expected I/N with 0 <= I < N (e.g. --shard 0/4), "
-                   "got '%s'\n",
-                   shard_spec.c_str());
-      return 2;
-    }
-    if (atlas == cdn) {
-      std::fprintf(stderr,
-                   "--shard requires exactly one of --atlas-only or "
-                   "--cdn-only (one checkpoint kind per shard file)\n");
-      return 2;
-    }
-    if (!follow_dir.empty() || serve || supervise_flag ||
-        !resume_from.empty() || !merge_shards.empty()) {
-      std::fprintf(stderr,
-                   "--shard is a batch mode: it cannot combine with "
-                   "--follow, --serve, --supervise, --resume-from or "
-                   "--merge-shards\n");
-      return 2;
-    }
-  }
-  if (!merge_shards.empty() &&
-      (!follow_dir.empty() || !resume_from.empty())) {
-    std::fprintf(stderr,
-                 "--merge-shards cannot combine with --follow or "
-                 "--resume-from\n");
-    return 2;
-  }
-  const bool sharding = shard_count > 1;
+  Options opt;
+  if (std::optional<int> rc = parse_args(argc, argv, opt)) return *rc;
+  const bool sharding = opt.shard_count > 1;
 
   // Chaos arming: the env var first, then --failpoints (the flag wins when
   // both are given). Disarmed, every instrumented site is one relaxed
@@ -496,13 +882,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "DYNAMIPS_FAILPOINTS: %s\n", st.to_string().c_str());
     return 2;
   }
-  if (failpoints_flag) {
-    if (core::Status st = core::arm_failpoints(failpoints_spec); !st.ok()) {
+  if (opt.failpoints) {
+    if (core::Status st = core::arm_failpoints(opt.failpoints_spec);
+        !st.ok()) {
       std::fprintf(stderr, "--failpoints: %s\n", st.to_string().c_str());
       return 2;
     }
   }
 
+  const std::filesystem::path& out_dir = opt.out_dir;
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   if (ec) {
@@ -510,161 +898,69 @@ int main(int argc, char** argv) {
                  ec.message().c_str());
     return 1;
   }
-  if (!spill_dir.empty()) {
-    std::filesystem::create_directories(spill_dir, ec);
+  if (!opt.assoc.spill_dir.empty()) {
+    std::filesystem::create_directories(opt.assoc.spill_dir, ec);
     if (ec) {
       std::fprintf(stderr, "cannot create --spill-dir %s: %s\n",
-                   spill_dir.c_str(), ec.message().c_str());
+                   opt.assoc.spill_dir.c_str(), ec.message().c_str());
       return 1;
     }
   }
 
-  const unsigned effective = core::resolve_threads(threads);
+  const unsigned effective = core::resolve_threads(unsigned(opt.threads));
   // The looking-glass serves /v1/metricsz from the registry, so --serve
   // enables it even without --metrics-out (the file is still only written
   // when asked for).
-  obs::MetricsRegistry* registry = (metrics_out.empty() && !serve)
+  obs::MetricsRegistry* registry = (opt.metrics_out.empty() && !opt.serve)
                                        ? nullptr
                                        : &obs::MetricsRegistry::global();
   obs::MetricsMeta run_meta;
   run_meta.binary = "dynamips_study";
-  run_meta.scale = scale;
-  run_meta.seed = seed;
-  run_meta.window_hours = window;
+  run_meta.scale = opt.scale;
+  run_meta.seed = opt.seed;
+  run_meta.window_hours = opt.window;
   run_meta.threads = effective;
 
   // Graceful shutdown: SIGINT/SIGTERM (and the optional deadline) set a
   // token the studies poll at round boundaries.
   core::install_shutdown_handlers();
   core::ShutdownToken& token = core::global_shutdown_token();
-  if (checkpoint_out.empty())
-    checkpoint_out =
-        sharding ? (out_dir / ("study.shard-" + std::to_string(shard_index) +
-                               "-of-" + std::to_string(shard_count) + ".ckpt"))
-                       .string()
-                 : (out_dir / "study.ckpt").string();
-
-  // Supervisor mode: re-run this binary as a child (minus the
-  // supervisor-only flags) and keep it alive — restart with capped
-  // exponential backoff, re-inject --resume-from whenever a durable
-  // checkpoint exists, kill a hung/stalled child, give up on a crash loop.
-  if (supervise_flag) {
-    std::vector<std::string> child_argv;
-#ifdef __unix__
-    char exe[4096];
-    ssize_t n = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
-    child_argv.push_back(n > 0 ? std::string(exe, std::size_t(n))
-                               : std::string(argv[0]));
-#else
-    child_argv.push_back(argv[0]);
-#endif
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--supervise") continue;
-      if (arg == "--resume-from" || arg == "--restart-max" ||
-          arg == "--restart-window-seconds" ||
-          arg == "--restart-backoff-ms" ||
-          arg == "--restart-backoff-max-ms" ||
-          arg == "--stall-timeout-seconds" ||
-          arg == "--heartbeat-timeout-seconds") {
-        ++i;  // drop the flag's value too
-        continue;
-      }
-      child_argv.push_back(arg);
-    }
-    // Children inherit the heartbeat path (and any DYNAMIPS_FAILPOINTS
-    // already in our environment) by plain env inheritance.
-    const std::string heartbeat_path = (out_dir / ".heartbeat").string();
-#ifdef __unix__
-    ::setenv("DYNAMIPS_HEARTBEAT_FILE", heartbeat_path.c_str(), 1);
-#endif
-
-    core::SuperviseConfig scfg;
-    scfg.backoff_base_ms = restart_backoff_ms;
-    scfg.backoff_max_ms = restart_backoff_max_ms;
-    scfg.crash_loop_failures = restart_max;
-    scfg.crash_loop_window_ms =
-        std::uint64_t(restart_window_seconds * 1000.0);
-    scfg.stall_timeout_ms = std::uint64_t(stall_timeout_seconds * 1000.0);
-    scfg.heartbeat_timeout_ms =
-        std::uint64_t(heartbeat_timeout_seconds * 1000.0);
-
-    core::ProcessChild child(child_argv);
-    core::SuperviseHooks hooks;
-    hooks.stop = [&token] { return token.requested(); };
-    hooks.sleep_ms = [&token](std::uint64_t ms) {
-      core::interruptible_sleep_ms(ms, &token);
-    };
-    hooks.resume_path = [&]() -> std::string {
-      std::error_code rec;
-      if (std::filesystem::exists(checkpoint_out, rec) ||
-          std::filesystem::exists(checkpoint_out + ".prev", rec))
-        return checkpoint_out;  // with_fallback reads .prev when needed
-      if (!resume_from.empty() &&
-          std::filesystem::exists(resume_from, rec))
-        return resume_from;
-      return "";
-    };
-    hooks.progress = [&] {
-      return core::file_progress_token(checkpoint_out);
-    };
-    hooks.heartbeat_age_ms = [&] {
-      return core::file_age_ms(heartbeat_path);
-    };
-    hooks.describe_checkpoint = [&]() -> std::string {
-      std::string used;
-      auto ck = io::read_checkpoint_with_fallback(checkpoint_out, &used);
-      if (!ck.ok())
-        return "no durable checkpoint yet; the next launch starts fresh";
-      return "last durable checkpoint: " + used + " (" +
-             io::checkpoint_kind_name(ck.value().kind) + ", " +
-             std::to_string(ck.value().items_done()) + " of " +
-             std::to_string(ck.value().item_count) + " items)";
-    };
-    hooks.metrics = &obs::MetricsRegistry::global();
-    hooks.log = [&child](const std::string& line) {
-      std::fprintf(stderr, "supervise[child pid %ld]: %s\n", child.pid(),
-                   line.c_str());
-      std::fflush(stderr);
-    };
-
-    core::SuperviseReport rep = core::supervise(child, scfg, hooks);
-    std::fprintf(stderr,
-                 "supervise: exiting %d (%llu launches, %llu restarts, "
-                 "%llu stall kills)%s%s\n",
-                 rep.exit_code, (unsigned long long)rep.launches,
-                 (unsigned long long)rep.restarts,
-                 (unsigned long long)rep.stall_kills,
-                 rep.diagnosis.empty() ? "" : ": ",
-                 rep.diagnosis.c_str());
-    return rep.exit_code;
+  if (opt.checkpoint_out.empty()) {
+    const std::string name =
+        sharding ? "study.shard-" + std::to_string(opt.shard_index) + "-of-" +
+                       std::to_string(opt.shard_count) + ".ckpt"
+                 : "study.ckpt";
+    opt.checkpoint_out = (out_dir / name).string();
   }
 
-  if (deadline_seconds > 0) token.arm_deadline_seconds(deadline_seconds);
+  const std::string& checkpoint_out = opt.checkpoint_out;
+  if (opt.supervise) return supervise_child(argc, argv, opt, token);
 
-  // Child side of supervision: refresh the heartbeat file once a second so
-  // the supervisor can tell "hung" from "slow", and fold the supervision
-  // history it forwards through the environment into our registry so
-  // /v1/metricsz shows launches/restarts mid-run.
+  if (opt.deadline_seconds > 0)
+    token.arm_deadline_seconds(opt.deadline_seconds);
+
+  // Child side of supervision: fold the supervision history the supervisor
+  // forwards through the environment into our registry so /v1/metricsz
+  // shows launches/restarts mid-run, and refresh the heartbeat file once a
+  // second so the supervisor can tell "hung" from "slow".
+  if (registry) {
+    for (auto [env, counter] :
+         {std::pair{"DYNAMIPS_SUPERVISE_LAUNCHES", "supervise.launches"},
+          std::pair{"DYNAMIPS_SUPERVISE_RESTARTS", "supervise.restarts"}})
+      if (const char* v = std::getenv(env); v && *v)
+        registry->add_counter(
+            counter,
+            core::parse_number_or_exit<std::uint64_t>(env, v, 0, UINT64_MAX));
+  }
   core::Heartbeat heartbeat;
   if (const char* hb = std::getenv("DYNAMIPS_HEARTBEAT_FILE"); hb && *hb)
     heartbeat.start(hb);
-  if (registry) {
-    if (const char* v = std::getenv("DYNAMIPS_SUPERVISE_LAUNCHES"); v && *v)
-      registry->add_counter("supervise.launches",
-                            std::strtoull(v, nullptr, 10));
-    if (const char* v = std::getenv("DYNAMIPS_SUPERVISE_RESTARTS"); v && *v)
-      registry->add_counter("supervise.restarts",
-                            std::strtoull(v, nullptr, 10));
-  }
 
   // Resource governor: budgets from the flags (0 = unlimited), probing the
   // output and checkpoint filesystems. Always constructed — with no
   // budgets it never reports pressure, but /v1/readyz still reports the
   // sampled state.
-  core::ResourceBudgets budgets;
-  budgets.max_rss_mb = max_rss_mb;
-  budgets.min_disk_free_mb = min_disk_free_mb;
+  core::ResourceBudgets budgets = opt.budgets;
   budgets.disk_paths.push_back(out_dir.string());
   {
     std::filesystem::path ckpt_dir =
@@ -683,13 +979,11 @@ int main(int argc, char** argv) {
   service_cfg.governor = &governor;
   lg::LgService service(service_cfg);
   std::optional<lg::LgServer> server;
-  if (serve) {
-    lg::ServerConfig server_cfg;
-    server_cfg.port = std::uint16_t(serve_port);
+  if (opt.serve) {
+    lg::ServerConfig server_cfg = opt.server;
+    server_cfg.port = std::uint16_t(opt.serve_port);
     server_cfg.token = &token;
     server_cfg.metrics = registry;
-    server_cfg.send_timeout_ms = send_timeout_ms;
-    server_cfg.max_connections = max_connections;
     server.emplace(service, server_cfg);
     core::Status st = server->start();
     if (!st.ok()) {
@@ -702,16 +996,18 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // Resolve the resume checkpoint up front (with .prev fallback) and route
-  // it to the study that wrote it. A cdn-kind checkpoint means the atlas
-  // study already completed in the interrupted run — its CSVs are durable
-  // (atomic writes), so it is skipped entirely.
+  // The checkpoint to continue from: --resume-from (with .prev fallback),
+  // or --merge-shards combining the completed per-process checkpoints
+  // into one resumable checkpoint whose items are all done, so the ordered
+  // reduction + finalize produce CSVs byte-identical to a single-process
+  // run — provided the study parameters match the shard runs, which the
+  // config fingerprint enforces.
   std::optional<io::StudyCheckpoint> resume;
-  const io::StudyCheckpoint* atlas_resume = nullptr;
-  const io::StudyCheckpoint* cdn_resume = nullptr;
-  if (!resume_from.empty()) {
+  const bool merging = opt.merges();
+  if (opt.resumes()) {
     std::string used_path;
-    auto loaded = io::read_checkpoint_with_fallback(resume_from, &used_path);
+    auto loaded =
+        io::read_checkpoint_with_fallback(opt.resume_from, &used_path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "cannot resume: %s\n",
                    loaded.status().to_string().c_str());
@@ -722,7 +1018,7 @@ int main(int argc, char** argv) {
                 used_path.c_str(), io::checkpoint_kind_name(resume->kind),
                 (unsigned long long)resume->items_done(),
                 (unsigned long long)resume->item_count);
-    if (io::is_stream_checkpoint_kind(resume->kind) != !follow_dir.empty()) {
+    if (io::is_stream_checkpoint_kind(resume->kind) != opt.follows()) {
       std::fprintf(stderr,
                    io::is_stream_checkpoint_kind(resume->kind)
                        ? "cannot resume: checkpoint is from a streaming run; "
@@ -731,34 +1027,9 @@ int main(int argc, char** argv) {
                          "not a stream; drop --follow\n");
       return 1;
     }
-    if (io::is_atlas_checkpoint_kind(resume->kind)) {
-      if (!atlas) {
-        std::fprintf(stderr,
-                     "cannot resume: checkpoint is for the atlas study but "
-                     "--cdn-only was given\n");
-        return 1;
-      }
-      atlas_resume = &*resume;
-    } else {
-      if (!cdn) {
-        std::fprintf(stderr,
-                     "cannot resume: checkpoint is for the cdn study but "
-                     "--atlas-only was given\n");
-        return 1;
-      }
-      cdn_resume = &*resume;
-      atlas = false;  // completed before the interrupt
-    }
-  }
-
-  // Shard merge: combine the completed per-process checkpoints into one
-  // resumable checkpoint and run the normal study path against it. Every
-  // item is already done, so dispatch finds no work and the ordered
-  // reduction + finalize produce CSVs byte-identical to a single-process
-  // run — provided the study parameters (inputs, scale, seed, ...) match
-  // the shard runs, which the config fingerprint enforces.
-  if (!merge_shards.empty()) {
-    auto combined = io::combine_shard_checkpoints(split_paths(merge_shards));
+  } else if (merging) {
+    auto combined =
+        io::combine_shard_checkpoints(split_paths(opt.merge_shards));
     if (!combined.ok()) {
       std::fprintf(stderr, "cannot merge shards: %s\n",
                    combined.status().to_string().c_str());
@@ -769,351 +1040,46 @@ int main(int argc, char** argv) {
                 io::checkpoint_kind_name(resume->kind),
                 (unsigned long long)resume->item_count,
                 resume->shards.size());
-    if (io::is_atlas_checkpoint_kind(resume->kind)) {
-      if (!atlas) {
-        std::fprintf(stderr,
-                     "cannot merge: shard checkpoints are for the atlas "
-                     "study but --cdn-only was given\n");
-        return 1;
-      }
-      atlas_resume = &*resume;
-      cdn = false;  // the shard runs were atlas-only by construction
-    } else {
-      if (!cdn) {
-        std::fprintf(stderr,
-                     "cannot merge: shard checkpoints are for the cdn "
-                     "study but --atlas-only was given\n");
-        return 1;
-      }
-      cdn_resume = &*resume;
-      atlas = false;
+  }
+
+  // Route the checkpoint to the study that wrote it. A cdn-kind checkpoint
+  // means the atlas study already completed in the interrupted run — its
+  // CSVs are durable (atomic writes) — so it is skipped; shard runs were
+  // single-study by construction, so a merge runs only that study.
+  bool atlas = !opt.cdn_only, cdn = !opt.atlas_only;
+  const io::StudyCheckpoint* atlas_resume = nullptr;
+  const io::StudyCheckpoint* cdn_resume = nullptr;
+  if (resume) {
+    const bool for_atlas = io::is_atlas_checkpoint_kind(resume->kind);
+    if (!(for_atlas ? atlas : cdn)) {
+      std::fprintf(stderr,
+                   "cannot %s: %s for the %s study but --%s-only was given\n",
+                   merging ? "merge" : "resume",
+                   merging ? "shard checkpoints are" : "checkpoint is",
+                   for_atlas ? "atlas" : "cdn", for_atlas ? "cdn" : "atlas");
+      return 1;
     }
+    (for_atlas ? atlas_resume : cdn_resume) = &*resume;
+    if (merging || !for_atlas) (for_atlas ? cdn : atlas) = false;
   }
 
   // Quarantined lines are published even when ingestion fails — that is
   // when they matter — but never as a half-written file.
   std::optional<io::AtomicFileWriter> quarantine;
-  if (!quarantine_out.empty()) {
-    quarantine.emplace(quarantine_out);
+  if (!opt.quarantine_out.empty()) {
+    quarantine.emplace(opt.quarantine_out);
     if (!quarantine->ok()) {
       std::fprintf(stderr, "cannot open quarantine file %s\n",
-                   quarantine_out.c_str());
+                   opt.quarantine_out.c_str());
       return 1;
     }
-    reader_opts.quarantine = &quarantine->stream();
+    opt.reader.quarantine = &quarantine->stream();
   }
 
-  // Throughput accounting for --bench-out (filled by run_studies). The
-  // ingest figures are file-driven only: records accepted and wall time
-  // inside the load phase, the number the columnar format exists to move.
-  std::uint64_t atlas_probes = 0, cdn_tuples = 0;
-  double atlas_secs = 0, cdn_secs = 0;
-  std::uint64_t atlas_ingest_records = 0, cdn_ingest_records = 0;
-  double atlas_ingest_secs = 0, cdn_ingest_secs = 0;
-
-  auto run_studies = [&]() -> int {
-    if (atlas) {
-      core::CheckpointConfig supervision;
-      supervision.every_items = checkpoint_every;
-      supervision.path = checkpoint_out;
-      supervision.token = &token;
-      supervision.resume = atlas_resume;
-      supervision.shard_index = shard_index;
-      supervision.shard_count = shard_count;
-
-      core::AtlasStudy study;
-      auto t0 = std::chrono::steady_clock::now();
-      core::Expected<core::AtlasStudy> result{core::Status(
-          core::StatusCode::kInternal, "atlas study did not run")};
-      if (!atlas_in.empty()) {
-        std::printf("Atlas study from %s (%u shards)...\n", atlas_in.c_str(),
-                    effective);
-        core::AtlasFileStudyConfig cfg;
-        cfg.threads = threads;
-        cfg.metrics = registry;
-        cfg.reader = reader_opts;
-        io::IngestStats stats;
-        result = core::run_atlas_study_from_files(
-            split_paths(atlas_in), simnet::paper_isps(), cfg, &stats,
-            supervision);
-        std::printf("  ingested %s\n", stats.summary().c_str());
-        atlas_ingest_records = stats.records_accepted;
-        atlas_ingest_secs = double(stats.load_wall_ns) * 1e-9;
-      } else {
-        std::printf("Atlas study (scale %.2f, window %llu h, seed %llu, "
-                    "%u shards)...\n",
-                    scale, (unsigned long long)window,
-                    (unsigned long long)seed, effective);
-        core::AtlasStudyConfig cfg;
-        cfg.atlas.probe_scale = scale;
-        cfg.atlas.window_hours = window;
-        cfg.atlas.seed = seed;
-        cfg.threads = threads;
-        cfg.metrics = registry;
-        result =
-            core::run_atlas_study_supervised(simnet::paper_isps(), cfg,
-                                             supervision);
-      }
-      if (!result.ok()) {
-        if (result.status().code() == core::StatusCode::kCancelled) {
-          std::fprintf(stderr, "%s\n  resume with --resume-from %s\n",
-                       result.status().to_string().c_str(),
-                       checkpoint_out.c_str());
-          return 3;
-        }
-        std::fprintf(stderr, "atlas study failed: %s\n",
-                     result.status().to_string().c_str());
-        remove_stale_outputs(out_dir,
-                             {"fig1_duration_curves.csv", "fig5_cpl.csv",
-                              "table2_bgp_moves.csv", "fig6_inference.csv"});
-        return 1;
-      }
-      study = result.take();
-      double secs = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      if (registry)
-        registry->record_phase("study.atlas_wall", std::uint64_t(secs * 1e9));
-      atlas_probes = study.sanitize.probes_seen;
-      atlas_secs = secs;
-      std::printf("  analyzed %llu probes in %.2fs\n",
-                  (unsigned long long)study.sanitize.probes_seen, secs);
-      if (sharding) {
-        std::printf("  shard %u/%u complete; merge with --merge-shards %s\n",
-                    shard_index, shard_count, checkpoint_out.c_str());
-      } else {
-        if (serve)
-          service.publish_atlas(
-              lg::build_atlas_snapshot(study, 1, 0, atlas_probes));
-        if (!write_atlas_outputs(out_dir, study)) return 1;
-      }
-    }
-
-    if (cdn) {
-      core::CheckpointConfig supervision;
-      supervision.every_items = checkpoint_every;
-      supervision.path = checkpoint_out;
-      supervision.token = &token;
-      supervision.resume = cdn_resume;
-      supervision.shard_index = shard_index;
-      supervision.shard_count = shard_count;
-
-      core::CdnStudy study;
-      auto t0 = std::chrono::steady_clock::now();
-      core::Expected<core::CdnStudy> result{core::Status(
-          core::StatusCode::kInternal, "cdn study did not run")};
-      if (!cdn_in.empty()) {
-        std::printf("CDN study from %s (%u shards)...\n", cdn_in.c_str(),
-                    effective);
-        core::CdnFileStudyConfig cfg;
-        cfg.threads = threads;
-        cfg.metrics = registry;
-        cfg.reader = reader_opts;
-        cfg.assoc.spill_mb = spill_mb;
-        cfg.assoc.spill_dir = spill_dir;
-        // The CSV schema carries no access-type/registry ground truth; take
-        // the attribution of the known population profiles (ASNs absent from
-        // it analyze as fixed-line RIPE).
-        for (const auto& entry : cdn::default_cdn_population()) {
-          if (entry.isp.mobile) cfg.mobile_asns.insert(entry.isp.asn);
-          cfg.registries[entry.isp.asn] = entry.isp.registry;
-          cfg.asn_names[entry.isp.asn] = entry.isp.name;
-        }
-        io::IngestStats stats;
-        result = core::run_cdn_study_from_files(split_paths(cdn_in), cfg,
-                                                &stats, supervision);
-        std::printf("  ingested %s\n", stats.summary().c_str());
-        cdn_ingest_records = stats.records_accepted;
-        cdn_ingest_secs = double(stats.load_wall_ns) * 1e-9;
-      } else {
-        std::printf("CDN study (scale %.2f, seed %llu, %u shards)...\n",
-                    scale, (unsigned long long)seed, effective);
-        core::CdnStudyConfig cfg;
-        cfg.cdn.subscriber_scale = scale;
-        cfg.cdn.seed = seed * 977;
-        cfg.threads = threads;
-        cfg.metrics = registry;
-        cfg.assoc.spill_mb = spill_mb;
-        cfg.assoc.spill_dir = spill_dir;
-        result = core::run_cdn_study_supervised(
-            cdn::default_cdn_population(scale), cfg, supervision);
-      }
-      if (!result.ok()) {
-        if (result.status().code() == core::StatusCode::kCancelled) {
-          std::fprintf(stderr, "%s\n  resume with --resume-from %s\n",
-                       result.status().to_string().c_str(),
-                       checkpoint_out.c_str());
-          return 3;
-        }
-        std::fprintf(stderr, "cdn study failed: %s\n",
-                     result.status().to_string().c_str());
-        remove_stale_outputs(out_dir,
-                             {"fig23_assoc_durations.csv", "fig4_degrees.csv",
-                              "fig7_zero_boundaries.csv"});
-        return 1;
-      }
-      study = result.take();
-      double secs = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      if (registry)
-        registry->record_phase("study.cdn_wall", std::uint64_t(secs * 1e9));
-      cdn_tuples =
-          study.analyzer.total_tuples() + study.analyzer.total_mismatched();
-      cdn_secs = secs;
-      std::printf("  analyzed %llu tuples in %.2fs\n",
-                  (unsigned long long)(study.analyzer.total_tuples() +
-                                       study.analyzer.total_mismatched()),
-                  secs);
-      if (sharding) {
-        std::printf("  shard %u/%u complete; merge with --merge-shards %s\n",
-                    shard_index, shard_count, checkpoint_out.c_str());
-      } else {
-        if (serve)
-          service.publish_cdn(
-              lg::build_cdn_snapshot(study, 1, 0, cdn_tuples));
-        if (!write_cdn_outputs(out_dir, study)) return 1;
-      }
-    }
-    return 0;
-  };
-
-  // Streaming mode: follow a watch directory, re-publishing the result CSVs
-  // on every windowed re-finalization and once more (with metrics recorded)
-  // when the stop sentinel arrives.
-  auto run_follow = [&]() -> int {
-    core::StreamConfig stream;
-    stream.refinalize_every_batches = refinalize_every;
-    stream.refinalize_seconds = refinalize_seconds;
-    stream.poll_ms = poll_ms;
-    stream.max_batches = max_batches;
-    stream.checkpoint_path = checkpoint_out;
-    stream.token = &token;
-    stream.resume = resume ? &*resume : nullptr;
-    stream.io_retry_attempts = io_retries;
-    stream.io_retry_base_ms = io_retry_base_ms;
-    stream.io_retry_seed = seed;
-    stream.governor = &governor;
-    stream.max_lag_seconds = max_lag_seconds;
-    stream.max_backlog_batches = max_backlog_batches;
-
-    core::StreamDriver driver(threads);
-    core::StreamStats sstats;
-    io::IngestStats istats;
-    auto report = [&](const core::Status& st,
-                      std::initializer_list<const char*> outputs) -> int {
-      if (st.code() == core::StatusCode::kCancelled) {
-        std::fprintf(stderr, "%s\n  resume with --resume-from %s\n",
-                     st.to_string().c_str(), checkpoint_out.c_str());
-        return 3;
-      }
-      std::fprintf(stderr, "stream failed: %s\n", st.to_string().c_str());
-      remove_stale_outputs(out_dir, outputs);
-      return 1;
-    };
-
-    if (atlas) {
-      std::printf("Following %s for echo batches (%u shards)...\n",
-                  follow_dir.c_str(), effective);
-      core::AtlasFileStudyConfig cfg;
-      cfg.threads = threads;
-      cfg.metrics = registry;
-      cfg.reader = reader_opts;
-      auto t0 = std::chrono::steady_clock::now();
-      auto result = driver.follow_atlas(
-          follow_dir, simnet::paper_isps(), cfg, stream,
-          [&](const core::AtlasStudy& snap, const core::StreamStats& st) {
-            std::printf("[stream] refinalize #%llu: %llu batches, "
-                        "%llu records\n",
-                        (unsigned long long)st.refinalizes,
-                        (unsigned long long)st.batches,
-                        (unsigned long long)st.records);
-            if (serve)
-              service.publish_atlas(lg::build_atlas_snapshot(
-                  snap, st.refinalizes, st.batches, st.records));
-            if (!no_csv) write_atlas_outputs(out_dir, snap);
-          },
-          &istats, &sstats);
-      if (!result.ok())
-        return report(result.status(),
-                      {"fig1_duration_curves.csv", "fig5_cpl.csv",
-                       "table2_bgp_moves.csv", "fig6_inference.csv"});
-      core::AtlasStudy study = result.take();
-      double secs = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      if (registry)
-        registry->record_phase("study.atlas_wall", std::uint64_t(secs * 1e9));
-      atlas_probes = study.sanitize.probes_seen;
-      atlas_secs = secs;
-      std::printf("  stream done: %llu batches, %llu records, "
-                  "%llu refinalizes; ingested %s\n",
-                  (unsigned long long)sstats.batches,
-                  (unsigned long long)sstats.records,
-                  (unsigned long long)sstats.refinalizes,
-                  istats.summary().c_str());
-      // The final re-finalization does not fire on_snapshot; publish the
-      // completed study as its own generation.
-      if (serve)
-        service.publish_atlas(lg::build_atlas_snapshot(
-            study, sstats.refinalizes + 1, sstats.batches, sstats.records));
-      if (!no_csv && !write_atlas_outputs(out_dir, study)) return 1;
-      return 0;
-    }
-
-    std::printf("Following %s for association batches (%u shards)...\n",
-                follow_dir.c_str(), effective);
-    core::CdnFileStudyConfig cfg;
-    cfg.threads = threads;
-    cfg.metrics = registry;
-    cfg.reader = reader_opts;
-    for (const auto& entry : cdn::default_cdn_population()) {
-      if (entry.isp.mobile) cfg.mobile_asns.insert(entry.isp.asn);
-      cfg.registries[entry.isp.asn] = entry.isp.registry;
-      cfg.asn_names[entry.isp.asn] = entry.isp.name;
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    auto result = driver.follow_cdn(
-        follow_dir, cfg, stream,
-        [&](const core::CdnStudy& snap, const core::StreamStats& st) {
-          std::printf("[stream] refinalize #%llu: %llu batches, "
-                      "%llu records\n",
-                      (unsigned long long)st.refinalizes,
-                      (unsigned long long)st.batches,
-                      (unsigned long long)st.records);
-          if (serve)
-            service.publish_cdn(lg::build_cdn_snapshot(
-                snap, st.refinalizes, st.batches, st.records));
-          if (!no_csv) write_cdn_outputs(out_dir, snap);
-        },
-        &istats, &sstats);
-    if (!result.ok())
-      return report(result.status(),
-                    {"fig23_assoc_durations.csv", "fig4_degrees.csv",
-                     "fig7_zero_boundaries.csv"});
-    core::CdnStudy study = result.take();
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    if (registry)
-      registry->record_phase("study.cdn_wall", std::uint64_t(secs * 1e9));
-    cdn_tuples =
-        study.analyzer.total_tuples() + study.analyzer.total_mismatched();
-    cdn_secs = secs;
-    std::printf("  stream done: %llu batches, %llu records, "
-                "%llu refinalizes; ingested %s\n",
-                (unsigned long long)sstats.batches,
-                (unsigned long long)sstats.records,
-                (unsigned long long)sstats.refinalizes,
-                istats.summary().c_str());
-    if (serve)
-      service.publish_cdn(lg::build_cdn_snapshot(
-          study, sstats.refinalizes + 1, sstats.batches, sstats.records));
-    if (!no_csv && !write_cdn_outputs(out_dir, study)) return 1;
-    return 0;
-  };
-
-  int rc = follow_dir.empty() ? run_studies() : run_follow();
+  const Run run{opt, effective, registry, token, governor, service};
+  Tally atlas_tally, cdn_tally;
+  int rc = atlas ? run_study<AtlasKind>(run, atlas_resume, atlas_tally) : 0;
+  if (rc == 0 && cdn) rc = run_study<CdnKind>(run, cdn_resume, cdn_tally);
 
   // Keep serving the last published snapshots after a successful run until
   // the operator stops us; either way the server drains before metrics are
@@ -1140,79 +1106,34 @@ int main(int argc, char** argv) {
                    st.message().c_str());
       if (rc == 0) rc = 1;
     } else {
-      std::printf("  wrote %s\n", quarantine_out.c_str());
+      std::printf("  wrote %s\n", opt.quarantine_out.c_str());
     }
   }
 
   // Metrics are written on every exit path: an interrupted run reports its
   // partial counters (the checkpoint snapshot excludes them, so a resumed
   // run never double-counts).
-  if (registry && !metrics_out.empty()) {
+  if (registry && !opt.metrics_out.empty()) {
     registry->add_counter("stats.nan_dropped", stats::nan_dropped());
     registry->set_gauge("process.peak_rss_bytes",
                         double(obs::peak_rss_bytes()));
-    if (!obs::write_metrics_json(metrics_out, registry->snapshot(),
+    if (!obs::write_metrics_json(opt.metrics_out, registry->snapshot(),
                                  run_meta)) {
       std::fprintf(stderr, "cannot write metrics to %s\n",
-                   metrics_out.c_str());
+                   opt.metrics_out.c_str());
       if (rc == 0) rc = 1;
     } else {
-      std::printf("  wrote %s\n", metrics_out.c_str());
+      std::printf("  wrote %s\n", opt.metrics_out.c_str());
     }
   }
 
   // Throughput document for tools/check_bench.py. Success only: a
   // cancelled or failed run's wall time measures nothing.
-  if (rc == 0 && !bench_out.empty()) {
-    io::AtomicFileWriter bench(bench_out);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "cannot write %s\n", bench_out.c_str());
-      rc = 1;
-    } else {
-      double total_secs = atlas_secs + cdn_secs;
-      std::uint64_t total_records = atlas_probes + cdn_tuples;
-      auto rate = [](double n, double secs) { return secs > 0 ? n / secs : 0; };
-      auto& os = bench.stream();
-      char buf[2048];
-      std::snprintf(
-          buf, sizeof buf,
-          "{\n"
-          "  \"schema\": \"dynamips.bench.v1\",\n"
-          "  \"meta\": {\"binary\": \"dynamips_study\", \"scale\": %g, "
-          "\"seed\": %llu, \"window_hours\": %llu, \"threads\": %u},\n"
-          "  \"counts\": {\"atlas_probes\": %llu, \"cdn_tuples\": %llu, "
-          "\"nan_dropped\": %llu},\n"
-          "  \"wall_s\": {\"atlas\": %.3f, \"cdn\": %.3f, \"total\": %.3f, "
-          "\"atlas_ingest\": %.3f, \"cdn_ingest\": %.3f},\n"
-          "  \"metrics\": {\n"
-          "    \"atlas_probes_per_sec\": %.1f,\n"
-          "    \"cdn_tuples_per_sec\": %.1f,\n"
-          "    \"records_per_sec\": %.1f,\n"
-          "    \"atlas_ingest_records_per_sec\": %.1f,\n"
-          "    \"cdn_ingest_tuples_per_sec\": %.1f\n"
-          "  }\n"
-          "}\n",
-          scale, (unsigned long long)seed, (unsigned long long)window,
-          effective, (unsigned long long)atlas_probes,
-          (unsigned long long)cdn_tuples,
-          (unsigned long long)stats::nan_dropped(), atlas_secs, cdn_secs,
-          total_secs, atlas_ingest_secs, cdn_ingest_secs,
-          rate(double(atlas_probes), atlas_secs),
-          rate(double(cdn_tuples), cdn_secs),
-          rate(double(total_records), total_secs),
-          rate(double(atlas_ingest_records), atlas_ingest_secs),
-          rate(double(cdn_ingest_records), cdn_ingest_secs));
-      os << buf;
-      core::Status st = bench.commit();
-      if (!st.ok()) {
-        std::fprintf(stderr, "cannot write %s: %s\n", bench_out.c_str(),
-                     st.message().c_str());
-        rc = 1;
-      } else {
-        std::printf("  wrote %s\n", bench_out.c_str());
-      }
-    }
-  }
+  if (rc == 0 && !opt.bench_out.empty() &&
+      !write_file(opt.bench_out, [&](std::ostream& os) {
+        write_bench(os, opt, effective, atlas_tally, cdn_tally);
+      }))
+    rc = 1;
 
   if (core::failpoints_armed())
     std::fprintf(stderr, "failpoints: %s\n",
@@ -1222,14 +1143,14 @@ int main(int argc, char** argv) {
     if (sharding) {
       // The shard checkpoint IS the run's product — keep it (and its
       // `.prev`/`.tmp` siblings are already gone via atomic publish).
-      std::printf("done (shard %u/%u).\n", shard_index, shard_count);
+      std::printf("done (shard %u/%u).\n", opt.shard_index, opt.shard_count);
     } else {
       // The run is fully durable; retire the checkpoint chain, including
       // the per-process shard checkpoints a merge run consumed.
       io::remove_checkpoint_files(checkpoint_out);
-      if (!resume_from.empty() && resume_from != checkpoint_out)
-        io::remove_checkpoint_files(resume_from);
-      for (const std::string& shard_path : split_paths(merge_shards))
+      if (!opt.resume_from.empty() && opt.resume_from != checkpoint_out)
+        io::remove_checkpoint_files(opt.resume_from);
+      for (const std::string& shard_path : split_paths(opt.merge_shards))
         if (shard_path != checkpoint_out)
           io::remove_checkpoint_files(shard_path);
       std::printf("done.\n");
