@@ -9,26 +9,15 @@
 //   DYNAMIPS_SEED         simulation seed (default 1)
 //   DYNAMIPS_THREADS      pipeline shard/thread count (default 0 = all cores)
 //   DYNAMIPS_METRICS      metrics JSON output path (empty = metrics off)
-//   DYNAMIPS_CHECKPOINT_EVERY  checkpoint every N items/shard (0 = off)
-//   DYNAMIPS_CHECKPOINT_OUT    checkpoint path (default <binary>.ckpt)
-//   DYNAMIPS_RESUME_FROM       checkpoint to resume the shared studies from
-//   DYNAMIPS_DEADLINE_SECONDS  soft watchdog; interrupt after S seconds
-// plus `--threads N`, `--metrics-out FILE`, `--checkpoint-every N`,
-// `--checkpoint-out FILE`, `--resume-from FILE` and `--deadline-seconds S`
-// flags (parsed by bench::init) that override the env vars. Every number,
-// flag or env var, is parsed strictly (core/parse_number.h): `abc`, `12x`
-// or an out-of-range value exits 2 naming its source. Thread count
-// never changes results — only wall-clock, which each study reports to
-// stderr together with its throughput. When metrics are enabled the shared
-// studies record into the process-wide obs::MetricsRegistry and
-// bench::finish() (call it from the end of main) writes the
-// schema-versioned JSON document.
-//
-// Crash safety: init() installs SIGINT/SIGTERM handlers wired to the
-// global shutdown token; an interrupted shared study writes a checkpoint
-// (when a path is configured), flushes partial metrics, and exits with
-// code 3. Re-running with --resume-from continues it to byte-identical
-// results at any thread count.
+// plus `--threads N` and `--metrics-out FILE` flags (parsed by bench::init)
+// that override the env vars. Every number, flag or env var, is parsed
+// strictly (core/parse_number.h): `abc`, `12x` or an out-of-range value
+// exits 2 naming its source. Thread count never changes results — only
+// wall-clock, which each study reports to stderr together with its
+// throughput. When metrics are enabled the shared studies record into the
+// process-wide obs::MetricsRegistry and bench::finish() (call it from the
+// end of main) writes the schema-versioned JSON document. The crash-safe
+// runner (checkpoints, resume, deadlines) is tools/dynamips_study.
 #pragma once
 
 #include <chrono>
@@ -36,13 +25,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "core/parse_number.h"
 #include "core/pipeline.h"
-#include "core/shutdown.h"
-#include "io/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/metrics_json.h"
 #include "simnet/isp.h"
@@ -50,9 +36,8 @@
 
 namespace dynamips::bench {
 
-/// Value ranges shared by the flags and their environment variables.
+/// Thread-count range shared by `--threads` and DYNAMIPS_THREADS.
 inline constexpr std::uint64_t kMaxThreads = 4096;
-inline constexpr double kMaxSeconds = 1e9;
 
 /// A numeric environment knob, parsed strictly (core/parse_number.h):
 /// unset or empty means `fallback`; any other value must be a number in
@@ -92,46 +77,14 @@ inline std::string& metrics_out_setting() {
 
 inline bool metrics_enabled() { return !metrics_out_setting().empty(); }
 
-inline std::string env_string(const char* name) {
-  const char* v = std::getenv(name);
-  return v ? std::string(v) : std::string();
-}
-
-/// Periodic-checkpoint interval in work items per shard; 0 disables.
-inline std::uint64_t& checkpoint_every_setting() {
-  static std::uint64_t every = env_number<std::uint64_t>(
-      "DYNAMIPS_CHECKPOINT_EVERY", 0, 0, UINT64_MAX);
-  return every;
-}
-
-/// Explicit checkpoint path; empty = derive from the binary name when
-/// checkpointing or resuming is requested.
-inline std::string& checkpoint_out_setting() {
-  static std::string path = env_string("DYNAMIPS_CHECKPOINT_OUT");
-  return path;
-}
-
-/// Checkpoint to resume the shared studies from; empty = start fresh.
-inline std::string& resume_from_setting() {
-  static std::string path = env_string("DYNAMIPS_RESUME_FROM");
-  return path;
-}
-
-/// Soft watchdog in seconds; 0 disables.
-inline double& deadline_setting() {
-  static double seconds =
-      env_number("DYNAMIPS_DEADLINE_SECONDS", 0.0, 0.0, kMaxSeconds);
-  return seconds;
-}
-
 /// argv[0] basename, stamped into the metrics document's meta.binary.
 inline std::string& binary_name() {
   static std::string name = "bench";
   return name;
 }
 
-/// Parse shared command-line flags (`--threads N`, `--metrics-out FILE`,
-/// ..., each also in its `--flag=V` form). Numbers are parsed strictly with
+/// Parse the shared command-line flags (`--threads N`, `--metrics-out
+/// FILE`, each also in its `--flag=V` form). Numbers are parsed strictly with
 /// the ranges of their environment variables; a bad value exits 2 naming
 /// the flag. Call first thing in main, before touching the studies.
 /// Consumed flags are stripped from argv (argc is updated), so binaries
@@ -153,20 +106,6 @@ inline void init(int& argc, char** argv) {
        }},
       {"--metrics-out",
        [](const char*, const char* v) { metrics_out_setting() = v; }},
-      {"--checkpoint-every",
-       [](const char* f, const char* v) {
-         checkpoint_every_setting() =
-             core::parse_number_or_exit<std::uint64_t>(f, v, 0, UINT64_MAX);
-       }},
-      {"--checkpoint-out",
-       [](const char*, const char* v) { checkpoint_out_setting() = v; }},
-      {"--resume-from",
-       [](const char*, const char* v) { resume_from_setting() = v; }},
-      {"--deadline-seconds",
-       [](const char* f, const char* v) {
-         deadline_setting() =
-             core::parse_number_or_exit(f, v, 0.0, kMaxSeconds);
-       }},
   };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
@@ -190,65 +129,6 @@ inline void init(int& argc, char** argv) {
   }
   argc = out;
   argv[argc] = nullptr;
-  core::install_shutdown_handlers();
-  if (deadline_setting() > 0)
-    core::global_shutdown_token().arm_deadline_seconds(deadline_setting());
-}
-
-/// The checkpoint path in effect: the explicit setting, or `<binary>.ckpt`
-/// when checkpointing/resuming was requested without one. Empty when
-/// supervision is signal-only (interrupts then exit without a snapshot).
-inline std::string checkpoint_path() {
-  if (!checkpoint_out_setting().empty()) return checkpoint_out_setting();
-  if (checkpoint_every_setting() > 0 || !resume_from_setting().empty())
-    return binary_name() + ".ckpt";
-  return {};
-}
-
-/// The resume checkpoint, loaded (with `.prev` fallback) on first use.
-/// An unusable checkpoint aborts the process with a descriptive message.
-inline const io::StudyCheckpoint* resume_checkpoint() {
-  static std::optional<io::StudyCheckpoint> loaded =
-      []() -> std::optional<io::StudyCheckpoint> {
-    const std::string& path = resume_from_setting();
-    if (path.empty()) return std::nullopt;
-    std::string used;
-    auto ck = io::read_checkpoint_with_fallback(path, &used);
-    if (!ck.ok()) {
-      std::fprintf(stderr, "[bench] cannot resume: %s\n",
-                   ck.status().to_string().c_str());
-      std::exit(1);
-    }
-    std::fprintf(stderr, "[bench] resuming from %s (%s, %llu of %llu items)\n",
-                 used.c_str(), io::checkpoint_kind_name(ck->kind),
-                 (unsigned long long)ck->items_done(),
-                 (unsigned long long)ck->item_count);
-    return ck.take();
-  }();
-  return loaded ? &*loaded : nullptr;
-}
-
-/// Supervision config for one shared study. The resume checkpoint is routed
-/// by its kind, so a cdn-study checkpoint never reaches the atlas study
-/// (which simply recomputes — it completed before the interrupt only when
-/// the bench consumes both studies in order).
-inline core::CheckpointConfig study_checkpoint_config(bool atlas_study) {
-  core::CheckpointConfig cc;
-  cc.every_items = checkpoint_every_setting();
-  cc.path = checkpoint_path();
-  cc.token = &core::global_shutdown_token();
-  const io::StudyCheckpoint* ck = resume_checkpoint();
-  if (ck && (atlas_study ? io::is_atlas_checkpoint_kind(ck->kind)
-                         : io::is_cdn_checkpoint_kind(ck->kind)))
-    cc.resume = ck;
-  return cc;
-}
-
-/// Set when a shared study was interrupted: finish() then keeps the
-/// checkpoint chain on disk for the resume.
-inline bool& run_cancelled() {
-  static bool cancelled = false;
-  return cancelled;
 }
 
 /// Registry handed to the shared studies: the process-wide one when
@@ -261,10 +141,6 @@ inline obs::MetricsRegistry* study_metrics() {
 /// was given. Returns main()'s exit status: 0 on success (or when metrics
 /// are off), 1 when the file cannot be written.
 inline int finish() {
-  if (!run_cancelled()) {
-    const std::string ckpt = checkpoint_path();
-    if (!ckpt.empty()) io::remove_checkpoint_files(ckpt);
-  }
   const std::string& path = metrics_out_setting();
   if (path.empty()) return 0;
   auto& registry = obs::MetricsRegistry::global();
@@ -286,23 +162,10 @@ inline int finish() {
   return 0;
 }
 
-/// Unwrap a supervised study result. kCancelled flushes partial metrics and
-/// exits with code 3 (pointing at the checkpoint to resume from); any other
-/// failure exits with code 1.
+/// Unwrap a study result; a failure exits with code 1.
 template <typename T>
 inline T take_or_exit(core::Expected<T> result, const char* what) {
   if (result.ok()) return result.take();
-  if (result.status().code() == core::StatusCode::kCancelled) {
-    std::fprintf(stderr, "[bench] %s\n",
-                 result.status().to_string().c_str());
-    const std::string ckpt = checkpoint_path();
-    if (!ckpt.empty())
-      std::fprintf(stderr, "[bench] resume with --resume-from %s\n",
-                   ckpt.c_str());
-    run_cancelled() = true;
-    finish();
-    std::exit(3);
-  }
   std::fprintf(stderr, "[bench] %s failed: %s\n", what,
                result.status().to_string().c_str());
   std::exit(1);
@@ -334,8 +197,7 @@ inline const core::AtlasStudy& shared_atlas_study() {
     auto cfg = default_atlas_config();
     auto t0 = std::chrono::steady_clock::now();
     auto s = take_or_exit(
-        core::run_atlas_study_supervised(simnet::paper_isps(), cfg,
-                                         study_checkpoint_config(true)),
+        core::run_atlas_study_supervised(simnet::paper_isps(), cfg),
         "atlas study");
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
@@ -362,8 +224,7 @@ inline const core::CdnStudy& shared_cdn_study() {
     auto population = cdn::default_cdn_population(cfg.cdn.subscriber_scale);
     auto t0 = std::chrono::steady_clock::now();
     auto s = take_or_exit(
-        core::run_cdn_study_supervised(population, cfg,
-                                       study_checkpoint_config(false)),
+        core::run_cdn_study_supervised(population, cfg),
         "cdn study");
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)

@@ -30,7 +30,6 @@
 #include "core/sanitize.h"
 #include "io/atomic_file.h"
 #include "io/columnar.h"
-#include "io/dataset_io.h"
 #include "io/readers.h"
 #include "simnet/isp.h"
 
@@ -153,17 +152,17 @@ int main(int argc, char** argv) {
   atlas::ProbeSeries original = sim.series_for(0);
 
   std::stringstream buf;
-  io::write_echo_csv(buf, original);
+  io::write_echo_dataset(buf, {original});
   std::printf("echo CSV: %zu records, %zu bytes\n", original.records.size(),
               buf.str().size());
 
-  auto loaded = io::read_echo_csv(buf);
-  if (!loaded) {
+  auto loaded = io::read_echo_dataset(buf);
+  if (!loaded.ok() || loaded->size() != 1) {
     std::printf("FAILED to parse round-tripped echo CSV\n");
     return 1;
   }
   auto spans_a = core::extract_spans4(core::from_series(original).v4);
-  auto spans_b = core::extract_spans4(core::from_series(*loaded).v4);
+  auto spans_b = core::extract_spans4(core::from_series((*loaded)[0]).v4);
   std::printf("v4 spans original=%zu loaded=%zu -> %s\n", spans_a.size(),
               spans_b.size(),
               spans_a.size() == spans_b.size() ? "identical" : "MISMATCH");
@@ -176,18 +175,18 @@ int main(int argc, char** argv) {
   cdn::AssociationLog log = csim.generate(0);
 
   std::stringstream abuf;
-  io::write_assoc_csv(abuf, log);
-  auto alog = io::read_assoc_csv(abuf);
-  if (!alog) {
+  io::write_assoc_dataset(abuf, {log});
+  auto alogs = io::read_assoc_dataset(abuf);
+  if (!alogs.ok() || alogs->size() != 1) {
     std::printf("FAILED to parse round-tripped association CSV\n");
     return 1;
   }
-  alog->asn = log.asn;
-  alog->registry = log.registry;
+  cdn::AssociationLog& alog = (*alogs)[0];
+  alog.registry = log.registry;
 
   core::CdnAnalyzer a1({}, csim.mobile_asns()), a2({}, csim.mobile_asns());
   a1.add_log(log);
-  a2.add_log(*alog);
+  a2.add_log(alog);
   std::printf("assoc CSV: %zu records; tuples analyzed original=%llu "
               "loaded=%llu -> %s\n",
               log.records.size(), (unsigned long long)a1.total_tuples(),

@@ -1,5 +1,6 @@
 // Fuzz the streaming AssocReader: never crash, bounded memory, exact
-// line-disposition accounting.
+// line-disposition accounting, and the canonical round trip of every
+// yielded record (to_csv, read back, same to_csv).
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
@@ -20,7 +21,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   options.assoc_dedup_adjacent = size % 2 == 0;
   io::AssocReader reader(in, options);
   std::uint64_t yielded = 0;
-  while (reader.next()) ++yielded;
+  while (auto rec = reader.next()) {
+    ++yielded;
+    const std::string canon = io::to_csv(*rec);
+    std::istringstream again_in(canon);
+    auto again = io::AssocReader(again_in).next();
+    if (!again || io::to_csv(*again) != canon) __builtin_trap();
+  }
   const io::IngestStats& st = reader.stats();
   if (st.records_accepted != yielded) __builtin_trap();
   if (st.data_lines != st.records_accepted + st.total_rejects())

@@ -20,26 +20,14 @@ using core::StatusCode;
 
 constexpr char kMagic[8] = {'D', 'Y', 'N', 'C', 'K', 'P', 'T', '1'};
 
-// Section tags (fourcc, little-endian in the file).
-constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
-  return std::uint32_t(std::uint8_t(a)) | std::uint32_t(std::uint8_t(b)) << 8 |
-         std::uint32_t(std::uint8_t(c)) << 16 |
-         std::uint32_t(std::uint8_t(d)) << 24;
-}
+using ckpt::fourcc;
+
+// Section tags.
 constexpr std::uint32_t kSecMeta = fourcc('M', 'E', 'T', 'A');
 constexpr std::uint32_t kSecShard = fourcc('S', 'H', 'R', 'D');
 constexpr std::uint32_t kSecRegistry = fourcc('R', 'E', 'G', 'S');
 constexpr std::uint32_t kSecSupervisor = fourcc('S', 'U', 'P', 'V');
 constexpr std::uint32_t kSecStream = fourcc('S', 'T', 'R', 'M');
-
-std::string section_name(std::uint32_t tag) {
-  std::string name(4, '?');
-  for (int i = 0; i < 4; ++i) {
-    char c = char((tag >> (8 * i)) & 0xFF);
-    name[std::size_t(i)] = (c >= 32 && c < 127) ? c : '?';
-  }
-  return name;
-}
 
 void append_section(ckpt::Writer& out, std::uint32_t tag,
                     std::string_view payload) {
@@ -68,7 +56,7 @@ const char* checkpoint_kind_name(std::uint32_t kind) {
 
 std::string encode_checkpoint(const StudyCheckpoint& ckpt) {
   ckpt::Writer out;
-  for (char c : kMagic) out.u8(std::uint8_t(c));
+  out.raw({kMagic, sizeof kMagic});
   out.u32(kCheckpointVersion);
   std::uint32_t sections = 1 + std::uint32_t(ckpt.shards.size()) +
                            (ckpt.registry_blob.empty() ? 0u : 1u) +
@@ -138,7 +126,8 @@ Expected<StudyCheckpoint> decode_checkpoint(std::string_view bytes) {
     std::uint32_t crc = in.u32();
     if (!in.ok()) return data_loss("truncated section table");
     if (crc != ckpt::crc32(payload))
-      return data_loss("section " + section_name(tag) + " CRC mismatch");
+      return data_loss("section " + ckpt::fourcc_name(tag) +
+                       " CRC mismatch");
 
     ckpt::Reader sec(payload);
     if (tag == kSecMeta) {
@@ -169,7 +158,7 @@ Expected<StudyCheckpoint> decode_checkpoint(std::string_view bytes) {
       if (!sec.ok() || sec.remaining() != 0)
         return data_loss("malformed STRM section");
     } else {
-      return data_loss("unknown section " + section_name(tag));
+      return data_loss("unknown section " + ckpt::fourcc_name(tag));
     }
   }
   if (!in.ok() || in.remaining() != 0)

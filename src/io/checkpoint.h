@@ -56,12 +56,12 @@ namespace dynamips::io {
 namespace ckpt {
 
 /// CRC32 (IEEE 802.3 polynomial, reflected), table-driven. Eight tables:
-/// table[0] is the classic byte-at-a-time table (kept public — tests and
-/// tools index it directly); the other seven extend it so crc32() can use
-/// the slicing-by-8 formulation, which processes 8 input bytes per
-/// iteration and runs ~5x faster over the multi-hundred-MB columnar
-/// batches whose every payload byte is CRC-covered. Same polynomial, same
-/// values as the bytewise loop — only the traversal order changes.
+/// table[0] is the classic byte-at-a-time table; the other seven extend it
+/// so crc32() can use the slicing-by-8 formulation, which processes 8
+/// input bytes per iteration and runs ~5x faster over the multi-hundred-MB
+/// columnar batches whose every payload byte is CRC-covered. Same
+/// polynomial, same values as the bytewise loop — only the traversal order
+/// changes. The one CRC32 of the checkpoint and DYNCOL1 containers.
 inline const std::array<std::array<std::uint32_t, 256>, 8>& crc32_tables() {
   static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
     std::array<std::array<std::uint32_t, 256>, 8> t{};
@@ -83,26 +83,27 @@ inline const std::array<std::array<std::uint32_t, 256>, 8>& crc32_tables() {
   return tables;
 }
 
-inline const std::array<std::uint32_t, 256>& crc32_table() {
-  return crc32_tables()[0];
+/// Little-endian loads from raw bytes: byte-order portable, and every
+/// mainstream compiler folds them into a single load on LE targets.
+inline std::uint32_t load_le32(const char* p) {
+  return std::uint32_t(std::uint8_t(p[0])) |
+         std::uint32_t(std::uint8_t(p[1])) << 8 |
+         std::uint32_t(std::uint8_t(p[2])) << 16 |
+         std::uint32_t(std::uint8_t(p[3])) << 24;
+}
+
+inline std::uint64_t load_le64(const char* p) {
+  return std::uint64_t(load_le32(p)) | std::uint64_t(load_le32(p + 4)) << 32;
 }
 
 inline std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0) {
   const auto& t = crc32_tables();
-  // Explicit little-endian word assembly: byte-order portable, and every
-  // mainstream compiler folds it into a single 32-bit load on LE targets.
-  auto le32 = [](const char* q) {
-    return std::uint32_t(std::uint8_t(q[0])) |
-           std::uint32_t(std::uint8_t(q[1])) << 8 |
-           std::uint32_t(std::uint8_t(q[2])) << 16 |
-           std::uint32_t(std::uint8_t(q[3])) << 24;
-  };
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const char* p = bytes.data();
   std::size_t n = bytes.size();
   while (n >= 8) {
-    const std::uint32_t lo = le32(p);
-    const std::uint32_t hi = le32(p + 4);
+    const std::uint32_t lo = load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
     c ^= lo;
     c = t[7][c & 0xFFu] ^ t[6][(c >> 8) & 0xFFu] ^ t[5][(c >> 16) & 0xFFu] ^
         t[4][c >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
@@ -113,6 +114,25 @@ inline std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0) {
   for (; n; --n, ++p)
     c = t[0][(c ^ std::uint8_t(*p)) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+/// Four-character section/column tag of the DYNCKPT1 and DYNCOL1
+/// containers, stored little-endian (the file holds the characters in
+/// order).
+constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
+  return std::uint32_t(std::uint8_t(a)) | std::uint32_t(std::uint8_t(b)) << 8 |
+         std::uint32_t(std::uint8_t(c)) << 16 |
+         std::uint32_t(std::uint8_t(d)) << 24;
+}
+
+/// A tag's four characters for error messages; non-printable bytes as '?'.
+inline std::string fourcc_name(std::uint32_t tag) {
+  std::string name(4, '?');
+  for (int i = 0; i < 4; ++i) {
+    char c = char((tag >> (8 * i)) & 0xFF);
+    name[std::size_t(i)] = (c >= 32 && c < 127) ? c : '?';
+  }
+  return name;
 }
 
 /// FNV-1a over a byte string — the config-fingerprint hash.
@@ -141,8 +161,11 @@ class Writer {
   }
   void str(std::string_view s) {
     u64(s.size());
-    buf_.append(s.data(), s.size());
+    raw(s);
   }
+  /// Bytes as they are, without a length prefix.
+  void raw(std::string_view s) { buf_.append(s.data(), s.size()); }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const std::string& buffer() const { return buf_; }
   std::string take() { return std::move(buf_); }
@@ -177,17 +200,13 @@ class Reader {
   }
   std::uint32_t u32() {
     if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= std::uint32_t(std::uint8_t(buf_[pos_++])) << (8 * i);
-    return v;
+    pos_ += 4;
+    return load_le32(buf_.data() + pos_ - 4);
   }
   std::uint64_t u64() {
     if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= std::uint64_t(std::uint8_t(buf_[pos_++])) << (8 * i);
-    return v;
+    pos_ += 8;
+    return load_le64(buf_.data() + pos_ - 8);
   }
   std::int32_t i32() { return std::int32_t(u32()); }
   double f64() {

@@ -1,8 +1,6 @@
 #include "io/columnar.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <fstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,64 +25,13 @@ using core::Expected;
 using core::Status;
 using core::StatusCode;
 
-// ------------------------------------------------------------ CRC32 (fast)
-//
-// Same IEEE/reflected polynomial and result as ckpt::crc32 (the unit tests
-// assert equality), but slice-by-8: eight table lookups per eight input
-// bytes instead of one per byte. Column payloads are the bulk of every
-// batch, and verifying their checksums is a fixed cost on the mmap ingest
-// path, so it must run at memory speed, not at byte-loop speed.
-
-const std::array<std::array<std::uint32_t, 256>, 8>& crc32_tables() {
-  static const auto tables = [] {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
-    t[0] = ckpt::crc32_table();
-    for (std::size_t k = 1; k < 8; ++k)
-      for (std::size_t i = 0; i < 256; ++i)
-        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-    return t;
-  }();
-  return tables;
-}
-
-inline std::uint32_t load_le32(const char* p) {
-  return std::uint32_t(std::uint8_t(p[0])) |
-         std::uint32_t(std::uint8_t(p[1])) << 8 |
-         std::uint32_t(std::uint8_t(p[2])) << 16 |
-         std::uint32_t(std::uint8_t(p[3])) << 24;
-}
-
-inline std::uint64_t load_le64(const char* p) {
-  return std::uint64_t(load_le32(p)) |
-         std::uint64_t(load_le32(p + 4)) << 32;
-}
-
-std::uint32_t crc32_fast(std::string_view bytes) {
-  const auto& t = crc32_tables();
-  std::uint32_t c = 0xFFFFFFFFu;
-  const char* p = bytes.data();
-  std::size_t n = bytes.size();
-  while (n >= 8) {
-    c ^= load_le32(p);
-    const std::uint32_t hi = load_le32(p + 4);
-    c = t[7][c & 0xFFu] ^ t[6][(c >> 8) & 0xFFu] ^ t[5][(c >> 16) & 0xFFu] ^
-        t[4][c >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  while (n--) c = t[0][(c ^ std::uint8_t(*p++)) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
+using ckpt::crc32;
+using ckpt::fourcc;
+using ckpt::fourcc_name;
+using ckpt::load_le32;
+using ckpt::load_le64;
 
 // ------------------------------------------------------------ column tags
-
-constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
-  return std::uint32_t(std::uint8_t(a)) |
-         std::uint32_t(std::uint8_t(b)) << 8 |
-         std::uint32_t(std::uint8_t(c)) << 16 |
-         std::uint32_t(std::uint8_t(d)) << 24;
-}
 
 // group table (shared shape; the id column differs by kind)
 constexpr std::uint32_t kColGroupProbe = fourcc('G', 'P', 'I', 'D');
@@ -113,34 +60,7 @@ constexpr std::uint32_t kColAsn6 = fourcc('A', 'S', '6', '_');
 constexpr std::size_t kAlign = 64;
 constexpr std::uint32_t kMaxColumns = 64;
 
-std::string tag_name(std::uint32_t tag) {
-  std::string s(4, '?');
-  for (int i = 0; i < 4; ++i) {
-    char c = char((tag >> (8 * i)) & 0xFF);
-    s[i] = (c >= 32 && c < 127) ? c : '?';
-  }
-  return s;
-}
-
 // ---------------------------------------------------------------- encoding
-
-/// Append-only little-endian column buffer (reserve-friendly raw appends;
-/// ckpt::Writer pushes byte by byte, which is fine for the small tag blob
-/// but not for multi-hundred-megabyte row columns).
-struct ColBuf {
-  std::string bytes;
-
-  void u8(std::uint8_t v) { bytes.push_back(char(v)); }
-  void u32(std::uint32_t v) {
-    char b[4] = {char(v & 0xFF), char((v >> 8) & 0xFF), char((v >> 16) & 0xFF),
-                 char((v >> 24) & 0xFF)};
-    bytes.append(b, 4);
-  }
-  void u64(std::uint64_t v) {
-    u32(std::uint32_t(v));
-    u32(std::uint32_t(v >> 32));
-  }
-};
 
 struct Column {
   std::uint32_t tag = 0;
@@ -161,9 +81,9 @@ std::string assemble(std::uint32_t kind, std::uint64_t rows,
     cursor += columns[i].payload.size();
   }
 
-  ColBuf head;
-  head.bytes.reserve(header_size);
-  head.bytes.append(kColumnarMagic);
+  ckpt::Writer head;
+  head.reserve(header_size);
+  head.raw(kColumnarMagic);
   head.u32(kColumnarVersion);
   head.u32(kind);
   head.u64(rows);
@@ -173,13 +93,12 @@ std::string assemble(std::uint32_t kind, std::uint64_t rows,
     head.u32(columns[i].tag);
     head.u64(offsets[i]);
     head.u64(columns[i].payload.size());
-    head.u32(crc32_fast(columns[i].payload));
+    head.u32(crc32(columns[i].payload));
   }
-  head.u32(crc32_fast(head.bytes));
+  head.u32(crc32(head.buffer()));
 
-  std::string out;
+  std::string out = head.take();
   out.reserve(cursor);
-  out = std::move(head.bytes);
   for (std::size_t i = 0; i < columns.size(); ++i) {
     out.resize(offsets[i], '\0');  // alignment padding
     out += columns[i].payload;
@@ -198,18 +117,17 @@ std::string encode_echo_columnar(
   std::uint64_t rows = 0;
   for (const auto& series : dataset) rows += series.records.size();
 
-  ColBuf gid, gcnt, hour, fam, x4, s4, x6hi, x6lo, s6hi, s6lo;
-  ckpt::Writer tags;
-  gid.bytes.reserve(dataset.size() * 4);
-  gcnt.bytes.reserve(dataset.size() * 8);
-  hour.bytes.reserve(rows * 8);
-  fam.bytes.reserve(rows);
-  x4.bytes.reserve(rows * 4);
-  s4.bytes.reserve(rows * 4);
-  x6hi.bytes.reserve(rows * 8);
-  x6lo.bytes.reserve(rows * 8);
-  s6hi.bytes.reserve(rows * 8);
-  s6lo.bytes.reserve(rows * 8);
+  ckpt::Writer gid, gcnt, tags, hour, fam, x4, s4, x6hi, x6lo, s6hi, s6lo;
+  gid.reserve(dataset.size() * 4);
+  gcnt.reserve(dataset.size() * 8);
+  hour.reserve(rows * 8);
+  fam.reserve(rows);
+  x4.reserve(rows * 4);
+  s4.reserve(rows * 4);
+  x6hi.reserve(rows * 8);
+  x6lo.reserve(rows * 8);
+  s6hi.reserve(rows * 8);
+  s6lo.reserve(rows * 8);
 
   for (const auto& series : dataset) {
     gid.u32(series.meta.probe_id);
@@ -230,17 +148,17 @@ std::string encode_echo_columnar(
   }
 
   std::vector<Column> cols;
-  cols.push_back({kColGroupProbe, std::move(gid.bytes)});
-  cols.push_back({kColGroupRows, std::move(gcnt.bytes)});
+  cols.push_back({kColGroupProbe, gid.take()});
+  cols.push_back({kColGroupRows, gcnt.take()});
   cols.push_back({kColGroupTags, tags.take()});
-  cols.push_back({kColHour, std::move(hour.bytes)});
-  cols.push_back({kColFamily, std::move(fam.bytes)});
-  cols.push_back({kColX4, std::move(x4.bytes)});
-  cols.push_back({kColS4, std::move(s4.bytes)});
-  cols.push_back({kColX6Hi, std::move(x6hi.bytes)});
-  cols.push_back({kColX6Lo, std::move(x6lo.bytes)});
-  cols.push_back({kColS6Hi, std::move(s6hi.bytes)});
-  cols.push_back({kColS6Lo, std::move(s6lo.bytes)});
+  cols.push_back({kColHour, hour.take()});
+  cols.push_back({kColFamily, fam.take()});
+  cols.push_back({kColX4, x4.take()});
+  cols.push_back({kColS4, s4.take()});
+  cols.push_back({kColX6Hi, x6hi.take()});
+  cols.push_back({kColX6Lo, x6lo.take()});
+  cols.push_back({kColS6Hi, s6hi.take()});
+  cols.push_back({kColS6Lo, s6lo.take()});
   return assemble(kColumnarKindEcho, rows, dataset.size(), std::move(cols));
 }
 
@@ -249,17 +167,17 @@ std::string encode_assoc_columnar(
   std::uint64_t rows = 0;
   for (const auto& log : dataset) rows += log.records.size();
 
-  ColBuf gasn, gcnt, day, v4a, v4l, v6hi, v6lo, v6l, as4, as6;
-  gasn.bytes.reserve(dataset.size() * 4);
-  gcnt.bytes.reserve(dataset.size() * 8);
-  day.bytes.reserve(rows * 4);
-  v4a.bytes.reserve(rows * 4);
-  v4l.bytes.reserve(rows);
-  v6hi.bytes.reserve(rows * 8);
-  v6lo.bytes.reserve(rows * 8);
-  v6l.bytes.reserve(rows);
-  as4.bytes.reserve(rows * 4);
-  as6.bytes.reserve(rows * 4);
+  ckpt::Writer gasn, gcnt, day, v4a, v4l, v6hi, v6lo, v6l, as4, as6;
+  gasn.reserve(dataset.size() * 4);
+  gcnt.reserve(dataset.size() * 8);
+  day.reserve(rows * 4);
+  v4a.reserve(rows * 4);
+  v4l.reserve(rows);
+  v6hi.reserve(rows * 8);
+  v6lo.reserve(rows * 8);
+  v6l.reserve(rows);
+  as4.reserve(rows * 4);
+  as6.reserve(rows * 4);
 
   for (const auto& log : dataset) {
     gasn.u32(log.asn);
@@ -281,16 +199,16 @@ std::string encode_assoc_columnar(
   }
 
   std::vector<Column> cols;
-  cols.push_back({kColGroupAsn, std::move(gasn.bytes)});
-  cols.push_back({kColGroupRows, std::move(gcnt.bytes)});
-  cols.push_back({kColDay, std::move(day.bytes)});
-  cols.push_back({kColV4Addr, std::move(v4a.bytes)});
-  cols.push_back({kColV4Len, std::move(v4l.bytes)});
-  cols.push_back({kColV6Hi, std::move(v6hi.bytes)});
-  cols.push_back({kColV6Lo, std::move(v6lo.bytes)});
-  cols.push_back({kColV6Len, std::move(v6l.bytes)});
-  cols.push_back({kColAsn4, std::move(as4.bytes)});
-  cols.push_back({kColAsn6, std::move(as6.bytes)});
+  cols.push_back({kColGroupAsn, gasn.take()});
+  cols.push_back({kColGroupRows, gcnt.take()});
+  cols.push_back({kColDay, day.take()});
+  cols.push_back({kColV4Addr, v4a.take()});
+  cols.push_back({kColV4Len, v4l.take()});
+  cols.push_back({kColV6Hi, v6hi.take()});
+  cols.push_back({kColV6Lo, v6lo.take()});
+  cols.push_back({kColV6Len, v6l.take()});
+  cols.push_back({kColAsn4, as4.take()});
+  cols.push_back({kColAsn6, as6.take()});
   return assemble(kColumnarKindAssoc, rows, dataset.size(), std::move(cols));
 }
 
@@ -384,7 +302,7 @@ Status parse_structure(std::string_view bytes, std::uint32_t expected_kind,
     return data_loss("file truncated inside the column directory");
   const std::uint32_t stored_header_crc =
       load_le32(bytes.data() + header_size - 4);
-  if (crc32_fast(bytes.substr(0, header_size - 4)) != stored_header_crc)
+  if (crc32(bytes.substr(0, header_size - 4)) != stored_header_crc)
     return data_loss("header checksum mismatch");
 
   const char* dir = bytes.data() + kFixedHeader;
@@ -396,12 +314,12 @@ Status parse_structure(std::string_view bytes, std::uint32_t expected_kind,
     const std::uint32_t crc = load_le32(e + 20);
     if (offset < header_size || offset > bytes.size() ||
         length > bytes.size() - offset)
-      return data_loss("column " + tag_name(tag) + " is out of bounds");
+      return data_loss("column " + fourcc_name(tag) + " is out of bounds");
     std::string_view payload = bytes.substr(offset, length);
-    if (crc32_fast(payload) != crc)
-      return data_loss("column " + tag_name(tag) + " checksum mismatch");
+    if (crc32(payload) != crc)
+      return data_loss("column " + fourcc_name(tag) + " checksum mismatch");
     if (!out.columns.emplace(tag, ColView{payload.data(), length}).second)
-      return data_loss("duplicate column " + tag_name(tag));
+      return data_loss("duplicate column " + fourcc_name(tag));
   }
   return Status::Ok();
 }
@@ -412,9 +330,9 @@ Expected<ColView> fixed_column(const Batch& batch, std::uint32_t tag,
                                std::uint64_t count, std::uint64_t width) {
   auto it = batch.columns.find(tag);
   if (it == batch.columns.end())
-    return data_loss("missing column " + tag_name(tag));
+    return data_loss("missing column " + fourcc_name(tag));
   if (it->second.length != count * width)
-    return data_loss("column " + tag_name(tag) + " holds " +
+    return data_loss("column " + fourcc_name(tag) + " holds " +
                      std::to_string(it->second.length) +
                      " bytes, expected " + std::to_string(count * width));
   return it->second;
@@ -483,7 +401,7 @@ Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
       return Status(col->status()).with_context("load echo columnar batch");
   auto tags_it = batch.columns.find(kColGroupTags);
   if (tags_it == batch.columns.end())
-    return data_loss("missing column " + tag_name(kColGroupTags))
+    return data_loss("missing column " + fourcc_name(kColGroupTags))
         .with_context("load echo columnar batch");
   if (Status st = check_group_rows(gcnt.value(), batch.groups, batch.rows);
       !st.ok())
@@ -539,14 +457,15 @@ Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
       ledger.count_data();
       const std::uint8_t f = fam.value().u8(row);
       const std::uint64_t h = hour.value().u64(row);
-      if (f > 1) {
-        ledger.reject(RejectReason::kBadNumber, echo_row_text(probe, h, f),
+      // Same order as the CSV reader: the hour range before the family.
+      if (h > options.max_hour) {
+        ledger.reject(RejectReason::kOutOfRange, echo_row_text(probe, h, f),
                       row + 1);
         if (ledger.tripped()) break;
         continue;
       }
-      if (h > options.max_hour) {
-        ledger.reject(RejectReason::kOutOfRange, echo_row_text(probe, h, f),
+      if (f > 1) {
+        ledger.reject(RejectReason::kBadNumber, echo_row_text(probe, h, f),
                       row + 1);
         if (ledger.tripped()) break;
         continue;

@@ -9,7 +9,6 @@
 
 #include "core/failpoint.h"
 #include "io/csv.h"
-#include "io/dataset_io.h"
 
 namespace dynamips::io {
 
@@ -570,6 +569,40 @@ void merge_assoc_datasets(std::vector<cdn::AssociationLog>& into,
                        return a.day < b.day;
                      });
   }
+}
+
+std::string to_csv(const atlas::EchoRecord& rec) {
+  std::string out;
+  out += std::to_string(rec.probe_id);
+  out += ',';
+  out += std::to_string(rec.hour);
+  out += ',';
+  if (rec.family == atlas::Family::kV4) {
+    out += "4,";
+    out += rec.x_client_ip4.to_string();
+    out += ',';
+    out += rec.src_addr4.to_string();
+  } else {
+    out += "6,";
+    out += rec.x_client_ip6.to_string();
+    out += ',';
+    out += rec.src_addr6.to_string();
+  }
+  return out;
+}
+
+std::string to_csv(const cdn::AssociationRecord& rec) {
+  std::string out;
+  out += std::to_string(rec.day);
+  out += ',';
+  out += rec.v4_24.to_string();
+  out += ',';
+  out += rec.v6_64.to_string();
+  out += ',';
+  out += std::to_string(rec.asn4);
+  out += ',';
+  out += std::to_string(rec.asn6);
+  return out;
 }
 
 void write_echo_dataset(std::ostream& os,

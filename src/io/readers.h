@@ -1,9 +1,12 @@
-// readers.h — fault-tolerant streaming dataset readers.
+// readers.h — the dataset CSV codec: fault-tolerant streaming readers and
+// the matching writers.
 //
-// The legacy codecs in dataset_io.h abort a whole load on the first
-// malformed line; that is unusable on real exports (six years of Atlas
-// echo records, billions of CDN tuples) where some fraction of lines is
-// always damaged. These readers recover per record instead of per file:
+// Echo schema:   probe_id,hour,family,x_client_ip,src_addr
+// Assoc schema:  day,v4_24,v6_64,asn4,asn6
+//
+// Real exports (six years of Atlas echo records, billions of CDN tuples)
+// always carry some damaged lines, so these readers recover per record
+// instead of per file:
 //
 //  * every malformed line is CLASSIFIED (oversize line, bad field count,
 //    unparsable number, unparsable address, out-of-range hour/day,
@@ -21,8 +24,8 @@
 //    field splitting is capped (csv.h), and CRLF line endings / a UTF-8
 //    BOM on the header are tolerated.
 //
-// File format: the dataset_io.h schemas, plus optional '#'-prefixed
-// metadata lines so datasets survive a round trip through CSV:
+// Besides the schema lines, optional '#'-prefixed metadata lines let
+// datasets survive a round trip through CSV:
 //   #probe,<id>            declares a probe (keeps empty histories alive)
 //   #tags,<id>,t1;t2       Atlas probe tags (the sanitizer filters on them)
 //   #log,<asn>             declares a CDN association log
@@ -343,7 +346,7 @@ core::Expected<std::vector<atlas::ProbeSeries>> read_echo_dataset(
 /// Load a whole association stream: records grouped into one
 /// AssociationLog per origin ASN (asn6, first-appearance order), records
 /// stably sorted by day. The logs' mobile/registry attribution is left for
-/// the caller (as with dataset_io.h's read_assoc_csv).
+/// the caller.
 core::Expected<std::vector<cdn::AssociationLog>> read_assoc_dataset(
     std::istream& is, const ReaderOptions& options = {},
     IngestStats* stats = nullptr);
@@ -356,6 +359,11 @@ void merge_echo_datasets(std::vector<atlas::ProbeSeries>& into,
 /// Append `more` into `into`, merging logs of the same ASN.
 void merge_assoc_datasets(std::vector<cdn::AssociationLog>& into,
                           std::vector<cdn::AssociationLog>&& more);
+
+/// One record as a schema line (no trailing newline) — the only record
+/// writer; the readers above parse exactly this form.
+std::string to_csv(const atlas::EchoRecord& rec);
+std::string to_csv(const cdn::AssociationRecord& rec);
 
 /// Write a multi-probe dataset: one header, then per probe a "#probe"
 /// declaration, optional "#tags", and its records. read_echo_dataset

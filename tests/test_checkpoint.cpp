@@ -26,7 +26,6 @@
 #include "core/shutdown.h"
 #include "io/atomic_file.h"
 #include "io/checkpoint.h"
-#include "io/dataset_io.h"
 #include "io/results_io.h"
 #include "obs/metrics.h"
 #include "simnet/isp.h"

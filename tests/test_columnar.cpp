@@ -352,6 +352,76 @@ TEST(ColumnarBudget, QuarantineReceivesDecimalRendering) {
   EXPECT_NE(qt.str().find("9000000"), std::string::npos);
 }
 
+// A row that is both out of range and of an invalid family must get the
+// same reason from a .col batch as from the CSV line: both readers check
+// the hour range first (out_of_range), then the family (bad_number). The
+// batch is patched by hand, with its column and header CRCs re-sealed.
+TEST(ColumnarBudget, EchoRejectOrderMatchesCsvReader) {
+  std::vector<atlas::ProbeSeries> dataset(1);
+  dataset[0].meta.probe_id = 42;
+  for (std::uint64_t hour : {1u, 2u, 1000000u}) {
+    atlas::EchoRecord rec;
+    rec.probe_id = 42;
+    rec.hour = hour;
+    rec.family = atlas::Family::kV4;
+    rec.x_client_ip4 = *net::IPv4Address::parse("80.1.2.3");
+    rec.src_addr4 = *net::IPv4Address::parse("192.168.1.5");
+    dataset[0].records.push_back(rec);
+  }
+  std::string bytes = io::encode_echo_columnar(dataset);
+  auto u64_at = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+      v |= std::uint64_t(std::uint8_t(bytes[off + std::size_t(i)]))
+           << (8 * i);
+    return v;
+  };
+  auto store_u32 = [&](std::size_t off, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i)
+      bytes[off + std::size_t(i)] = char((v >> (8 * i)) & 0xFF);
+  };
+  const std::uint32_t ncols = std::uint8_t(bytes[32]);  // < 64 columns
+  const std::size_t header_size = 36 + std::size_t(ncols) * 24 + 4;
+  bool patched = false;
+  for (std::uint32_t c = 0; c < ncols; ++c) {
+    const std::size_t entry = 36 + std::size_t(c) * 24;
+    if (bytes.compare(entry, 4, "FAM_") != 0) continue;
+    const std::uint64_t offset = u64_at(entry + 4);
+    ASSERT_EQ(u64_at(entry + 12), 3u);
+    bytes[offset + 1] = 5;  // rows 2 and 3: family byte 5
+    bytes[offset + 2] = 5;
+    const std::string_view column = std::string_view(bytes).substr(offset, 3);
+    store_u32(entry + 20, io::ckpt::crc32(column));
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  const std::string_view header =
+      std::string_view(bytes).substr(0, header_size - 4);
+  store_u32(header_size - 4, io::ckpt::crc32(header));
+
+  io::ReaderOptions opts;
+  opts.max_reject_fraction = 1.0;
+  io::IngestStats col_stats;
+  auto from_col = io::decode_echo_columnar(bytes, opts, &col_stats);
+  ASSERT_TRUE(from_col.ok()) << from_col.status().to_string();
+
+  std::istringstream csv(
+      "probe_id,hour,family,x_client_ip,src_addr\n"
+      "42,1,4,80.1.2.3,192.168.1.5\n"
+      "42,2,5,80.1.2.3,192.168.1.5\n"
+      "42,1000000,5,80.1.2.3,192.168.1.5\n");
+  io::IngestStats csv_stats;
+  auto from_csv = io::read_echo_dataset(csv, opts, &csv_stats);
+  ASSERT_TRUE(from_csv.ok()) << from_csv.status().to_string();
+
+  EXPECT_EQ(csv_stats.rejects_for(io::RejectReason::kOutOfRange), 1u);
+  EXPECT_EQ(csv_stats.rejects_for(io::RejectReason::kBadNumber), 1u);
+  for (std::size_t r = 0; r < io::kRejectReasonCount; ++r)
+    EXPECT_EQ(col_stats.rejects[r], csv_stats.rejects[r])
+        << io::reject_reason_name(io::RejectReason(r));
+  EXPECT_EQ(col_stats.records_accepted, 1u);
+}
+
 // --------------------------------------- end-to-end study byte-identity
 //
 // The acceptance criterion for the format: feeding the studies from `.col`

@@ -253,6 +253,60 @@ TEST(Ingest, EchoClassifiesEveryRejectReason) {
   EXPECT_TRUE(contains(stats.summary(), "6 rejected"));
 }
 
+TEST(Ingest, AssocClassifiesEveryRejectReason) {
+  const std::string input =
+      "day,v4_24,v6_64,asn4,asn6\n"                     // 1 header
+      "1,80.1.2.0/24,2003::/64,1,1\n"                   // 2 accept
+      "1,2,3,4\n"                                       // 3 bad_field_count
+      "x,80.1.2.0/24,2003::/64,1,1\n"                   // 4 bad_number
+      "1,80.1.2.0/24,2003::/64,1,y\n"                   // 5 bad_number
+      "1,80.1.2.0,2003::/64,1,1\n"                      // 6 v4 without length
+      "1,80.1.2.0/24,2003::,1,1\n"                      // 7 v6 without length
+      "99999,80.1.2.0/24,2003::/64,1,1\n"               // 8 out_of_range
+      "2,80.1.2.0/24,2003::/64,1,1\n"                   // 9 accept
+      "2,80.1.2.0/24,2003::/64,1,1\n"                   // 10 duplicate
+      "\n";                                             // 11 blank, not data
+  std::istringstream in(input);
+  std::ostringstream quarantine;
+  obs::MetricsSink metrics;
+  ReaderOptions opts;
+  opts.max_reject_fraction = 1.0;
+  opts.assoc_dedup_adjacent = true;
+  opts.quarantine = &quarantine;
+  opts.source_label = "in.csv";
+  opts.metrics = &metrics;
+
+  io::IngestStats stats;
+  auto loaded = io::read_assoc_dataset(in, opts, &stats);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(stats.records_accepted, 2u);
+  EXPECT_EQ(stats.rejects_for(RejectReason::kBadFieldCount), 1u);
+  EXPECT_EQ(stats.rejects_for(RejectReason::kBadNumber), 2u);
+  EXPECT_EQ(stats.rejects_for(RejectReason::kBadAddress), 2u);
+  EXPECT_EQ(stats.rejects_for(RejectReason::kOutOfRange), 1u);
+  EXPECT_EQ(stats.rejects_for(RejectReason::kDuplicate), 1u);
+  EXPECT_EQ(stats.total_rejects(), 7u);
+  EXPECT_EQ(stats.blank_lines, 1u);
+
+  const std::string q = quarantine.str();
+  EXPECT_TRUE(contains(q, "in.csv,3,bad_field_count,1,2,3,4\n")) << q;
+  EXPECT_TRUE(contains(q, "in.csv,4,bad_number,x,")) << q;
+  EXPECT_TRUE(contains(q, "in.csv,5,bad_number,1,")) << q;
+  EXPECT_TRUE(
+      contains(q, "in.csv,6,bad_address,1,80.1.2.0,2003::/64,1,1\n"))
+      << q;
+  EXPECT_TRUE(
+      contains(q, "in.csv,7,bad_address,1,80.1.2.0/24,2003::,1,1\n"))
+      << q;
+  EXPECT_TRUE(contains(q, "in.csv,8,out_of_range,99999,")) << q;
+  EXPECT_TRUE(contains(q, "in.csv,10,duplicate,2,")) << q;
+
+  EXPECT_EQ(metrics.counter("ingest.reject.bad_address").value, 2u);
+  EXPECT_EQ(metrics.counter("ingest.quarantined").value, 7u);
+  EXPECT_EQ(metrics.counter("ingest.records").value, 2u);
+  EXPECT_EQ(metrics.counter("ingest.lines").value, 11u);
+}
+
 TEST(Ingest, ToleratesCrlfBomAndRepeatedHeaders) {
   const std::string input =
       "\xEF\xBB\xBF"

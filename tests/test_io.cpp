@@ -1,4 +1,4 @@
-#include "io/dataset_io.h"
+#include "io/readers.h"
 
 #include <gtest/gtest.h>
 
@@ -6,10 +6,17 @@
 
 #include "core/failpoint.h"
 #include "io/csv.h"
-#include "io/readers.h"
 
 namespace dynamips::io {
 namespace {
+
+/// The one record a reader yields for a single data line.
+template <typename Reader>
+auto read_one(const std::string& line) {
+  std::istringstream in(line + "\n");
+  Reader reader(in);
+  return reader.next();
+}
 
 TEST(Csv, SplitBasic) {
   auto f = split_csv("a,b,c");
@@ -39,7 +46,7 @@ TEST(EchoIo, V4RoundTrip) {
   r.src_addr4 = *net::IPv4Address::parse("192.168.1.5");
   std::string line = to_csv(r);
   EXPECT_EQ(line, "12345,99,4,80.1.2.3,192.168.1.5");
-  auto parsed = echo_from_csv(line);
+  auto parsed = read_one<EchoReader>(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->probe_id, r.probe_id);
   EXPECT_EQ(parsed->hour, r.hour);
@@ -54,21 +61,38 @@ TEST(EchoIo, V6RoundTrip) {
   r.family = atlas::Family::kV6;
   r.x_client_ip6 = *net::IPv6Address::parse("2003:ec57:1100::1");
   r.src_addr6 = r.x_client_ip6;
-  auto parsed = echo_from_csv(to_csv(r));
+  auto parsed = read_one<EchoReader>(to_csv(r));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->family, atlas::Family::kV6);
   EXPECT_EQ(parsed->x_client_ip6, r.x_client_ip6);
 }
 
 TEST(EchoIo, RejectsMalformed) {
-  EXPECT_FALSE(echo_from_csv("").has_value());
-  EXPECT_FALSE(echo_from_csv("1,2,3").has_value());
-  EXPECT_FALSE(echo_from_csv("1,2,5,80.1.2.3,192.168.1.5").has_value());
-  EXPECT_FALSE(echo_from_csv("x,2,4,80.1.2.3,192.168.1.5").has_value());
-  EXPECT_FALSE(echo_from_csv("1,2,4,not-an-ip,192.168.1.5").has_value());
-  EXPECT_FALSE(echo_from_csv("1,2,6,2003::1,not-v6").has_value());
-  EXPECT_FALSE(echo_from_csv("1,2,4,2003::1,2003::1").has_value())
-      << "v6 address in a v4 record";
+  const struct {
+    const char* line;
+    RejectReason reason;
+  } cases[] = {
+      {"1,2,3", RejectReason::kBadFieldCount},
+      {"1,2,5,80.1.2.3,192.168.1.5", RejectReason::kBadNumber},
+      {"x,2,4,80.1.2.3,192.168.1.5", RejectReason::kBadNumber},
+      {"1,2,4,not-an-ip,192.168.1.5", RejectReason::kBadAddress},
+      {"1,2,6,2003::1,not-v6", RejectReason::kBadAddress},
+      // A v6 address in a v4 record.
+      {"1,2,4,2003::1,2003::1", RejectReason::kBadAddress},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(std::string(c.line) + "\n");
+    EchoReader reader(in);
+    EXPECT_FALSE(reader.next().has_value()) << c.line;
+    EXPECT_EQ(reader.stats().total_rejects(), 1u) << c.line;
+    EXPECT_EQ(reader.stats().rejects_for(c.reason), 1u) << c.line;
+  }
+  // An empty line is blank, not a rejected record.
+  std::istringstream in("\n");
+  EchoReader reader(in);
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.stats().blank_lines, 1u);
+  EXPECT_EQ(reader.stats().total_rejects(), 0u);
 }
 
 TEST(EchoIo, StreamRoundTripWithHeader) {
@@ -86,13 +110,14 @@ TEST(EchoIo, StreamRoundTripWithHeader) {
     series.records.push_back(r);
   }
   std::stringstream ss;
-  write_echo_csv(ss, series);
-  auto loaded = read_echo_csv(ss);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->meta.probe_id, 42u);
-  ASSERT_EQ(loaded->records.size(), 5u);
+  write_echo_dataset(ss, {series});
+  auto loaded = read_echo_dataset(ss);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0].meta.probe_id, 42u);
+  ASSERT_EQ((*loaded)[0].records.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i)
-    EXPECT_EQ(loaded->records[i].family, series.records[i].family);
+    EXPECT_EQ((*loaded)[0].records[i].family, series.records[i].family);
 }
 
 TEST(EchoIo, InjectedReadFailureSurfacesWithLineNumber) {
@@ -121,12 +146,6 @@ TEST(EchoIo, InjectedReadFailureSurfacesWithLineNumber) {
   EXPECT_EQ((*loaded)[0].records.size(), 3u);
 }
 
-TEST(EchoIo, StreamRejectsMixedProbes) {
-  std::stringstream ss;
-  ss << "1,0,4,80.1.2.3,192.168.1.5\n2,1,4,80.1.2.4,192.168.1.5\n";
-  EXPECT_FALSE(read_echo_csv(ss).has_value());
-}
-
 TEST(AssocIo, RoundTrip) {
   cdn::AssociationRecord r;
   r.day = 17;
@@ -136,7 +155,7 @@ TEST(AssocIo, RoundTrip) {
   r.asn6 = 3320;
   std::string line = to_csv(r);
   EXPECT_EQ(line, "17,80.1.2.0/24,2003:ec57:11:2200::/64,3320,3320");
-  auto parsed = assoc_from_csv(line);
+  auto parsed = read_one<AssocReader>(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->day, 17u);
   EXPECT_EQ(parsed->v4_24, r.v4_24);
@@ -144,17 +163,9 @@ TEST(AssocIo, RoundTrip) {
   EXPECT_EQ(parsed->asn4, 3320u);
 }
 
-TEST(AssocIo, RejectsMalformed) {
-  EXPECT_FALSE(assoc_from_csv("").has_value());
-  EXPECT_FALSE(assoc_from_csv("1,2,3,4").has_value());
-  EXPECT_FALSE(assoc_from_csv("x,80.1.2.0/24,2003::/64,1,1").has_value());
-  EXPECT_FALSE(assoc_from_csv("1,80.1.2.0,2003::/64,1,1").has_value())
-      << "missing prefix length";
-  EXPECT_FALSE(assoc_from_csv("1,80.1.2.0/24,2003::,1,1").has_value());
-}
-
 TEST(AssocIo, StreamRoundTrip) {
   cdn::AssociationLog log;
+  log.asn = 3320;
   for (int d = 0; d < 4; ++d) {
     cdn::AssociationRecord r;
     r.day = std::uint32_t(d);
@@ -164,19 +175,20 @@ TEST(AssocIo, StreamRoundTrip) {
     log.records.push_back(r);
   }
   std::stringstream ss;
-  write_assoc_csv(ss, log);
-  auto loaded = read_assoc_csv(ss);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->records.size(), 4u);
+  write_assoc_dataset(ss, {log});
+  auto loaded = read_assoc_dataset(ss);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0].asn, 3320u);
+  EXPECT_EQ((*loaded)[0].records.size(), 4u);
 }
 
 TEST(AssocIo, EmptyStreamYieldsEmptyLog) {
   std::stringstream ss;
-  auto loaded = read_assoc_csv(ss);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->records.empty());
+  auto loaded = read_assoc_dataset(ss);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_TRUE(loaded->empty());
 }
-
 
 TEST(Csv, SplitCapsFieldCount) {
   // Once the cap is reached the remainder (commas included) becomes the
