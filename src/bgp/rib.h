@@ -22,6 +22,10 @@ using Asn = std::uint32_t;
 /// (Figs. 3 and 7) to group address space by geography.
 enum class Registry { kArin, kRipe, kApnic, kLacnic, kAfrinic };
 
+/// The last Registry value; checkpoint loads (io/checkpoint.h) refuse any
+/// byte above it.
+constexpr Registry enum_max(Registry) { return Registry::kAfrinic; }
+
 /// Printable registry name ("ARIN", "RIPE", ...).
 const char* registry_name(Registry r);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "io/checkpoint.h"
 #include "stats/extsort.h"
 
 namespace dynamips::core {
@@ -232,121 +231,6 @@ double CdnAnalyzer::fraction_64s_with_single_24(bool mobile) const {
   std::uint64_t s = single_24_64s_[mobile];
   std::uint64_t m = multi_24_64s_[mobile];
   return (s + m) ? double(s) / double(s + m) : 0.0;
-}
-
-namespace {
-
-void save_doubles(io::ckpt::Writer& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (double d : v) w.f64(d);
-}
-
-bool load_doubles(io::ckpt::Reader& r, std::vector<double>& v) {
-  v.clear();
-  std::uint64_t n = r.size();
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) v.push_back(r.f64());
-  return r.ok();
-}
-
-constexpr std::uint8_t kMaxRegistry =
-    std::uint8_t(bgp::Registry::kAfrinic);
-
-bool load_registry_class(io::ckpt::Reader& r, RegistryClass& cls) {
-  std::uint8_t reg = r.u8();
-  std::uint8_t mobile = r.u8();
-  if (reg > kMaxRegistry || mobile > 1) return false;
-  cls.registry = bgp::Registry(reg);
-  cls.mobile = mobile != 0;
-  return r.ok();
-}
-
-}  // namespace
-
-void CdnAnalyzer::save(io::ckpt::Writer& w) const {
-  w.u64(by_asn_.size());
-  for (const auto& [asn, stats] : by_asn_) {
-    w.u32(asn);
-    w.u32(stats.asn);
-    w.u8(stats.mobile ? 1 : 0);
-    w.u8(std::uint8_t(stats.registry));
-    save_doubles(w, stats.durations_days);
-    w.u64(stats.tuples);
-    w.u64(stats.mismatched);
-    w.u64(stats.unique_64s);
-  }
-  w.u64(registry_durations_.size());
-  for (const auto& [cls, durations] : registry_durations_) {
-    w.u8(std::uint8_t(cls.registry));
-    w.u8(cls.mobile ? 1 : 0);
-    save_doubles(w, durations);
-  }
-  w.u64(degrees_.size());
-  for (const auto& [count, mobile] : degrees_) {
-    w.u32(count);
-    w.u8(mobile ? 1 : 0);
-  }
-  w.u64(zero_counts_.size());
-  for (const auto& [cls, counts] : zero_counts_) {
-    w.u8(std::uint8_t(cls.registry));
-    w.u8(cls.mobile ? 1 : 0);
-    for (std::uint64_t c : counts.counts) w.u64(c);
-  }
-  for (int m = 0; m < 2; ++m) {
-    w.u64(single_24_64s_[m]);
-    w.u64(multi_24_64s_[m]);
-  }
-  w.u64(total_tuples_);
-  w.u64(total_mismatched_);
-}
-
-bool CdnAnalyzer::load(io::ckpt::Reader& r) {
-  by_asn_.clear();
-  registry_durations_.clear();
-  degrees_.clear();
-  zero_counts_.clear();
-  std::uint64_t n_asn = r.size();
-  for (std::uint64_t i = 0; i < n_asn && r.ok(); ++i) {
-    bgp::Asn key = r.u32();
-    AsnAssocStats& stats = by_asn_[key];
-    stats.asn = r.u32();
-    std::uint8_t mobile = r.u8();
-    std::uint8_t reg = r.u8();
-    if (reg > kMaxRegistry || mobile > 1) return false;
-    stats.mobile = mobile != 0;
-    stats.registry = bgp::Registry(reg);
-    if (!load_doubles(r, stats.durations_days)) return false;
-    stats.tuples = r.u64();
-    stats.mismatched = r.u64();
-    stats.unique_64s = r.u64();
-  }
-  std::uint64_t n_reg = r.size();
-  for (std::uint64_t i = 0; i < n_reg && r.ok(); ++i) {
-    RegistryClass cls;
-    if (!load_registry_class(r, cls)) return false;
-    if (!load_doubles(r, registry_durations_[cls])) return false;
-  }
-  std::uint64_t n_deg = r.size();
-  degrees_.reserve(n_deg);
-  for (std::uint64_t i = 0; i < n_deg && r.ok(); ++i) {
-    std::uint32_t count = r.u32();
-    std::uint8_t mobile = r.u8();
-    if (mobile > 1) return false;
-    degrees_.emplace_back(count, mobile != 0);
-  }
-  std::uint64_t n_zero = r.size();
-  for (std::uint64_t i = 0; i < n_zero && r.ok(); ++i) {
-    RegistryClass cls;
-    if (!load_registry_class(r, cls)) return false;
-    for (std::uint64_t& c : zero_counts_[cls].counts) c = r.u64();
-  }
-  for (int m = 0; m < 2; ++m) {
-    single_24_64s_[m] = r.u64();
-    multi_24_64s_[m] = r.u64();
-  }
-  total_tuples_ = r.u64();
-  total_mismatched_ = r.u64();
-  return r.ok();
 }
 
 }  // namespace dynamips::core

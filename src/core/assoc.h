@@ -22,11 +22,6 @@
 #include "stats/flatmap.h"
 #include "stats/summary.h"
 
-namespace dynamips::io::ckpt {
-class Writer;
-class Reader;
-}  // namespace dynamips::io::ckpt
-
 namespace dynamips::core {
 
 struct AssocOptions {
@@ -65,6 +60,11 @@ struct AsnAssocStats {
     mismatched += o.mismatched;
     unique_64s += o.unique_64s;
   }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(asn, mobile, registry, durations_days, tuples, mismatched, unique_64s);
+  }
 };
 
 /// Key for (registry, mobile) groupings.
@@ -74,6 +74,11 @@ struct RegistryClass {
   friend bool operator<(const RegistryClass& a, const RegistryClass& b) {
     if (a.registry != b.registry) return a.registry < b.registry;
     return a.mobile < b.mobile;
+  }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(registry, mobile);
   }
 };
 
@@ -143,11 +148,15 @@ class CdnAnalyzer {
   void merge(CdnAnalyzer&& other);
   void finalize() {}
 
-  /// Checkpoint serialization (io/checkpoint.h): every accumulated map and
+  /// Checkpoint layout (io/checkpoint.h): every accumulated map and
   /// vector, bit-exact; options and the mobile-ASN set are reconstructed
   /// from the run config on resume.
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(by_asn_, registry_durations_, degrees_, zero_counts_,
+       single_24_64s_[0], multi_24_64s_[0], single_24_64s_[1],
+       multi_24_64s_[1], total_tuples_, total_mismatched_);
+  }
 
   /// Per-ASN stats (Fig. 2 inputs). FlatMap iterates ASNs in the same
   /// ascending order the former std::map did.

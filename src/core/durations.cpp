@@ -1,55 +1,6 @@
 #include "core/durations.h"
 
-#include "io/checkpoint.h"
-
 namespace dynamips::core {
-
-void AsDurationStats::save(io::ckpt::Writer& w) const {
-  w.u32(asn);
-  v4_nds.save(w);
-  v4_ds.save(w);
-  v6.save(w);
-  w.u64(probes);
-  w.u64(ds_probes);
-  w.u64(probes_with_change);
-  w.u64(v4_changes);
-  w.u64(v4_changes_ds);
-  w.u64(v6_changes);
-  w.u64(cooccur_hits);
-  w.u64(cooccur_total);
-}
-
-bool AsDurationStats::load(io::ckpt::Reader& r) {
-  asn = r.u32();
-  if (!v4_nds.load(r) || !v4_ds.load(r) || !v6.load(r)) return false;
-  probes = r.u64();
-  ds_probes = r.u64();
-  probes_with_change = r.u64();
-  v4_changes = r.u64();
-  v4_changes_ds = r.u64();
-  v6_changes = r.u64();
-  cooccur_hits = r.u64();
-  cooccur_total = r.u64();
-  return r.ok();
-}
-
-void DurationAnalyzer::save(io::ckpt::Writer& w) const {
-  w.u64(by_as_.size());
-  for (const auto& [asn, stats] : by_as_) {
-    w.u32(asn);
-    stats.save(w);
-  }
-}
-
-bool DurationAnalyzer::load(io::ckpt::Reader& r) {
-  by_as_.clear();
-  std::uint64_t n = r.size();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    bgp::Asn asn = r.u32();
-    if (!by_as_[asn].load(r)) return false;
-  }
-  return r.ok();
-}
 
 bool DurationAnalyzer::is_dual_stack(const CleanProbe& probe) {
   if (probe.v6.empty()) return false;

@@ -40,9 +40,12 @@ struct AsDurationStats {
     return cooccur_total ? double(cooccur_hits) / double(cooccur_total) : 0.0;
   }
 
-  /// Checkpoint serialization (io/checkpoint.h).
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout (io/checkpoint.h).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(asn, v4_nds, v4_ds, v6, probes, ds_probes, probes_with_change,
+       v4_changes, v4_changes_ds, v6_changes, cooccur_hits, cooccur_total);
+  }
 
   /// Absorb another shard's accumulation for the same AS.
   void merge(const AsDurationStats& o) {
@@ -78,10 +81,12 @@ class DurationAnalyzer {
   void merge(DurationAnalyzer&& other);
   void finalize() {}
 
-  /// Checkpoint serialization: the accumulated per-AS map is the whole
-  /// state (options come from the run config on resume).
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout: the accumulated per-AS map is the whole state
+  /// (options come from the run config on resume).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(by_as_);
+  }
 
   // FlatMap iterates ASNs in the same ascending order std::map did, so
   // serialization, CSV emission, and the ordered shard reduction all see

@@ -3,63 +3,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "io/checkpoint.h"
 #include "netaddr/ipv6.h"
 
 namespace dynamips::core {
-
-void InferenceCollector::save(io::ckpt::Writer& w) const {
-  w.u64(subscriber_.size());
-  for (const auto& [asn, results] : subscriber_) {
-    w.u32(asn);
-    w.u64(results.size());
-    for (const SubscriberInference& si : results) {
-      w.i32(si.inferred_len);
-      w.i32(si.changes);
-    }
-  }
-  w.u64(pool_.size());
-  for (const auto& [asn, results] : pool_) {
-    w.u32(asn);
-    w.u64(results.size());
-    for (const PoolInference& pi : results) {
-      w.i32(pi.pool_len);
-      w.f64(pi.coverage);
-    }
-  }
-}
-
-bool InferenceCollector::load(io::ckpt::Reader& r) {
-  subscriber_.clear();
-  pool_.clear();
-  std::uint64_t n_sub = r.size();
-  for (std::uint64_t i = 0; i < n_sub && r.ok(); ++i) {
-    bgp::Asn asn = r.u32();
-    auto& results = subscriber_[asn];
-    std::uint64_t n = r.size();
-    results.reserve(n);
-    for (std::uint64_t j = 0; j < n && r.ok(); ++j) {
-      SubscriberInference si;
-      si.inferred_len = r.i32();
-      si.changes = r.i32();
-      results.push_back(si);
-    }
-  }
-  std::uint64_t n_pool = r.size();
-  for (std::uint64_t i = 0; i < n_pool && r.ok(); ++i) {
-    bgp::Asn asn = r.u32();
-    auto& results = pool_[asn];
-    std::uint64_t n = r.size();
-    results.reserve(n);
-    for (std::uint64_t j = 0; j < n && r.ok(); ++j) {
-      PoolInference pi;
-      pi.pool_len = r.i32();
-      pi.coverage = r.f64();
-      results.push_back(pi);
-    }
-  }
-  return r.ok();
-}
 
 std::optional<SubscriberInference> infer_subscriber_prefix(
     const CleanProbe& probe) {

@@ -24,17 +24,17 @@
 #include "core/sanitize.h"
 #include "stats/flatmap.h"
 
-namespace dynamips::io::ckpt {
-class Writer;
-class Reader;
-}  // namespace dynamips::io::ckpt
-
 namespace dynamips::core {
 
 /// Result of the per-probe zero-bits inference.
 struct SubscriberInference {
   int inferred_len = 64;  ///< inferred delegated prefix length
   int changes = 0;        ///< v6 changes the inference is based on
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(inferred_len, changes);
+  }
 };
 
 /// Infer the delegated prefix length of the subscriber behind `probe` from
@@ -55,6 +55,11 @@ std::optional<SubscriberInference> infer_subscriber_prefix(
 struct PoolInference {
   int pool_len = 0;     ///< inferred pool prefix length (e.g. 40)
   double coverage = 0;  ///< share of assignments inside the dominant pool
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(pool_len, coverage);
+  }
 };
 
 /// Infer the ISP's dynamic-pool prefix length for this subscriber: the
@@ -103,6 +108,11 @@ struct ZeroBoundaryCounts {
     std::uint64_t t = total();
     return t ? double(counts[std::size_t(b)]) / double(t) : 0.0;
   }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(counts);
+  }
 };
 
 /// Finalized view of an InferenceCollector: both per-probe inference
@@ -124,9 +134,11 @@ class InferenceCollector {
   void merge(InferenceCollector&& other);
   void finalize() {}
 
-  /// Checkpoint serialization (io/checkpoint.h).
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout (io/checkpoint.h).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(subscriber_, pool_);
+  }
 
   const stats::FlatMap<bgp::Asn, std::vector<SubscriberInference>>&
   subscriber() const {

@@ -182,16 +182,9 @@ struct AtlasShard {
   /// Study-level metrics, recorded on the reduced root shard.
   void publish(const AtlasStudy& study) { study.sanitize.publish(metrics); }
 
-  void save(io::ckpt::Writer& w) const {
-    sanitizer.save(w);
-    durations.save(w);
-    spatial.save(w);
-    inference.save(w);
-    metrics.save(w);
-  }
-  bool load(io::ckpt::Reader& r) {
-    return sanitizer.load(r) && durations.load(r) && spatial.load(r) &&
-           inference.load(r) && metrics.load(r);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(sanitizer, durations, spatial, inference, metrics);
   }
 };
 
@@ -254,12 +247,9 @@ struct CdnShard {
     metrics.counter("cdn.spill_bytes").add(analyzer.spill_bytes());
   }
 
-  void save(io::ckpt::Writer& w) const {
-    analyzer.save(w);
-    metrics.save(w);
-  }
-  bool load(io::ckpt::Reader& r) {
-    return analyzer.load(r) && metrics.load(r);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(analyzer, metrics);
   }
 };
 
@@ -527,7 +517,7 @@ Status restore_shards(const CheckpointConfig& cc, std::vector<Shard>& shards,
   const io::StudyCheckpoint& ck = *cc.resume;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     io::ckpt::Reader r(ck.shards[s].blob);
-    if (!shards[s].load(r) || r.remaining() != 0)
+    if (!io::ckpt::load(r, shards[s]) || r.remaining() != 0)
       return Status(StatusCode::kDataLoss,
                     "checkpoint is corrupt: shard " + std::to_string(s) +
                         " state failed to parse");
@@ -535,7 +525,7 @@ Status restore_shards(const CheckpointConfig& cc, std::vector<Shard>& shards,
   if (registry && !ck.registry_blob.empty()) {
     obs::MetricsSink snapshot;
     io::ckpt::Reader r(ck.registry_blob);
-    if (!snapshot.load(r) || r.remaining() != 0)
+    if (!io::ckpt::load(r, snapshot) || r.remaining() != 0)
       return Status(
           StatusCode::kDataLoss,
           "checkpoint is corrupt: registry snapshot failed to parse");
@@ -543,7 +533,7 @@ Status restore_shards(const CheckpointConfig& cc, std::vector<Shard>& shards,
   }
   if (!ck.supervisor_blob.empty()) {
     io::ckpt::Reader r(ck.supervisor_blob);
-    if (!sup.load(r) || r.remaining() != 0)
+    if (!io::ckpt::load(r, sup) || r.remaining() != 0)
       return Status(
           StatusCode::kDataLoss,
           "checkpoint is corrupt: supervisor state failed to parse");
@@ -603,12 +593,12 @@ Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
                            plan.next[s], save_shard(s)});
     if (registry) {
       io::ckpt::Writer w;
-      registry->snapshot().save(w);
+      io::ckpt::save(w, registry->snapshot());
       ck.registry_blob = w.take();
     }
     {
       io::ckpt::Writer w;
-      sup.save(w);
+      io::ckpt::save(w, sup);
       ck.supervisor_blob = w.take();
     }
     Status st = io::write_checkpoint(cc.path, ck);
@@ -705,7 +695,7 @@ Status analysis_pass(ShardExecutor& exec, const CheckpointConfig& cc,
   };
   auto save_shard = [&](std::size_t s) {
     io::ckpt::Writer w;
-    shards[s].save(w);
+    io::ckpt::save(w, shards[s]);
     return w.take();
   };
 
@@ -814,8 +804,6 @@ CdnStudy run_cdn_study(const std::vector<cdn::PopulationEntry>& population,
 
 // ------------------------------------------------- file-driven entrypoints
 
-namespace {
-
 // --- accumulated-dataset blob codecs -------------------------------------
 //
 // Stream checkpoints carry the merged in-memory dataset, not the source
@@ -823,126 +811,66 @@ namespace {
 // per-file deduplication to records that legitimately repeat across
 // batches, changing results. Tags are serialized as strings because
 // core::tag_pool() ids are assigned in first-intern order and are not
-// stable across processes.
+// stable across processes. Every record goes through its `fields` list.
 
-void save_echo_dataset(io::ckpt::Writer& w,
-                       const std::vector<atlas::ProbeSeries>& dataset) {
+void encode_dataset(io::ckpt::Writer& w,
+                    const std::vector<atlas::ProbeSeries>& dataset) {
   w.u64(dataset.size());
   for (const atlas::ProbeSeries& series : dataset) {
     w.u32(series.meta.probe_id);
     w.u64(series.meta.tags.size());
     for (TagId tag : series.meta.tags) w.str(tag_pool().name_of(tag));
-    w.u64(series.records.size());
-    for (const atlas::EchoRecord& rec : series.records) {
-      w.u64(rec.hour);
-      w.u8(std::uint8_t(rec.family));
-      w.u32(rec.x_client_ip4.value());
-      w.u32(rec.src_addr4.value());
-      w.u64(rec.x_client_ip6.bits().hi);
-      w.u64(rec.x_client_ip6.bits().lo);
-      w.u64(rec.src_addr6.bits().hi);
-      w.u64(rec.src_addr6.bits().lo);
-    }
+    w(series.records);
   }
 }
 
-bool load_echo_dataset(io::ckpt::Reader& r,
-                       std::vector<atlas::ProbeSeries>& dataset) {
+bool decode_dataset(io::ckpt::Reader& r,
+                    std::vector<atlas::ProbeSeries>& dataset) {
   dataset.clear();
   std::uint64_t n_series = r.size();
   dataset.reserve(n_series);
-  for (std::uint64_t i = 0; i < n_series; ++i) {
-    atlas::ProbeSeries series;
+  for (std::uint64_t i = 0; i < n_series && r.ok(); ++i) {
+    atlas::ProbeSeries& series = dataset.emplace_back();
     series.meta.probe_id = r.u32();
     std::uint64_t n_tags = r.size();
     series.meta.tags.reserve(n_tags);
-    for (std::uint64_t t = 0; t < n_tags; ++t)
+    for (std::uint64_t t = 0; t < n_tags && r.ok(); ++t)
       series.meta.tags.push_back(tag_pool().intern(r.str()));
-    std::uint64_t n_records = r.size();
-    series.records.reserve(n_records);
-    for (std::uint64_t k = 0; k < n_records; ++k) {
-      atlas::EchoRecord rec;
+    r(series.records);
+    for (atlas::EchoRecord& rec : series.records)
       rec.probe_id = series.meta.probe_id;
-      rec.hour = r.u64();
-      std::uint8_t family = r.u8();
-      if (family > 1) return false;
-      rec.family = atlas::Family(family);
-      rec.x_client_ip4 = net::IPv4Address(r.u32());
-      rec.src_addr4 = net::IPv4Address(r.u32());
-      std::uint64_t hi = r.u64();
-      std::uint64_t lo = r.u64();
-      rec.x_client_ip6 = net::IPv6Address(hi, lo);
-      hi = r.u64();
-      lo = r.u64();
-      rec.src_addr6 = net::IPv6Address(hi, lo);
-      series.records.push_back(rec);
-    }
-    dataset.push_back(std::move(series));
   }
   return r.ok();
 }
 
-void save_assoc_dataset(io::ckpt::Writer& w,
-                        const std::vector<cdn::AssociationLog>& dataset) {
+// mobile/registry are grafted from the run config at analysis time, not
+// dataset state; they are deliberately not serialized.
+void encode_dataset(io::ckpt::Writer& w,
+                    const std::vector<cdn::AssociationLog>& dataset) {
   w.u64(dataset.size());
-  for (const cdn::AssociationLog& log : dataset) {
-    w.u32(log.asn);
-    // mobile/registry are grafted from the run config at analysis time,
-    // not dataset state; they are deliberately not serialized.
-    w.u64(log.records.size());
-    for (const cdn::AssociationRecord& rec : log.records) {
-      w.u32(rec.day);
-      w.u32(rec.v4_24.address().value());
-      w.u8(std::uint8_t(rec.v4_24.length()));
-      w.u64(rec.v6_64.address().bits().hi);
-      w.u64(rec.v6_64.address().bits().lo);
-      w.u8(std::uint8_t(rec.v6_64.length()));
-      w.u32(rec.asn4);
-      w.u32(rec.asn6);
-      w.u32(rec.subscriber);
-    }
-  }
+  for (const cdn::AssociationLog& log : dataset) w(log.asn, log.records);
 }
 
-bool load_assoc_dataset(io::ckpt::Reader& r,
-                        std::vector<cdn::AssociationLog>& dataset) {
+bool decode_dataset(io::ckpt::Reader& r,
+                    std::vector<cdn::AssociationLog>& dataset) {
   dataset.clear();
   std::uint64_t n_logs = r.size();
   dataset.reserve(n_logs);
-  for (std::uint64_t i = 0; i < n_logs; ++i) {
-    cdn::AssociationLog log;
-    log.asn = r.u32();
-    std::uint64_t n_records = r.size();
-    log.records.reserve(n_records);
-    for (std::uint64_t k = 0; k < n_records; ++k) {
-      cdn::AssociationRecord rec;
-      rec.day = r.u32();
-      std::uint32_t v4 = r.u32();
-      std::uint8_t len4 = r.u8();
-      if (len4 > 32) return false;
-      rec.v4_24 = net::Prefix4(net::IPv4Address(v4), int(len4));
-      std::uint64_t hi = r.u64();
-      std::uint64_t lo = r.u64();
-      std::uint8_t len6 = r.u8();
-      if (len6 > 128) return false;
-      rec.v6_64 = net::Prefix6(net::IPv6Address(hi, lo), int(len6));
-      rec.asn4 = r.u32();
-      rec.asn6 = r.u32();
-      rec.subscriber = r.u32();
-      log.records.push_back(rec);
-    }
-    dataset.push_back(std::move(log));
+  for (std::uint64_t i = 0; i < n_logs && r.ok(); ++i) {
+    cdn::AssociationLog& log = dataset.emplace_back();
+    r(log.asn, log.records);
   }
   return r.ok();
 }
+
+namespace {
 
 // --- file policies --------------------------------------------------------
 //
 // The per-study glue of file-driven runs, one-shot and streamed alike: how
 // to load a batch file into the accumulated dataset (CSV vs columnar is
-// dispatched by extension, so `.col` batches ride alongside `.csv`), how
-// to (de)serialize that dataset for stream checkpoints, and how to run one
-// analysis pass over it.
+// dispatched by extension, so `.col` batches ride alongside `.csv`) and how
+// to run one analysis pass over it.
 
 /// Merge one loaded batch into `dataset` and count its records. A batch
 /// that failed to load merges nothing.
@@ -984,13 +912,6 @@ struct AtlasFilePolicy {
                        io::merge_echo_datasets, dataset, records);
   }
 
-  void save_dataset(io::ckpt::Writer& w, const Dataset& dataset) const {
-    save_echo_dataset(w, dataset);
-  }
-  bool load_dataset(io::ckpt::Reader& r, Dataset& dataset) const {
-    return load_echo_dataset(r, dataset);
-  }
-
   void init_study(Study& study) const { init_atlas_study(isps, study); }
 
   Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
@@ -1028,13 +949,6 @@ struct CdnFilePolicy {
                     std::uint64_t& records) const {
     return merge_batch(io::load_assoc_file(path, ropts, ingest),
                        io::merge_assoc_datasets, dataset, records);
-  }
-
-  void save_dataset(io::ckpt::Writer& w, const Dataset& dataset) const {
-    save_assoc_dataset(w, dataset);
-  }
-  bool load_dataset(io::ckpt::Reader& r, Dataset& dataset) const {
-    return load_assoc_dataset(r, dataset);
   }
 
   void init_study(Study& study) const { study.asn_names = config.asn_names; }
@@ -1233,13 +1147,13 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                     "checkpoint is corrupt: stream batch accounting is "
                     "inconsistent");
     io::ckpt::Reader r(ck.shards.front().blob);
-    if (!policy.load_dataset(r, dataset) || r.remaining() != 0)
+    if (!decode_dataset(r, dataset) || r.remaining() != 0)
       return Status(StatusCode::kDataLoss,
                     "checkpoint is corrupt: accumulated dataset failed to "
                     "parse");
     if (!ck.supervisor_blob.empty()) {
       io::ckpt::Reader sr(ck.supervisor_blob);
-      if (!sink.load(sr) || sr.remaining() != 0)
+      if (!io::ckpt::load(sr, sink) || sr.remaining() != 0)
         return Status(StatusCode::kDataLoss,
                       "checkpoint is corrupt: stream accounting failed to "
                       "parse");
@@ -1306,11 +1220,11 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     ck.config_fingerprint = fingerprint;
     ck.item_count = consumed.size();
     io::ckpt::Writer w;
-    policy.save_dataset(w, dataset);
+    encode_dataset(w, dataset);
     ck.shards.push_back({0, consumed.size(), consumed.size(), w.take()});
     ck.consumed = consumed;
     io::ckpt::Writer sw;
-    sink.save(sw);
+    io::ckpt::save(sw, sink);
     ck.supervisor_blob = sw.take();
     // Disk soft pressure: drop checkpoint retention to keep-last-1 — the
     // `.prev` sibling is roughly a whole extra copy of the accumulated

@@ -259,6 +259,19 @@ Expected<CdnStudy> run_cdn_study_from_files(
 // mark: the consumed batch list plus the accumulated merged dataset, written
 // after every batch, so a killed stream replays only unconsumed batches.
 
+/// The stream checkpoint's accumulated-dataset blob. Echo: per series the
+/// probe id, the tag names as strings (tag ids are per-process), then the
+/// records without their probe id. Association: per log the asn, then the
+/// records. decode_dataset() replaces `dataset`; false on malformed bytes.
+void encode_dataset(io::ckpt::Writer& w,
+                    const std::vector<atlas::ProbeSeries>& dataset);
+bool decode_dataset(io::ckpt::Reader& r,
+                    std::vector<atlas::ProbeSeries>& dataset);
+void encode_dataset(io::ckpt::Writer& w,
+                    const std::vector<cdn::AssociationLog>& dataset);
+bool decode_dataset(io::ckpt::Reader& r,
+                    std::vector<cdn::AssociationLog>& dataset);
+
 class ResourceGovernor;  // core/resource.h
 
 /// Natural-number-aware name ordering — the stream's batch consumption

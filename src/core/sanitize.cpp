@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "io/checkpoint.h"
-
 namespace dynamips::core {
 
 ProbeObservations from_series(const atlas::ProbeSeries& series) {
@@ -36,37 +34,6 @@ void SanitizeStats::publish(obs::MetricsSink& sink) const {
   sink.counter("sanitize.dropped_multihomed").add(dropped_multihomed);
   sink.counter("sanitize.test_address_records").add(test_address_records);
 }
-
-void SanitizeStats::save(io::ckpt::Writer& w) const {
-  w.u64(probes_seen);
-  w.u64(probes_kept);
-  w.u64(virtual_probes);
-  w.u64(split_probes);
-  w.u64(dropped_short);
-  w.u64(dropped_bad_tag);
-  w.u64(dropped_public_src);
-  w.u64(dropped_v6_mismatch);
-  w.u64(dropped_multihomed);
-  w.u64(test_address_records);
-}
-
-bool SanitizeStats::load(io::ckpt::Reader& r) {
-  probes_seen = r.u64();
-  probes_kept = r.u64();
-  virtual_probes = r.u64();
-  split_probes = r.u64();
-  dropped_short = r.u64();
-  dropped_bad_tag = r.u64();
-  dropped_public_src = r.u64();
-  dropped_v6_mismatch = r.u64();
-  dropped_multihomed = r.u64();
-  test_address_records = r.u64();
-  return r.ok();
-}
-
-void Sanitizer::save(io::ckpt::Writer& w) const { stats_.save(w); }
-
-bool Sanitizer::load(io::ckpt::Reader& r) { return stats_.load(r); }
 
 Sanitizer::Sanitizer(const bgp::Rib& rib, SanitizeOptions options)
     : rib_(rib), options_(std::move(options)) {

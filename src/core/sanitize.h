@@ -19,11 +19,6 @@
 #include "core/observations.h"
 #include "obs/metrics.h"
 
-namespace dynamips::io::ckpt {
-class Writer;
-class Reader;
-}  // namespace dynamips::io::ckpt
-
 namespace dynamips::core {
 
 struct SanitizeOptions {
@@ -101,9 +96,13 @@ struct SanitizeStats {
   /// document next to the throughput numbers.
   void publish(obs::MetricsSink& sink) const;
 
-  /// Checkpoint serialization (io/checkpoint.h).
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout (io/checkpoint.h).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(probes_seen, probes_kept, virtual_probes, split_probes, dropped_short,
+       dropped_bad_tag, dropped_public_src, dropped_v6_mismatch,
+       dropped_multihomed, test_address_records);
+  }
 };
 
 /// Stateless per-probe sanitizer (stats accumulate across calls).
@@ -119,10 +118,12 @@ class Sanitizer {
   void merge(Sanitizer&& other) { stats_.merge(other.stats_); }
   void finalize() {}
 
-  /// Checkpoint serialization: only the accumulated accounting is state;
-  /// the RIB reference and options are reconstructed from the run config.
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout: only the accumulated accounting is state; the RIB
+  /// reference and options are reconstructed from the run config.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(stats_);
+  }
 
   const SanitizeStats& stats() const { return stats_; }
 

@@ -3,80 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "io/checkpoint.h"
 #include "netaddr/ipv6.h"
 
 namespace dynamips::core {
-
-namespace {
-
-void save_u32_vector(io::ckpt::Writer& w, const std::vector<std::uint32_t>& v) {
-  w.u64(v.size());
-  for (std::uint32_t x : v) w.u32(x);
-}
-
-bool load_u32_vector(io::ckpt::Reader& r, std::vector<std::uint32_t>& v) {
-  v.clear();
-  std::uint64_t n = r.size();
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) v.push_back(r.u32());
-  return r.ok();
-}
-
-}  // namespace
-
-void AsSpatialStats::save(io::ckpt::Writer& w) const {
-  w.u32(asn);
-  for (std::uint64_t c : cpl.changes) w.u64(c);
-  for (std::uint64_t p : cpl.probes) w.u64(p);
-  w.u64(v4_changes);
-  w.u64(v4_diff_24);
-  w.u64(v4_diff_bgp);
-  w.u64(v6_changes);
-  w.u64(v6_diff_bgp);
-  w.u64(unique_prefixes.size());
-  for (const auto& [len, counts] : unique_prefixes) {
-    w.i32(len);
-    save_u32_vector(w, counts);
-  }
-  save_u32_vector(w, unique_bgp);
-}
-
-bool AsSpatialStats::load(io::ckpt::Reader& r) {
-  asn = r.u32();
-  for (std::uint64_t& c : cpl.changes) c = r.u64();
-  for (std::uint64_t& p : cpl.probes) p = r.u64();
-  v4_changes = r.u64();
-  v4_diff_24 = r.u64();
-  v4_diff_bgp = r.u64();
-  v6_changes = r.u64();
-  v6_diff_bgp = r.u64();
-  unique_prefixes.clear();
-  std::uint64_t n = r.size();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    int len = r.i32();
-    if (!load_u32_vector(r, unique_prefixes[len])) return false;
-  }
-  return load_u32_vector(r, unique_bgp);
-}
-
-void SpatialAnalyzer::save(io::ckpt::Writer& w) const {
-  w.u64(by_as_.size());
-  for (const auto& [asn, stats] : by_as_) {
-    w.u32(asn);
-    stats.save(w);
-  }
-}
-
-bool SpatialAnalyzer::load(io::ckpt::Reader& r) {
-  by_as_.clear();
-  std::uint64_t n = r.size();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    bgp::Asn asn = r.u32();
-    if (!by_as_[asn].load(r)) return false;
-  }
-  return r.ok();
-}
 
 void SpatialAnalyzer::merge(SpatialAnalyzer&& other) {
   for (auto& [asn, stats] : other.by_as_) {

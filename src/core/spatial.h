@@ -17,11 +17,6 @@
 #include "core/sanitize.h"
 #include "stats/flatmap.h"
 
-namespace dynamips::io::ckpt {
-class Writer;
-class Reader;
-}  // namespace dynamips::io::ckpt
-
 namespace dynamips::core {
 
 /// Fig. 5 histogram: per CPL value (0..64), the number of assignment
@@ -43,6 +38,11 @@ struct CplHistogram {
       changes[i] += o.changes[i];
       probes[i] += o.probes[i];
     }
+  }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(changes, probes);
   }
 };
 
@@ -77,9 +77,12 @@ struct AsSpatialStats {
     return v6_changes ? 100.0 * double(v6_diff_bgp) / double(v6_changes) : 0;
   }
 
-  /// Checkpoint serialization (io/checkpoint.h).
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout (io/checkpoint.h).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(asn, cpl, v4_changes, v4_diff_24, v4_diff_bgp, v6_changes, v6_diff_bgp,
+       unique_prefixes, unique_bgp);
+  }
 
   /// Absorb another shard's accumulation for the same AS. The per-probe
   /// vectors (Fig. 8) are appended after ours, so merging shards in index
@@ -113,10 +116,12 @@ class SpatialAnalyzer {
   void merge(SpatialAnalyzer&& other);
   void finalize() {}
 
-  /// Checkpoint serialization: only the per-AS map is state; the RIB
-  /// reference is reconstructed from the run config on resume.
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout: only the per-AS map is state; the RIB reference is
+  /// reconstructed from the run config on resume.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(by_as_);
+  }
 
   const stats::FlatMap<bgp::Asn, AsSpatialStats>& by_as() const {
     return by_as_;

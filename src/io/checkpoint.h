@@ -37,16 +37,25 @@
 // after every batch. Nothing else accumulates (`path.tmp` exists only
 // mid-write).
 //
-// The byte codec (Writer/Reader) is header-only on purpose: analyzers in
-// core/, stats/ and obs/ implement save()/load() against it without their
-// libraries linking dynamips_io.
+// The byte codec (Writer/Reader) is header-only on purpose, and so is the
+// archive built on it: every checkpointed type in core/, stats/ and obs/
+// lists its wire layout once, as a member template
+//
+//   template <class Ar> void fields(Ar& ar) { ar(a, b, c); }
+//
+// which a Writer runs to append the fields and a Reader runs to replace
+// them, without those libraries linking dynamips_io. ckpt::save() and
+// ckpt::load() are the entry points.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -145,11 +154,80 @@ inline std::uint64_t fnv1a(std::string_view bytes) {
   return h;
 }
 
+// --- the archive ---------------------------------------------------------
+//
+// Writer::operator() and Reader::operator() take any number of fields and
+// encode them in order, by kind:
+//
+//   integers        little-endian, as wide as the C++ type (1, 4 or 8 bytes)
+//   double          its IEEE-754 bits, so values round-trip bit-exact
+//   bool            one byte, 0 or 1
+//   enum            one byte, at most `enum_max(E{})` (declared next to the
+//                   enum and found by argument-dependent lookup)
+//   std::string     u64 length, then the bytes
+//   std::array      its elements, no length prefix
+//   std::vector     u64 count, then the elements
+//   FlatMap, map    u64 count, then key/value pairs in strictly increasing
+//                   key order
+//   std::pair       first, then second
+//   anything else   its `fields(ar)` member
+//
+// Loads are canonical: a bool byte other than 0/1, an enum byte above the
+// maximum, a map key not above its predecessor, or a failed
+// `ar.require(cond)` (the checks a type adds after its fields) fails the
+// Reader. So any load that succeeds re-saves to exactly the bytes it read.
+
+namespace detail {
+
+template <class T>
+inline constexpr bool is_array = false;
+template <class T, std::size_t N>
+inline constexpr bool is_array<std::array<T, N>> = true;
+
+template <class T>
+inline constexpr bool is_vector = false;
+template <class T, class A>
+inline constexpr bool is_vector<std::vector<T, A>> = true;
+
+template <class T>
+inline constexpr bool is_pair = false;
+template <class A, class B>
+inline constexpr bool is_pair<std::pair<A, B>> = true;
+
+template <class T>
+concept MapLike = requires {
+  typename T::key_type;
+  typename T::mapped_type;
+  typename T::key_compare;
+};
+
+template <class T>
+concept Integer = std::is_integral_v<T> && !std::is_same_v<T, bool>;
+
+/// An enum's largest valid value as a byte; a one-byte encoding must hold it.
+template <class E>
+constexpr std::uint8_t enum_limit() {
+  constexpr auto max = std::uint64_t(enum_max(E{}));
+  static_assert(max <= 0xFF, "checkpointed enums are encoded in one byte");
+  return std::uint8_t(max);
+}
+
+}  // namespace detail
+
 /// Append-only little-endian byte encoder. Doubles are stored bit-exact
 /// through their IEEE-754 representation, which is what makes a resumed
 /// run byte-identical to a straight one.
 class Writer {
  public:
+  /// Append each field (the archive; see above).
+  template <class... Ts>
+  void operator()(const Ts&... xs) {
+    (put(xs), ...);
+  }
+  /// A type's post-load checks (Reader::require) have nothing to check
+  /// when saving.
+  void require(bool) {}
+
   void u8(std::uint8_t v) { buf_.push_back(char(v)); }
   void u32(std::uint32_t v) { little_endian<4>(v); }
   void u64(std::uint64_t v) { little_endian<8>(v); }
@@ -171,6 +249,34 @@ class Writer {
   std::string take() { return std::move(buf_); }
 
  private:
+  template <class T>
+  void put(const T& x) {
+    if constexpr (std::is_same_v<T, bool>) {
+      u8(x ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      u8(std::uint8_t(x));
+    } else if constexpr (detail::Integer<T>) {
+      static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
+      little_endian<sizeof(T)>(std::uint64_t(x));
+    } else if constexpr (std::is_same_v<T, double>) {
+      f64(x);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      str(x);
+    } else if constexpr (detail::is_array<T>) {
+      for (const auto& e : x) put(e);
+    } else if constexpr (detail::is_pair<T>) {
+      put(x.first);
+      put(x.second);
+    } else if constexpr (detail::is_vector<T> || detail::MapLike<T>) {
+      u64(x.size());
+      for (const auto& e : x) put(e);
+    } else {
+      // fields() is one template for both directions, hence non-const;
+      // a Writer only reads through it.
+      const_cast<T&>(x).fields(*this);
+    }
+  }
+
   /// One append per integer rather than one push_back per byte: the
   /// serialization loops (stream checkpoints carry the whole accumulated
   /// dataset) stay fast however the compiler inlines them.
@@ -190,6 +296,18 @@ class Writer {
 class Reader {
  public:
   explicit Reader(std::string_view bytes) : buf_(bytes) {}
+
+  /// Replace each field with the next encoded value (the archive; see
+  /// above).
+  template <class... Ts>
+  void operator()(Ts&... xs) {
+    (get(xs), ...);
+  }
+  /// Fail the reader unless `cond` holds: a type's consistency check over
+  /// the fields it just loaded.
+  void require(bool cond) {
+    if (!cond) fail_ = true;
+  }
 
   bool ok() const { return !fail_; }
   std::size_t remaining() const { return buf_.size() - pos_; }
@@ -236,6 +354,51 @@ class Reader {
   }
 
  private:
+  template <class T>
+  void get(T& x) {
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t b = u8();
+      require(b <= 1);
+      x = b != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      std::uint8_t v = u8();
+      require(v <= detail::enum_limit<T>());
+      x = T(v);
+    } else if constexpr (detail::Integer<T>) {
+      static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
+      if constexpr (sizeof(T) == 1) x = T(u8());
+      if constexpr (sizeof(T) == 4) x = T(u32());
+      if constexpr (sizeof(T) == 8) x = T(u64());
+    } else if constexpr (std::is_same_v<T, double>) {
+      x = f64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      x = str();
+    } else if constexpr (detail::is_array<T>) {
+      for (auto& e : x) get(e);
+    } else if constexpr (detail::is_pair<T>) {
+      get(x.first);
+      get(x.second);
+    } else if constexpr (detail::is_vector<T>) {
+      x.clear();
+      std::uint64_t n = size();
+      x.reserve(n);
+      for (std::uint64_t i = 0; i < n && ok(); ++i) get(x.emplace_back());
+    } else if constexpr (detail::MapLike<T>) {
+      x.clear();
+      std::uint64_t n = size();
+      for (std::uint64_t i = 0; i < n && ok(); ++i) {
+        typename T::key_type key{};
+        get(key);
+        require(x.empty() ||
+                typename T::key_compare{}(std::prev(x.end())->first, key));
+        if (!ok()) return;
+        get(x[key]);
+      }
+    } else {
+      x.fields(*this);
+    }
+  }
+
   bool need(std::uint64_t n) {
     if (fail_ || n > remaining()) {
       fail_ = true;
@@ -249,9 +412,24 @@ class Reader {
   bool fail_ = false;
 };
 
+/// Append the fields of each of `xs` to `w`.
+template <class... Ts>
+void save(Writer& w, const Ts&... xs) {
+  w(xs...);
+}
+
+/// Replace each of `xs` with the fields read from `r`. False when the bytes
+/// ran out or a load check failed; the objects are then partly loaded and
+/// must be discarded.
+template <class... Ts>
+bool load(Reader& r, Ts&... xs) {
+  r(xs...);
+  return r.ok();
+}
+
 }  // namespace ckpt
 
-/// Bump when the container layout or any save()/load() encoding changes;
+/// Bump when the container layout or any type's `fields` layout changes;
 /// readers reject every other version with a descriptive Status.
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 

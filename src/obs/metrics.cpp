@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include "io/checkpoint.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -41,95 +39,6 @@ Histogram& MetricsSink::histogram(std::string_view name, double lo_exp,
 
 PhaseStats& MetricsSink::phase(std::string_view name) {
   return named(phases_, name);
-}
-
-void Histogram::save(io::ckpt::Writer& w) const {
-  w.f64(lo_exp_);
-  w.f64(hi_exp_);
-  w.u32(std::uint32_t(per_decade_));
-  w.u64(total_);
-  w.u64(buckets_.size());
-  for (std::uint64_t b : buckets_) w.u64(b);
-}
-
-bool Histogram::load(io::ckpt::Reader& r) {
-  lo_exp_ = r.f64();
-  hi_exp_ = r.f64();
-  per_decade_ = int(r.u32());
-  total_ = r.u64();
-  std::uint64_t n = r.size();
-  if (!r.ok()) return false;
-  // The bucket count is a function of the binning parameters; a mismatch
-  // means the payload is inconsistent, not merely from another config.
-  if (per_decade_ < 1 || !(hi_exp_ > lo_exp_) ||
-      n != std::size_t((hi_exp_ - lo_exp_) * per_decade_) + 1)
-    return false;
-  buckets_.assign(std::size_t(n), 0);
-  for (std::uint64_t& b : buckets_) b = r.u64();
-  return r.ok();
-}
-
-void MetricsSink::save(io::ckpt::Writer& w) const {
-  w.u64(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    w.str(name);
-    w.u64(c.value);
-  }
-  w.u64(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    w.str(name);
-    w.f64(g.value);
-    w.u8(g.set_flag ? 1 : 0);
-  }
-  w.u64(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    w.str(name);
-    h.save(w);
-  }
-  w.u64(phases_.size());
-  for (const auto& [name, p] : phases_) {
-    w.str(name);
-    w.u64(p.count);
-    w.u64(p.total_ns);
-    w.u64(p.min_ns);
-    w.u64(p.max_ns);
-  }
-}
-
-bool MetricsSink::load(io::ckpt::Reader& r) {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  phases_.clear();
-  std::uint64_t n_counters = r.size();
-  for (std::uint64_t i = 0; i < n_counters && r.ok(); ++i) {
-    std::string name = r.str();
-    counters_[name].value = r.u64();
-  }
-  std::uint64_t n_gauges = r.size();
-  for (std::uint64_t i = 0; i < n_gauges && r.ok(); ++i) {
-    std::string name = r.str();
-    Gauge& g = gauges_[name];
-    g.value = r.f64();
-    std::uint8_t flag = r.u8();
-    if (flag > 1) return false;
-    g.set_flag = flag != 0;
-  }
-  std::uint64_t n_histograms = r.size();
-  for (std::uint64_t i = 0; i < n_histograms && r.ok(); ++i) {
-    std::string name = r.str();
-    if (!histograms_[name].load(r)) return false;
-  }
-  std::uint64_t n_phases = r.size();
-  for (std::uint64_t i = 0; i < n_phases && r.ok(); ++i) {
-    std::string name = r.str();
-    PhaseStats& p = phases_[name];
-    p.count = r.u64();
-    p.total_ns = r.u64();
-    p.min_ns = r.u64();
-    p.max_ns = r.u64();
-  }
-  return r.ok();
 }
 
 void MetricsSink::merge(MetricsSink&& other) {

@@ -29,11 +29,6 @@
 #include <utility>
 #include <vector>
 
-namespace dynamips::io::ckpt {
-class Writer;
-class Reader;
-}  // namespace dynamips::io::ckpt
-
 namespace dynamips::obs {
 
 /// Monotonic nanosecond clock for phase spans.
@@ -50,6 +45,11 @@ struct Counter {
 
   void add(std::uint64_t n = 1) { value += n; }
   void merge(const Counter& other) { value += other.value; }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(value);
+  }
 };
 
 /// Point-in-time measurement (shard count, imbalance ratio, peak RSS).
@@ -68,6 +68,11 @@ struct Gauge {
       value = other.value;
       set_flag = true;
     }
+  }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(value, set_flag);
   }
 };
 
@@ -111,12 +116,24 @@ class Histogram {
            buckets_ == other.buckets_;
   }
 
-  /// Checkpoint serialization (io/checkpoint.h): binning parameters plus
-  /// exact bucket counts. load() rejects inconsistent bucket counts.
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout (io/checkpoint.h): binning parameters plus exact
+  /// bucket counts. A load refuses binning that is not finite, spans too
+  /// many buckets, or disagrees with the bucket count. The span is checked
+  /// before it is converted to a count, since converting an out-of-range
+  /// double to an integer is undefined.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(lo_exp_, hi_exp_, per_decade_, total_, buckets_);
+    const double span = (hi_exp_ - lo_exp_) * per_decade_;
+    ar.require(per_decade_ >= 1 && span > 0 && span < kMaxBuckets &&
+               buckets_.size() == std::size_t(span) + 1);
+  }
 
  private:
+  /// Bucket-count ceiling for loaded binning (the widest histogram in use
+  /// has a few dozen buckets).
+  static constexpr double kMaxBuckets = 1 << 20;
+
   std::size_t bucket_of(double value) const {
     if (value < 1e-300) return 0;
     double pos = (std::log10(value) - lo_exp_) * per_decade_;
@@ -152,6 +169,11 @@ struct PhaseStats {
     if (other.min_ns < min_ns) min_ns = other.min_ns;
     if (other.max_ns > max_ns) max_ns = other.max_ns;
   }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(count, total_ns, min_ns, max_ns);
+  }
 };
 
 /// An unsynchronized, shard-local buffer of named metrics. Satisfies the
@@ -176,10 +198,12 @@ class MetricsSink {
   void merge(MetricsSink&& other);
   void finalize() {}
 
-  /// Checkpoint serialization (io/checkpoint.h): all four value maps,
-  /// bit-exact (gauge doubles round-trip via their bit pattern).
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout (io/checkpoint.h): all four value maps, bit-exact
+  /// (gauge doubles round-trip via their bit pattern).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(counters_, gauges_, histograms_, phases_);
+  }
 
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty() &&

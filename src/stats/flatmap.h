@@ -30,6 +30,7 @@ class FlatMap {
   using key_type = K;
   using mapped_type = V;
   using value_type = std::pair<K, V>;
+  using key_compare = Compare;
   using iterator = typename std::vector<value_type>::iterator;
   using const_iterator = typename std::vector<value_type>::const_iterator;
 

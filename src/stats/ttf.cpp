@@ -1,7 +1,5 @@
 #include "stats/ttf.h"
 
-#include "io/checkpoint.h"
-
 namespace dynamips::stats {
 
 namespace {
@@ -31,29 +29,6 @@ const char* duration_label(std::uint64_t hours) {
   for (const auto& m : kMarks)
     if (m.hours == hours) return m.label;
   return "?";
-}
-
-void TotalTimeFraction::save(io::ckpt::Writer& w) const {
-  w.u64(counts_.size());
-  for (auto [hours, n] : counts_) {
-    w.u64(hours);
-    w.u64(n);
-  }
-  w.u64(total_hours_);
-  w.u64(total_count_);
-}
-
-bool TotalTimeFraction::load(io::ckpt::Reader& r) {
-  counts_.clear();
-  total_hours_ = total_count_ = 0;
-  std::uint64_t n = r.size();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    std::uint64_t hours = r.u64();
-    counts_[hours] = r.u64();
-  }
-  total_hours_ = r.u64();
-  total_count_ = r.u64();
-  return r.ok();
 }
 
 }  // namespace dynamips::stats

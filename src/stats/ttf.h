@@ -16,11 +16,6 @@
 #include <span>
 #include <vector>
 
-namespace dynamips::io::ckpt {
-class Writer;
-class Reader;
-}  // namespace dynamips::io::ckpt
-
 namespace dynamips::stats {
 
 /// Accumulates assignment durations (in hours, the Atlas measurement
@@ -96,11 +91,11 @@ class TotalTimeFraction {
     return counts_;
   }
 
-  /// Checkpoint serialization (io/checkpoint.h): save() emits the exact
-  /// accumulator state, load() replaces it. load() returns false on a
-  /// malformed blob and leaves the accumulator empty.
-  void save(io::ckpt::Writer& w) const;
-  bool load(io::ckpt::Reader& r);
+  /// Checkpoint layout (io/checkpoint.h): the exact accumulator state.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(counts_, total_hours_, total_count_);
+  }
 
  private:
   std::map<std::uint64_t, std::uint64_t> counts_;

@@ -13,14 +13,17 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "atlas/generator.h"
 #include "cdn/generator.h"
+#include "core/assoc.h"
 #include "core/failpoint.h"
 #include "core/pipeline.h"
 #include "core/shutdown.h"
@@ -29,6 +32,7 @@
 #include "io/results_io.h"
 #include "obs/metrics.h"
 #include "simnet/isp.h"
+#include "stats/ttf.h"
 
 namespace dynamips {
 namespace {
@@ -394,7 +398,7 @@ TEST_F(FailpointInjection, RenameFailureLeavesDestinationUntouched) {
 template <typename T>
 std::string saved_bytes(const T& t) {
   Writer w;
-  t.save(w);
+  io::ckpt::save(w, t);
   return w.take();
 }
 
@@ -430,7 +434,7 @@ void expect_continue_after_load_identical(T& half_fed, T fresh, Feed&& feed,
                                           std::size_t count) {
   std::string snapshot = saved_bytes(half_fed);
   Reader r(snapshot);
-  ASSERT_TRUE(fresh.load(r));
+  ASSERT_TRUE(io::ckpt::load(r, fresh));
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(saved_bytes(fresh), snapshot);
 
@@ -518,7 +522,7 @@ TEST(AnalyzerState, MetricsSinkSaveLoadRoundTrips) {
   std::string bytes = saved_bytes(sink);
   obs::MetricsSink loaded;
   Reader r(bytes);
-  ASSERT_TRUE(loaded.load(r));
+  ASSERT_TRUE(io::ckpt::load(r, loaded));
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(saved_bytes(loaded), bytes);
   EXPECT_EQ(loaded.counters().at("a.count").value, 7u);
@@ -530,7 +534,80 @@ TEST(AnalyzerState, MetricsSinkSaveLoadRoundTrips) {
   std::string damaged = bytes.substr(0, bytes.size() / 2);
   obs::MetricsSink reject;
   Reader rr(damaged);
-  EXPECT_FALSE(reject.load(rr));
+  EXPECT_FALSE(io::ckpt::load(rr, reject));
+}
+
+/// A histogram blob with the given binning and one bucket.
+std::string histogram_blob(double lo_exp, double hi_exp) {
+  Writer w;
+  w.f64(lo_exp);
+  w.f64(hi_exp);
+  w.u32(5);  // bins per decade
+  w.u64(0);  // total
+  w.u64(1);  // bucket count
+  w.u64(0);
+  return w.take();
+}
+
+TEST(AnalyzerState, HistogramRejectsNonFiniteOrHugeBinning) {
+  // The bucket count is derived from the binning; the load must refuse the
+  // binning before converting an infinite or enormous span to an integer.
+  for (double hi : {std::numeric_limits<double>::infinity(), 1e300,
+                    std::numeric_limits<double>::quiet_NaN()}) {
+    const std::string blob = histogram_blob(0, hi);
+    Reader r(blob);
+    obs::Histogram h;
+    EXPECT_FALSE(io::ckpt::load(r, h)) << "hi_exp " << hi;
+  }
+  // A consistent binning with a single bucket still loads.
+  const std::string ok = histogram_blob(0, 0.1);
+  Reader r(ok);
+  obs::Histogram h;
+  EXPECT_TRUE(io::ckpt::load(r, h));
+  EXPECT_EQ(h.buckets().size(), 1u);
+}
+
+TEST(CheckpointArchive, MapKeysMustStrictlyIncrease) {
+  auto ttf_blob = [](std::uint64_t first, std::uint64_t second) {
+    Writer w;
+    w.u64(2);  // two (hours, count) pairs
+    w.u64(first);
+    w.u64(1);
+    w.u64(second);
+    w.u64(1);
+    w.u64(first + second);  // total hours
+    w.u64(2);               // total count
+    return w.take();
+  };
+  for (auto [first, second, loads] :
+       {std::tuple{3u, 7u, true}, {7u, 3u, false}, {5u, 5u, false}}) {
+    const std::string blob = ttf_blob(first, second);
+    Reader r(blob);
+    stats::TotalTimeFraction ttf;
+    EXPECT_EQ(io::ckpt::load(r, ttf), loads) << first << ", " << second;
+  }
+}
+
+TEST(CheckpointArchive, BoolAndEnumBytesMustBeInRange) {
+  // A gauge is (f64 value, bool set): the flag byte must be 0 or 1.
+  for (std::uint8_t flag : {0, 1, 2, 255}) {
+    Writer w;
+    w.f64(2.5);
+    w.u8(flag);
+    Reader r(w.buffer());
+    obs::Gauge g;
+    EXPECT_EQ(io::ckpt::load(r, g), flag <= 1) << int(flag);
+  }
+  // A registry class is (registry enum, mobile bool); kAfrinic is the last
+  // registry.
+  for (std::uint8_t reg : {0, 4, 5}) {
+    Writer w;
+    w.u8(reg);
+    w.u8(0);
+    Reader r(w.buffer());
+    core::RegistryClass cls;
+    EXPECT_EQ(io::ckpt::load(r, cls), reg <= 4) << int(reg);
+  }
 }
 
 // --------------------------------------------------------------- shutdown
@@ -1103,6 +1180,28 @@ TEST(GoldenCheckpoint, CdnFiles) {
                                                               nullptr, cc);
                       });
   std::filesystem::remove(input);
+}
+
+TEST(GoldenCheckpoint, MetricsSinkBlob) {
+  // The golden shards are written with metrics off; this pins the sink's
+  // encoding (counter, set and unset gauge, histogram, phase) on its own.
+  obs::MetricsSink sink;
+  sink.counter("ingest.records").add(123456789);
+  sink.gauge("parallel.imbalance").set(1.25);
+  sink.gauge("parallel.unset");
+  sink.histogram("atlas.records_per_probe", 0, 4, 5).record(37.0, 2);
+  sink.phase("atlas.sanitize").record(1500);
+  sink.phase("atlas.sanitize").record(250);
+  const std::string golden =
+      file_bytes(std::string(DYNAMIPS_TEST_GOLDEN_DIR) + "/metrics-sink.bin");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_TRUE(saved_bytes(sink) == golden);
+
+  obs::MetricsSink loaded;
+  Reader r(golden);
+  ASSERT_TRUE(io::ckpt::load(r, loaded));
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(saved_bytes(loaded), golden);
 }
 
 // --------------------------------------------------- multi-process shards

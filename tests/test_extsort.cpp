@@ -178,8 +178,8 @@ TEST(AnalyzerSpill, BigLogSpillsAndMatchesInMemory) {
   EXPECT_GT(b.spill_runs(), 0u) << "budget did not force a spill";
 
   io::ckpt::Writer wa, wb;
-  a.save(wa);
-  b.save(wb);
+  io::ckpt::save(wa, a);
+  io::ckpt::save(wb, b);
   EXPECT_EQ(wa.buffer(), wb.buffer())
       << "spilled analyzer state diverged from in-memory";
   EXPECT_EQ(a.total_tuples(), b.total_tuples());

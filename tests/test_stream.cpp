@@ -74,7 +74,7 @@ std::string cdn_signature(const core::CdnStudy& study) {
 template <typename A>
 std::string save_bytes(const A& analyzer) {
   io::ckpt::Writer w;
-  analyzer.save(w);
+  io::ckpt::save(w, analyzer);
   return w.take();
 }
 
@@ -849,6 +849,128 @@ TEST(CdnStream, ResumeAtDifferentThreadCountIsByteIdentical) {
     EXPECT_EQ(cdn_signature(*study), want);
     EXPECT_EQ(stats.batches, 3u);
   }
+}
+
+// ------------------------------------------- golden stream checkpoints
+//
+// tests/golden/{atlas,cdn}-stream.ckpt are stream checkpoints taken after
+// the first batches of small slices of the shared fixtures. Their
+// accounting sink holds timings, so only the accumulated-dataset blob is
+// pinned: resuming with a tripped token rewrites the checkpoint at once,
+// and its blob must equal the fixture's byte for byte. Resuming over the
+// remaining batches must then land on the one-shot results.
+
+/// The golden stream inputs: every fourth hour of the first 1200 of the
+/// first three probes, and the first 300 records of the first three CDN
+/// logs, so the committed checkpoints stay a few tens of kilobytes.
+std::vector<atlas::ProbeSeries> golden_echo_dataset() {
+  std::vector<atlas::ProbeSeries> out;
+  for (const auto& series : atlas_fixture().dataset) {
+    atlas::ProbeSeries s;
+    s.meta = series.meta;
+    for (const auto& r : series.records)
+      if (r.hour < 1200 && r.hour % 4 == 0) s.records.push_back(r);
+    if (!s.records.empty()) out.push_back(std::move(s));
+    if (out.size() == 3) break;
+  }
+  return out;
+}
+
+std::vector<cdn::AssociationLog> golden_assoc_dataset() {
+  std::vector<cdn::AssociationLog> out;
+  for (const auto& log : cdn_fixture().logs) {
+    if (out.size() == 3) break;
+    cdn::AssociationLog l = log;
+    if (l.records.size() > 300) l.records.resize(300);
+    out.push_back(std::move(l));
+  }
+  return out;
+}
+
+/// Read tests/golden/<name>.ckpt and check its kind and batch mark.
+io::StudyCheckpoint golden_stream(const std::string& name, std::uint32_t kind,
+                                  const std::vector<std::string>& consumed) {
+  auto fixture = io::read_checkpoint(std::string(DYNAMIPS_TEST_GOLDEN_DIR) +
+                                     "/" + name + ".ckpt");
+  EXPECT_TRUE(fixture.ok()) << fixture.status().to_string();
+  if (!fixture.ok()) return {};
+  EXPECT_EQ(fixture->kind, kind);
+  EXPECT_EQ(fixture->consumed, consumed);
+  EXPECT_EQ(fixture->shards.size(), 1u);
+  return fixture.take();
+}
+
+/// Resume `follow` from `fixture` with a tripped token and require the
+/// checkpoint it rewrites to carry the fixture's dataset blob.
+template <typename Follow>
+void expect_blob_rewritten(const io::StudyCheckpoint& fixture,
+                           const fs::path& dir, Follow&& follow) {
+  core::ShutdownToken token;
+  token.request();
+  core::StreamConfig stream;
+  stream.checkpoint_path = (dir / "study.ckpt").string();
+  stream.resume = &fixture;
+  stream.token = &token;
+  auto cancelled = follow(stream);
+  ASSERT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+      << cancelled.status().to_string();
+  auto rewritten = io::read_checkpoint(stream.checkpoint_path);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().to_string();
+  EXPECT_EQ(rewritten->consumed, fixture.consumed);
+  ASSERT_EQ(rewritten->shards.size(), 1u);
+  ASSERT_FALSE(fixture.shards.empty());
+  EXPECT_TRUE(rewritten->shards[0].blob == fixture.shards[0].blob)
+      << "the dataset blob written now differs from the golden fixture's";
+}
+
+TEST(GoldenCheckpoint, AtlasStream) {
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path watch = temp_dir("golden_atlas_stream_watch");
+  const fs::path ckdir = temp_dir("golden_atlas_stream_ckpt");
+  const auto paths = write_atlas_batches(watch, golden_echo_dataset(), 4);
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 1;
+  auto ref = core::run_atlas_study_from_files(paths, fx.isps, cfg);
+  ASSERT_TRUE(ref.ok()) << ref.status().to_string();
+
+  const io::StudyCheckpoint fixture =
+      golden_stream("atlas-stream", io::kCkptAtlasStream,
+                    {"batch-000.csv", "batch-001.csv"});
+  auto follow = [&](const core::StreamConfig& stream) {
+    return core::StreamDriver(cfg.threads)
+        .follow_atlas(watch.string(), fx.isps, cfg, stream);
+  };
+  expect_blob_rewritten(fixture, ckdir, follow);
+
+  drop_sentinel(watch, "stream.stop");
+  core::StreamConfig stream;
+  stream.resume = &fixture;
+  auto study = follow(stream);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(atlas_signature(*study), atlas_signature(*ref));
+}
+
+TEST(GoldenCheckpoint, CdnStream) {
+  const fs::path watch = temp_dir("golden_cdn_stream_watch");
+  const fs::path ckdir = temp_dir("golden_cdn_stream_ckpt");
+  const auto paths = write_cdn_batches(watch, golden_assoc_dataset(), 3);
+  auto ref = core::run_cdn_study_from_files(paths, cdn_file_config(1));
+  ASSERT_TRUE(ref.ok()) << ref.status().to_string();
+
+  const io::StudyCheckpoint fixture =
+      golden_stream("cdn-stream", io::kCkptCdnStream, {"batch-000.csv"});
+  auto follow = [&](const core::StreamConfig& stream) {
+    return core::StreamDriver(1).follow_cdn(watch.string(),
+                                            cdn_file_config(1), stream);
+  };
+  expect_blob_rewritten(fixture, ckdir, follow);
+
+  drop_sentinel(watch, "stream.stop");
+  core::StreamConfig stream;
+  stream.resume = &fixture;
+  auto study = follow(stream);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(cdn_signature(*study), cdn_signature(*ref));
 }
 
 // ---------------------------------------------- injected-fault streaming
