@@ -229,12 +229,30 @@ std::unordered_set<bgp::Asn> CdnSimulator::mobile_asns() const {
   return out;
 }
 
+int CdnSimulator::scaled_subscribers(std::size_t idx) const {
+  return std::max(
+      1, int(double(population_[idx].subscribers) * config_.subscriber_scale));
+}
+
+namespace {
+
+// Mobile devices touch CDN-hosted content several times a day, which is
+// what lets a /64 witness a mid-day CGNAT egress change (§4.3's 13% of
+// mobile /64s with more than one /24).
+int samples_per_day(bool mobile) { return mobile ? 3 : 1; }
+
+}  // namespace
+
+std::uint64_t CdnSimulator::daily_samples(std::size_t idx) const {
+  return std::uint64_t(scaled_subscribers(idx)) *
+         std::uint64_t(samples_per_day(population_[idx].isp.mobile));
+}
+
 void CdnSimulator::publish_metrics(obs::MetricsSink& sink) const {
   std::uint64_t mobile_entries = 0, subscribers = 0;
-  for (const auto& e : population_) {
-    if (e.isp.mobile) ++mobile_entries;
-    subscribers += std::uint64_t(std::max(
-        1, int(double(e.subscribers) * config_.subscriber_scale)));
+  for (std::size_t i = 0; i < population_.size(); ++i) {
+    if (population_[i].isp.mobile) ++mobile_entries;
+    subscribers += std::uint64_t(scaled_subscribers(i));
   }
   sink.counter("cdn.gen.population_entries").add(population_.size());
   sink.counter("cdn.gen.mobile_entries").add(mobile_entries);
@@ -248,8 +266,7 @@ AssociationLog CdnSimulator::generate(std::size_t entry_idx) const {
   log.mobile = entry.isp.mobile;
   log.registry = entry.isp.registry;
 
-  int subscribers =
-      std::max(1, int(double(entry.subscribers) * config_.subscriber_scale));
+  const int subscribers = scaled_subscribers(entry_idx);
   Hour window = Hour(config_.days) * kHoursPerDay;
 
   // Noise source: pair with a mobile entry when available (phones switching
@@ -266,14 +283,11 @@ AssociationLog CdnSimulator::generate(std::size_t entry_idx) const {
     if (!tl.dual_stack) continue;
     simnet::SubscriberTimeline noise_tl;
     bool have_noise = false;
-    // Mobile devices touch CDN-hosted content several times a day, which
-    // is what lets a /64 witness a mid-day CGNAT egress change (§4.3's
-    // 13% of mobile /64s with more than one /24).
-    const int samples_per_day = entry.isp.mobile ? 3 : 1;
+    const int per_day = samples_per_day(entry.isp.mobile);
     for (int day = 0; day < config_.days; ++day) {
-      for (int slot = 0; slot < samples_per_day; ++slot) {
+      for (int slot = 0; slot < per_day; ++slot) {
       if (!rng.bernoulli(config_.daily_activity)) continue;
-      Hour slot_len = kHoursPerDay / Hour(samples_per_day);
+      Hour slot_len = kHoursPerDay / Hour(per_day);
       Hour h = Hour(day) * kHoursPerDay + Hour(slot) * slot_len +
                rng.uniform(slot_len);
       const auto* s6 = segment_at(tl.v6, h);

@@ -71,6 +71,12 @@ class CdnSimulator {
   /// including cross-network noise tuples (asn4 != asn6).
   AssociationLog generate(std::size_t entry_idx) const;
 
+  /// Sample slots per day across entry `idx`'s subscribers: its
+  /// post-scale subscriber count times 3 for a mobile network, 1 for a
+  /// fixed one. Proportional to the log's expected tuple count, so it is
+  /// the pipeline's cost estimate for generating and analyzing the log.
+  std::uint64_t daily_samples(std::size_t idx) const;
+
   /// ASNs of the cellular operators in this population — the stand-in for
   /// the Rula et al. cellular-prefix identification the paper uses.
   std::unordered_set<bgp::Asn> mobile_asns() const;
@@ -83,6 +89,8 @@ class CdnSimulator {
   std::vector<PopulationEntry> population_;
   CdnConfig config_;
   std::vector<simnet::TimelineGenerator> generators_;
+
+  int scaled_subscribers(std::size_t idx) const;
 };
 
 }  // namespace dynamips::cdn

@@ -82,6 +82,14 @@ class MonotonicArena {
     offset_ = 0;
   }
 
+  /// Free every block. The next allocate() starts over from the first
+  /// block size; for owners whose scratch would otherwise outlive its use.
+  void release() {
+    blocks_.clear();
+    cur_ = 0;
+    offset_ = 0;
+  }
+
   /// Total bytes owned across blocks (tests / diagnostics).
   std::size_t capacity_bytes() const {
     std::size_t total = 0;

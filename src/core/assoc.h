@@ -147,6 +147,8 @@ class CdnAnalyzer {
   void add(const cdn::AssociationLog& log) { add_log(log); }
   void merge(CdnAnalyzer&& other);
   void finalize() {}
+  /// Free the per-log scratch arena (a finished pipeline chunk).
+  void release_scratch() { arena_.release(); }
 
   /// Checkpoint layout (io/checkpoint.h): every accumulated map and
   /// vector, bit-exact; options and the mobile-ASN set are reconstructed

@@ -11,10 +11,12 @@
 //    concept and rides the same ordered reduction, which is why enabling
 //    metrics adds no locks to the hot path and keeps counter totals
 //    identical for every thread count;
-//  * a `ShardExecutor` — a fixed thread pool (no work stealing) that runs
-//    one task per contiguous index range. Each shard owns a private analyzer
-//    set, and the caller reduces the shards in index order afterwards, so
-//    results are byte-identical to the serial run regardless of thread
+//  * a `ShardExecutor` — a fixed thread pool (no work stealing) whose
+//    threads claim indexed tasks from one counter. The pipeline cuts each
+//    round into many more contiguous chunks than threads and hands them
+//    out largest estimated cost first; each chunk owns a private analyzer
+//    set, and the caller folds the chunks back in index order afterwards,
+//    so results are byte-identical to the serial run regardless of thread
 //    count or scheduling.
 #pragma once
 
@@ -78,8 +80,10 @@ inline unsigned resolve_threads(unsigned requested) {
 
 /// Partition [0, count) into at most `shards` contiguous, near-equal
 /// ranges (never more ranges than items; a single empty range for count 0).
+/// The pipeline uses it for layout only — a process's `--shard i/N` slice
+/// and a fresh run's checkpoint ranges — never to size the dispatch.
 /// Contiguity is what keeps sharded output identical to the serial run:
-/// concatenating per-shard append-order vectors in shard order reproduces
+/// concatenating per-range append-order vectors in range order reproduces
 /// the serial append order exactly.
 inline std::vector<ShardRange> shard_ranges(std::size_t count,
                                             unsigned shards) {
@@ -98,11 +102,13 @@ inline std::vector<ShardRange> shard_ranges(std::size_t count,
 
 /// Fixed-size thread pool dispatching indexed tasks. Deliberately
 /// work-stealing-free: tasks are claimed from a single counter, one at a
-/// time, and the pool makes no ordering promises — determinism comes from
-/// per-shard state plus the caller's ordered reduction, not from
-/// scheduling. With `threads == 1` no worker threads exist and dispatch()
-/// runs inline on the caller, reproducing the serial path exactly (and
-/// making `threads = 1` safe for analyzers that are not thread-safe).
+/// time and in index order, so a caller that numbers its tasks by
+/// descending cost gets longest-first scheduling. The pool promises no
+/// completion order — determinism comes from per-task state plus the
+/// caller's ordered reduction, not from scheduling. With `threads == 1` no
+/// worker threads exist and dispatch() runs inline on the caller,
+/// reproducing the serial path exactly (and making `threads = 1` safe for
+/// analyzers that are not thread-safe).
 class ShardExecutor {
  public:
   /// `threads == 0` resolves to std::thread::hardware_concurrency().
@@ -110,7 +116,7 @@ class ShardExecutor {
       : threads_(resolve_threads(threads)) {
     workers_.reserve(threads_ - 1);
     for (unsigned t = 0; t + 1 < threads_; ++t)
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, t] { worker_loop(t + 1); });
   }
 
   ShardExecutor(const ShardExecutor&) = delete;
@@ -127,19 +133,22 @@ class ShardExecutor {
 
   unsigned thread_count() const { return threads_; }
 
-  /// Run task(0) .. task(n_tasks - 1) across the pool; the calling thread
-  /// participates. Returns once every task finished. The first exception
-  /// thrown by any task is rethrown here (remaining tasks still run).
+  /// Run task(lane, 0) .. task(lane, n_tasks - 1) across the pool; the
+  /// calling thread participates. `lane` in [0, thread_count()) names the
+  /// thread running the task — 0 is the caller, worker w is lane w + 1 — so
+  /// per-lane accumulators need no lock. Returns once every task finished.
+  /// The first exception thrown by any task is rethrown here (remaining
+  /// tasks still run).
   void dispatch(std::size_t n_tasks,
-                const std::function<void(std::size_t)>& task) {
+                const std::function<void(unsigned, std::size_t)>& task) {
     if (n_tasks == 0) return;
     if (workers_.empty() || n_tasks == 1) {
       // Same drain-then-rethrow contract as the pooled path: a throwing
-      // task never leaves later shards unexecuted.
+      // task never leaves later tasks unexecuted.
       std::exception_ptr first;
       for (std::size_t i = 0; i < n_tasks; ++i) {
         try {
-          task(i);
+          task(0, i);
         } catch (...) {
           if (!first) first = std::current_exception();
         }
@@ -157,20 +166,26 @@ class ShardExecutor {
       ++generation_;
     }
     work_cv_.notify_all();
-    run_tasks();
+    run_tasks(0);
     std::unique_lock<std::mutex> lk(mu_);
     done_cv_.wait(lk, [this] { return pending_ == 0; });
     job_ = nullptr;
     if (error_) std::rethrow_exception(error_);
   }
 
+  /// Run task(0) .. task(n_tasks - 1) across the pool, as above.
+  void dispatch(std::size_t n_tasks,
+                const std::function<void(std::size_t)>& task) {
+    dispatch(n_tasks, [&task](unsigned, std::size_t i) { task(i); });
+  }
+
   /// Exception-safe dispatch: a throwing shard task is captured on its
   /// worker (never reaching std::terminate), the remaining work is still
   /// drained, and the first failure comes back as a Status instead of an
   /// exception — the error-propagation contract of the file-driven study
-  /// entrypoints.
-  Status try_dispatch(std::size_t n_tasks,
-                      const std::function<void(std::size_t)>& task) {
+  /// entrypoints. Takes either task form dispatch() does.
+  template <typename Task>
+  Status try_dispatch(std::size_t n_tasks, const Task& task) {
     try {
       dispatch(n_tasks, task);
     } catch (const std::exception& e) {
@@ -187,10 +202,10 @@ class ShardExecutor {
   // Claim-and-run loop shared by the caller and the workers. A claimed
   // index keeps pending_ > 0 until it completes, so `job_` (which points
   // into dispatch()'s frame) stays alive for every claimed task.
-  void run_tasks() {
+  void run_tasks(unsigned lane) {
     while (true) {
       std::size_t idx;
-      const std::function<void(std::size_t)>* job;
+      const std::function<void(unsigned, std::size_t)>* job;
       {
         std::lock_guard<std::mutex> lk(mu_);
         if (next_ >= end_) return;
@@ -198,7 +213,7 @@ class ShardExecutor {
         job = job_;
       }
       try {
-        (*job)(idx);
+        (*job)(lane, idx);
       } catch (...) {
         std::lock_guard<std::mutex> lk(mu_);
         if (!error_) error_ = std::current_exception();
@@ -210,7 +225,7 @@ class ShardExecutor {
     }
   }
 
-  void worker_loop() {
+  void worker_loop(unsigned lane) {
     std::uint64_t seen = 0;
     while (true) {
       {
@@ -219,7 +234,7 @@ class ShardExecutor {
         if (stop_) return;
         seen = generation_;
       }
-      run_tasks();
+      run_tasks(lane);
     }
   }
 
@@ -229,7 +244,7 @@ class ShardExecutor {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
+  const std::function<void(unsigned, std::size_t)>* job_ = nullptr;
   std::size_t next_ = 0;
   std::size_t end_ = 0;
   std::size_t pending_ = 0;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -41,6 +42,8 @@ std::uint64_t tick() {
 // differ only here. A simulator builds item i by value, as a pure function
 // of (config, i), so shards generate concurrently and race on nothing. A
 // loaded dataset hands out a const reference, so no item is copied.
+// `cost(i)` estimates item i's relative work; the round loop cuts and
+// orders its chunks by it, so it steers scheduling and never results.
 // Generator runs alone time the `<study>.generate` phase and publish the
 // simulator's metrics; file runs fold their `ingest` sink (never
 // checkpointed) in with the shard sinks.
@@ -52,6 +55,7 @@ struct AtlasGenerated {
 
   std::size_t size() const { return sim.probe_count(); }
   atlas::ProbeSeries item(std::size_t i) const { return sim.series_for(i); }
+  std::uint64_t cost(std::size_t) const { return 1; }
   void publish(obs::MetricsSink& m) const { sim.publish_metrics(m); }
 };
 
@@ -62,6 +66,7 @@ struct CdnGenerated {
 
   std::size_t size() const { return sim.entry_count(); }
   cdn::AssociationLog item(std::size_t i) const { return sim.generate(i); }
+  std::uint64_t cost(std::size_t i) const { return sim.daily_samples(i); }
   void publish(obs::MetricsSink& m) const { sim.publish_metrics(m); }
 };
 
@@ -73,6 +78,7 @@ struct Loaded {
 
   std::size_t size() const { return dataset.size(); }
   const Item& item(std::size_t i) const { return dataset[i]; }
+  std::uint64_t cost(std::size_t i) const { return dataset[i].records.size(); }
   void publish(obs::MetricsSink&) const {}
 };
 
@@ -80,11 +86,14 @@ struct Loaded {
 //
 // One shard's private state: its analyzers plus a metrics sink that merges
 // through the same ordered reduction, so counter totals are independent of
-// the thread count. Each shard type writes its study's per-item body once,
-// for every source, as `process<kMetered>`: the metrics-off instantiation
+// the thread count. A shard holds either a checkpoint range's accumulated
+// state or one chunk of a round; a chunk frees its scratch arenas
+// (release_scratch) as soon as it ends and is folded into its range after
+// the round. Each shard type writes its study's per-item body once, for
+// every source, as `process<kMetered>`: the metrics-off instantiation
 // compiles every metric block away (no clock read, no metric call), so the
 // plain and instrumented loops cannot drift apart. Metric handles are
-// resolved once per range; the hot loop does no map lookups.
+// resolved once per chunk; the hot loop does no map lookups.
 
 struct AtlasShard {
   using Study = AtlasStudy;
@@ -161,6 +170,11 @@ struct AtlasShard {
     metrics.merge(std::move(other.metrics));
   }
 
+  void release_scratch() {
+    sanitizer.release_scratch();
+    spatial.release_scratch();
+  }
+
   void finalize() {
     sanitizer.finalize();
     durations.finalize();
@@ -233,6 +247,8 @@ struct CdnShard {
     metrics.merge(std::move(other.metrics));
   }
 
+  void release_scratch() { analyzer.release_scratch(); }
+
   void finalize() { analyzer.finalize(); }
 
   void extract(CdnStudy& study) const { study.analyzer = analyzer.snapshot(); }
@@ -253,16 +269,17 @@ struct CdnShard {
   }
 };
 
-/// Ratio of the slowest shard's wall time to the mean — 1.0 is perfectly
-/// balanced. Recorded as a gauge so load skew across shards is visible.
-double imbalance_ratio(const std::vector<std::uint64_t>& shard_ns) {
-  if (shard_ns.empty()) return 1.0;
+/// Ratio of the busiest lane's time to the mean over all lanes — 1.0 is
+/// perfectly balanced. Recorded as a gauge so threads left waiting on the
+/// slowest one are visible.
+double imbalance_ratio(const std::vector<std::uint64_t>& lane_ns) {
+  if (lane_ns.empty()) return 1.0;
   std::uint64_t max = 0, sum = 0;
-  for (std::uint64_t ns : shard_ns) {
+  for (std::uint64_t ns : lane_ns) {
     sum += ns;
     if (ns > max) max = ns;
   }
-  double mean = double(sum) / double(shard_ns.size());
+  double mean = double(sum) / double(lane_ns.size());
   return mean > 0 ? double(max) / mean : 1.0;
 }
 
@@ -273,10 +290,17 @@ double imbalance_ratio(const std::vector<std::uint64_t>& shard_ns) {
 /// that the per-round dispatch barrier is noise.
 constexpr std::uint64_t kDefaultRoundItems = 256;
 
-/// The shard partition plus each shard's next unprocessed index. Fresh
-/// runs derive it from the thread count; resumed runs restore it from the
-/// checkpoint, which is what makes a resumed run byte-identical to the
-/// original regardless of either run's thread setting.
+/// Chunks a round is cut into per pool thread: enough that the costliest
+/// items start first and cheap ones fill the gaps behind them, few enough
+/// that the per-chunk analyzer sets and their fold stay noise.
+constexpr std::uint64_t kChunksPerThread = 4;
+
+/// The checkpoint layout: the shard partition plus each shard's next
+/// unprocessed index. Fresh runs derive it from the thread count; resumed
+/// runs restore it from the checkpoint, which is what makes a resumed run
+/// byte-identical to the original regardless of either run's thread
+/// setting. It does not decide the dispatch: every round is cut into
+/// chunks afresh (cut_round).
 struct ShardPlan {
   std::vector<ShardRange> ranges;
   std::vector<std::size_t> next;
@@ -544,23 +568,81 @@ Status restore_shards(const CheckpointConfig& cc, std::vector<Shard>& shards,
 
 // --- the supervised round loop -------------------------------------------
 
-/// Run every shard to completion in rounds. Unsupervised (default
-/// CheckpointConfig) this is a single round covering each shard's whole
-/// range — exactly the legacy dispatch. Supervised, each round advances
-/// every unfinished shard by at most `every_items` (or a small default)
-/// items, the shutdown token is polled between rounds, and a checkpoint is
-/// written after each round while work remains. An interrupt writes a final
-/// checkpoint and returns kCancelled.
+/// One contiguous piece of a round: items [from, to) of plan range `range`,
+/// with their summed cost estimate.
+struct Chunk {
+  std::size_t range = 0;
+  std::size_t from = 0;
+  std::size_t to = 0;
+  std::uint64_t cost = 0;
+};
+
+/// Cut every unfinished range's segment for this round — [next, next +
+/// round_items) clipped to the range, or the whole rest when round_items is
+/// 0 — into contiguous chunks, listed in index order. With one thread each
+/// segment is one chunk. Otherwise a chunk closes once its cost reaches
+/// 1/(kChunksPerThread * threads) of the round's total, and an item costing
+/// that much on its own gets a chunk to itself.
+template <typename Source>
+std::vector<Chunk> cut_round(const ShardPlan& plan, std::uint64_t round_items,
+                             unsigned threads, const Source& source) {
+  std::vector<Chunk> segments;
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < plan.ranges.size(); ++s) {
+    const std::size_t from = plan.next[s], end = plan.ranges[s].end;
+    if (from == end) continue;
+    const std::size_t to =
+        round_items && round_items < end - from ? from + round_items : end;
+    segments.push_back({s, from, to, 0});
+    if (threads > 1)
+      for (std::size_t i = from; i < to; ++i) total += source.cost(i);
+  }
+  if (threads == 1) return segments;
+  const std::uint64_t share =
+      std::max<std::uint64_t>(1, total / (kChunksPerThread * threads));
+  std::vector<Chunk> chunks;
+  for (const Chunk& seg : segments) {
+    Chunk c{seg.range, seg.from, seg.from, 0};
+    for (std::size_t i = seg.from; i < seg.to; ++i) {
+      const std::uint64_t w = source.cost(i);
+      if (w >= share && c.to > c.from) {
+        chunks.push_back(c);
+        c = {seg.range, i, i, 0};
+      }
+      c.to = i + 1;
+      c.cost += w;
+      if (c.cost >= share) {
+        chunks.push_back(c);
+        c = {seg.range, i + 1, i + 1, 0};
+      }
+    }
+    if (c.to > c.from) chunks.push_back(c);
+  }
+  return chunks;
+}
+
+/// Run every range of `plan` to completion in rounds. Unsupervised (default
+/// CheckpointConfig) there is one round covering each range's whole rest.
+/// Supervised, each round advances every unfinished range by at most
+/// `every_items` (or a small default) items, the shutdown token is polled
+/// between rounds, and a checkpoint is written after each round while work
+/// remains. An interrupt writes a final checkpoint and returns kCancelled.
 ///
-/// `process(s, from, to)` analyzes items [from, to) of shard s;
-/// `save_shard(s)` serializes shard s's state (only called between rounds,
-/// never concurrently with process).
-template <typename ProcessRange, typename SaveShard>
+/// A round is cut into chunks (cut_round), each analyzed into a fresh shard
+/// from `make_shard`; the pool claims them in descending cost, ties by
+/// index. After the round the chunks fold into their ranges' `shards`
+/// strictly in index order. Every merge is an exact sum or an in-order
+/// append, so the shards, the round count and every checkpoint are the same
+/// for any thread count and schedule. With metrics on, each range records
+/// one `<study>.shard_wall` sample per round (its chunks' summed time) and
+/// `lane_ns[l]` accumulates pool lane l's busy time.
+template <typename Source, typename MakeShard, typename Shard>
 Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
                     std::uint32_t kind, std::uint64_t fingerprint,
-                    std::uint64_t item_count, ShardPlan& plan,
+                    const Source& source, const MakeShard& make_shard,
+                    ShardPlan& plan, std::vector<Shard>& shards,
                     obs::MetricsRegistry* registry, obs::MetricsSink& sup,
-                    const ProcessRange& process, const SaveShard& save_shard) {
+                    std::vector<std::uint64_t>& lane_ns) {
   if (cc.every_items > 0 && cc.path.empty())
     return Status(StatusCode::kInvalidArgument,
                   "periodic checkpoints require a checkpoint path");
@@ -568,9 +650,10 @@ Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
     return Status(StatusCode::kInvalidArgument,
                   "sharded runs require a checkpoint path (the completed "
                   "checkpoint is the shard's output)");
-  const bool supervised = cc.active();
-  const std::uint64_t chunk =
-      cc.every_items ? cc.every_items : kDefaultRoundItems;
+  const std::uint64_t round_items =
+      !cc.active() ? 0 : cc.every_items ? cc.every_items : kDefaultRoundItems;
+  const std::uint64_t item_count = source.size();
+  const std::string wall = std::string(Shard::kName) + ".shard_wall";
 
   auto all_done = [&] {
     for (std::size_t s = 0; s < plan.ranges.size(); ++s)
@@ -588,9 +671,12 @@ Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
     ck.config_fingerprint = fingerprint;
     ck.item_count = item_count;
     ck.shards.reserve(plan.ranges.size());
-    for (std::size_t s = 0; s < plan.ranges.size(); ++s)
+    for (std::size_t s = 0; s < plan.ranges.size(); ++s) {
+      io::ckpt::Writer w;
+      io::ckpt::save(w, shards[s]);
       ck.shards.push_back({plan.ranges[s].begin, plan.ranges[s].end,
-                           plan.next[s], save_shard(s)});
+                           plan.next[s], w.take()});
+    }
     if (registry) {
       io::ckpt::Writer w;
       io::ckpt::save(w, registry->snapshot());
@@ -610,16 +696,46 @@ Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
   };
 
   for (;;) {
-    Status ran = exec.try_dispatch(plan.ranges.size(), [&](std::size_t s) {
-      const std::size_t end = plan.ranges[s].end;
-      std::size_t from = plan.next[s];
-      std::size_t stop =
-          supervised && chunk < end - from ? from + chunk : end;
-      process(s, from, stop);
-      plan.next[s] = stop;
-    });
+    const std::vector<Chunk> chunks =
+        cut_round(plan, round_items, exec.thread_count(), source);
+    std::vector<std::size_t> order(chunks.size());
+    std::iota(order.begin(), order.end(), std::size_t(0));
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return chunks[a].cost > chunks[b].cost;
+                     });
+    std::vector<Shard> parts;
+    parts.reserve(chunks.size());
+    for (std::size_t c = 0; c < chunks.size(); ++c)
+      parts.push_back(make_shard());
+    std::vector<std::uint64_t> part_ns(chunks.size(), 0);
+    Status ran = exec.try_dispatch(
+        chunks.size(), [&](unsigned lane, std::size_t k) {
+          const Chunk& chunk = chunks[order[k]];
+          Shard& part = parts[order[k]];
+          if (!registry) {
+            part.template process<false>(source, chunk.from, chunk.to);
+          } else {
+            const std::uint64_t start = obs::now_ns();
+            part.template process<true>(source, chunk.from, chunk.to);
+            part_ns[order[k]] = obs::now_ns() - start;
+            lane_ns[lane] += part_ns[order[k]];
+          }
+          part.release_scratch();
+        });
+    // Fold even after a failed task, so its partial metrics still reach
+    // the registry (analysis_pass); no checkpoint is written after one.
+    std::vector<std::uint64_t> range_ns(plan.ranges.size(), 0);
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      shards[chunks[c].range].merge(std::move(parts[c]));
+      plan.next[chunks[c].range] = chunks[c].to;
+      range_ns[chunks[c].range] += part_ns[c];
+    }
     if (!ran.ok()) return ran;
-    if (supervised) sup.counter("checkpoint.rounds").add(1);
+    if (registry)
+      for (std::size_t s = 0; s < shards.size(); ++s)
+        shards[s].metrics.phase(wall).record(range_ns[s]);
+    if (cc.active()) sup.counter("checkpoint.rounds").add(1);
     if (all_done()) {
       // Shard mode: the completed checkpoint IS the output — the merge
       // step combines these per-process files and resumes from the
@@ -686,21 +802,9 @@ Status analysis_pass(ShardExecutor& exec, const CheckpointConfig& cc,
   Status restored = restore_shards(cc, shards, sup, metrics);
   if (!restored.ok()) return restored;
 
-  const std::string wall = name + ".shard_wall";
-  auto process = [&](std::size_t s, std::size_t from, std::size_t to) {
-    if (!metrics) return shards[s].template process<false>(source, from, to);
-    const std::uint64_t start = obs::now_ns();
-    shards[s].template process<true>(source, from, to);
-    shards[s].metrics.phase(wall).record(obs::now_ns() - start);
-  };
-  auto save_shard = [&](std::size_t s) {
-    io::ckpt::Writer w;
-    io::ckpt::save(w, shards[s]);
-    return w.take();
-  };
-
-  Status drove = drive_shards(exec, cc, kind, fingerprint, source.size(),
-                              plan, metrics, sup, process, save_shard);
+  std::vector<std::uint64_t> lane_ns(exec.thread_count(), 0);
+  Status drove = drive_shards(exec, cc, kind, fingerprint, source, make_shard,
+                              plan, shards, metrics, sup, lane_ns);
   if (!drove.ok()) {
     // The checkpoint (if any) is already durable; fold the partial shard
     // sinks into the registry so an interrupted tool run can still report.
@@ -713,11 +817,6 @@ Status analysis_pass(ShardExecutor& exec, const CheckpointConfig& cc,
     }
     return drove;
   }
-
-  std::vector<std::uint64_t> shard_ns;
-  if (metrics)
-    for (Shard& shard : shards)
-      shard_ns.push_back(shard.metrics.phase(wall).total_ns);
 
   // Ordered reduction: shard 0 absorbs the rest in index order, which keeps
   // every append-ordered vector in the exact order of the serial run.
@@ -738,7 +837,7 @@ Status analysis_pass(ShardExecutor& exec, const CheckpointConfig& cc,
     source.publish(root.metrics);
     root.metrics.gauge(name + ".shards").set(double(plan.ranges.size()));
     root.metrics.gauge(name + ".shard_imbalance")
-        .set(imbalance_ratio(shard_ns));
+        .set(imbalance_ratio(lane_ns));
     if (source.ingest) root.metrics.merge(std::move(*source.ingest));
     root.metrics.merge(std::move(sup));
     metrics->merge(std::move(root.metrics));

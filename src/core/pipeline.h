@@ -4,11 +4,11 @@
 // the integration tests: generate the synthetic dataset (or load it from
 // files), sanitize it, and run every analyzer, returning one results object
 // per study. Probes/logs are processed one at a time so memory stays flat
-// regardless of scale, and the index space is sharded across a fixed thread
-// pool (core/parallel.h): every analyzer is a mergeable sink, each shard
-// owns a private analyzer set, and shards are reduced in index order, so
-// results are byte-identical for every `threads` setting (`threads = 1` is
-// the plain serial path).
+// regardless of scale, and the index space is cut into cost-ordered chunks
+// run on a fixed thread pool (core/parallel.h): every analyzer is a
+// mergeable sink, each chunk owns a private analyzer set, and chunks are
+// reduced in index order, so results are byte-identical for every
+// `threads` setting (`threads = 1` is the plain serial path).
 //
 // Every entrypoint below — generator, file-driven, and each re-finalization
 // of a stream — runs the same `analysis_pass` in pipeline.cpp: plan or

@@ -117,6 +117,8 @@ class Sanitizer {
   /// Absorb another sanitizer's filter accounting (shard reduction).
   void merge(Sanitizer&& other) { stats_.merge(other.stats_); }
   void finalize() {}
+  /// Free the per-call scratch arena (a finished pipeline chunk).
+  void release_scratch() { arena_.release(); }
 
   /// Checkpoint layout: only the accumulated accounting is state; the RIB
   /// reference and options are reconstructed from the run config.

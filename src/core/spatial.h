@@ -115,6 +115,8 @@ class SpatialAnalyzer {
   void add(const CleanProbe& probe) { add_probe(probe); }
   void merge(SpatialAnalyzer&& other);
   void finalize() {}
+  /// Free the per-call scratch arena (a finished pipeline chunk).
+  void release_scratch() { arena_.release(); }
 
   /// Checkpoint layout: only the per-AS map is state; the RIB reference is
   /// reconstructed from the run config on resume.

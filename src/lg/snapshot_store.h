@@ -1,31 +1,24 @@
 // snapshot_store.h — RCU-style publication point for finalized studies.
 //
 // The looking-glass read path (src/lg/service.h) never locks against the
-// pipeline: the stream's re-finalization callback builds an immutable
-// snapshot off to the side and publish()es it with one atomic pointer
-// swap. Readers get() a shared_ptr to whichever generation was current at
-// that instant and keep it alive for the duration of their request, so a
-// response is always assembled from exactly one generation — there is no
+// pipeline's work: the stream's re-finalization callback builds an
+// immutable snapshot off to the side and publish()es it by swapping one
+// pointer. Readers get() a shared_ptr to whichever generation was current
+// at that instant and keep it alive for the duration of their request, so
+// a response is always assembled from exactly one generation — there is no
 // window in which a reader can observe half of an old snapshot and half of
 // a new one, and a publish never waits for readers to drain (the old
 // generation is freed by the last shared_ptr that drops it).
 //
-// C++20's std::atomic<std::shared_ptr> provides the swap where the
-// standard library implements it (GCC >= 12); elsewhere a mutex guarding
-// only the pointer copy preserves the exact same reader-visible contract
-// with a critical section of a few instructions.
+// A mutex guards only the pointer copy, a critical section of a few
+// instructions. It stands in for std::atomic<std::shared_ptr>: libstdc++
+// 12's version reads the pointer under its lock bit and then drops the bit
+// with a relaxed RMW, so the read does not happen-before the next
+// publish's write, which ThreadSanitizer reports as a data race.
 #pragma once
 
 #include <memory>
-#include <version>
-
-#if defined(__cpp_lib_atomic_shared_ptr)
-#include <atomic>
-#define DYNAMIPS_LG_ATOMIC_SHARED_PTR 1
-#else
 #include <mutex>
-#define DYNAMIPS_LG_ATOMIC_SHARED_PTR 0
-#endif
 
 namespace dynamips::lg {
 
@@ -35,32 +28,20 @@ class SnapshotStore {
   /// The current snapshot, or null when nothing has been published yet.
   /// Safe to call from any number of threads concurrently with publish().
   std::shared_ptr<const T> get() const {
-#if DYNAMIPS_LG_ATOMIC_SHARED_PTR
-    return ptr_.load(std::memory_order_acquire);
-#else
     std::lock_guard<std::mutex> lk(mu_);
     return ptr_;
-#endif
   }
 
   /// Swap in a new generation. The previous one stays alive until the last
   /// reader holding it lets go; publish() itself never blocks on readers.
   void publish(std::shared_ptr<const T> next) {
-#if DYNAMIPS_LG_ATOMIC_SHARED_PTR
-    ptr_.store(std::move(next), std::memory_order_release);
-#else
     std::lock_guard<std::mutex> lk(mu_);
-    ptr_ = std::move(next);
-#endif
+    ptr_.swap(next);
   }
 
  private:
-#if DYNAMIPS_LG_ATOMIC_SHARED_PTR
-  std::atomic<std::shared_ptr<const T>> ptr_;
-#else
   mutable std::mutex mu_;
   std::shared_ptr<const T> ptr_;
-#endif
 };
 
 }  // namespace dynamips::lg

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -46,17 +47,47 @@ struct AllocationScope {
   }
 };
 
+// Every scalar form is replaced, so each allocation is counted and every
+// pointer a delete sees came from the same malloc family (ASan flags a
+// library-allocated nothrow or aligned block freed by free() as
+// alloc-dealloc-mismatch; std::stable_sort's buffer is a nothrow new).
+void* counted_alloc(std::size_t size, std::size_t align) noexcept {
+  if (g_count_allocs.load(std::memory_order_relaxed))
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (size == 0) size = 1;
+  if (align <= alignof(std::max_align_t)) return std::malloc(size);
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed))
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = counted_alloc(size, 0)) return p;
   throw std::bad_alloc{};
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_alloc(size, std::size_t(align))) return p;
+  throw std::bad_alloc{};
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(size, std::size_t(align));
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace dynamips {
 namespace {

@@ -1,25 +1,37 @@
 // test_parallel — shard-and-merge execution (core/parallel.h) and the
 // thread-count invariance of the study pipeline.
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //  * the primitives: shard_ranges partitioning and ShardExecutor dispatch;
 //  * merge-correctness of every mergeable accumulator and analyzer:
 //    feeding two halves into two instances and merging must equal feeding
 //    everything into one instance;
 //  * end-to-end: run_atlas_study / run_cdn_study with threads=1 and
-//    threads=4 produce identical results, down to vector element order.
+//    threads=4 produce identical results, down to vector element order;
+//  * the chunk scheduler: skewed item costs, edge plans and resumed
+//    checkpoint layouts give the serial run's CSVs and shard state.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <filesystem>
+#include <mutex>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "atlas/generator.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
+#include "core/shutdown.h"
+#include "io/atomic_file.h"
+#include "io/checkpoint.h"
+#include "io/readers.h"
+#include "io/results_io.h"
 #include "simnet/isp.h"
 #include "stats/ecdf.h"
 #include "stats/loghist.h"
@@ -86,6 +98,29 @@ TEST(ShardExecutor, ReusableAcrossDispatches) {
     EXPECT_EQ(sum.load(), 50u * 49u / 2u);
   }
   exec.dispatch(0, [](std::size_t) { FAIL() << "no tasks expected"; });
+}
+
+TEST(ShardExecutor, LanesNameDistinctThreads) {
+  for (unsigned threads : {1u, 3u}) {
+    core::ShardExecutor exec(threads);
+    std::vector<unsigned> lane_of(64, ~0u);
+    std::vector<std::thread::id> owner(threads);
+    std::vector<int> claims(threads, 0);
+    std::mutex mu;
+    exec.dispatch(lane_of.size(), [&](unsigned lane, std::size_t i) {
+      ASSERT_LT(lane, threads);
+      lane_of[i] = lane;
+      std::lock_guard<std::mutex> lk(mu);
+      if (claims[lane]++ == 0) owner[lane] = std::this_thread::get_id();
+      EXPECT_EQ(owner[lane], std::this_thread::get_id()) << "lane " << lane;
+    });
+    for (unsigned lane : lane_of) {
+      EXPECT_LT(lane, threads);
+      if (threads == 1) {
+        EXPECT_EQ(lane, 0u);
+      }
+    }
+  }
 }
 
 TEST(ShardExecutor, PropagatesTaskExceptions) {
@@ -477,6 +512,256 @@ TEST(PipelineInvariance, CdnStudyIdenticalAcrossThreadCounts) {
   auto sharded = core::run_cdn_study(population, cfg);
   expect_eq_cdn(sharded.analyzer, serial.analyzer);
   EXPECT_EQ(sharded.asn_names, serial.asn_names);
+}
+
+
+// ------------------------------------------------------- chunk scheduler
+//
+// Every pass cuts each round into cost-ordered chunks and folds them back
+// into the checkpoint ranges in index order. Whatever the schedule, the
+// CSVs and every range's shard state must be those of a serial run.
+
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::path(::testing::TempDir()) / name).string();
+}
+
+std::string atlas_csv(const core::AtlasStudy& s) {
+  std::ostringstream os;
+  io::write_duration_curves_csv(os, s);
+  io::write_cpl_csv(os, s);
+  io::write_bgp_moves_csv(os, s);
+  io::write_inference_csv(os, s);
+  return os.str();
+}
+
+std::string cdn_csv(const core::CdnStudy& s) {
+  std::ostringstream os;
+  io::write_assoc_durations_csv(os, s);
+  io::write_degrees_csv(os, s);
+  io::write_zero_boundaries_csv(os, s);
+  return os.str();
+}
+
+constexpr unsigned kThreadCounts[] = {1, 2, 3, 4, 7};
+
+// One network with ~50x the subscribers of each other one: its log costs
+// more than all the rest together, the case cost ordering exists for.
+std::vector<cdn::PopulationEntry> skewed_population() {
+  auto population = cdn::default_cdn_population(0.05);
+  std::size_t big = 0;
+  for (std::size_t i = 0; i < population.size(); ++i)
+    if (population[i].subscribers > population[big].subscribers) big = i;
+  for (std::size_t i = 0; i < population.size(); ++i)
+    if (i != big)
+      population[i].subscribers =
+          std::max(1, population[big].subscribers / 50);
+  return population;
+}
+
+core::CdnStudyConfig skewed_config(unsigned threads) {
+  core::CdnStudyConfig cfg;
+  cfg.cdn.subscriber_scale = 0.05;
+  cfg.cdn.days = 40;
+  cfg.cdn.seed = 21;
+  cfg.threads = threads;
+  return cfg;
+}
+
+TEST(ChunkScheduler, SkewedCdnGeneratorMatchesSerial) {
+  const auto population = skewed_population();
+  const auto serial = core::run_cdn_study(population, skewed_config(1));
+  for (unsigned threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto study = core::run_cdn_study(population, skewed_config(threads));
+    expect_eq_cdn(study.analyzer, serial.analyzer);
+    EXPECT_EQ(cdn_csv(study), cdn_csv(serial));
+  }
+}
+
+TEST(ChunkScheduler, SkewedCdnLoadedMatchesSerial) {
+  const auto population = skewed_population();
+  const auto config = skewed_config(1);
+  cdn::CdnSimulator sim(population, config.cdn);
+  std::vector<cdn::AssociationLog> logs;
+  for (std::size_t i = 0; i < sim.entry_count(); ++i)
+    logs.push_back(sim.generate(i));
+  const std::string input = temp_path("skewed_assoc.csv");
+  {
+    io::AtomicFileWriter out(input);
+    ASSERT_TRUE(out.ok());
+    io::write_assoc_dataset(out.stream(), logs);
+    ASSERT_TRUE(out.commit().ok());
+  }
+  core::CdnFileStudyConfig cfg;
+  for (const auto& entry : population) {
+    if (entry.isp.mobile) cfg.mobile_asns.insert(entry.isp.asn);
+    cfg.registries[entry.isp.asn] = entry.isp.registry;
+  }
+  cfg.threads = 1;
+  auto serial = core::run_cdn_study_from_files({input}, cfg);
+  ASSERT_TRUE(serial.ok()) << serial.status().to_string();
+  for (unsigned threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cfg.threads = threads;
+    auto study = core::run_cdn_study_from_files({input}, cfg);
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    expect_eq_cdn(study->analyzer, serial->analyzer);
+    EXPECT_EQ(cdn_csv(*study), cdn_csv(*serial));
+  }
+  std::filesystem::remove(input);
+}
+
+/// The schedule-independent part of a completed checkpoint: its item count
+/// and every range's bounds, progress and shard blob. The supervisor blob
+/// is left out; it carries checkpoint-write timings.
+using ShardTable =
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                           std::uint64_t, std::string>>;
+
+ShardTable shard_table(const std::string& path) {
+  auto ck = io::read_checkpoint(path);
+  EXPECT_TRUE(ck.ok()) << ck.status().to_string();
+  ShardTable out;
+  if (!ck.ok()) return out;
+  for (const auto& shard : ck->shards) {
+    EXPECT_EQ(shard.next, shard.end) << path << " is not complete";
+    out.emplace_back(ck->item_count, shard.begin, shard.end, shard.next,
+                     shard.blob);
+  }
+  return out;
+}
+
+/// Drive `run(threads, cc)` (an Expected<Study>) through one edge plan:
+///  * a one-shot run, checkpointing every `every` items when nonzero, must
+///    give the threads-1 CSVs;
+///  * each half of a `--shard i/2` run is first interrupted after one
+///    round at `layout_threads` (fixing its range layout), then resumed to
+///    completion; the completed checkpoint must hold the shard state the
+///    threads-1 resume wrote;
+///  * resuming the combined halves must give the threads-1 CSVs again.
+template <typename Run, typename Csv>
+void expect_plan_matches_serial(const std::string& name, unsigned layout_threads,
+                                std::uint64_t every, Run&& run, Csv&& csv) {
+  auto one_shot = run(1u, core::CheckpointConfig{});
+  ASSERT_TRUE(one_shot.ok()) << one_shot.status().to_string();
+  const std::string reference = csv(*one_shot);
+
+  std::vector<std::string> layout_paths;
+  std::vector<io::StudyCheckpoint> layouts;
+  for (std::uint32_t index = 0; index < 2; ++index) {
+    const std::string path =
+        temp_path(name + "_layout" + std::to_string(index) + ".ckpt");
+    io::remove_checkpoint_files(path);
+    core::ShutdownToken token;
+    token.request();
+    core::CheckpointConfig cc;
+    cc.every_items = every;
+    cc.path = path;
+    cc.token = &token;
+    cc.shard_index = index;
+    cc.shard_count = 2;
+    auto first = run(layout_threads, cc);
+    ASSERT_TRUE(first.ok() ||
+                first.status().code() == core::StatusCode::kCancelled)
+        << first.status().to_string();
+    auto ck = io::read_checkpoint(path);
+    ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+    layouts.push_back(std::move(*ck));
+    layout_paths.push_back(path);
+  }
+
+  std::vector<ShardTable> serial_tables;
+  for (unsigned threads : kThreadCounts) {
+    SCOPED_TRACE(name + " threads=" + std::to_string(threads));
+    const std::string ckpt = temp_path(name + "_run.ckpt");
+    io::remove_checkpoint_files(ckpt);
+    core::CheckpointConfig cc;
+    cc.every_items = every;
+    if (every) cc.path = ckpt;
+    auto supervised = run(threads, cc);
+    ASSERT_TRUE(supervised.ok()) << supervised.status().to_string();
+    EXPECT_EQ(csv(*supervised), reference);
+
+    std::vector<std::string> done_paths;
+    for (std::uint32_t index = 0; index < 2; ++index) {
+      const std::string path =
+          temp_path(name + "_done" + std::to_string(index) + ".ckpt");
+      io::remove_checkpoint_files(path);
+      core::CheckpointConfig resume;
+      resume.every_items = every;
+      resume.path = path;
+      resume.resume = &layouts[index];
+      resume.shard_index = index;
+      resume.shard_count = 2;
+      auto half = run(threads, resume);
+      ASSERT_TRUE(half.ok()) << half.status().to_string();
+      ShardTable table = shard_table(path);
+      if (threads == 1)
+        serial_tables.push_back(table);
+      else
+        EXPECT_TRUE(table == serial_tables[index]) << "shard " << index;
+      done_paths.push_back(path);
+    }
+
+    auto combined = io::combine_shard_checkpoints(done_paths);
+    ASSERT_TRUE(combined.ok()) << combined.status().to_string();
+    core::CheckpointConfig merge;
+    merge.resume = &*combined;
+    auto merged = run(threads, merge);
+    ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+    EXPECT_EQ(csv(*merged), reference);
+    for (const auto& path : done_paths) io::remove_checkpoint_files(path);
+    io::remove_checkpoint_files(ckpt);
+  }
+  for (const auto& path : layout_paths) io::remove_checkpoint_files(path);
+}
+
+core::AtlasStudyConfig edge_atlas_config(unsigned threads) {
+  core::AtlasStudyConfig cfg;
+  cfg.atlas.probe_scale = 0.05;
+  cfg.atlas.window_hours = 6000;
+  cfg.atlas.seed = 7;
+  cfg.threads = threads;
+  return cfg;
+}
+
+auto cdn_runner(std::vector<cdn::PopulationEntry> population) {
+  return [population](unsigned threads, const core::CheckpointConfig& cc) {
+    core::CdnStudyConfig cfg;
+    cfg.cdn.subscriber_scale = 0.05;
+    cfg.cdn.days = 40;
+    cfg.cdn.seed = 13;
+    cfg.threads = threads;
+    return core::run_cdn_study_supervised(population, cfg, cc);
+  };
+}
+
+auto atlas_runner() {
+  auto isps = simnet::paper_isps();
+  isps.resize(3);
+  return [isps](unsigned threads, const core::CheckpointConfig& cc) {
+    return core::run_atlas_study_supervised(isps, edge_atlas_config(threads),
+                                            cc);
+  };
+}
+
+TEST(ChunkScheduler, ZeroItemsMatchSerial) {
+  expect_plan_matches_serial("zero_items", 4, 0, cdn_runner({}), cdn_csv);
+}
+
+TEST(ChunkScheduler, FewerItemsThanThreadsMatchSerial) {
+  auto population = cdn::default_cdn_population(0.05);
+  population.resize(3);
+  expect_plan_matches_serial("few_items", 4, 0, cdn_runner(population),
+                             cdn_csv);
+}
+
+TEST(ChunkScheduler, CheckpointEveryThreeItemsMatchesSerial) {
+  expect_plan_matches_serial("every_three", 4, 3, atlas_runner(), atlas_csv);
+}
+
+TEST(ChunkScheduler, TwoRangeCheckpointResumedAtFourThreadsMatchesSerial) {
+  expect_plan_matches_serial("two_ranges", 2, 5, atlas_runner(), atlas_csv);
 }
 
 }  // namespace
