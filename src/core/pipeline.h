@@ -251,13 +251,15 @@ Expected<CdnStudy> run_cdn_study_from_files(
 // analyzer's snapshot() produces a finalized AtlasStudy/CdnStudy without
 // consuming the accumulators, so the next batch keeps adding.
 //
-// Determinism contract: batches are consumed in lexicographic filename
-// order, and ingesting batches B1..Bk produces results byte-identical to a
-// one-shot _from_files run over [B1, ..., Bk] — at any thread count, and
-// including across a mid-stream interrupt + resume. The stream checkpoint
-// (kCkptAtlasStream / kCkptCdnStream) carries a monotone batch high-water
-// mark: the consumed batch list plus the accumulated merged dataset, written
-// after every batch, so a killed stream replays only unconsumed batches.
+// Determinism contract: batches are consumed in natural filename order
+// (natural_name_less below: digit runs compare numerically, so `batch-10`
+// follows `batch-9`), and ingesting batches B1..Bk produces results
+// byte-identical to a one-shot _from_files run over [B1, ..., Bk] — at any
+// thread count, and including across a mid-stream interrupt + resume. The
+// stream checkpoint (kCkptAtlasStream / kCkptCdnStream) carries a monotone
+// batch high-water mark: the consumed batch list plus the accumulated
+// merged dataset, written after every batch, so a killed stream replays
+// only unconsumed batches.
 
 /// The stream checkpoint's accumulated-dataset blob. Echo: per series the
 /// probe id, the tag names as strings (tag ids are per-process), then the

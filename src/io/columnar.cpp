@@ -1,9 +1,7 @@
 #include "io/columnar.h"
 
-#include <algorithm>
 #include <fstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #ifdef __unix__
@@ -381,20 +379,16 @@ Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
   if (Status st = parse_structure(bytes, kColumnarKindEcho, batch); !st.ok())
     return st.with_context("load echo columnar batch");
 
-  auto need = [&](std::uint32_t tag, std::uint64_t count,
-                  std::uint64_t width) {
-    return fixed_column(batch, tag, count, width);
-  };
-  auto gid = need(kColGroupProbe, batch.groups, 4);
-  auto gcnt = need(kColGroupRows, batch.groups, 8);
-  auto hour = need(kColHour, batch.rows, 8);
-  auto fam = need(kColFamily, batch.rows, 1);
-  auto x4 = need(kColX4, batch.rows, 4);
-  auto s4 = need(kColS4, batch.rows, 4);
-  auto x6hi = need(kColX6Hi, batch.rows, 8);
-  auto x6lo = need(kColX6Lo, batch.rows, 8);
-  auto s6hi = need(kColS6Hi, batch.rows, 8);
-  auto s6lo = need(kColS6Lo, batch.rows, 8);
+  auto gid = fixed_column(batch, kColGroupProbe, batch.groups, 4);
+  auto gcnt = fixed_column(batch, kColGroupRows, batch.groups, 8);
+  auto hour = fixed_column(batch, kColHour, batch.rows, 8);
+  auto fam = fixed_column(batch, kColFamily, batch.rows, 1);
+  auto x4 = fixed_column(batch, kColX4, batch.rows, 4);
+  auto s4 = fixed_column(batch, kColS4, batch.rows, 4);
+  auto x6hi = fixed_column(batch, kColX6Hi, batch.rows, 8);
+  auto x6lo = fixed_column(batch, kColX6Lo, batch.rows, 8);
+  auto s6hi = fixed_column(batch, kColS6Hi, batch.rows, 8);
+  auto s6lo = fixed_column(batch, kColS6Lo, batch.rows, 8);
   for (auto* col : {&gid, &gcnt, &hour, &fam, &x4, &s4, &x6hi, &x6lo, &s6hi,
                     &s6lo})
     if (!col->ok())
@@ -407,17 +401,12 @@ Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
       !st.ok())
     return st.with_context("load echo columnar batch");
 
-  // Group preamble: probe declarations + tags, exactly the role of the
-  // CSV `#probe`/`#tags` meta lines (first declaration wins, first tags
-  // win, empty groups keep empty histories alive).
+  // Group preamble: the role of the CSV `#probe`/`#tags` meta lines.
   detail::RejectLedger ledger(options, "echo columnar ingest", "record");
-  std::vector<atlas::ProbeSeries> dataset;
-  std::unordered_map<std::uint32_t, std::size_t> index;
+  detail::EchoBuilder builder(options);
   ckpt::Reader tag_reader(
       std::string_view(tags_it->second.data, tags_it->second.length));
-  std::vector<std::size_t> group_series(batch.groups);
   for (std::uint64_t g = 0; g < batch.groups; ++g) {
-    const std::uint32_t probe = gid.value().u32(g);
     std::vector<core::TagId> tags;
     const std::uint64_t n_tags = tag_reader.size();
     tags.reserve(n_tags);
@@ -426,55 +415,34 @@ Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
     if (!tag_reader.ok())
       return data_loss("tag table failed to parse")
           .with_context("load echo columnar batch");
-    auto [it, inserted] = index.emplace(probe, dataset.size());
-    if (inserted) {
-      atlas::ProbeSeries series;
-      series.meta.probe_id = probe;
-      series.meta.tags = std::move(tags);
-      dataset.push_back(std::move(series));
-    } else if (dataset[it->second].meta.tags.empty()) {
-      dataset[it->second].meta.tags = std::move(tags);
-    }
-    group_series[g] = it->second;
+    builder.offer_tags(gid.value().u32(g), std::move(tags));
   }
   if (tag_reader.remaining() != 0)
     return data_loss("tag table has trailing bytes")
         .with_context("load echo columnar batch");
 
-  // Row decode. The echo schema admits at most one measurement per
-  // (probe, hour, family) — the same duplicate rule as the CSV reader —
-  // so rows pass through the seen-set even on the clean path.
-  std::unordered_map<std::uint32_t, std::unordered_set<std::uint64_t>> seen;
+  // Row decode, in the CSV reader's order: the hour range, the family,
+  // then the builder's duplicate rule (it applies on the clean path too).
   std::uint64_t row = 0;
   for (std::uint64_t g = 0; g < batch.groups && !ledger.tripped(); ++g) {
     const std::uint32_t probe = gid.value().u32(g);
-    auto& series = dataset[group_series[g]];
-    auto& probe_seen = seen[probe];
     const std::uint64_t n = gcnt.value().u64(g);
-    series.records.reserve(series.records.size() + n);
-    for (std::uint64_t k = 0; k < n; ++k, ++row) {
+    auto& records = builder.declare(probe).records;
+    records.reserve(records.size() + n);
+    for (std::uint64_t k = 0; k < n && !ledger.tripped(); ++k, ++row) {
       ledger.count_unit();
       ledger.count_data();
       const std::uint8_t f = fam.value().u8(row);
       const std::uint64_t h = hour.value().u64(row);
-      // Same order as the CSV reader: the hour range before the family.
+      auto reject = [&](RejectReason why) {
+        ledger.reject(why, echo_row_text(probe, h, f), row + 1);
+      };
       if (h > options.max_hour) {
-        ledger.reject(RejectReason::kOutOfRange, echo_row_text(probe, h, f),
-                      row + 1);
-        if (ledger.tripped()) break;
+        reject(RejectReason::kOutOfRange);
         continue;
       }
       if (f > 1) {
-        ledger.reject(RejectReason::kBadNumber, echo_row_text(probe, h, f),
-                      row + 1);
-        if (ledger.tripped()) break;
-        continue;
-      }
-      const std::uint64_t key = (h << 1) | f;
-      if (!probe_seen.insert(key).second) {
-        ledger.reject(RejectReason::kDuplicate, echo_row_text(probe, h, f),
-                      row + 1);
-        if (ledger.tripped()) break;
+        reject(RejectReason::kBadNumber);
         continue;
       }
       atlas::EchoRecord rec;
@@ -487,7 +455,11 @@ Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
           net::IPv6Address(x6hi.value().u64(row), x6lo.value().u64(row));
       rec.src_addr6 =
           net::IPv6Address(s6hi.value().u64(row), s6lo.value().u64(row));
-      series.records.push_back(rec);
+      if (!builder.admit(rec)) {
+        reject(RejectReason::kDuplicate);
+        continue;
+      }
+      builder.add(rec);
       ledger.accept();
     }
   }
@@ -495,17 +467,7 @@ Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
   if (stats) stats->merge(ledger.stats());
   if (Status st = ledger.finish(); !st.ok())
     return st.with_context("load echo columnar batch");
-
-  // The writer emits each series hour-sorted, so this is normally a single
-  // O(n) scan; the stable_sort only runs on hand-built batches.
-  for (auto& series : dataset) {
-    auto by_hour = [](const atlas::EchoRecord& a, const atlas::EchoRecord& b) {
-      return a.hour < b.hour;
-    };
-    if (!std::is_sorted(series.records.begin(), series.records.end(), by_hour))
-      std::stable_sort(series.records.begin(), series.records.end(), by_hour);
-  }
-  return dataset;
+  return builder.take();
 }
 
 // ----------------------------------------------------------- assoc decode
@@ -545,17 +507,7 @@ Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
   const ColView& c_as6 = as6.value();
 
   detail::RejectLedger ledger(options, "assoc columnar ingest", "record");
-  std::vector<cdn::AssociationLog> dataset;
-  std::unordered_map<bgp::Asn, std::size_t> index;
-  auto log_for = [&](bgp::Asn asn) -> std::size_t {
-    auto [it, inserted] = index.emplace(asn, dataset.size());
-    if (inserted) {
-      cdn::AssociationLog log;
-      log.asn = asn;
-      dataset.push_back(std::move(log));
-    }
-    return it->second;
-  };
+  detail::AssocBuilder builder(options);
 
   // Column-wise validation scans: branch-free accumulations over the
   // contiguous fixed-width columns (this is the SIMD-able part of the
@@ -573,108 +525,60 @@ Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
     for (std::uint64_t i = 0; i < batch.rows; ++i)
       invalid += c_v6l.u8(i) > 128;
   }
+  const bool clean = invalid == 0 && !options.assoc_dedup_adjacent;
+  if (clean) ledger.accept_bulk(batch.rows);
 
-  const bool fast = invalid == 0 && !options.assoc_dedup_adjacent;
+  // Otherwise rows are classified in the CSV reader's order: the day
+  // range, the prefix lengths, then the builder's duplicate rule.
   std::uint64_t row = 0;
-  if (fast) {
-    ledger.accept_bulk(batch.rows);
-    for (std::uint64_t g = 0; g < batch.groups; ++g) {
-      const bgp::Asn group_asn = gasn.value().u32(g);
-      // The CSV reader keys each record on its own asn6 (the side the CDN
-      // attributes the /64 to), with the group header merely declaring the
-      // log; mirror that exactly, caching the common case where a row's
-      // asn6 equals the group's ASN.
-      std::size_t target = log_for(group_asn);
-      bgp::Asn cached_asn = group_asn;
-      const std::uint64_t n = gcnt.value().u64(g);
-      dataset[target].records.reserve(dataset[target].records.size() + n);
-      for (std::uint64_t k = 0; k < n; ++k, ++row) {
-        cdn::AssociationRecord rec;
-        rec.day = c_day.u32(row);
-        rec.v4_24 =
-            net::Prefix4(net::IPv4Address(c_v4a.u32(row)), c_v4l.u8(row));
-        rec.v6_64 = net::Prefix6(
-            net::IPv6Address(c_v6hi.u64(row), c_v6lo.u64(row)),
-            c_v6l.u8(row));
-        rec.asn4 = c_as4.u32(row);
-        rec.asn6 = c_as6.u32(row);
-        if (rec.asn6 != cached_asn) {
-          cached_asn = rec.asn6;
-          target = log_for(cached_asn);
-        }
-        dataset[target].records.push_back(rec);
-      }
-    }
-  } else {
-    // Slow path: per-row classification with the shared reject table —
-    // identical ordering to the CSV reader (range check, then address
-    // plausibility, then adjacent-duplicate).
-    bool have_prev = false;
-    cdn::AssociationRecord prev{};
-    for (std::uint64_t g = 0; g < batch.groups && !ledger.tripped(); ++g) {
-      const bgp::Asn group_asn = gasn.value().u32(g);
-      log_for(group_asn);
-      const std::uint64_t n = gcnt.value().u64(g);
-      for (std::uint64_t k = 0; k < n; ++k, ++row) {
+  for (std::uint64_t g = 0; g < batch.groups && !ledger.tripped(); ++g) {
+    const std::uint64_t n = gcnt.value().u64(g);
+    auto& records = builder.declare(gasn.value().u32(g)).records;
+    records.reserve(records.size() + n);
+    for (std::uint64_t k = 0; k < n && !ledger.tripped(); ++k, ++row) {
+      const std::uint32_t d = c_day.u32(row);
+      const std::uint8_t l4 = c_v4l.u8(row);
+      const std::uint8_t l6 = c_v6l.u8(row);
+      auto reject = [&](RejectReason why) {
+        ledger.reject(why,
+                      assoc_row_text(d, c_v4a.u32(row), l4, c_v6hi.u64(row),
+                                     c_v6lo.u64(row), l6),
+                      row + 1);
+      };
+      if (!clean) {
         ledger.count_unit();
         ledger.count_data();
-        const std::uint32_t d = c_day.u32(row);
-        const std::uint8_t l4 = c_v4l.u8(row);
-        const std::uint8_t l6 = c_v6l.u8(row);
-        auto row_text = [&] {
-          return assoc_row_text(d, c_v4a.u32(row), l4, c_v6hi.u64(row),
-                                c_v6lo.u64(row), l6);
-        };
         if (d > options.max_day) {
-          ledger.reject(RejectReason::kOutOfRange, row_text(), row + 1);
-          if (ledger.tripped()) break;
+          reject(RejectReason::kOutOfRange);
           continue;
         }
         if (l4 > 32 || l6 > 128) {
-          ledger.reject(RejectReason::kBadAddress, row_text(), row + 1);
-          if (ledger.tripped()) break;
+          reject(RejectReason::kBadAddress);
           continue;
         }
-        cdn::AssociationRecord rec;
-        rec.day = d;
-        rec.v4_24 = net::Prefix4(net::IPv4Address(c_v4a.u32(row)), l4);
-        rec.v6_64 = net::Prefix6(
-            net::IPv6Address(c_v6hi.u64(row), c_v6lo.u64(row)), l6);
-        rec.asn4 = c_as4.u32(row);
-        rec.asn6 = c_as6.u32(row);
-        if (options.assoc_dedup_adjacent) {
-          if (have_prev && prev.day == rec.day && prev.v4_24 == rec.v4_24 &&
-              prev.v6_64 == rec.v6_64 && prev.asn4 == rec.asn4 &&
-              prev.asn6 == rec.asn6) {
-            ledger.reject(RejectReason::kDuplicate, row_text(), row + 1);
-            if (ledger.tripped()) break;
-            continue;
-          }
-          prev = rec;
-          have_prev = true;
+      }
+      cdn::AssociationRecord rec;
+      rec.day = d;
+      rec.v4_24 = net::Prefix4(net::IPv4Address(c_v4a.u32(row)), l4);
+      rec.v6_64 = net::Prefix6(
+          net::IPv6Address(c_v6hi.u64(row), c_v6lo.u64(row)), l6);
+      rec.asn4 = c_as4.u32(row);
+      rec.asn6 = c_as6.u32(row);
+      if (!clean) {
+        if (!builder.admit(rec)) {
+          reject(RejectReason::kDuplicate);
+          continue;
         }
-        dataset[log_for(rec.asn6)].records.push_back(rec);
         ledger.accept();
       }
+      builder.add(rec);
     }
   }
 
   if (stats) stats->merge(ledger.stats());
   if (Status st = ledger.finish(); !st.ok())
     return st.with_context("load assoc columnar batch");
-
-  // Same invariant as the echo decode: writer output is already day-sorted,
-  // so the common case is one linear is_sorted scan instead of ~log(n)
-  // merge passes over 56-byte records.
-  for (auto& log : dataset) {
-    auto by_day = [](const cdn::AssociationRecord& a,
-                     const cdn::AssociationRecord& b) {
-      return a.day < b.day;
-    };
-    if (!std::is_sorted(log.records.begin(), log.records.end(), by_day))
-      std::stable_sort(log.records.begin(), log.records.end(), by_day);
-  }
-  return dataset;
+  return builder.take();
 }
 
 // ------------------------------------------------------------------- mmap

@@ -38,11 +38,12 @@
 // readers copy decoded records out and unmap before returning.
 //
 // Dataset semantics are identical to the CSV path: groups play the role of
-// the `#probe`/`#tags`/`#log` preambles, per-row decode failures are
+// the `#probe`/`#tags`/`#log` preambles, decoded rows are assembled by the
+// same detail::DatasetBuilder (readers.h) — grouping, first non-empty tags,
+// the duplicate rules, time order — and per-row decode failures are
 // classified through the same RejectReason table and `ingest.reject.*`
-// counters, and the same error budget (ReaderOptions::max_reject_fraction,
-// max_consecutive_rejects) applies — one shared classification table, no
-// divergent counter names. A clean dataset therefore loads byte-identically
+// counters under the same error budget (ReaderOptions::max_reject_fraction,
+// max_consecutive_rejects). A clean dataset therefore loads byte-identically
 // through either path, which is what the columnar-vs-CSV byte-identity CI
 // legs assert end to end.
 //

@@ -1,6 +1,5 @@
 #include "io/readers.h"
 
-#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -228,14 +227,6 @@ bool LineCursor::next_line(std::string_view& line) {
 
 namespace {
 
-constexpr std::string_view kEchoHeader = "probe_id,";
-constexpr std::string_view kAssocHeader = "day,";
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
-}
-
 /// Parse the five echo fields into `rec`; on failure reports why.
 bool parse_echo_fields(const std::vector<std::string_view>& f,
                        const ReaderOptions& options, atlas::EchoRecord& rec,
@@ -307,106 +298,93 @@ bool parse_assoc_fields(const std::vector<std::string_view>& f,
   return true;
 }
 
-}  // namespace
-
-// ------------------------------------------------------------- EchoReader
-
-EchoReader::EchoReader(std::istream& is, ReaderOptions options)
-    : cursor_(is, options, "echo ingest"), options_(std::move(options)) {}
-
-void EchoReader::note_probe(std::uint32_t probe_id) {
-  if (known_probes_.insert(probe_id).second) probe_order_.push_back(probe_id);
-}
-
-const std::vector<core::TagId>& EchoReader::tags_for(
-    std::uint32_t probe_id) const {
-  static const std::vector<core::TagId> kNone;
-  auto it = tags_.find(probe_id);
-  return it == tags_.end() ? kNone : it->second;
-}
-
-void EchoReader::handle_meta(std::string_view line) {
-  auto f = split_csv(line, options_.max_fields);
-  if (f[0] == "#probe" && f.size() == 2) {
-    auto pid = parse_csv_num<std::uint32_t>(f[1]);
-    if (!pid) {
-      cursor_.count_data_line();
-      cursor_.reject(RejectReason::kBadNumber, line);
-      return;
-    }
-    note_probe(*pid);
-    cursor_.count_meta();
-    return;
-  }
-  if (f[0] == "#tags" && f.size() == 3) {
-    auto pid = parse_csv_num<std::uint32_t>(f[1]);
-    if (!pid) {
-      cursor_.count_data_line();
-      cursor_.reject(RejectReason::kBadNumber, line);
-      return;
-    }
-    note_probe(*pid);
-    auto& tags = tags_[*pid];
-    if (tags.empty()) {
-      std::string_view rest = f[2];
-      while (!rest.empty()) {
-        std::size_t semi = rest.find(';');
-        std::string_view tag = rest.substr(0, semi);
-        if (!tag.empty()) tags.push_back(core::tag_pool().intern(tag));
-        if (semi == std::string_view::npos) break;
-        rest.remove_prefix(semi + 1);
-      }
-    }
-    cursor_.count_meta();
-    return;
-  }
-  cursor_.count_meta();  // unknown comment: tolerated
-}
-
-std::optional<atlas::EchoRecord> EchoReader::next() {
+/// The record loop both readers share: meta lines go to `meta`, repeated
+/// headers are skipped, and a data line is split, parsed and put to the
+/// builder's duplicate rule, each failure rejected with its reason.
+template <class Builder, class Parse, class Meta>
+std::optional<typename Builder::Record> next_record(
+    detail::LineCursor& cursor, const ReaderOptions& options,
+    Builder& builder, std::string_view header, Parse parse, Meta meta) {
   std::string_view line;
-  while (cursor_.next_line(line)) {
+  while (cursor.next_line(line)) {
     if (line.front() == '#') {
-      handle_meta(line);
+      meta(line);
       continue;
     }
-    if (starts_with(line, kEchoHeader)) {
-      cursor_.count_header();
+    if (line.starts_with(header)) {
+      cursor.count_header();
       continue;
     }
-    cursor_.count_data_line();
-    auto f = split_csv(line, options_.max_fields);
+    cursor.count_data_line();
+    auto f = split_csv(line, options.max_fields);
     if (f.size() != 5) {
-      cursor_.reject(RejectReason::kBadFieldCount, line);
+      cursor.reject(RejectReason::kBadFieldCount, line);
       continue;
     }
-    atlas::EchoRecord rec;
+    typename Builder::Record rec;
     RejectReason why{};
-    if (!parse_echo_fields(f, options_, rec, why)) {
-      cursor_.reject(why, line);
+    if (!parse(f, options, rec, why)) {
+      cursor.reject(why, line);
       continue;
     }
-    const std::uint64_t key =
-        (rec.hour << 1) | (rec.family == atlas::Family::kV6 ? 1u : 0u);
-    if (!seen_[rec.probe_id].insert(key).second) {
-      cursor_.reject(RejectReason::kDuplicate, line);
+    if (!builder.admit(rec)) {
+      cursor.reject(RejectReason::kDuplicate, line);
       continue;
     }
-    note_probe(rec.probe_id);
-    cursor_.accept();
+    cursor.accept();
     return rec;
   }
   return std::nullopt;
 }
 
+}  // namespace
+
+// ------------------------------------------------------------- EchoReader
+
+EchoReader::EchoReader(std::istream& is, ReaderOptions options)
+    : cursor_(is, options, "echo ingest"),
+      options_(std::move(options)),
+      builder_(options_) {}
+
+void EchoReader::handle_meta(std::string_view line) {
+  auto f = split_csv(line, options_.max_fields);
+  const bool tags_line = f[0] == "#tags" && f.size() == 3;
+  if (!tags_line && !(f[0] == "#probe" && f.size() == 2)) {
+    cursor_.count_meta();  // unknown comment: tolerated
+    return;
+  }
+  auto pid = parse_csv_num<std::uint32_t>(f[1]);
+  if (!pid) {
+    cursor_.count_data_line();
+    cursor_.reject(RejectReason::kBadNumber, line);
+    return;
+  }
+  // A `#probe` line declares the probe: an offer of no tags.
+  std::vector<core::TagId> tags;
+  std::string_view rest = tags_line ? f[2] : std::string_view();
+  while (!rest.empty()) {
+    std::size_t semi = rest.find(';');
+    std::string_view tag = rest.substr(0, semi);
+    if (!tag.empty()) tags.push_back(core::tag_pool().intern(tag));
+    if (semi == std::string_view::npos) break;
+    rest.remove_prefix(semi + 1);
+  }
+  builder_.offer_tags(*pid, std::move(tags));
+  cursor_.count_meta();
+}
+
+std::optional<atlas::EchoRecord> EchoReader::next() {
+  return next_record(cursor_, options_, builder_, "probe_id,",
+                     parse_echo_fields,
+                     [this](std::string_view line) { handle_meta(line); });
+}
+
 // ------------------------------------------------------------ AssocReader
 
 AssocReader::AssocReader(std::istream& is, ReaderOptions options)
-    : cursor_(is, options, "assoc ingest"), options_(std::move(options)) {}
-
-void AssocReader::note_log(bgp::Asn asn) {
-  if (known_logs_.insert(asn).second) log_order_.push_back(asn);
-}
+    : cursor_(is, options, "assoc ingest"),
+      options_(std::move(options)),
+      builder_(options_) {}
 
 void AssocReader::handle_meta(std::string_view line) {
   auto f = split_csv(line, options_.max_fields);
@@ -417,7 +395,7 @@ void AssocReader::handle_meta(std::string_view line) {
       cursor_.reject(RejectReason::kBadNumber, line);
       return;
     }
-    note_log(*asn);
+    builder_.declare(*asn);
     cursor_.count_meta();
     return;
   }
@@ -425,150 +403,51 @@ void AssocReader::handle_meta(std::string_view line) {
 }
 
 std::optional<cdn::AssociationRecord> AssocReader::next() {
-  std::string_view line;
-  while (cursor_.next_line(line)) {
-    if (line.front() == '#') {
-      handle_meta(line);
-      continue;
-    }
-    if (starts_with(line, kAssocHeader)) {
-      cursor_.count_header();
-      continue;
-    }
-    cursor_.count_data_line();
-    auto f = split_csv(line, options_.max_fields);
-    if (f.size() != 5) {
-      cursor_.reject(RejectReason::kBadFieldCount, line);
-      continue;
-    }
-    cdn::AssociationRecord rec;
-    RejectReason why{};
-    if (!parse_assoc_fields(f, options_, rec, why)) {
-      cursor_.reject(why, line);
-      continue;
-    }
-    if (options_.assoc_dedup_adjacent) {
-      if (line == last_accepted_line_) {
-        cursor_.reject(RejectReason::kDuplicate, line);
-        continue;
-      }
-      last_accepted_line_.assign(line);
-    }
-    note_log(rec.asn6);
-    cursor_.accept();
-    return rec;
-  }
-  return std::nullopt;
+  return next_record(cursor_, options_, builder_, "day,", parse_assoc_fields,
+                     [this](std::string_view line) { handle_meta(line); });
 }
 
 // --------------------------------------------------------------- datasets
 
+namespace {
+
+/// Run `Reader` to the end, adding each accepted record to its builder.
+template <class Reader>
+auto read_dataset(std::istream& is, const ReaderOptions& options,
+                  IngestStats* stats, const char* what)
+    -> core::Expected<decltype(std::declval<Reader&>().builder().take())> {
+  Reader reader(is, options);
+  while (auto rec = reader.next()) reader.builder().add(*rec);
+  if (stats) stats->merge(reader.stats());
+  if (core::Status st = reader.finish(); !st.ok())
+    return st.with_context(what);
+  return reader.builder().take();
+}
+
+}  // namespace
+
 core::Expected<std::vector<atlas::ProbeSeries>> read_echo_dataset(
     std::istream& is, const ReaderOptions& options, IngestStats* stats) {
-  EchoReader reader(is, options);
-  std::vector<atlas::EchoRecord> records;
-  while (auto rec = reader.next()) records.push_back(*rec);
-  if (stats) stats->merge(reader.stats());
-  core::Status st = reader.finish();
-  if (!st.ok()) return st.with_context("load echo dataset");
-
-  std::vector<atlas::ProbeSeries> dataset;
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  dataset.reserve(reader.probe_order().size());
-  for (std::uint32_t pid : reader.probe_order()) {
-    index.emplace(pid, dataset.size());
-    atlas::ProbeSeries series;
-    series.meta.probe_id = pid;
-    series.meta.tags = reader.tags_for(pid);
-    dataset.push_back(std::move(series));
-  }
-  for (auto& rec : records)
-    dataset[index.at(rec.probe_id)].records.push_back(rec);
-  for (auto& series : dataset) {
-    std::stable_sort(
-        series.records.begin(), series.records.end(),
-        [](const atlas::EchoRecord& a, const atlas::EchoRecord& b) {
-          return a.hour < b.hour;
-        });
-  }
-  return dataset;
+  return read_dataset<EchoReader>(is, options, stats, "load echo dataset");
 }
 
 core::Expected<std::vector<cdn::AssociationLog>> read_assoc_dataset(
     std::istream& is, const ReaderOptions& options, IngestStats* stats) {
-  AssocReader reader(is, options);
-  std::vector<cdn::AssociationRecord> records;
-  while (auto rec = reader.next()) records.push_back(*rec);
-  if (stats) stats->merge(reader.stats());
-  core::Status st = reader.finish();
-  if (!st.ok()) return st.with_context("load assoc dataset");
-
-  std::vector<cdn::AssociationLog> dataset;
-  std::unordered_map<bgp::Asn, std::size_t> index;
-  dataset.reserve(reader.log_order().size());
-  for (bgp::Asn asn : reader.log_order()) {
-    index.emplace(asn, dataset.size());
-    cdn::AssociationLog log;
-    log.asn = asn;
-    dataset.push_back(std::move(log));
-  }
-  for (auto& rec : records)
-    dataset[index.at(rec.asn6)].records.push_back(rec);
-  for (auto& log : dataset) {
-    std::stable_sort(log.records.begin(), log.records.end(),
-                     [](const cdn::AssociationRecord& a,
-                        const cdn::AssociationRecord& b) {
-                       return a.day < b.day;
-                     });
-  }
-  return dataset;
+  return read_dataset<AssocReader>(is, options, stats, "load assoc dataset");
 }
 
 void merge_echo_datasets(std::vector<atlas::ProbeSeries>& into,
                          std::vector<atlas::ProbeSeries>&& more) {
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (std::size_t i = 0; i < into.size(); ++i)
-    index.emplace(into[i].meta.probe_id, i);
-  for (auto& series : more) {
-    auto it = index.find(series.meta.probe_id);
-    if (it == index.end()) {
-      index.emplace(series.meta.probe_id, into.size());
-      into.push_back(std::move(series));
-      continue;
-    }
-    auto& dst = into[it->second];
-    if (dst.meta.tags.empty()) dst.meta.tags = std::move(series.meta.tags);
-    dst.records.insert(dst.records.end(), series.records.begin(),
-                       series.records.end());
-    std::stable_sort(
-        dst.records.begin(), dst.records.end(),
-        [](const atlas::EchoRecord& a, const atlas::EchoRecord& b) {
-          return a.hour < b.hour;
-        });
-  }
+  detail::EchoBuilder builder(std::move(into));
+  for (auto& series : more) builder.absorb(std::move(series));
+  into = builder.take();
 }
 
 void merge_assoc_datasets(std::vector<cdn::AssociationLog>& into,
                           std::vector<cdn::AssociationLog>&& more) {
-  std::unordered_map<bgp::Asn, std::size_t> index;
-  for (std::size_t i = 0; i < into.size(); ++i)
-    index.emplace(into[i].asn, i);
-  for (auto& log : more) {
-    auto it = index.find(log.asn);
-    if (it == index.end()) {
-      index.emplace(log.asn, into.size());
-      into.push_back(std::move(log));
-      continue;
-    }
-    auto& dst = into[it->second];
-    dst.records.insert(dst.records.end(), log.records.begin(),
-                       log.records.end());
-    std::stable_sort(dst.records.begin(), dst.records.end(),
-                     [](const cdn::AssociationRecord& a,
-                        const cdn::AssociationRecord& b) {
-                       return a.day < b.day;
-                     });
-  }
+  detail::AssocBuilder builder(std::move(into));
+  for (auto& log : more) builder.absorb(std::move(log));
+  into = builder.take();
 }
 
 std::string to_csv(const atlas::EchoRecord& rec) {

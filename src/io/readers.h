@@ -31,14 +31,21 @@
 //   #log,<asn>             declares a CDN association log
 // Unknown '#' lines are skipped. Repeated header lines are tolerated, so
 // concatenating exports (`cat a.csv b.csv`) is a valid dataset.
+//
+// How records become a dataset — grouping, tags, duplicates, time order —
+// is one rule per schema, detail::DatasetBuilder below. The CSV readers,
+// the DYNCOL1 decoders (columnar.h) and merge_*_datasets all assemble
+// through it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -93,10 +100,12 @@ struct ReaderOptions {
   std::uint64_t max_hour = 200000;
   /// Association records with day above this are kOutOfRange (~100 years).
   std::uint32_t max_day = 36500;
-  /// Reject an assoc data line that is byte-equal to the immediately
-  /// preceding accepted one (kDuplicate). Off by default: repeated tuples
-  /// are legitimate hit-weight multiplicity in our exports. Turn on for
-  /// datasets aggregated to unique (v4_24, v6_64, day) tuples, where an
+  /// Reject an assoc record whose five schema fields equal those of the
+  /// immediately preceding accepted record (kDuplicate). Fields compare as
+  /// parsed values, so `01` and `1`, or two spellings of one prefix, are
+  /// the same record in CSV and in DYNCOL1 alike. Off by default: repeated
+  /// tuples are legitimate hit-weight multiplicity in our exports. Turn on
+  /// for datasets aggregated to unique (v4_24, v6_64, day) tuples, where an
   /// adjacent repeat is the signature of a duplicated export row.
   bool assoc_dedup_adjacent = false;
 
@@ -265,6 +274,155 @@ class LineCursor {
   std::vector<char> buffer_;
 };
 
+struct EchoSchema {
+  using Item = atlas::ProbeSeries;
+  using Record = atlas::EchoRecord;
+  using Key = std::uint32_t;
+  static Key& key(Item& series) { return series.meta.probe_id; }
+  static Key key(const Record& rec) { return rec.probe_id; }
+  static std::uint64_t time(const Record& rec) { return rec.hour; }
+};
+
+struct AssocSchema {
+  using Item = cdn::AssociationLog;
+  using Record = cdn::AssociationRecord;
+  using Key = bgp::Asn;
+  static Key& key(Item& log) { return log.asn; }
+  /// The side the CDN attributes the /64 to.
+  static Key key(const Record& rec) { return rec.asn6; }
+  static std::uint64_t time(const Record& rec) { return rec.day; }
+};
+
+/// The dataset-assembly rule, one per schema. Every ingest path builds its
+/// dataset through it, so none can drift from the others:
+///  * items (probe series, association logs) keep the order of first
+///    appearance, whether declared (`#probe`/`#tags`/`#log` lines, DYNCOL1
+///    group headers) or implied by a record;
+///  * a record belongs to the item of Schema::key — the probe id, or an
+///    association record's asn6;
+///  * first non-empty tags win;
+///  * admit() is the duplicate rule: at most one echo record per (probe,
+///    hour, family); with ReaderOptions::assoc_dedup_adjacent, no assoc
+///    record equal to the last admitted one;
+///  * take() restores time order (a stable sort, so same-time records
+///    keep their arrival order) in the items that are out of order, among
+///    those it filled or appended to; an item taken whole stays as is.
+template <class Schema>
+class DatasetBuilder {
+ public:
+  using Item = typename Schema::Item;
+  using Record = typename Schema::Record;
+  using Key = typename Schema::Key;
+  static constexpr bool kEcho = std::is_same_v<Schema, EchoSchema>;
+
+  explicit DatasetBuilder(const ReaderOptions& options = {})
+      : dedup_adjacent_(options.assoc_dedup_adjacent) {}
+  /// Continue an existing dataset (merge_*_datasets).
+  explicit DatasetBuilder(std::vector<Item>&& items)
+      : items_(std::move(items)), check_order_(items_.size(), false) {
+    for (std::size_t i = 0; i < items_.size(); ++i)
+      index_.emplace(Schema::key(items_[i]), i);
+  }
+
+  /// The item for `key`, appended empty on first sight. The reference
+  /// lasts until the next call that may append an item.
+  Item& declare(Key key) { return items_[slot(key)]; }
+
+  /// Declare `key`; it takes `tags` unless it already has some (echo).
+  void offer_tags(Key key, std::vector<core::TagId>&& tags) {
+    auto& have = declare(key).meta.tags;
+    if (have.empty()) have = std::move(tags);
+  }
+
+  /// False when `rec` is a duplicate; otherwise its item is declared.
+  bool admit(const Record& rec) {
+    slot(Schema::key(rec));
+    if constexpr (kEcho) {
+      if (!last_seen_ || last_seen_probe_ != rec.probe_id) {
+        last_seen_ = &seen_[rec.probe_id];
+        last_seen_probe_ = rec.probe_id;
+      }
+      const bool v6 = rec.family == atlas::Family::kV6;
+      return last_seen_->insert((rec.hour << 1) | std::uint64_t(v6)).second;
+    } else {
+      if (!dedup_adjacent_) return true;
+      if (last_ && last_->day == rec.day && last_->v4_24 == rec.v4_24 &&
+          last_->v6_64 == rec.v6_64 && last_->asn4 == rec.asn4 &&
+          last_->asn6 == rec.asn6)
+        return false;
+      last_ = rec;
+      return true;
+    }
+  }
+
+  /// Append a record to its item.
+  void add(const Record& rec) {
+    items_[slot(Schema::key(rec))].records.push_back(rec);
+  }
+
+  /// Fold in a whole item: a new key is taken as is, a known one gains
+  /// the records (and the tags, under the first-non-empty rule).
+  void absorb(Item&& item) {
+    const std::size_t before = items_.size();
+    const Key key = Schema::key(item);
+    const std::size_t at = slot(key);
+    if (items_.size() > before) {
+      items_[at] = std::move(item);
+      check_order_[at] = false;
+      return;
+    }
+    if constexpr (kEcho) offer_tags(key, std::move(item.meta.tags));
+    auto& records = items_[at].records;
+    records.insert(records.end(), item.records.begin(), item.records.end());
+    check_order_[at] = true;
+  }
+
+  /// The dataset. Call once, last.
+  std::vector<Item> take() {
+    auto by_time = [](const Record& a, const Record& b) {
+      return Schema::time(a) < Schema::time(b);
+    };
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      auto& records = items_[i].records;
+      if (check_order_[i] &&
+          !std::is_sorted(records.begin(), records.end(), by_time))
+        std::stable_sort(records.begin(), records.end(), by_time);
+    }
+    return std::move(items_);
+  }
+
+ private:
+  /// Index of the item for `key`; caches the last one, since consecutive
+  /// records usually share an item.
+  std::size_t slot(Key key) {
+    if (last_slot_ < items_.size() && Schema::key(items_[last_slot_]) == key)
+      return last_slot_;
+    auto [it, fresh] = index_.try_emplace(key, items_.size());
+    if (fresh) {
+      Schema::key(items_.emplace_back()) = key;
+      check_order_.push_back(true);
+    }
+    return last_slot_ = it->second;
+  }
+
+  std::vector<Item> items_;
+  // Per item: whether take() checks its time order. An item adopted or
+  // absorbed whole is left as it came.
+  std::vector<bool> check_order_;
+  std::unordered_map<Key, std::size_t> index_;
+  std::size_t last_slot_ = std::size_t(-1);
+  // Echo: the (hour, family) pairs admitted per probe, and the last
+  // probe's set, since consecutive records usually share a probe.
+  std::unordered_map<Key, std::unordered_set<std::uint64_t>> seen_;
+  std::unordered_set<std::uint64_t>* last_seen_ = nullptr;
+  Key last_seen_probe_ = 0;
+  bool dedup_adjacent_ = false;
+  std::optional<Record> last_;  // assoc, with dedup_adjacent_
+};
+
+using EchoBuilder = DatasetBuilder<EchoSchema>;
+using AssocBuilder = DatasetBuilder<AssocSchema>;
+
 }  // namespace detail
 
 /// Streaming reader for the echo schema
@@ -285,31 +443,25 @@ class EchoReader {
 
   const IngestStats& stats() const { return cursor_.stats(); }
 
-  /// Probe ids in order of first appearance (declaration or first record).
-  const std::vector<std::uint32_t>& probe_order() const {
-    return probe_order_;
-  }
-  /// Tags declared for a probe via "#tags" lines (empty when none),
-  /// interned through core::tag_pool().
-  const std::vector<core::TagId>& tags_for(std::uint32_t probe_id) const;
+  /// The probes declared so far (`#probe`/`#tags` lines and accepted
+  /// records, tags interned through core::tag_pool()) and the duplicate
+  /// set. next() does not add records to it; read_echo_dataset does.
+  detail::EchoBuilder& builder() { return builder_; }
 
  private:
   void handle_meta(std::string_view line);
-  void note_probe(std::uint32_t probe_id);
 
   detail::LineCursor cursor_;
   ReaderOptions options_;
-  std::unordered_map<std::uint32_t, std::unordered_set<std::uint64_t>> seen_;
-  std::vector<std::uint32_t> probe_order_;
-  std::unordered_set<std::uint32_t> known_probes_;
-  std::unordered_map<std::uint32_t, std::vector<core::TagId>> tags_;
+  detail::EchoBuilder builder_;
 };
 
 /// Streaming reader for the association schema
-/// (`day,v4_24,v6_64,asn4,asn6`). With `assoc_dedup_adjacent` set, a data
-/// line byte-equal to the immediately preceding accepted line is rejected
-/// as a duplicate (the signature of a duplicated export row in a dataset
-/// aggregated to unique tuples; non-adjacent repeats are always kept).
+/// (`day,v4_24,v6_64,asn4,asn6`). With `assoc_dedup_adjacent` set, a
+/// record whose parsed fields equal those of the immediately preceding
+/// accepted record is rejected as a duplicate (the signature of a
+/// duplicated export row in a dataset aggregated to unique tuples;
+/// non-adjacent repeats are always kept).
 class AssocReader {
  public:
   explicit AssocReader(std::istream& is, ReaderOptions options = {});
@@ -318,26 +470,24 @@ class AssocReader {
   core::Status finish() const { return cursor_.finish(); }
   const IngestStats& stats() const { return cursor_.stats(); }
 
-  /// Log ASNs (keyed on asn6, the side the CDN attributes the /64 to) in
-  /// order of first appearance.
-  const std::vector<bgp::Asn>& log_order() const { return log_order_; }
+  /// The logs declared so far (`#log` lines and accepted records' asn6)
+  /// and the last accepted record. read_assoc_dataset adds the records.
+  detail::AssocBuilder& builder() { return builder_; }
 
  private:
   void handle_meta(std::string_view line);
-  void note_log(bgp::Asn asn);
 
   detail::LineCursor cursor_;
   ReaderOptions options_;
-  std::string last_accepted_line_;
-  std::vector<bgp::Asn> log_order_;
-  std::unordered_set<bgp::Asn> known_logs_;
+  detail::AssocBuilder builder_;
 };
 
 // --------------------------------------------------------------- datasets
 
 /// Load a whole multi-probe echo stream: records grouped into one
 /// ProbeSeries per probe (first-appearance order), tags attached, records
-/// stably sorted by hour. Fails only when the error budget is exceeded.
+/// in hour order (detail::DatasetBuilder). Fails only when the error
+/// budget is exceeded.
 /// `stats`, when non-null, receives the accounting even on failure.
 core::Expected<std::vector<atlas::ProbeSeries>> read_echo_dataset(
     std::istream& is, const ReaderOptions& options = {},
@@ -345,14 +495,15 @@ core::Expected<std::vector<atlas::ProbeSeries>> read_echo_dataset(
 
 /// Load a whole association stream: records grouped into one
 /// AssociationLog per origin ASN (asn6, first-appearance order), records
-/// stably sorted by day. The logs' mobile/registry attribution is left for
-/// the caller.
+/// in day order. The logs' mobile/registry attribution is left for the
+/// caller.
 core::Expected<std::vector<cdn::AssociationLog>> read_assoc_dataset(
     std::istream& is, const ReaderOptions& options = {},
     IngestStats* stats = nullptr);
 
 /// Append `more` into `into`, merging series of the same probe id (records
-/// appended, first tags win) — for datasets split across several files.
+/// appended, first tags win, hour order restored) — for datasets split
+/// across several files.
 void merge_echo_datasets(std::vector<atlas::ProbeSeries>& into,
                          std::vector<atlas::ProbeSeries>&& more);
 

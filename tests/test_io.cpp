@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/failpoint.h"
+#include "core/intern.h"
+#include "io/columnar.h"
 #include "io/csv.h"
 
 namespace dynamips::io {
@@ -188,6 +193,122 @@ TEST(AssocIo, EmptyStreamYieldsEmptyLog) {
   auto loaded = read_assoc_dataset(ss);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   EXPECT_TRUE(loaded->empty());
+}
+
+// --------------------------------------------- the dataset-assembly rule
+//
+// detail::DatasetBuilder is the one place that groups records, picks tags
+// and restores time order; these pin each rule on the paths that use it.
+
+std::vector<std::uint64_t> hours_of(const atlas::ProbeSeries& series) {
+  std::vector<std::uint64_t> out;
+  for (const auto& r : series.records) out.push_back(r.hour);
+  return out;
+}
+
+std::vector<std::string> tag_names(const atlas::ProbeSeries& series) {
+  std::vector<std::string> out;
+  for (core::TagId tag : series.meta.tags)
+    out.push_back(core::tag_pool().name_of(tag));
+  return out;
+}
+
+TEST(DatasetBuilder, CsvRestoresTimeOrderStably) {
+  std::istringstream echo(
+      "1,5,4,80.1.2.3,192.168.1.5\n"
+      "1,3,6,2003::1,2003::1\n"
+      "1,3,4,80.1.2.3,192.168.1.5\n"
+      "1,1,4,80.1.2.3,192.168.1.5\n");
+  auto series = read_echo_dataset(echo);
+  ASSERT_TRUE(series.ok()) << series.status().to_string();
+  ASSERT_EQ(series->size(), 1u);
+  EXPECT_EQ(hours_of((*series)[0]), (std::vector<std::uint64_t>{1, 3, 3, 5}));
+  // Same-hour records keep their arrival order: v6 first, as read.
+  EXPECT_EQ((*series)[0].records[1].family, atlas::Family::kV6);
+
+  std::istringstream assoc(
+      "4,80.1.2.0/24,2003::/64,7,7\n"
+      "2,80.1.3.0/24,2003::/64,7,7\n"
+      "2,80.1.4.0/24,2003::/64,7,7\n");
+  auto logs = read_assoc_dataset(assoc);
+  ASSERT_TRUE(logs.ok()) << logs.status().to_string();
+  ASSERT_EQ(logs->size(), 1u);
+  const auto& records = (*logs)[0].records;
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(to_csv(records[0]), "2,80.1.3.0/24,2003::/64,7,7");
+  EXPECT_EQ(to_csv(records[1]), "2,80.1.4.0/24,2003::/64,7,7");
+  EXPECT_EQ(to_csv(records[2]), "4,80.1.2.0/24,2003::/64,7,7");
+}
+
+TEST(DatasetBuilder, FirstNonEmptyTagsWin) {
+  std::istringstream csv(
+      "#tags,7,\n"
+      "#tags,7,home;x\n"
+      "#tags,7,other\n"
+      "7,1,4,80.1.2.3,192.168.1.5\n");
+  auto from_csv = read_echo_dataset(csv);
+  ASSERT_TRUE(from_csv.ok()) << from_csv.status().to_string();
+  ASSERT_EQ(from_csv->size(), 1u);
+  EXPECT_EQ(tag_names((*from_csv)[0]),
+            (std::vector<std::string>{"home", "x"}));
+
+  // Two DYNCOL1 groups of one probe: the untagged first, the tagged second.
+  std::vector<atlas::ProbeSeries> groups(2);
+  groups[0].meta.probe_id = groups[1].meta.probe_id = 7;
+  groups[1].meta.tags = {core::tag_pool().intern("home")};
+  auto from_col = decode_echo_columnar(encode_echo_columnar(groups));
+  ASSERT_TRUE(from_col.ok()) << from_col.status().to_string();
+  ASSERT_EQ(from_col->size(), 1u);
+  EXPECT_EQ(tag_names((*from_col)[0]), (std::vector<std::string>{"home"}));
+
+  std::vector<atlas::ProbeSeries> into(1), more(2);
+  into[0].meta.probe_id = more[0].meta.probe_id = more[1].meta.probe_id = 7;
+  more[0].meta.tags = {core::tag_pool().intern("x")};
+  more[1].meta.tags = {core::tag_pool().intern("other")};
+  merge_echo_datasets(into, std::move(more));
+  ASSERT_EQ(into.size(), 1u);
+  EXPECT_EQ(tag_names(into[0]), (std::vector<std::string>{"x"}));
+}
+
+TEST(DatasetBuilder, MergeKeepsFirstAppearanceAndRestoresOrder) {
+  auto series = [](std::uint32_t probe, std::vector<std::uint64_t> hours) {
+    atlas::ProbeSeries s;
+    s.meta.probe_id = probe;
+    for (std::uint64_t h : hours) {
+      atlas::EchoRecord r;
+      r.probe_id = probe;
+      r.hour = h;
+      s.records.push_back(r);
+    }
+    return s;
+  };
+  std::vector<atlas::ProbeSeries> into = {series(2, {1, 5}), series(1, {2})};
+  merge_echo_datasets(into, {series(3, {0}), series(2, {3})});
+  ASSERT_EQ(into.size(), 3u);
+  EXPECT_EQ(into[0].meta.probe_id, 2u);
+  EXPECT_EQ(into[1].meta.probe_id, 1u);
+  EXPECT_EQ(into[2].meta.probe_id, 3u);
+  EXPECT_EQ(hours_of(into[0]), (std::vector<std::uint64_t>{1, 3, 5}));
+
+  // Association records belong to their asn6 log, whatever the group.
+  std::istringstream assoc(
+      "#log,10\n"
+      "3,80.1.2.0/24,2003::/64,10,10\n"
+      "1,80.1.2.0/24,2003::/64,10,11\n");
+  auto logs = read_assoc_dataset(assoc);
+  ASSERT_TRUE(logs.ok()) << logs.status().to_string();
+  ASSERT_EQ(logs->size(), 2u);
+  EXPECT_EQ((*logs)[1].asn, 11u);
+  ASSERT_EQ((*logs)[1].records.size(), 1u);
+  std::vector<cdn::AssociationLog> acc(1);
+  acc[0].asn = 10;
+  acc[0].records = (*logs)[0].records;
+  acc[0].records[0].day = 5;
+  merge_assoc_datasets(acc, std::move(*logs));
+  ASSERT_EQ(acc.size(), 2u);
+  ASSERT_EQ(acc[0].records.size(), 2u);
+  EXPECT_EQ(acc[0].records[0].day, 3u);
+  EXPECT_EQ(acc[0].records[1].day, 5u);
 }
 
 TEST(Csv, SplitCapsFieldCount) {

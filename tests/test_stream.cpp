@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -140,7 +141,8 @@ const CdnFixture& cdn_fixture() {
 }
 
 /// Split an echo dataset into `nbatches` batch files by record hour
-/// (equal-width slices, same scheme as tools/stream_feed.py) and write
+/// (equal-width slices, same scheme as tools/stream_feed.py, which
+/// AtlasStream.StreamFeedBatchesMatchOneShotSourceStudy runs) and write
 /// them into `dir` with lexicographically ordered names. Returns the paths
 /// in production order.
 std::vector<std::string> write_atlas_batches(
@@ -640,6 +642,44 @@ TEST(AtlasStream, MatchesOneShotAtAnyThreadCount) {
     // the final study: snapshots never consume the accumulators.
     EXPECT_EQ(mid_signature, want);
   }
+}
+
+// The producer the CI soaks run: tools/stream_feed.py slices an exported
+// echo CSV into batch files and drops the stop sentinel. Following those
+// batches must give the study the source file gives in one shot.
+TEST(AtlasStream, StreamFeedBatchesMatchOneShotSourceStudy) {
+  if (std::system("python3 --version > /dev/null 2>&1") != 0)
+    GTEST_SKIP() << "python3 not on PATH";
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path dir = temp_dir("stream_feed_source");
+  const fs::path source = dir / "echo.csv";
+  {
+    std::ofstream out(source, std::ios::binary);
+    io::write_echo_dataset(out, fx.dataset);
+  }
+  const fs::path watch = dir / "watch";
+  const std::string cmd =
+      "PYTHONDONTWRITEBYTECODE=1 python3 '" +
+      (fs::path(DYNAMIPS_TOOLS_DIR) / "stream_feed.py").string() + "' '" +
+      source.string() + "' '" + watch.string() +
+      "' --kind echo --batches 5 > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+
+  core::AtlasFileStudyConfig ref_cfg;
+  ref_cfg.threads = 1;
+  auto ref =
+      core::run_atlas_study_from_files({source.string()}, fx.isps, ref_cfg);
+  ASSERT_TRUE(ref.ok()) << ref.status().to_string();
+
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 4;
+  core::StreamStats stats;
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, core::StreamConfig{}, {}, nullptr,
+      &stats);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(atlas_signature(*study), atlas_signature(*ref));
+  EXPECT_EQ(stats.batches, 5u);
 }
 
 TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {

@@ -2,7 +2,7 @@
 """Replay an exported dataset as a stream of per-time-slice batch files.
 
 Splits an exported echo or association CSV (examples/dataset_roundtrip,
-io/dataset_csv.h) into N batch files by record time — the hour column for
+io/readers.h) into N batch files by record time — the hour column for
 echo datasets, the day column for association datasets — and drops them
 into a watch directory on a schedule, simulating a live feed for
 `dynamips_study --follow`. Uses only the stdlib so it runs anywhere the
@@ -19,17 +19,10 @@ names stay zero-padded (width grows with --batches) so lexicographic
 consumption order equals production order, and files are published via
 tmp + rename so the consumer never observes a half-written batch.
 
---format col emits each batch in the binary columnar format
-(io/columnar.h, same records and downstream results as the CSV form) —
-the writer here mirrors the C++ encoder byte for byte, including the
-per-column and header CRC32s, so a Python-produced batch exercises the
-exact decode path a C++-exported one does.
-
 Optional fault injection reuses tools/corrupt_csv.py on one chosen batch
 (--corrupt-batch), exercising the ingestion error budget mid-stream with
 the exact same deterministic fault modes CI already uses for one-shot
-ingestion. (CSV format only — columnar corruption is exercised by the
-bit-flip soak in CI, which damages whole files, not lines.)
+ingestion.
 
 After the last batch a stop sentinel (default `stream.stop`) is dropped,
 telling the consumer to run its final re-finalization and exit; suppress
@@ -37,18 +30,15 @@ it with --no-sentinel when the consumer is stopped another way.
 
 Usage:
   stream_feed.py IN WATCH_DIR --kind echo --batches 10 [--interval-ms 50]
-      [--format csv|col] [--prefix batch]
+      [--prefix batch]
       [--sentinel stream.stop | --no-sentinel]
       [--corrupt-batch I --corrupt-rate R --corrupt-seed S]
 """
 
 import argparse
-import ipaddress
 import os
-import struct
 import sys
 import time
-import zlib
 
 from corrupt_csv import MODES, corrupt
 
@@ -113,215 +103,10 @@ def render_batches(header, groups, batches):
     return out
 
 
-# ---------------------------------------------------------------- columnar
-#
-# Binary writer mirroring src/io/columnar.cpp exactly: "DYNCOL1\n" magic,
-# u32 version/kind, u64 rows/groups, u32 column count, a directory of
-# (fourcc, u64 offset, u64 length, u32 crc32) entries, u32 header CRC, then
-# 64-byte-aligned zero-padded column payloads. All integers little-endian;
-# CRC32 is the IEEE/zlib polynomial, so zlib.crc32 matches ckpt::crc32.
-
-COL_VERSION = 1
-COL_KIND = {"echo": 1, "assoc": 2}
-COL_ALIGN = 64
-
-
-def _u8(v):
-    return struct.pack("<B", v)
-
-
-def _u32(v):
-    return struct.pack("<I", v)
-
-
-def _u64(v):
-    return struct.pack("<Q", v)
-
-
-def _assemble(kind, rows, groups, columns):
-    """columns: list of (4-char ascii tag, payload bytes)."""
-    header_size = 8 + 4 + 4 + 8 + 8 + 4 + len(columns) * (4 + 8 + 8 + 4) + 4
-    offsets = []
-    cursor = header_size
-    for _, payload in columns:
-        cursor = (cursor + COL_ALIGN - 1) // COL_ALIGN * COL_ALIGN
-        offsets.append(cursor)
-        cursor += len(payload)
-
-    head = bytearray()
-    head += b"DYNCOL1\n"
-    head += _u32(COL_VERSION)
-    head += _u32(kind)
-    head += _u64(rows)
-    head += _u64(groups)
-    head += _u32(len(columns))
-    for (tag, payload), offset in zip(columns, offsets):
-        head += tag.encode("ascii")  # fourcc == the 4 bytes in order
-        head += _u64(offset)
-        head += _u64(len(payload))
-        head += _u32(zlib.crc32(payload) & 0xFFFFFFFF)
-    head += _u32(zlib.crc32(bytes(head)) & 0xFFFFFFFF)
-
-    out = bytearray(head)
-    for (_, payload), offset in zip(columns, offsets):
-        out += b"\0" * (offset - len(out))
-        out += payload
-    return bytes(out)
-
-
-def _v6_bits(addr):
-    packed = int(ipaddress.IPv6Address(addr))
-    return packed >> 64, packed & 0xFFFFFFFFFFFFFFFF
-
-
-def _encode_echo_col(batch_groups):
-    """batch_groups: [(probe_id, [tag, ...], [record_line, ...]), ...]."""
-    gid = bytearray()
-    gcnt = bytearray()
-    gtag = bytearray()
-    hour = bytearray()
-    fam = bytearray()
-    x4 = bytearray()
-    s4 = bytearray()
-    x6hi = bytearray()
-    x6lo = bytearray()
-    s6hi = bytearray()
-    s6lo = bytearray()
-    rows = 0
-    for probe_id, tags, records in batch_groups:
-        gid += _u32(probe_id)
-        gcnt += _u64(len(records))
-        gtag += _u64(len(tags))
-        for tag in tags:
-            raw = tag.encode("utf-8")
-            gtag += _u64(len(raw)) + raw
-        for line in records:
-            f = line.split(",")
-            if len(f) != 5:
-                sys.exit(f"stream_feed: malformed echo record: {line!r}")
-            rows += 1
-            hour += _u64(int(f[1]))
-            if f[2] == "4":
-                fam += _u8(0)
-                x4 += _u32(int(ipaddress.IPv4Address(f[3])))
-                s4 += _u32(int(ipaddress.IPv4Address(f[4])))
-                x6hi += _u64(0)
-                x6lo += _u64(0)
-                s6hi += _u64(0)
-                s6lo += _u64(0)
-            else:
-                fam += _u8(1)
-                x4 += _u32(0)
-                s4 += _u32(0)
-                hi, lo = _v6_bits(f[3])
-                x6hi += _u64(hi)
-                x6lo += _u64(lo)
-                hi, lo = _v6_bits(f[4])
-                s6hi += _u64(hi)
-                s6lo += _u64(lo)
-    return _assemble(
-        COL_KIND["echo"], rows, len(batch_groups),
-        [("GPID", bytes(gid)), ("GCNT", bytes(gcnt)), ("GTAG", bytes(gtag)),
-         ("HOUR", bytes(hour)), ("FAM_", bytes(fam)), ("X4__", bytes(x4)),
-         ("S4__", bytes(s4)), ("X6HI", bytes(x6hi)), ("X6LO", bytes(x6lo)),
-         ("S6HI", bytes(s6hi)), ("S6LO", bytes(s6lo))],
-    )
-
-
-def _encode_assoc_col(batch_groups):
-    """batch_groups: [(asn, [record_line, ...]), ...]."""
-    gasn = bytearray()
-    gcnt = bytearray()
-    day = bytearray()
-    v4a = bytearray()
-    v4l = bytearray()
-    v6hi = bytearray()
-    v6lo = bytearray()
-    v6l = bytearray()
-    as4 = bytearray()
-    as6 = bytearray()
-    rows = 0
-    for asn, records in batch_groups:
-        gasn += _u32(asn)
-        gcnt += _u64(len(records))
-        for line in records:
-            f = line.split(",")
-            if len(f) != 5:
-                sys.exit(f"stream_feed: malformed assoc record: {line!r}")
-            rows += 1
-            day += _u32(int(f[0]))
-            p4 = ipaddress.IPv4Network(f[1], strict=False)
-            v4a += _u32(int(p4.network_address))
-            v4l += _u8(p4.prefixlen)
-            p6 = ipaddress.IPv6Network(f[2], strict=False)
-            hi, lo = _v6_bits(p6.network_address)
-            v6hi += _u64(hi)
-            v6lo += _u64(lo)
-            v6l += _u8(p6.prefixlen)
-            as4 += _u32(int(f[3]))
-            as6 += _u32(int(f[4]))
-    return _assemble(
-        COL_KIND["assoc"], rows, len(batch_groups),
-        [("GASN", bytes(gasn)), ("GCNT", bytes(gcnt)), ("DAY_", bytes(day)),
-         ("V4A_", bytes(v4a)), ("V4L_", bytes(v4l)), ("V6HI", bytes(v6hi)),
-         ("V6LO", bytes(v6lo)), ("V6L_", bytes(v6l)), ("AS4_", bytes(as4)),
-         ("AS6_", bytes(as6))],
-    )
-
-
-def _group_id(group, kind, batch_lines):
-    """Recover the group's id (probe id / log asn) from its preamble, or
-    from its first record when the group is headless."""
-    starter = "#probe," if kind == "echo" else "#log,"
-    for line in group["preamble"]:
-        if line.startswith(starter):
-            return int(line.split(",")[1])
-    first = batch_lines[0].split(",")
-    return int(first[0] if kind == "echo" else first[4])
-
-
-def _group_tags(group):
-    for line in group["preamble"]:
-        if line.startswith("#tags,"):
-            rest = line.split(",", 2)[2]
-            return [t for t in rest.split(";") if t]
-    return []
-
-
-def render_col_batch(groups, tmin, tmax, batches, b, kind):
-    """Binary columnar image of slice `b`, or None when the slice is empty."""
-    batch_groups = []
-    for g in groups:
-        slice_records = [
-            line
-            for (t, line) in g["records"]
-            if slice_index(t, tmin, tmax, batches) == b
-        ]
-        if not slice_records:
-            continue
-        if kind == "echo":
-            batch_groups.append((_group_id(g, kind, slice_records),
-                                 _group_tags(g), slice_records))
-        else:
-            batch_groups.append((_group_id(g, kind, slice_records),
-                                 slice_records))
-    if not batch_groups:
-        return None
-    encode = _encode_echo_col if kind == "echo" else _encode_assoc_col
-    return encode(batch_groups)
-
-
 def publish(path, lines):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
-def publish_bytes(path, blob):
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
     os.replace(tmp, path)
 
 
@@ -333,8 +118,6 @@ def main():
     ap.add_argument("watch_dir", help="directory the consumer follows")
     ap.add_argument("--kind", choices=("echo", "assoc"), required=True)
     ap.add_argument("--batches", type=int, default=10)
-    ap.add_argument("--format", choices=("csv", "col"), default="csv",
-                    help="batch file format (col = binary columnar)")
     ap.add_argument("--interval-ms", type=int, default=0,
                     help="pause between batch drops")
     ap.add_argument("--prefix", default="batch")
@@ -349,20 +132,14 @@ def main():
 
     if args.batches < 1:
         sys.exit("stream_feed: --batches must be >= 1")
-    if args.format == "col" and args.corrupt_batch >= 0:
-        sys.exit("stream_feed: --corrupt-batch is line-oriented; it only "
-                 "applies to --format csv")
     with open(args.input, encoding="utf-8") as f:
         lines = f.read().splitlines()
     header, groups = parse_groups(lines, args.kind)
     rendered = render_batches(header, groups, args.batches)
-    times = [t for g in groups for (t, _) in g["records"]]
-    tmin, tmax = min(times), max(times)
 
     # Index width scales with the batch count (floor of 3 keeps historic
     # names stable); the consumer orders numerically either way.
     pad = max(3, len(str(args.batches - 1)))
-    ext = args.format
 
     os.makedirs(args.watch_dir, exist_ok=True)
     dropped = 0
@@ -370,25 +147,16 @@ def main():
         if len(batch_lines) <= 1:  # header only: empty time slice
             print(f"stream_feed: slice {b} is empty, skipped")
             continue
-        name = f"{args.prefix}-{b:0{pad}d}.{ext}"
-        if args.format == "col":
-            blob = render_col_batch(groups, tmin, tmax, args.batches, b,
-                                    args.kind)
-            publish_bytes(os.path.join(args.watch_dir, name), blob)
-            print(f"stream_feed: dropped {name} ({len(blob)} bytes)")
-        else:
-            if b == args.corrupt_batch:
-                batch_lines, counts = corrupt(
-                    batch_lines, args.corrupt_seed, args.corrupt_rate,
-                    MODES, protect_header=True,
-                )
-                damage = ", ".join(
-                    f"{m}={n}" for m, n in counts.items() if n)
-                print(f"stream_feed: damaged batch {b} "
-                      f"({damage or 'no hits'})")
-            publish(os.path.join(args.watch_dir, name), batch_lines)
-            print(f"stream_feed: dropped {name} "
-                  f"({len(batch_lines) - 1} lines)")
+        name = f"{args.prefix}-{b:0{pad}d}.csv"
+        if b == args.corrupt_batch:
+            batch_lines, counts = corrupt(
+                batch_lines, args.corrupt_seed, args.corrupt_rate,
+                MODES, protect_header=True,
+            )
+            damage = ", ".join(f"{m}={n}" for m, n in counts.items() if n)
+            print(f"stream_feed: damaged batch {b} ({damage or 'no hits'})")
+        publish(os.path.join(args.watch_dir, name), batch_lines)
+        print(f"stream_feed: dropped {name} ({len(batch_lines) - 1} lines)")
         dropped += 1
         if args.interval_ms > 0 and b + 1 < len(rendered):
             time.sleep(args.interval_ms / 1000.0)
