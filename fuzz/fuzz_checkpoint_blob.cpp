@@ -6,19 +6,18 @@
 // checks), so the bytes and the loaded state determine each other.
 //
 // Selectors 8 and 9 load a whole shard blob, the analyzer sequence
-// AtlasShard and CdnShard list in core/pipeline.cpp; 10 and 11 are the
-// stream checkpoint's accumulated datasets. The seed corpus holds the
-// blobs of tests/golden/.
+// AtlasShard and CdnShard list in core/pipeline.cpp. Stream checkpoints
+// hold no blob of their own: their journal segments are DYNCOL1 batches,
+// which fuzz_columnar_batch covers. The seed corpus holds the blobs of
+// tests/golden/.
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "bgp/rib.h"
 #include "core/assoc.h"
 #include "core/durations.h"
 #include "core/inference.h"
-#include "core/pipeline.h"
 #include "core/sanitize.h"
 #include "core/spatial.h"
 #include "io/checkpoint.h"
@@ -42,16 +41,6 @@ void round_trip(std::string_view blob, Ts&... xs) {
   if (!ckpt::load(r, xs...)) return;
   ckpt::Writer w;
   ckpt::save(w, xs...);
-  expect_resaved(blob, r, w);
-}
-
-template <class Dataset>
-void dataset_round_trip(std::string_view blob) {
-  Dataset dataset;
-  ckpt::Reader r(blob);
-  if (!core::decode_dataset(r, dataset)) return;
-  ckpt::Writer w;
-  core::encode_dataset(w, dataset);
   expect_resaved(blob, r, w);
 }
 
@@ -119,12 +108,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       round_trip(blob, analyzer, metrics);
       break;
     }
-    case 10:
-      dataset_round_trip<std::vector<atlas::ProbeSeries>>(blob);
-      break;
-    case 11:
-      dataset_round_trip<std::vector<cdn::AssociationLog>>(blob);
-      break;
     default:
       break;
   }

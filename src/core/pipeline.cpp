@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -903,87 +904,15 @@ CdnStudy run_cdn_study(const std::vector<cdn::PopulationEntry>& population,
 
 // ------------------------------------------------- file-driven entrypoints
 
-// --- accumulated-dataset blob codecs -------------------------------------
-//
-// Stream checkpoints carry the merged in-memory dataset, not the source
-// CSVs: re-reading the batch files through the CSV readers would re-apply
-// per-file deduplication to records that legitimately repeat across
-// batches, changing results. Tags are serialized as strings because
-// core::tag_pool() ids are assigned in first-intern order and are not
-// stable across processes. Every record goes through its `fields` list.
-
-void encode_dataset(io::ckpt::Writer& w,
-                    const std::vector<atlas::ProbeSeries>& dataset) {
-  w.u64(dataset.size());
-  for (const atlas::ProbeSeries& series : dataset) {
-    w.u32(series.meta.probe_id);
-    w.u64(series.meta.tags.size());
-    for (TagId tag : series.meta.tags) w.str(tag_pool().name_of(tag));
-    w(series.records);
-  }
-}
-
-bool decode_dataset(io::ckpt::Reader& r,
-                    std::vector<atlas::ProbeSeries>& dataset) {
-  dataset.clear();
-  std::uint64_t n_series = r.size();
-  dataset.reserve(n_series);
-  for (std::uint64_t i = 0; i < n_series && r.ok(); ++i) {
-    atlas::ProbeSeries& series = dataset.emplace_back();
-    series.meta.probe_id = r.u32();
-    std::uint64_t n_tags = r.size();
-    series.meta.tags.reserve(n_tags);
-    for (std::uint64_t t = 0; t < n_tags && r.ok(); ++t)
-      series.meta.tags.push_back(tag_pool().intern(r.str()));
-    r(series.records);
-    for (atlas::EchoRecord& rec : series.records)
-      rec.probe_id = series.meta.probe_id;
-  }
-  return r.ok();
-}
-
-// mobile/registry are grafted from the run config at analysis time, not
-// dataset state; they are deliberately not serialized.
-void encode_dataset(io::ckpt::Writer& w,
-                    const std::vector<cdn::AssociationLog>& dataset) {
-  w.u64(dataset.size());
-  for (const cdn::AssociationLog& log : dataset) w(log.asn, log.records);
-}
-
-bool decode_dataset(io::ckpt::Reader& r,
-                    std::vector<cdn::AssociationLog>& dataset) {
-  dataset.clear();
-  std::uint64_t n_logs = r.size();
-  dataset.reserve(n_logs);
-  for (std::uint64_t i = 0; i < n_logs && r.ok(); ++i) {
-    cdn::AssociationLog& log = dataset.emplace_back();
-    r(log.asn, log.records);
-  }
-  return r.ok();
-}
-
 namespace {
 
 // --- file policies --------------------------------------------------------
 //
 // The per-study glue of file-driven runs, one-shot and streamed alike: how
 // to load a batch file into the accumulated dataset (CSV vs columnar is
-// dispatched by extension, so `.col` batches ride alongside `.csv`) and how
-// to run one analysis pass over it.
-
-/// Merge one loaded batch into `dataset` and count its records. A batch
-/// that failed to load merges nothing.
-template <typename Dataset>
-Status merge_batch(Expected<Dataset> part,
-                   void (*merge)(Dataset&, Dataset&&), Dataset& dataset,
-                   std::uint64_t& records) {
-  if (!part.ok()) return part.status();
-  Dataset batch = part.take();
-  records = 0;
-  for (const auto& item : batch) records += item.records.size();
-  merge(dataset, std::move(batch));
-  return Status::Ok();
-}
+// dispatched by extension, so `.col` batches ride alongside `.csv`), how a
+// stream journals a loaded batch (one DYNCOL1 segment) and how to run one
+// analysis pass over the accumulated dataset.
 
 struct AtlasFilePolicy {
   const std::vector<simnet::IspProfile>& isps;
@@ -991,6 +920,7 @@ struct AtlasFilePolicy {
   ShardExecutor& exec;
 
   using Dataset = std::vector<atlas::ProbeSeries>;
+  using Accumulator = io::EchoAccumulator;
   using Study = AtlasStudy;
   static constexpr std::uint32_t kFileKind = io::kCkptAtlasFile;
   static constexpr std::uint32_t kStreamKind = io::kCkptAtlasStream;
@@ -1004,12 +934,9 @@ struct AtlasFilePolicy {
   obs::MetricsRegistry* metrics() const { return config.metrics; }
   const io::ReaderOptions& reader() const { return config.reader; }
 
-  Status load_batch(const std::string& path, const io::ReaderOptions& ropts,
-                    io::IngestStats* ingest, Dataset& dataset,
-                    std::uint64_t& records) const {
-    return merge_batch(io::load_echo_file(path, ropts, ingest),
-                       io::merge_echo_datasets, dataset, records);
-  }
+  static constexpr auto load = io::load_echo_file;
+  static constexpr auto encode_segment = io::encode_echo_columnar;
+  static constexpr auto decode_segment = io::decode_echo_columnar;
 
   void init_study(Study& study) const { init_atlas_study(isps, study); }
 
@@ -1030,6 +957,7 @@ struct CdnFilePolicy {
   ShardExecutor& exec;
 
   using Dataset = std::vector<cdn::AssociationLog>;
+  using Accumulator = io::AssocAccumulator;
   using Study = CdnStudy;
   static constexpr std::uint32_t kFileKind = io::kCkptCdnFile;
   static constexpr std::uint32_t kStreamKind = io::kCkptCdnStream;
@@ -1043,12 +971,9 @@ struct CdnFilePolicy {
   obs::MetricsRegistry* metrics() const { return config.metrics; }
   const io::ReaderOptions& reader() const { return config.reader; }
 
-  Status load_batch(const std::string& path, const io::ReaderOptions& ropts,
-                    io::IngestStats* ingest, Dataset& dataset,
-                    std::uint64_t& records) const {
-    return merge_batch(io::load_assoc_file(path, ropts, ingest),
-                       io::merge_assoc_datasets, dataset, records);
-  }
+  static constexpr auto load = io::load_assoc_file;
+  static constexpr auto encode_segment = io::encode_assoc_columnar;
+  static constexpr auto decode_segment = io::decode_assoc_columnar;
 
   void init_study(Study& study) const { study.asn_names = config.asn_names; }
 
@@ -1091,21 +1016,23 @@ Expected<typename Policy::Study> run_file_study(
   // heap fragmented by ingest.
   typename Policy::Study study;
   policy.init_study(study);
-  typename Policy::Dataset dataset;
+  typename Policy::Accumulator dataset;
   const std::uint64_t load_start = obs::now_ns();
   for (const auto& path : paths) {
-    std::uint64_t records = 0;
-    Status loaded = policy.load_batch(path, ropts, ingest, dataset, records);
-    if (!loaded.ok())
-      return loaded.with_context(path).with_context(Policy::kStudyLabel);
+    auto part = Policy::load(path, ropts, ingest);
+    if (!part.ok()) {
+      Status st = part.status();
+      return st.with_context(path).with_context(Policy::kStudyLabel);
+    }
+    dataset.merge(part.take());
   }
   const std::uint64_t load_ns = obs::now_ns() - load_start;
   if (ingest) ingest->load_wall_ns += load_ns;
   if (metrics) ingest_sink.phase(Policy::kIngestPhase).record(load_ns);
 
-  Status ran = policy.run_pass(dataset, metrics, checkpoint, Policy::kFileKind,
-                               policy.fingerprint(&paths), &ingest_sink,
-                               study);
+  Status ran = policy.run_pass(dataset.items(), metrics, checkpoint,
+                               Policy::kFileKind, policy.fingerprint(&paths),
+                               &ingest_sink, study);
   if (!ran.ok()) return ran.with_context(Policy::kStudyLabel);
   return study;
 }
@@ -1206,6 +1133,18 @@ double batch_lag_seconds(const std::filesystem::path& path) {
   return delta.count() > 0 ? delta.count() : 0.0;
 }
 
+/// Reader options for replaying journal segments. A segment holds records
+/// the stream already accepted, so nothing is capped and any reject fails
+/// the decode: it can only mean damage.
+io::ReaderOptions journal_reader_options() {
+  io::ReaderOptions options;
+  options.max_hour = std::numeric_limits<std::uint64_t>::max();
+  options.max_day = std::numeric_limits<std::uint32_t>::max();
+  options.max_reject_fraction = 0;
+  options.max_consecutive_rejects = 0;
+  return options;
+}
+
 // --- the stream loop ------------------------------------------------------
 
 template <typename Policy, typename SnapshotFn>
@@ -1232,9 +1171,14 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   // one-shot file studies, a resumed stream does not re-ingest consumed
   // batches, so the counters must travel with the high-water mark.
   obs::MetricsSink sink;
-  typename Policy::Dataset dataset;
+  typename Policy::Accumulator dataset;
   std::vector<std::string> consumed;
   StreamStats stats;
+  // The stream checkpoint's manifest; its journal table grows by one
+  // segment per committed batch.
+  io::StudyCheckpoint manifest;
+  manifest.kind = Policy::kStreamKind;
+  manifest.config_fingerprint = fingerprint;
 
   if (stream.resume) {
     const io::StudyCheckpoint& ck = *stream.resume;
@@ -1245,11 +1189,24 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       return Status(StatusCode::kDataLoss,
                     "checkpoint is corrupt: stream batch accounting is "
                     "inconsistent");
-    io::ckpt::Reader r(ck.shards.front().blob);
-    if (!decode_dataset(r, dataset) || r.remaining() != 0)
-      return Status(StatusCode::kDataLoss,
-                    "checkpoint is corrupt: accumulated dataset failed to "
-                    "parse");
+    // Each journal segment is one consumed batch as the readers returned
+    // it, so merging them in order rebuilds exactly the dataset the live
+    // stream held. Re-reading the batch files instead would depend on them
+    // still being there unchanged.
+    Status replayed = io::read_journal(
+        ck, [&](std::size_t i, std::string_view bytes) -> Status {
+          auto part =
+              Policy::decode_segment(bytes, journal_reader_options(), nullptr);
+          if (!part.ok())
+            return Status(StatusCode::kDataLoss,
+                          "checkpoint is corrupt: journal segment " +
+                              std::to_string(i) + " (" + ck.consumed[i] +
+                              ") does not decode: " +
+                              part.status().message());
+          dataset.merge(part.take());
+          return Status::Ok();
+        });
+    if (!replayed.ok()) return replayed;
     if (!ck.supervisor_blob.empty()) {
       io::ckpt::Reader sr(ck.supervisor_blob);
       if (!io::ckpt::load(sr, sink) || sr.remaining() != 0)
@@ -1258,10 +1215,16 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                       "parse");
     }
     consumed = ck.consumed;
+    manifest.journal = ck.journal;
     sink.counter("checkpoint.resumes").add(1);
     stats.batches = consumed.size();
     stats.records = sink.counter("stream.records").value;
     stats.refinalizes = sink.counter("stream.refinalize").value;
+  }
+
+  if (!stream.checkpoint_path.empty()) {
+    Status ready = io::init_journal(stream.checkpoint_path, stream.resume);
+    if (!ready.ok()) return ready.with_context(Policy::kStreamLabel);
   }
 
   std::set<std::string> consumed_set(consumed.begin(), consumed.end());
@@ -1308,26 +1271,27 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     return failed;
   };
 
-  // Snapshot the batch high-water mark durably: the consumed-batch list,
-  // the accumulated merged dataset, and the stream accounting sink. Written
-  // after every batch, so a killed stream replays only unconsumed batches.
-  auto write_stream_checkpoint = [&]() -> Status {
+  // Commit the batch high-water mark durably: `batch` (the batch just
+  // consumed, null when there is none) goes into the journal as one
+  // DYNCOL1 segment, then the manifest records the consumed-batch list,
+  // the journal table and the stream accounting sink. Written after every
+  // batch, so a killed stream replays only unconsumed batches, and each
+  // write costs one batch, not the dataset so far.
+  auto write_stream_checkpoint =
+      [&](const typename Policy::Dataset* batch) -> Status {
     if (stream.checkpoint_path.empty()) return Status::Ok();
     obs::PhaseTimer timer(&sink.phase("checkpoint.write"));
-    io::StudyCheckpoint ck;
-    ck.kind = Policy::kStreamKind;
-    ck.config_fingerprint = fingerprint;
-    ck.item_count = consumed.size();
-    io::ckpt::Writer w;
-    encode_dataset(w, dataset);
-    ck.shards.push_back({0, consumed.size(), consumed.size(), w.take()});
-    ck.consumed = consumed;
+    const std::string segment =
+        batch ? Policy::encode_segment(*batch) : std::string();
+    manifest.item_count = consumed.size();
+    manifest.shards = {{0, consumed.size(), consumed.size(), {}}};
+    manifest.consumed = consumed;
     io::ckpt::Writer sw;
     io::ckpt::save(sw, sink);
-    ck.supervisor_blob = sw.take();
-    // Disk soft pressure: drop checkpoint retention to keep-last-1 — the
-    // `.prev` sibling is roughly a whole extra copy of the accumulated
-    // dataset, the cheapest durable bytes to give back.
+    manifest.supervisor_blob = sw.take();
+    // Disk soft pressure: drop manifest retention to keep-last-1. The
+    // manifest is a few KB and both generations share the journal, so this
+    // gives back little; it is still the one copy that can go.
     bool keep_previous = true;
     if (stream.governor && stream.governor->disk_soft()) {
       keep_previous = false;
@@ -1341,7 +1305,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
             backoff_ms(/*salt=*/0x636b7074 /*'ckpt'*/, attempt - 1),
             stream.token);
       }
-      wrote = io::write_checkpoint(stream.checkpoint_path, ck, keep_previous);
+      wrote = io::commit_stream_checkpoint(stream.checkpoint_path, manifest,
+                                           segment, keep_previous);
       if (wrote.ok()) {
         sink.counter("checkpoint.writes").add(1);
         return wrote;
@@ -1366,7 +1331,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     cc.token = stream.token;  // poll between rounds; the batch high-water
                               // mark checkpoint is already durable, so no
                               // mid-pass snapshot is needed
-    Status ran = policy.run_pass(dataset, final_pass ? metrics : nullptr, cc,
+    Status ran = policy.run_pass(dataset.items(),
+                                 final_pass ? metrics : nullptr, cc,
                                  Policy::kStreamKind, fingerprint,
                                  final_pass ? &sink : nullptr, study);
     if (!ran.ok()) return ran;
@@ -1422,7 +1388,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                          " interrupted by shutdown request after " +
                          std::to_string(stats.batches) + " consumed batches";
       if (!stream.checkpoint_path.empty()) {
-        Status wrote = write_stream_checkpoint();
+        Status wrote = write_stream_checkpoint(nullptr);
         if (!wrote.ok()) return resumable_or(wrote);
         note += "; checkpoint written to " + stream.checkpoint_path;
       }
@@ -1465,7 +1431,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       const bool mem = stream.governor->memory_pressure();
       if (mem && !mem_pressure_prev) {
         stream.governor->count("early_checkpoints");
-        Status wrote = write_stream_checkpoint();
+        Status wrote = write_stream_checkpoint(nullptr);
         if (!wrote.ok()) return resumable_or(wrote);
       }
       mem_pressure_prev = mem;
@@ -1512,12 +1478,12 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       last_lag = lag;
       // Load with bounded retries. Each attempt reopens the stream and
       // feeds attempt-local ingest stats and metrics; only a fully
-      // successful read merges into the dataset (load_batch's contract)
-      // and into the real accounting — so a retried batch leaves the
-      // study-facing `ingest.*` counters identical to a fault-free run.
+      // successful read is kept and folded into the real accounting — so
+      // a retried batch leaves the study-facing `ingest.*` counters
+      // identical to a fault-free run.
       const std::uint64_t batch_salt =
           splitmix64(std::hash<std::string>{}(path.filename().string()));
-      std::uint64_t records = 0;
+      typename Policy::Dataset batch;
       Status loaded = Status::Ok();
       for (std::uint64_t attempt = 0; attempt < max_attempts; ++attempt) {
         if (attempt > 0) {
@@ -1535,10 +1501,10 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         obs::MetricsSink attempt_sink;
         if (base_ropts.metrics) ropts.metrics = &attempt_sink;
         io::IngestStats attempt_ingest;
-        records = 0;
-        loaded = policy.load_batch(path.string(), ropts, &attempt_ingest,
-                                   dataset, records);
-        if (loaded.ok()) {
+        auto part = Policy::load(path.string(), ropts, &attempt_ingest);
+        loaded = part.status();
+        if (part.ok()) {
+          batch = part.take();
           if (ingest) ingest->merge(attempt_ingest);
           if (stream.governor)
             stream.governor->count("quarantine_shed",
@@ -1553,6 +1519,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         return resumable_or(loaded.with_context(path.string()));
       }
 
+      std::uint64_t records = 0;
+      for (const auto& item : batch) records += item.records.size();
       const std::string name = path.filename().string();
       consumed.push_back(name);
       consumed_set.insert(name);
@@ -1563,8 +1531,9 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       sink.gauge("stream.lag_seconds").set(lag);
       ++batches_since_refinalize;
 
-      Status wrote = write_stream_checkpoint();
+      Status wrote = write_stream_checkpoint(&batch);
       if (!wrote.ok()) return resumable_or(wrote);
+      dataset.merge(std::move(batch));
       publish_stats();
 
       if (on_snapshot &&

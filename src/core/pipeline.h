@@ -257,22 +257,11 @@ Expected<CdnStudy> run_cdn_study_from_files(
 // byte-identical to a one-shot _from_files run over [B1, ..., Bk] — at any
 // thread count, and including across a mid-stream interrupt + resume. The
 // stream checkpoint (kCkptAtlasStream / kCkptCdnStream) carries a monotone
-// batch high-water mark: the consumed batch list plus the accumulated
-// merged dataset, written after every batch, so a killed stream replays
-// only unconsumed batches.
-
-/// The stream checkpoint's accumulated-dataset blob. Echo: per series the
-/// probe id, the tag names as strings (tag ids are per-process), then the
-/// records without their probe id. Association: per log the asn, then the
-/// records. decode_dataset() replaces `dataset`; false on malformed bytes.
-void encode_dataset(io::ckpt::Writer& w,
-                    const std::vector<atlas::ProbeSeries>& dataset);
-bool decode_dataset(io::ckpt::Reader& r,
-                    std::vector<atlas::ProbeSeries>& dataset);
-void encode_dataset(io::ckpt::Writer& w,
-                    const std::vector<cdn::AssociationLog>& dataset);
-bool decode_dataset(io::ckpt::Reader& r,
-                    std::vector<cdn::AssociationLog>& dataset);
+// batch high-water mark, written after every batch, so a killed stream
+// replays only unconsumed batches: each consumed batch's records go into
+// the checkpoint's journal as one DYNCOL1 segment, and a small manifest
+// commits the consumed batch list and the journal's segments
+// (io/checkpoint.h).
 
 class ResourceGovernor;  // core/resource.h
 
@@ -302,14 +291,19 @@ struct StreamConfig {
   /// Test hook: stop after consuming this many batches even without the
   /// sentinel. 0 means "run until the sentinel appears".
   std::uint64_t max_batches = 0;
-  /// Stream checkpoint path. Empty disables checkpointing (and resume).
+  /// Stream checkpoint path: the manifest, with its journal at
+  /// `checkpoint_path.journal`. Empty disables checkpointing. A fresh
+  /// stream empties a stale journal there; a resumed one leaves it holding
+  /// exactly the resumed checkpoint's segments.
   std::string checkpoint_path;
   /// Cooperative-shutdown flag, polled between batches and between
   /// analysis rounds. Interrupts return kCancelled; the batch high-water
   /// mark checkpoint is already durable, so no data is lost.
   ShutdownToken* token = nullptr;
   /// Checkpoint to resume from; null starts fresh. Kind, fingerprint and
-  /// consumed-batch list are validated.
+  /// consumed-batch list are validated, and the dataset is rebuilt from
+  /// the segments of its journal (`resume->journal_path`), which may be
+  /// another checkpoint's than `checkpoint_path`'s.
   const io::StudyCheckpoint* resume = nullptr;
   /// Transient-IO retry budget: total attempts per batch load / checkpoint
   /// write (first try included). 1 disables retries. Each failed attempt

@@ -28,6 +28,7 @@ constexpr std::uint32_t kSecShard = fourcc('S', 'H', 'R', 'D');
 constexpr std::uint32_t kSecRegistry = fourcc('R', 'E', 'G', 'S');
 constexpr std::uint32_t kSecSupervisor = fourcc('S', 'U', 'P', 'V');
 constexpr std::uint32_t kSecStream = fourcc('S', 'T', 'R', 'M');
+constexpr std::uint32_t kSecJournal = fourcc('J', 'R', 'N', 'L');
 
 void append_section(ckpt::Writer& out, std::uint32_t tag,
                     std::string_view payload) {
@@ -50,6 +51,8 @@ const char* checkpoint_kind_name(std::uint32_t kind) {
     case kCkptCdnFile: return "cdn-study-from-files";
     case kCkptAtlasStream: return "atlas-stream";
     case kCkptCdnStream: return "cdn-stream";
+    case kCkptAtlasStreamV1: return "atlas-stream-v1";
+    case kCkptCdnStreamV1: return "cdn-stream-v1";
   }
   return "unknown";
 }
@@ -61,7 +64,8 @@ std::string encode_checkpoint(const StudyCheckpoint& ckpt) {
   std::uint32_t sections = 1 + std::uint32_t(ckpt.shards.size()) +
                            (ckpt.registry_blob.empty() ? 0u : 1u) +
                            (ckpt.supervisor_blob.empty() ? 0u : 1u) +
-                           (ckpt.consumed.empty() ? 0u : 1u);
+                           (ckpt.consumed.empty() ? 0u : 1u) +
+                           (ckpt.journal.empty() ? 0u : 1u);
   out.u32(sections);
 
   {
@@ -89,6 +93,16 @@ std::string encode_checkpoint(const StudyCheckpoint& ckpt) {
     body.u64(ckpt.consumed.size());
     for (const std::string& name : ckpt.consumed) body.str(name);
     append_section(out, kSecStream, body.buffer());
+  }
+  if (!ckpt.journal.empty()) {
+    ckpt::Writer body;
+    body.u64(ckpt.journal_length());
+    body.u64(ckpt.journal.size());
+    for (const JournalSegment& seg : ckpt.journal) {
+      body.u64(seg.length);
+      body.u32(seg.crc);
+    }
+    append_section(out, kSecJournal, body.buffer());
   }
 
   out.u32(ckpt::crc32(out.buffer()));
@@ -157,6 +171,17 @@ Expected<StudyCheckpoint> decode_checkpoint(std::string_view bytes) {
       for (std::uint64_t k = 0; k < n; ++k) ckpt.consumed.push_back(sec.str());
       if (!sec.ok() || sec.remaining() != 0)
         return data_loss("malformed STRM section");
+    } else if (tag == kSecJournal) {
+      const std::uint64_t committed = sec.u64();
+      const std::uint64_t n = sec.size();
+      ckpt.journal.resize(n);
+      for (JournalSegment& seg : ckpt.journal) {
+        seg.length = sec.u64();
+        seg.crc = sec.u32();
+      }
+      if (!sec.ok() || sec.remaining() != 0 ||
+          committed != ckpt.journal_length())
+        return data_loss("malformed JRNL section");
     } else {
       return data_loss("unknown section " + ckpt::fourcc_name(tag));
     }
@@ -164,6 +189,20 @@ Expected<StudyCheckpoint> decode_checkpoint(std::string_view bytes) {
   if (!in.ok() || in.remaining() != 0)
     return data_loss("trailing or missing bytes after the section table");
   if (!have_meta) return data_loss("missing META section");
+  if (ckpt.kind == kCkptAtlasStreamV1 || ckpt.kind == kCkptCdnStreamV1)
+    return Status(StatusCode::kFailedPrecondition,
+                  std::string("unsupported stream checkpoint: ") +
+                      checkpoint_kind_name(ckpt.kind) +
+                      " is a version-1 stream checkpoint, which holds the "
+                      "whole dataset inline; this build reads version-2 "
+                      "stream checkpoints (a manifest plus a journal), so "
+                      "restart the stream without it");
+  if (is_stream_checkpoint_kind(ckpt.kind) &&
+      ckpt.journal.size() != ckpt.consumed.size())
+    return data_loss("the journal table lists " +
+                     std::to_string(ckpt.journal.size()) +
+                     " segments for " + std::to_string(ckpt.consumed.size()) +
+                     " consumed batches");
   if (ckpt.shards.size() != declared_shards)
     return data_loss("shard count mismatch (META says " +
                      std::to_string(declared_shards) + ", found " +
@@ -189,11 +228,11 @@ Expected<StudyCheckpoint> decode_checkpoint(std::string_view bytes) {
   return ckpt;
 }
 
-Status write_checkpoint(const std::string& path, const StudyCheckpoint& ckpt,
-                        bool keep_previous) {
-  if (path.empty())
-    return Status(StatusCode::kInvalidArgument, "empty checkpoint path");
-  std::string encoded = encode_checkpoint(ckpt);
+namespace {
+
+/// The `checkpoint.write` failpoint: one evaluation per checkpoint write,
+/// whatever files the write touches.
+Status injected_write_fault(const std::string& path) {
   if (auto fp = core::failpoint("checkpoint.write"); fp) {
     if (fp.is_error())
       return Status(StatusCode::kInternal,
@@ -201,6 +240,12 @@ Status write_checkpoint(const std::string& path, const StudyCheckpoint& ckpt,
                         fp.errno_name() + "): " + path);
     core::failpoint_sleep(fp);
   }
+  return Status::Ok();
+}
+
+/// Publish an encoded checkpoint at `path` atomically, keeping `.prev`.
+Status publish_checkpoint(const std::string& path, std::string_view encoded,
+                          bool keep_previous) {
   if (auto fp = core::failpoint("checkpoint.torn"); fp.is_short_write()) {
     // Clobber the primary *non*-atomically with a truncated image — the
     // on-disk state a mid-section crash would leave if the atomic writer
@@ -223,6 +268,42 @@ Status write_checkpoint(const std::string& path, const StudyCheckpoint& ckpt,
   return wrote;
 }
 
+/// Write `bytes` into the journal at `offset`, cut the file there, and
+/// fsync it (and, for a new journal, its directory entry).
+Status write_journal_at(const std::string& path, std::uint64_t offset,
+                        std::string_view bytes) {
+  {
+    std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+    if (!out.is_open())
+      out.open(path, std::ios::binary | std::ios::out | std::ios::trunc);
+    if (!out.is_open())
+      return Status(StatusCode::kInternal, "cannot open journal " + path);
+    out.seekp(std::streamoff(offset));
+    out.write(bytes.data(), std::streamsize(bytes.size()));
+    out.flush();
+    if (!out)
+      return Status(StatusCode::kInternal, "short write to journal " + path);
+  }
+  std::error_code ec;
+  std::filesystem::resize_file(path, offset + bytes.size(), ec);
+  if (ec)
+    return Status(StatusCode::kInternal,
+                  "cannot cut journal " + path + ": " + ec.message());
+  if (Status st = atomic_detail::fsync_path(path); !st.ok()) return st;
+  return offset == 0 ? atomic_detail::fsync_parent_dir(path) : Status::Ok();
+}
+
+}  // namespace
+
+Status write_checkpoint(const std::string& path, const StudyCheckpoint& ckpt,
+                        bool keep_previous) {
+  if (path.empty())
+    return Status(StatusCode::kInvalidArgument, "empty checkpoint path");
+  std::string encoded = encode_checkpoint(ckpt);
+  if (Status st = injected_write_fault(path); !st.ok()) return st;
+  return publish_checkpoint(path, encoded, keep_previous);
+}
+
 Expected<StudyCheckpoint> read_checkpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open())
@@ -236,6 +317,7 @@ Expected<StudyCheckpoint> read_checkpoint(const std::string& path) {
     Status st = decoded.status();
     return st.with_context(path);
   }
+  decoded->journal_path = journal_path(path);
   return decoded;
 }
 
@@ -262,6 +344,108 @@ void remove_checkpoint_files(const std::string& path) {
   std::filesystem::remove(path, ec);
   std::filesystem::remove(path + ".prev", ec);
   std::filesystem::remove(path + ".tmp", ec);
+  std::filesystem::remove(journal_path(path), ec);
+}
+
+std::string journal_path(const std::string& path) {
+  std::string_view base = path;
+  if (base.ends_with(".prev")) base.remove_suffix(5);
+  return std::string(base) + ".journal";
+}
+
+Status commit_stream_checkpoint(const std::string& path, StudyCheckpoint& ckpt,
+                                std::string_view segment, bool keep_previous) {
+  if (path.empty())
+    return Status(StatusCode::kInvalidArgument, "empty checkpoint path");
+  const std::string journal = journal_path(path);
+  const std::uint64_t committed = ckpt.journal_length();
+  const std::size_t segments = ckpt.journal.size();
+  if (Status st = injected_write_fault(path); !st.ok()) {
+    // What a failed append leaves behind: part of the segment past the
+    // committed length, for the retry to overwrite.
+    if (!segment.empty())
+      (void)write_journal_at(journal, committed,
+                             segment.substr(0, segment.size() / 2));
+    return st;
+  }
+  if (!segment.empty()) {
+    if (Status st = write_journal_at(journal, committed, segment); !st.ok())
+      return st.with_context("append to journal " + journal);
+    ckpt.journal.push_back({segment.size(), ckpt::crc32(segment)});
+  }
+  Status wrote =
+      publish_checkpoint(path, encode_checkpoint(ckpt), keep_previous);
+  if (!wrote.ok()) ckpt.journal.resize(segments);
+  return wrote;
+}
+
+Status read_journal(
+    const StudyCheckpoint& ckpt,
+    const std::function<Status(std::size_t, std::string_view)>& visit) {
+  if (ckpt.journal.size() != ckpt.consumed.size())
+    return data_loss("the journal table does not match the consumed batches");
+  if (ckpt.journal.empty()) return Status::Ok();
+  const std::string& path = ckpt.journal_path;
+  auto segment_name = [&](std::size_t i) {
+    return "journal segment " + std::to_string(i) + " (" + ckpt.consumed[i] +
+           ")";
+  };
+  std::error_code ec;
+  const std::uint64_t size = std::filesystem::file_size(path, ec);
+  if (ec)
+    return data_loss("cannot read the journal " + path + " (" + ec.message() +
+                     "); it should hold " +
+                     std::to_string(ckpt.journal.size()) + " segments");
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes;
+  std::uint64_t end = 0;
+  for (std::size_t i = 0; i < ckpt.journal.size(); ++i) {
+    const JournalSegment& seg = ckpt.journal[i];
+    end += seg.length;
+    if (end > size)
+      return data_loss(segment_name(i) + " is cut short: " + path + " has " +
+                       std::to_string(size) + " bytes, the manifest commits " +
+                       std::to_string(ckpt.journal_length()));
+    bytes.resize(seg.length);
+    in.read(bytes.data(), std::streamsize(seg.length));
+    if (!in)
+      return Status(StatusCode::kInternal,
+                    "cannot read " + segment_name(i) + " from " + path);
+    if (ckpt::crc32(bytes) != seg.crc)
+      return data_loss(segment_name(i) + " CRC mismatch in " + path);
+    if (Status st = visit(i, bytes); !st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
+Status init_journal(const std::string& path, const StudyCheckpoint* from) {
+  namespace fs = std::filesystem;
+  const std::string journal = journal_path(path);
+  const std::uint64_t length = from ? from->journal_length() : 0;
+  std::error_code ec;
+  bool copied = false;
+  if (length > 0 && !fs::equivalent(from->journal_path, journal, ec)) {
+    ec.clear();
+    fs::copy_file(from->journal_path, journal,
+                  fs::copy_options::overwrite_existing, ec);
+    if (ec)
+      return Status(StatusCode::kInternal,
+                    "cannot copy journal " + from->journal_path + " to " +
+                        journal + ": " + ec.message());
+    copied = true;
+  }
+  ec.clear();
+  const std::uint64_t size = fs::file_size(journal, ec);
+  if (ec) return Status::Ok();  // no journal yet, and nothing committed
+  if (size != length) {
+    fs::resize_file(journal, length, ec);
+    if (ec)
+      return Status(StatusCode::kInternal,
+                    "cannot cut journal " + journal + ": " + ec.message());
+  }
+  if (length == 0) return Status::Ok();
+  if (Status st = atomic_detail::fsync_path(journal); !st.ok()) return st;
+  return copied ? atomic_detail::fsync_parent_dir(journal) : Status::Ok();
 }
 
 Expected<StudyCheckpoint> combine_shard_checkpoints(

@@ -20,22 +20,35 @@
 //
 // Sections: one META (kind, fingerprint, item count, shard count), one SHRD
 // per shard (begin, end, next, blob), optional REGS (registry snapshot),
-// SUPV (supervisor sink) and STRM (streaming-mode batch high-water mark:
-// the consumed batch basenames in consumption order). Every section carries
-// its own CRC32 and the file a whole-file CRC, so a single flipped bit or a
-// truncated tail is detected and rejected with a descriptive Status — never
-// a crash or a silently wrong resume.
+// SUPV (supervisor sink), STRM (streaming-mode batch high-water mark: the
+// consumed batch basenames in consumption order) and JRNL (streaming mode:
+// the journal's committed length, then each segment's length and CRC32).
+// Every section carries its own CRC32 and the file a whole-file CRC, so a
+// single flipped bit or a truncated tail is detected and rejected with a
+// descriptive Status — never a crash or a silently wrong resume.
+//
+// Stream checkpoints come in two files. The records live in an append-only
+// journal, `path.journal`: one DYNCOL1 batch (io/columnar.h) per consumed
+// batch file, each written at the committed length and fsynced before the
+// manifest that commits it. `path` itself is a small manifest — consumed
+// list, segment table, accounting — so a checkpoint costs one batch's
+// segment plus a few KB, however long the stream has run. Bytes past the
+// committed length are a torn append (a crash mid-write): the next append
+// overwrites them and a resume never reads them. The manifest's JRNL CRCs
+// cover every committed byte, so a flipped bit in the journal is kDataLoss
+// naming its segment.
 //
 // Durability: write_checkpoint() goes through tmp + rename and retains the
 // previous checkpoint as `path.prev` until the new one is in place;
 // read_checkpoint_with_fallback() falls back to `.prev` when the primary is
-// missing or damaged.
+// missing or damaged. Both manifest generations share one journal: `.prev`
+// commits a prefix of what `path` commits.
 //
 // Retention: publishing renames the current checkpoint over any existing
 // `path.prev`, so repeated writes keep exactly the last two generations —
 // `path` and `path.prev` — no matter how long a streaming run checkpoints
 // after every batch. Nothing else accumulates (`path.tmp` exists only
-// mid-write).
+// mid-write; a stream adds only its one `path.journal`).
 //
 // The byte codec (Writer/Reader) is header-only on purpose, and so is the
 // archive built on it: every checkpointed type in core/, stats/ and obs/
@@ -51,6 +64,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <string_view>
@@ -278,8 +292,8 @@ class Writer {
   }
 
   /// One append per integer rather than one push_back per byte: the
-  /// serialization loops (stream checkpoints carry the whole accumulated
-  /// dataset) stay fast however the compiler inlines them.
+  /// serialization loops (shard blobs carry whole analyzer states) stay
+  /// fast however the compiler inlines them.
   template <int N>
   void little_endian(std::uint64_t v) {
     char bytes[N];
@@ -439,8 +453,14 @@ inline constexpr std::uint32_t kCkptAtlasGen = 1;
 inline constexpr std::uint32_t kCkptCdnGen = 2;
 inline constexpr std::uint32_t kCkptAtlasFile = 3;
 inline constexpr std::uint32_t kCkptCdnFile = 4;
-inline constexpr std::uint32_t kCkptAtlasStream = 5;
-inline constexpr std::uint32_t kCkptCdnStream = 6;
+/// Stream kinds carry their own format version: these are version 2, a
+/// manifest plus a journal. Version 1 (kinds 5 and 6) held the whole
+/// accumulated dataset inline; decode_checkpoint() refuses it with
+/// kFailedPrecondition. The one-shot kinds are unaffected.
+inline constexpr std::uint32_t kCkptAtlasStream = 7;
+inline constexpr std::uint32_t kCkptCdnStream = 8;
+inline constexpr std::uint32_t kCkptAtlasStreamV1 = 5;
+inline constexpr std::uint32_t kCkptCdnStreamV1 = 6;
 
 inline bool is_atlas_checkpoint_kind(std::uint32_t kind) {
   return kind == kCkptAtlasGen || kind == kCkptAtlasFile ||
@@ -466,6 +486,14 @@ struct CheckpointShard {
   std::string blob;
 };
 
+/// One committed journal segment: a consumed batch's DYNCOL1 bytes.
+struct JournalSegment {
+  std::uint64_t length = 0;
+  std::uint32_t crc = 0;
+  friend bool operator==(const JournalSegment&,
+                         const JournalSegment&) = default;
+};
+
 /// A full mid-run snapshot of one study.
 struct StudyCheckpoint {
   std::uint32_t kind = 0;
@@ -482,11 +510,23 @@ struct StudyCheckpoint {
   /// these and replays only batches not yet consumed. Empty (and absent
   /// from the file) for the one-shot study kinds.
   std::vector<std::string> consumed;
+  /// Streaming mode only: the journal segments this manifest commits, one
+  /// per consumed batch, in order.
+  std::vector<JournalSegment> journal;
+  /// Where those segments live; not serialized. read_checkpoint() sets it
+  /// to journal_path() of the file it read.
+  std::string journal_path;
 
   std::uint64_t items_done() const {
     std::uint64_t done = 0;
     for (const auto& s : shards) done += s.next - s.begin;
     return done;
+  }
+  /// The journal's committed length: the sum of the segment lengths.
+  std::uint64_t journal_length() const {
+    std::uint64_t length = 0;
+    for (const auto& s : journal) length += s.length;
+    return length;
   }
 };
 
@@ -517,8 +557,42 @@ core::Expected<StudyCheckpoint> read_checkpoint(const std::string& path);
 core::Expected<StudyCheckpoint> read_checkpoint_with_fallback(
     const std::string& path, std::string* used_path = nullptr);
 
-/// Remove `path`, `path.prev`, and `path.tmp` (end-of-run cleanup).
+/// Remove `path`, `path.prev`, `path.tmp` and `path.journal` (end-of-run
+/// cleanup).
 void remove_checkpoint_files(const std::string& path);
+
+// --- stream journals --------------------------------------------------------
+
+/// The journal of the manifest at `path`: `path.journal`. `path.prev`
+/// shares it, so a `.prev` suffix is dropped first.
+std::string journal_path(const std::string& path);
+
+/// Commit a stream checkpoint at `path`. A non-empty `segment` (the DYNCOL1
+/// bytes of the batch consumed since the last commit) is first written into
+/// the journal at `ckpt`'s committed length, cutting off anything past it,
+/// fsynced, and added to `ckpt.journal`; then the manifest is written as by
+/// write_checkpoint(). On failure `ckpt.journal` is left as it was, so a
+/// retry writes the segment at the same offset over whatever was torn.
+core::Status commit_stream_checkpoint(const std::string& path,
+                                      StudyCheckpoint& ckpt,
+                                      std::string_view segment,
+                                      bool keep_previous = true);
+
+/// Read the segments `ckpt` commits from `ckpt.journal_path`, in order,
+/// checking each one's CRC, and hand segment i to `visit(i, bytes)`. Bytes
+/// past the committed length are never read. A journal too short for its
+/// manifest or a CRC mismatch is kDataLoss naming the segment; an error
+/// `visit` returns stops the read and comes back as is.
+core::Status read_journal(
+    const StudyCheckpoint& ckpt,
+    const std::function<core::Status(std::size_t, std::string_view)>& visit);
+
+/// Make the journal of the stream checkpoint at `path` hold exactly the
+/// segments `from` commits (none when `from` is null: a fresh stream). A
+/// stale journal is emptied, a torn tail past the committed length is cut
+/// off, and segments committed in another file's journal are copied in.
+core::Status init_journal(const std::string& path,
+                          const StudyCheckpoint* from);
 
 /// Combine the completed per-process checkpoints of a sharded run
 /// (`dynamips_study --shard i/N` writes one each) into a single resumable

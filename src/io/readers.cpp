@@ -439,14 +439,14 @@ core::Expected<std::vector<cdn::AssociationLog>> read_assoc_dataset(
 void merge_echo_datasets(std::vector<atlas::ProbeSeries>& into,
                          std::vector<atlas::ProbeSeries>&& more) {
   detail::EchoBuilder builder(std::move(into));
-  for (auto& series : more) builder.absorb(std::move(series));
+  builder.merge(std::move(more));
   into = builder.take();
 }
 
 void merge_assoc_datasets(std::vector<cdn::AssociationLog>& into,
                           std::vector<cdn::AssociationLog>&& more) {
   detail::AssocBuilder builder(std::move(into));
-  for (auto& log : more) builder.absorb(std::move(log));
+  builder.merge(std::move(more));
   into = builder.take();
 }
 

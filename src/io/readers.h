@@ -304,9 +304,14 @@ struct AssocSchema {
 ///  * admit() is the duplicate rule: at most one echo record per (probe,
 ///    hour, family); with ReaderOptions::assoc_dedup_adjacent, no assoc
 ///    record equal to the last admitted one;
+///  * records absorbed into a known item are merged in at the seam: kept
+///    as they are when they start at or after the item's last record,
+///    otherwise stably merged (std::inplace_merge). The item they join is
+///    in time order, as the readers return items, so this equals a stable
+///    sort of the whole item at the cost of the absorbed records alone;
 ///  * take() restores time order (a stable sort, so same-time records
-///    keep their arrival order) in the items that are out of order, among
-///    those it filled or appended to; an item taken whole stays as is.
+///    keep their arrival order) in the items add() filled that are out of
+///    order; an item taken whole stays as is.
 template <class Schema>
 class DatasetBuilder {
  public:
@@ -361,37 +366,58 @@ class DatasetBuilder {
   }
 
   /// Fold in a whole item: a new key is taken as is, a known one gains
-  /// the records (and the tags, under the first-non-empty rule).
+  /// the records (merged at the seam) and the tags, under the
+  /// first-non-empty rule.
   void absorb(Item&& item) {
     const std::size_t before = items_.size();
     const Key key = Schema::key(item);
     const std::size_t at = slot(key);
+    check_order_[at] = false;
     if (items_.size() > before) {
       items_[at] = std::move(item);
-      check_order_[at] = false;
       return;
     }
     if constexpr (kEcho) offer_tags(key, std::move(item.meta.tags));
     auto& records = items_[at].records;
+    const std::size_t seam = records.size();
     records.insert(records.end(), item.records.begin(), item.records.end());
-    check_order_[at] = true;
+    order_from(records, seam);
   }
+
+  /// Fold in a batch, item by item. The key index persists, so a builder
+  /// kept across batches (EchoAccumulator, AssocAccumulator) merges each
+  /// batch in O(batch), not O(dataset so far).
+  void merge(std::vector<Item>&& batch) {
+    for (auto& item : batch) absorb(std::move(item));
+  }
+
+  /// The dataset so far, for a builder that only absorbs (nothing is left
+  /// for take() to restore).
+  std::vector<Item>& items() { return items_; }
 
   /// The dataset. Call once, last.
   std::vector<Item> take() {
-    auto by_time = [](const Record& a, const Record& b) {
-      return Schema::time(a) < Schema::time(b);
-    };
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      auto& records = items_[i].records;
-      if (check_order_[i] &&
-          !std::is_sorted(records.begin(), records.end(), by_time))
-        std::stable_sort(records.begin(), records.end(), by_time);
-    }
+    for (std::size_t i = 0; i < items_.size(); ++i)
+      if (check_order_[i]) order_from(items_[i].records, 0);
     return std::move(items_);
   }
 
  private:
+  static bool by_time(const Record& a, const Record& b) {
+    return Schema::time(a) < Schema::time(b);
+  }
+
+  /// Restore time order in `records`, whose [0, seam) is in order: sort
+  /// the rest stably if it is not, then merge it in unless it starts at or
+  /// after the last ordered record.
+  static void order_from(std::vector<Record>& records, std::size_t seam) {
+    const auto tail = records.begin() + std::ptrdiff_t(seam);
+    if (!std::is_sorted(tail, records.end(), by_time))
+      std::stable_sort(tail, records.end(), by_time);
+    if (seam > 0 && tail != records.end() && by_time(*tail, *(tail - 1)))
+      std::inplace_merge(records.begin(), tail, records.end(), by_time);
+  }
+
   /// Index of the item for `key`; caches the last one, since consecutive
   /// records usually share an item.
   std::size_t slot(Key key) {
@@ -406,8 +432,8 @@ class DatasetBuilder {
   }
 
   std::vector<Item> items_;
-  // Per item: whether take() checks its time order. An item adopted or
-  // absorbed whole is left as it came.
+  // Per item: whether take() checks its time order — the items add()
+  // filled. An adopted or absorbed item is ordered already.
   std::vector<bool> check_order_;
   std::unordered_map<Key, std::size_t> index_;
   std::size_t last_slot_ = std::size_t(-1);
@@ -503,13 +529,20 @@ core::Expected<std::vector<cdn::AssociationLog>> read_assoc_dataset(
 
 /// Append `more` into `into`, merging series of the same probe id (records
 /// appended, first tags win, hour order restored) — for datasets split
-/// across several files.
+/// across several files. Expects `into`'s series in hour order, as the
+/// readers return them.
 void merge_echo_datasets(std::vector<atlas::ProbeSeries>& into,
                          std::vector<atlas::ProbeSeries>&& more);
 
 /// Append `more` into `into`, merging logs of the same ASN.
 void merge_assoc_datasets(std::vector<cdn::AssociationLog>& into,
                           std::vector<cdn::AssociationLog>&& more);
+
+/// A dataset grown one batch at a time, as a stream accumulates it:
+/// merge() folds in a batch under merge_*_datasets' rule, and items() is
+/// the dataset so far.
+using EchoAccumulator = detail::EchoBuilder;
+using AssocAccumulator = detail::AssocBuilder;
 
 /// One record as a schema line (no trailing newline) — the only record
 /// writer; the readers above parse exactly this form.

@@ -290,6 +290,21 @@ TEST(DatasetBuilder, MergeKeepsFirstAppearanceAndRestoresOrder) {
   EXPECT_EQ(into[2].meta.probe_id, 3u);
   EXPECT_EQ(hours_of(into[0]), (std::vector<std::uint64_t>{1, 3, 5}));
 
+  // A batch kept across merges: an out-of-order one is sorted and merged
+  // in stably (the earlier hour-5 record stays first), a later one just
+  // appends.
+  EchoAccumulator stream;
+  stream.merge({series(2, {1, 5})});
+  auto late = series(2, {5, 3});
+  late.records[0].family = atlas::Family::kV6;
+  stream.merge({std::move(late)});
+  stream.merge({series(2, {7, 9}), series(4, {2})});
+  ASSERT_EQ(stream.items().size(), 2u);
+  EXPECT_EQ(hours_of(stream.items()[0]),
+            (std::vector<std::uint64_t>{1, 3, 5, 5, 7, 9}));
+  EXPECT_EQ(stream.items()[0].records[2].family, atlas::Family::kV4);
+  EXPECT_EQ(stream.items()[0].records[3].family, atlas::Family::kV6);
+
   // Association records belong to their asn6 log, whatever the group.
   std::istringstream assoc(
       "#log,10\n"

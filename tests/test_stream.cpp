@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -425,9 +426,10 @@ TEST(StreamCheckpoint, RoundTripCarriesConsumedBatches) {
   ck.kind = io::kCkptAtlasStream;
   ck.config_fingerprint = 0xfeedfacecafef00dull;
   ck.item_count = 2;
-  ck.shards.push_back({0, 2, 2, "accumulated-dataset-blob"});
+  ck.shards.push_back({0, 2, 2, ""});
   ck.supervisor_blob = "stream-sink";
   ck.consumed = {"batch-000.csv", "batch-001.csv"};
+  ck.journal = {{1000, 0x11223344u}, {2500, 0x55667788u}};
 
   const std::string bytes = io::encode_checkpoint(ck);
   auto back = io::decode_checkpoint(bytes);
@@ -437,9 +439,18 @@ TEST(StreamCheckpoint, RoundTripCarriesConsumedBatches) {
   EXPECT_EQ(back->config_fingerprint, ck.config_fingerprint);
   EXPECT_EQ(back->item_count, 2u);
   ASSERT_EQ(back->shards.size(), 1u);
-  EXPECT_EQ(back->shards[0].blob, "accumulated-dataset-blob");
+  EXPECT_TRUE(back->shards[0].blob.empty());
   EXPECT_EQ(back->supervisor_blob, "stream-sink");
   EXPECT_EQ(back->consumed, ck.consumed);
+  EXPECT_EQ(back->journal, ck.journal);
+  EXPECT_EQ(back->journal_length(), 3500u);
+
+  // A journal table that does not list one segment per consumed batch is
+  // a corrupt manifest.
+  ck.journal.pop_back();
+  auto short_table = io::decode_checkpoint(io::encode_checkpoint(ck));
+  ASSERT_FALSE(short_table.ok());
+  EXPECT_EQ(short_table.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(StreamCheckpoint, OneShotKindsOmitTheBatchSection) {
@@ -734,12 +745,13 @@ TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
   }
 
   // Retention: tmp + rename with a `.prev` survivor means the checkpoint
-  // directory never holds more than the live file and one predecessor.
+  // directory never holds more than the live manifest, one predecessor
+  // and the journal they share.
   std::set<std::string> entries;
   for (const auto& e : fs::directory_iterator(ckdir))
     entries.insert(e.path().filename().string());
-  EXPECT_EQ(entries,
-            (std::set<std::string>{"study.ckpt", "study.ckpt.prev"}));
+  EXPECT_EQ(entries, (std::set<std::string>{"study.ckpt", "study.ckpt.prev",
+                                            "study.ckpt.journal"}));
 }
 
 TEST(AtlasStream, PreTrippedTokenCancelsWithDurableCheckpoint) {
@@ -894,11 +906,18 @@ TEST(CdnStream, ResumeAtDifferentThreadCountIsByteIdentical) {
 // ------------------------------------------- golden stream checkpoints
 //
 // tests/golden/{atlas,cdn}-stream.ckpt are stream checkpoints taken after
-// the first batches of small slices of the shared fixtures. Their
-// accounting sink holds timings, so only the accumulated-dataset blob is
-// pinned: resuming with a tripped token rewrites the checkpoint at once,
-// and its blob must equal the fixture's byte for byte. Resuming over the
-// remaining batches must then land on the one-shot results.
+// the first batches of small slices of the shared fixtures, each with its
+// `.journal` of DYNCOL1 segments. Their accounting sink holds timings, so
+// the manifest is pinned by its consumed list and journal table and the
+// journal byte for byte: a fresh stream over the same batches must write
+// both again, and resuming the fixture into another checkpoint path with a
+// tripped token must leave the same journal there. Resuming over the
+// remaining batches must then land on the one-shot results. After a
+// deliberate format change, copy the `fresh.ckpt` and `fresh.ckpt.journal`
+// the failure message names over the fixtures.
+//
+// tests/golden/{atlas,cdn}-stream-v1.ckpt are the version-1 fixtures,
+// which held the accumulated dataset inline; they must be refused.
 
 /// The golden stream inputs: every fourth hour of the first 1200 of the
 /// first three probes, and the first 300 records of the first three CDN
@@ -927,40 +946,66 @@ std::vector<cdn::AssociationLog> golden_assoc_dataset() {
   return out;
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::string golden_path(const std::string& name) {
+  return std::string(DYNAMIPS_TEST_GOLDEN_DIR) + "/" + name + ".ckpt";
+}
+
 /// Read tests/golden/<name>.ckpt and check its kind and batch mark.
 io::StudyCheckpoint golden_stream(const std::string& name, std::uint32_t kind,
                                   const std::vector<std::string>& consumed) {
-  auto fixture = io::read_checkpoint(std::string(DYNAMIPS_TEST_GOLDEN_DIR) +
-                                     "/" + name + ".ckpt");
+  auto fixture = io::read_checkpoint(golden_path(name));
   EXPECT_TRUE(fixture.ok()) << fixture.status().to_string();
   if (!fixture.ok()) return {};
   EXPECT_EQ(fixture->kind, kind);
   EXPECT_EQ(fixture->consumed, consumed);
   EXPECT_EQ(fixture->shards.size(), 1u);
+  EXPECT_EQ(fixture->journal.size(), consumed.size());
   return fixture.take();
 }
 
-/// Resume `follow` from `fixture` with a tripped token and require the
-/// checkpoint it rewrites to carry the fixture's dataset blob.
+/// Require the checkpoint at `path` to commit the fixture's batches and
+/// segments, in a journal byte-identical to the fixture's.
+void expect_fixture_journal(const io::StudyCheckpoint& fixture,
+                            const std::string& path) {
+  auto written = io::read_checkpoint(path);
+  ASSERT_TRUE(written.ok()) << written.status().to_string();
+  EXPECT_EQ(written->consumed, fixture.consumed);
+  EXPECT_EQ(written->journal, fixture.journal);
+  EXPECT_TRUE(file_bytes(written->journal_path) ==
+              file_bytes(fixture.journal_path))
+      << "the journal at " << written->journal_path
+      << " differs from the golden fixture's " << fixture.journal_path;
+}
+
+/// A fresh stream over the fixture's `batches` writes the fixture's
+/// journal; resuming the fixture with a tripped token elsewhere copies it.
 template <typename Follow>
-void expect_blob_rewritten(const io::StudyCheckpoint& fixture,
-                           const fs::path& dir, Follow&& follow) {
+void expect_journal_rewritten(const io::StudyCheckpoint& fixture,
+                              std::uint64_t batches, const fs::path& dir,
+                              Follow&& follow) {
+  core::StreamConfig fresh;
+  fresh.checkpoint_path = (dir / "fresh.ckpt").string();
+  fresh.max_batches = batches;
+  auto study = follow(fresh);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  expect_fixture_journal(fixture, fresh.checkpoint_path);
+  ASSERT_EQ(fixture.consumed.size(), batches);
+
   core::ShutdownToken token;
   token.request();
-  core::StreamConfig stream;
-  stream.checkpoint_path = (dir / "study.ckpt").string();
-  stream.resume = &fixture;
-  stream.token = &token;
-  auto cancelled = follow(stream);
+  core::StreamConfig resumed;
+  resumed.checkpoint_path = (dir / "resumed.ckpt").string();
+  resumed.resume = &fixture;
+  resumed.token = &token;
+  auto cancelled = follow(resumed);
   ASSERT_EQ(cancelled.status().code(), StatusCode::kCancelled)
       << cancelled.status().to_string();
-  auto rewritten = io::read_checkpoint(stream.checkpoint_path);
-  ASSERT_TRUE(rewritten.ok()) << rewritten.status().to_string();
-  EXPECT_EQ(rewritten->consumed, fixture.consumed);
-  ASSERT_EQ(rewritten->shards.size(), 1u);
-  ASSERT_FALSE(fixture.shards.empty());
-  EXPECT_TRUE(rewritten->shards[0].blob == fixture.shards[0].blob)
-      << "the dataset blob written now differs from the golden fixture's";
+  expect_fixture_journal(fixture, resumed.checkpoint_path);
 }
 
 TEST(GoldenCheckpoint, AtlasStream) {
@@ -980,7 +1025,8 @@ TEST(GoldenCheckpoint, AtlasStream) {
     return core::StreamDriver(cfg.threads)
         .follow_atlas(watch.string(), fx.isps, cfg, stream);
   };
-  expect_blob_rewritten(fixture, ckdir, follow);
+  expect_journal_rewritten(fixture, 2, ckdir, follow);
+  ASSERT_FALSE(fixture.consumed.empty());
 
   drop_sentinel(watch, "stream.stop");
   core::StreamConfig stream;
@@ -1003,7 +1049,8 @@ TEST(GoldenCheckpoint, CdnStream) {
     return core::StreamDriver(1).follow_cdn(watch.string(),
                                             cdn_file_config(1), stream);
   };
-  expect_blob_rewritten(fixture, ckdir, follow);
+  expect_journal_rewritten(fixture, 1, ckdir, follow);
+  ASSERT_FALSE(fixture.consumed.empty());
 
   drop_sentinel(watch, "stream.stop");
   core::StreamConfig stream;
@@ -1011,6 +1058,245 @@ TEST(GoldenCheckpoint, CdnStream) {
   auto study = follow(stream);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(cdn_signature(*study), cdn_signature(*ref));
+}
+
+TEST(GoldenCheckpoint, VersionOneStreamCheckpointsAreRefused) {
+  for (const char* name : {"atlas-stream-v1", "cdn-stream-v1"}) {
+    auto v1 = io::read_checkpoint_with_fallback(golden_path(name));
+    ASSERT_FALSE(v1.ok()) << name;
+    EXPECT_EQ(v1.status().code(), StatusCode::kFailedPrecondition) << name;
+    EXPECT_TRUE(contains(v1.status().message(), "version-1"))
+        << v1.status().to_string();
+    EXPECT_TRUE(contains(v1.status().message(), "restart the stream"))
+        << v1.status().to_string();
+  }
+}
+
+// ------------------------------------------------------- stream journal
+//
+// The stream checkpoint is a manifest plus an append-only journal of one
+// DYNCOL1 segment per consumed batch. These pin what a crash, a damaged
+// byte, a stale file or a failed append leave behind, and what a resume
+// makes of it.
+
+/// Run the Atlas stream over `watch` with a checkpoint at `ckpt`, stopping
+/// after `max_batches` (0: at the sentinel), optionally resuming.
+core::Expected<core::AtlasStudy> follow_atlas_stream(
+    const fs::path& watch, const std::string& ckpt, unsigned threads,
+    std::uint64_t max_batches = 0,
+    const io::StudyCheckpoint* resume = nullptr,
+    core::ShutdownToken* token = nullptr) {
+  const AtlasFixture& fx = atlas_fixture();
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = threads;
+  core::StreamConfig stream;
+  stream.checkpoint_path = ckpt;
+  stream.max_batches = max_batches;
+  stream.resume = resume;
+  stream.token = token;
+  return core::StreamDriver(threads).follow_atlas(watch.string(), fx.isps,
+                                                  cfg, stream);
+}
+
+/// The one-shot signature over `paths`, the streamed results' reference.
+std::string one_shot_atlas(const std::vector<std::string>& paths) {
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 1;
+  auto ref = core::run_atlas_study_from_files(paths, atlas_fixture().isps, cfg);
+  EXPECT_TRUE(ref.ok()) << ref.status().to_string();
+  return ref.ok() ? atlas_signature(*ref) : std::string();
+}
+
+/// The journal holds exactly the segments its manifest commits.
+void expect_journal_committed(const std::string& ckpt) {
+  auto ck = io::read_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  EXPECT_EQ(fs::file_size(ck->journal_path), ck->journal_length());
+}
+
+TEST(StreamJournal, TornTailPastTheManifestResumesByteIdentical) {
+  const AtlasFixture& fx = atlas_fixture();
+  for (unsigned threads : {1u, 4u}) {
+    const std::string tag = std::to_string(threads);
+    const fs::path watch = temp_dir("journal_torn_watch_" + tag);
+    const fs::path ckdir = temp_dir("journal_torn_ckpt_" + tag);
+    const std::string ckpt = (ckdir / "study.ckpt").string();
+    const auto paths = write_atlas_batches(watch, fx.dataset, 4);
+    const std::string want = one_shot_atlas(paths);
+
+    ASSERT_TRUE(follow_atlas_stream(watch, ckpt, threads, 2).ok());
+    // What `kill -9` mid-append leaves: half of the next batch's segment
+    // past the committed length.
+    auto next = io::load_echo_file(paths[2]);
+    ASSERT_TRUE(next.ok()) << next.status().to_string();
+    const std::string segment = io::encode_echo_columnar(*next);
+    const std::string journal = io::journal_path(ckpt);
+    const std::uint64_t committed = fs::file_size(journal);
+    {
+      std::ofstream out(journal, std::ios::binary | std::ios::app);
+      out.write(segment.data(), std::streamsize(segment.size() / 2));
+    }
+    ASSERT_GT(fs::file_size(journal), committed);
+
+    auto ck = io::read_checkpoint_with_fallback(ckpt);
+    ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+    ASSERT_EQ(ck->consumed.size(), 2u);
+    EXPECT_EQ(ck->journal_length(), committed);
+    drop_sentinel(watch, "stream.stop");
+    auto study = follow_atlas_stream(watch, ckpt, threads, 0, &*ck);
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    EXPECT_EQ(atlas_signature(*study), want) << "threads=" << threads;
+    expect_journal_committed(ckpt);
+  }
+}
+
+TEST(StreamJournal, FlippedBitInACommittedSegmentIsDataLoss) {
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path watch = temp_dir("journal_flip_watch");
+  const fs::path ckdir = temp_dir("journal_flip_ckpt");
+  const std::string ckpt = (ckdir / "study.ckpt").string();
+  write_atlas_batches(watch, fx.dataset, 3);
+  ASSERT_TRUE(follow_atlas_stream(watch, ckpt, 1, 2).ok());
+
+  auto ck = io::read_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  ASSERT_EQ(ck->journal.size(), 2u);
+  {
+    std::fstream f(ck->journal_path,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    const auto at =
+        std::streamoff(ck->journal[0].length + ck->journal[1].length / 2);
+    f.seekg(at);
+    char byte = 0;
+    f.get(byte);
+    f.seekp(at);
+    f.put(char(byte ^ 0x10));
+  }
+  auto resumed = follow_atlas_stream(watch, ckpt, 1, 0, &*ck);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(contains(resumed.status().message(),
+                       "journal segment 1 (batch-001.csv)"))
+      << resumed.status().to_string();
+}
+
+TEST(StreamJournal, ShortJournalIsDataLossNamingTheSegment) {
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path watch = temp_dir("journal_short_watch");
+  const fs::path ckdir = temp_dir("journal_short_ckpt");
+  const std::string ckpt = (ckdir / "study.ckpt").string();
+  write_atlas_batches(watch, fx.dataset, 3);
+  ASSERT_TRUE(follow_atlas_stream(watch, ckpt, 1, 2).ok());
+
+  auto ck = io::read_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  fs::resize_file(ck->journal_path, ck->journal_length() - 1);
+  auto resumed = follow_atlas_stream(watch, ckpt, 1, 0, &*ck);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(contains(resumed.status().message(),
+                       "journal segment 1 (batch-001.csv) is cut short"))
+      << resumed.status().to_string();
+}
+
+TEST(StreamJournal, PrevManifestWithALongerJournalResumes) {
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path watch = temp_dir("journal_prev_watch");
+  const fs::path ckdir = temp_dir("journal_prev_ckpt");
+  const std::string ckpt = (ckdir / "study.ckpt").string();
+  const auto paths = write_atlas_batches(watch, fx.dataset, 4);
+  const std::string want = one_shot_atlas(paths);
+
+  // Three batches: the primary commits three segments, `.prev` two, and
+  // the journal holds all three. Then the primary is damaged.
+  ASSERT_TRUE(follow_atlas_stream(watch, ckpt, 1, 3).ok());
+  fs::resize_file(ckpt, fs::file_size(ckpt) / 2);
+  std::string used;
+  auto ck = io::read_checkpoint_with_fallback(ckpt, &used);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  EXPECT_EQ(used, ckpt + ".prev");
+  ASSERT_EQ(ck->consumed.size(), 2u);
+  EXPECT_EQ(ck->journal_path, io::journal_path(ckpt));
+  EXPECT_GT(fs::file_size(ck->journal_path), ck->journal_length());
+
+  drop_sentinel(watch, "stream.stop");
+  auto study = follow_atlas_stream(watch, ckpt, 4, 0, &*ck);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(atlas_signature(*study), want);
+  expect_journal_committed(ckpt);
+}
+
+TEST(StreamJournal, FreshStreamTruncatesAStaleJournal) {
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path watch = temp_dir("journal_stale_watch");
+  const fs::path ckdir = temp_dir("journal_stale_ckpt");
+  const std::string ckpt = (ckdir / "study.ckpt").string();
+  const auto paths = write_atlas_batches(watch, fx.dataset, 3);
+  const std::string want = one_shot_atlas(paths);
+  std::ofstream(io::journal_path(ckpt), std::ios::binary)
+      << std::string(5000, 'x');
+
+  // Interrupted before its first batch: the stale bytes are gone.
+  core::ShutdownToken token;
+  token.request();
+  auto cancelled = follow_atlas_stream(watch, ckpt, 1, 0, nullptr, &token);
+  ASSERT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+      << cancelled.status().to_string();
+  EXPECT_EQ(fs::file_size(io::journal_path(ckpt)), 0u);
+
+  std::ofstream(io::journal_path(ckpt), std::ios::binary)
+      << std::string(5000, 'x');
+  ASSERT_TRUE(follow_atlas_stream(watch, ckpt, 1, 1).ok());
+  expect_journal_committed(ckpt);
+  auto ck = io::read_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  drop_sentinel(watch, "stream.stop");
+  auto study = follow_atlas_stream(watch, ckpt, 1, 0, &*ck);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(atlas_signature(*study), want);
+}
+
+TEST(StreamJournal, CheckpointCostFollowsTheBatchNotTheDataset) {
+  // The same records streamed as 12 and as 24 batches, and half of them as
+  // 12 batches. The journal is always the sum of its segments, and the
+  // manifest grows with the batch count, never with the records.
+  const AtlasFixture& fx = atlas_fixture();
+  std::vector<atlas::ProbeSeries> half = fx.dataset;
+  for (auto& series : half) {
+    std::vector<atlas::EchoRecord> kept;
+    for (std::size_t i = 0; i < series.records.size(); i += 2)
+      kept.push_back(series.records[i]);
+    series.records = std::move(kept);
+  }
+  struct Run {
+    std::uint64_t manifest = 0, journal = 0;
+  };
+  auto run = [&](const std::vector<atlas::ProbeSeries>& dataset,
+                 std::size_t nbatches, const std::string& name) {
+    const fs::path watch = temp_dir("journal_cost_watch_" + name);
+    const fs::path ckdir = temp_dir("journal_cost_ckpt_" + name);
+    const std::string ckpt = (ckdir / "study.ckpt").string();
+    write_atlas_batches(watch, dataset, nbatches);
+    drop_sentinel(watch, "stream.stop");
+    EXPECT_TRUE(follow_atlas_stream(watch, ckpt, 2).ok());
+    auto ck = io::read_checkpoint(ckpt);
+    EXPECT_TRUE(ck.ok()) << ck.status().to_string();
+    if (!ck.ok()) return Run{};
+    EXPECT_EQ(ck->journal.size(), nbatches);
+    EXPECT_EQ(fs::file_size(ck->journal_path), ck->journal_length());
+    return Run{fs::file_size(ckpt), fs::file_size(ck->journal_path)};
+  };
+  const Run twelve = run(fx.dataset, 12, "12");
+  const Run twenty_four = run(fx.dataset, 24, "24");
+  const Run halved = run(half, 12, "half");
+
+  EXPECT_LT(twelve.manifest * 20, twelve.journal);
+  EXPECT_LT(halved.journal * 3, twelve.journal * 2);
+  // Per batch the manifest adds one name and one segment entry (tens of
+  // bytes); the accounting sink's timings may shift it by a few more.
+  EXPECT_LT(twenty_four.manifest, twelve.manifest + 12 * 64 + 256);
+  EXPECT_LT(halved.manifest, twelve.manifest + 256);
+  EXPECT_LT(twelve.manifest, halved.manifest + 256);
 }
 
 // ---------------------------------------------- injected-fault streaming
@@ -1101,11 +1387,14 @@ TEST_F(StreamFailpoints, ExhaustedRetriesGiveUpResumably) {
       << gave_up.status().to_string();
 
   // The checkpoint it points at is genuinely loadable, and resuming it
-  // fault-free finishes the study byte-identical to the reference.
+  // fault-free finishes the study byte-identical to the reference. The
+  // failed journal appends left a torn segment past the committed length,
+  // which the resumed stream overwrites.
   core::disarm_failpoints();
   auto ck = io::read_checkpoint(ckpt);
   ASSERT_TRUE(ck.ok()) << ck.status().to_string();
   ASSERT_EQ(ck->consumed.size(), 1u);
+  EXPECT_GT(fs::file_size(ck->journal_path), ck->journal_length());
   core::StreamConfig resume;
   resume.checkpoint_path = ckpt;
   resume.resume = &*ck;
@@ -1115,6 +1404,7 @@ TEST_F(StreamFailpoints, ExhaustedRetriesGiveUpResumably) {
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 3u);
+  expect_journal_committed(ckpt);
 }
 
 TEST(StreamDriver, ReusesOneExecutorAcrossFollows) {
@@ -1251,11 +1541,13 @@ TEST(StreamGovernor, DiskSoftPressureDropsRetentionAndShedsQuarantine) {
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 4u);
 
-  // Keep-last-1 retention: four checkpoint writes, no `.prev` survivor.
+  // Keep-last-1 retention: four checkpoint writes, no `.prev` survivor;
+  // the journal is the one file both generations would share.
   std::set<std::string> entries;
   for (const auto& e : fs::directory_iterator(ckdir))
     entries.insert(e.path().filename().string());
-  EXPECT_EQ(entries, (std::set<std::string>{"study.ckpt"}));
+  EXPECT_EQ(entries,
+            (std::set<std::string>{"study.ckpt", "study.ckpt.journal"}));
 
   // The quarantine copy was shed — but the reject stayed counted and the
   // shed volume is observable.
