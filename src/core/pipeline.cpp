@@ -1173,7 +1173,6 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   obs::MetricsSink sink;
   typename Policy::Accumulator dataset;
   std::vector<std::string> consumed;
-  StreamStats stats;
   // The stream checkpoint's manifest; its journal table grows by one
   // segment per committed batch.
   io::StudyCheckpoint manifest;
@@ -1217,9 +1216,6 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     consumed = ck.consumed;
     manifest.journal = ck.journal;
     sink.counter("checkpoint.resumes").add(1);
-    stats.batches = consumed.size();
-    stats.records = sink.counter("stream.records").value;
-    stats.refinalizes = sink.counter("stream.refinalize").value;
   }
 
   if (!stream.checkpoint_path.empty()) {
@@ -1234,24 +1230,43 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   io::ReaderOptions base_ropts = policy.reader();
   if (metrics && !base_ropts.metrics) base_ropts.metrics = &sink;
 
+  // The caller-facing StreamStats are the sink's `stream.*` counters, so a
+  // resumed stream reports the batches it restored. Reading a counter never
+  // creates it: an absent one is zero.
+  auto counted = [&](std::string_view name) -> std::uint64_t {
+    auto it = sink.counters().find(name);
+    return it == sink.counters().end() ? 0 : it->second.value;
+  };
+  auto stats = [&] {
+    return StreamStats{counted("stream.batches"), counted("stream.records"),
+                       counted("stream.refinalize")};
+  };
   auto publish_stats = [&] {
-    if (stats_out) *stats_out = stats;
+    if (stats_out) *stats_out = stats();
   };
 
   // --- transient-IO retry policy ---
-  // Bounded attempts with exponential backoff; the jitter comes from
-  // splitmix64 over the configured seed, never from a clock, so a replayed
-  // chaos run makes the identical retry/sleep decisions.
+  // `attempt` runs up to `io_retry_attempts` times with exponential backoff
+  // between tries; each retry counts in `io.retries`, running out in
+  // `io.giveups`, and the last failure is returned. The jitter comes from
+  // splitmix64 over the configured seed and the caller's salt, never from a
+  // clock, so a replayed chaos run makes the identical retry/sleep decisions.
   const std::uint64_t max_attempts =
       stream.io_retry_attempts > 0 ? stream.io_retry_attempts : 1;
-  auto backoff_ms = [&](std::uint64_t salt,
-                        std::uint64_t attempt) -> std::uint64_t {
-    const std::uint64_t base =
-        stream.io_retry_base_ms > 0 ? stream.io_retry_base_ms : 1;
-    const std::uint64_t shift = attempt < 10 ? attempt : 10;
-    const std::uint64_t jitter =
-        splitmix64(stream.io_retry_seed ^ salt ^ attempt) % (base + 1);
-    return (base << shift) + jitter;
+  const std::uint64_t base_ms =
+      stream.io_retry_base_ms > 0 ? stream.io_retry_base_ms : 1;
+  auto with_retries = [&](std::uint64_t salt, const auto& attempt) -> Status {
+    Status last = attempt();
+    for (std::uint64_t n = 0; !last.ok() && n + 1 < max_attempts; ++n) {
+      const std::uint64_t jitter =
+          splitmix64(stream.io_retry_seed ^ salt ^ n) % (base_ms + 1);
+      sink.counter("io.retries").add(1);
+      const std::uint64_t shift = n < 10 ? n : 10;
+      interruptible_sleep_ms((base_ms << shift) + jitter, stream.token);
+      last = attempt();
+    }
+    if (!last.ok()) sink.counter("io.giveups").add(1);
+    return last;
   };
 
   // A giveup is resumable when a durable batch high-water mark exists on
@@ -1297,24 +1312,14 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       keep_previous = false;
       stream.governor->count("retention_drops");
     }
-    Status wrote = Status::Ok();
-    for (std::uint64_t attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) {
-        sink.counter("io.retries").add(1);
-        interruptible_sleep_ms(
-            backoff_ms(/*salt=*/0x636b7074 /*'ckpt'*/, attempt - 1),
-            stream.token);
-      }
-      wrote = io::commit_stream_checkpoint(stream.checkpoint_path, manifest,
-                                           segment, keep_previous);
-      if (wrote.ok()) {
-        sink.counter("checkpoint.writes").add(1);
-        return wrote;
-      }
-      sink.counter("checkpoint.write_failures").add(1);
-    }
-    sink.counter("io.giveups").add(1);
-    return wrote;
+    return with_retries(/*salt=*/0x636b7074 /*'ckpt'*/, [&] {
+      Status wrote = io::commit_stream_checkpoint(
+          stream.checkpoint_path, manifest, segment, keep_previous);
+      sink.counter(wrote.ok() ? "checkpoint.writes"
+                              : "checkpoint.write_failures")
+          .add(1);
+      return wrote;
+    });
   };
 
   // One re-finalization: a full sharded analysis pass over the accumulated
@@ -1324,7 +1329,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   // registry ends up identical to a one-shot run over the same batches.
   auto refinalize = [&](bool final_pass) -> Expected<Study> {
     sink.counter("stream.refinalize").add(1);
-    ++stats.refinalizes;
+    // The final pass folds the sink into the registry: report it first.
+    if (final_pass) publish_stats();
     Study study;
     policy.init_study(study);
     CheckpointConfig cc;
@@ -1347,7 +1353,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       Status st = snap.status();
       return st.with_context(Policy::kStreamLabel);
     }
-    on_snapshot(snap.value(), stats);
+    on_snapshot(snap.value(), stats());
     batches_since_refinalize = 0;
     last_refinalize = std::chrono::steady_clock::now();
     publish_stats();
@@ -1386,7 +1392,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       sink.counter("checkpoint.interrupted").add(1);
       std::string note = std::string(Policy::kStreamLabel) +
                          " interrupted by shutdown request after " +
-                         std::to_string(stats.batches) + " consumed batches";
+                         std::to_string(consumed.size()) +
+                         " consumed batches";
       if (!stream.checkpoint_path.empty()) {
         Status wrote = write_stream_checkpoint(nullptr);
         if (!wrote.ok()) return resumable_or(wrote);
@@ -1414,7 +1421,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         !stream.stop_sentinel.empty() &&
         fs::exists(fs::path(watch_dir) / stream.stop_sentinel, ec);
     const bool reached_cap =
-        stream.max_batches > 0 && stats.batches >= stream.max_batches;
+        stream.max_batches > 0 && consumed.size() >= stream.max_batches;
 
     // Bound the per-sweep backlog: a burst of batches still gets consumed,
     // just across several sweeps, keeping the work list (and the time
@@ -1439,7 +1446,6 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
 
     if (reached_cap || (fresh.empty() && sentinel_present)) {
       Expected<Study> final_study = refinalize(/*final_pass=*/true);
-      publish_stats();
       if (!final_study.ok()) {
         Status st = final_study.status();
         return st.with_context(Policy::kStreamLabel);
@@ -1460,7 +1466,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
 
     for (const fs::path& path : fresh) {
       if (stream.token && stream.token->requested()) break;
-      if (stream.max_batches > 0 && stats.batches >= stream.max_batches)
+      if (stream.max_batches > 0 && consumed.size() >= stream.max_batches)
         break;
 
       // Disk hard pressure: pause ingest until space recovers. The
@@ -1484,13 +1490,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       const std::uint64_t batch_salt =
           splitmix64(std::hash<std::string>{}(path.filename().string()));
       typename Policy::Dataset batch;
-      Status loaded = Status::Ok();
-      for (std::uint64_t attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          sink.counter("io.retries").add(1);
-          interruptible_sleep_ms(backoff_ms(batch_salt, attempt - 1),
-                                 stream.token);
-        }
+      Status loaded = with_retries(batch_salt, [&]() -> Status {
         io::ReaderOptions ropts = base_ropts;
         ropts.source_label = path.string();
         // Disk soft pressure: shed quarantine copies of rejected lines —
@@ -1502,30 +1502,24 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         if (base_ropts.metrics) ropts.metrics = &attempt_sink;
         io::IngestStats attempt_ingest;
         auto part = Policy::load(path.string(), ropts, &attempt_ingest);
-        loaded = part.status();
-        if (part.ok()) {
-          batch = part.take();
-          if (ingest) ingest->merge(attempt_ingest);
-          if (stream.governor)
-            stream.governor->count("quarantine_shed",
-                                   attempt_ingest.quarantine_shed);
-          if (base_ropts.metrics)
-            base_ropts.metrics->merge(std::move(attempt_sink));
-          break;
-        }
-      }
-      if (!loaded.ok()) {
-        sink.counter("io.giveups").add(1);
+        if (!part.ok()) return part.status();
+        batch = part.take();
+        if (ingest) ingest->merge(attempt_ingest);
+        if (stream.governor)
+          stream.governor->count("quarantine_shed",
+                                 attempt_ingest.quarantine_shed);
+        if (base_ropts.metrics)
+          base_ropts.metrics->merge(std::move(attempt_sink));
+        return Status::Ok();
+      });
+      if (!loaded.ok())
         return resumable_or(loaded.with_context(path.string()));
-      }
 
       std::uint64_t records = 0;
       for (const auto& item : batch) records += item.records.size();
       const std::string name = path.filename().string();
       consumed.push_back(name);
       consumed_set.insert(name);
-      ++stats.batches;
-      stats.records += records;
       sink.counter("stream.batches").add(1);
       sink.counter("stream.records").add(records);
       sink.gauge("stream.lag_seconds").set(lag);

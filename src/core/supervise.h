@@ -8,7 +8,7 @@
 //   * restarts a crashed/killed child with capped exponential backoff,
 //     re-injecting `--resume-from` whenever a durable checkpoint exists —
 //     so 3x SIGKILL mid-stream still converges to CSVs byte-identical to
-//     an uninterrupted run (gated by the supervise-soak CI job);
+//     an uninterrupted run (gated by tests/soak/supervise-soak.sh);
 //   * watches liveness via a heartbeat file the child refreshes (a child
 //     whose heartbeat goes stale is hung, not slow) and progress via the
 //     checkpoint high-water mark (a live child whose checkpoint stops

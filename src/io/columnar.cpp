@@ -509,33 +509,16 @@ Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
   detail::RejectLedger ledger(options, "assoc columnar ingest", "record");
   detail::AssocBuilder builder(options);
 
-  // Column-wise validation scans: branch-free accumulations over the
-  // contiguous fixed-width columns (this is the SIMD-able part of the
-  // layout — each loop reads one array sequentially and reduces with
-  // data-independent arithmetic). When the whole batch is clean and
-  // adjacent-dedup is off, rows are accounted in bulk and the decode
-  // below runs without any per-row classification.
-  std::uint64_t invalid = 0;
-  {
-    const std::uint32_t max_day = options.max_day;
-    for (std::uint64_t i = 0; i < batch.rows; ++i)
-      invalid += c_day.u32(i) > max_day;
-    for (std::uint64_t i = 0; i < batch.rows; ++i)
-      invalid += c_v4l.u8(i) > 32;
-    for (std::uint64_t i = 0; i < batch.rows; ++i)
-      invalid += c_v6l.u8(i) > 128;
-  }
-  const bool clean = invalid == 0 && !options.assoc_dedup_adjacent;
-  if (clean) ledger.accept_bulk(batch.rows);
-
-  // Otherwise rows are classified in the CSV reader's order: the day
-  // range, the prefix lengths, then the builder's duplicate rule.
+  // Rows are classified in the CSV reader's order: the day range, the
+  // prefix lengths, then the builder's duplicate rule.
   std::uint64_t row = 0;
   for (std::uint64_t g = 0; g < batch.groups && !ledger.tripped(); ++g) {
     const std::uint64_t n = gcnt.value().u64(g);
     auto& records = builder.declare(gasn.value().u32(g)).records;
     records.reserve(records.size() + n);
     for (std::uint64_t k = 0; k < n && !ledger.tripped(); ++k, ++row) {
+      ledger.count_unit();
+      ledger.count_data();
       const std::uint32_t d = c_day.u32(row);
       const std::uint8_t l4 = c_v4l.u8(row);
       const std::uint8_t l6 = c_v6l.u8(row);
@@ -545,17 +528,13 @@ Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
                                      c_v6lo.u64(row), l6),
                       row + 1);
       };
-      if (!clean) {
-        ledger.count_unit();
-        ledger.count_data();
-        if (d > options.max_day) {
-          reject(RejectReason::kOutOfRange);
-          continue;
-        }
-        if (l4 > 32 || l6 > 128) {
-          reject(RejectReason::kBadAddress);
-          continue;
-        }
+      if (d > options.max_day) {
+        reject(RejectReason::kOutOfRange);
+        continue;
+      }
+      if (l4 > 32 || l6 > 128) {
+        reject(RejectReason::kBadAddress);
+        continue;
       }
       cdn::AssociationRecord rec;
       rec.day = d;
@@ -564,14 +543,12 @@ Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
           net::IPv6Address(c_v6hi.u64(row), c_v6lo.u64(row)), l6);
       rec.asn4 = c_as4.u32(row);
       rec.asn6 = c_as6.u32(row);
-      if (!clean) {
-        if (!builder.admit(rec)) {
-          reject(RejectReason::kDuplicate);
-          continue;
-        }
-        ledger.accept();
+      if (!builder.admit(rec)) {
+        reject(RejectReason::kDuplicate);
+        continue;
       }
       builder.add(rec);
+      ledger.accept();
     }
   }
 

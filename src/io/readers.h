@@ -196,19 +196,6 @@ class RejectLedger {
     consecutive_rejects_ = 0;
     if (accepted_counter_) accepted_counter_->add(1);
   }
-  /// Clean-batch fast path: account `n` validated records at once (the
-  /// columnar readers take it when a whole batch passed the column-wise
-  /// validation scans). Equivalent to n count_unit/count_data/accept
-  /// triples.
-  void accept_bulk(std::uint64_t n) {
-    stats_.lines_seen += n;
-    stats_.data_lines += n;
-    stats_.records_accepted += n;
-    consecutive_rejects_ = 0;
-    if (lines_counter_) lines_counter_->add(n);
-    if (accepted_counter_) accepted_counter_->add(n);
-  }
-
   bool tripped() const { return !fatal_.ok(); }
   const core::Status& fatal() const { return fatal_; }
   /// Trip the ledger with an external failure (e.g. an injected IO error):

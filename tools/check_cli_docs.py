@@ -2,11 +2,11 @@
 """Check that every dynamips_study flag the docs use is a real flag.
 
 Collects each `--flag` that follows a `dynamips_study` invocation in
-README.md, EXPERIMENTS.md, DESIGN.md and .github/workflows/ci.yml, and
-requires it to appear in `dynamips_study --help`. The help text is
-generated from the same flag table the parser reads, so it is the exact
-set of accepted flags; a doc example with a misspelled or removed flag
-fails here instead of failing for the reader.
+README.md, EXPERIMENTS.md, DESIGN.md, .github/workflows/ci.yml and the
+soak legs tests/soak/*.sh, and requires it to appear in `dynamips_study
+--help`. The help text is generated from the same flag table the parser
+reads, so it is the exact set of accepted flags; a doc example with a
+misspelled or removed flag fails here instead of failing for the reader.
 
 Usage:
   check_cli_docs.py STUDY_BINARY [--root REPO_ROOT]
@@ -16,12 +16,14 @@ A shell command ends at a backtick (inline code in prose), a pipe, `;`,
 Stdlib only.
 """
 import argparse
+import glob
 import os
 import re
 import subprocess
 import sys
 
-DOCS = ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".github/workflows/ci.yml"]
+DOCS = ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".github/workflows/ci.yml",
+        "tests/soak/*.sh"]
 # `dynamips_study` as a command word: not `dynamips_study.cpp`.
 INVOCATION = re.compile(r"dynamips_study(?=\s|$)")
 COMMAND_END = re.compile(r"[`|;&>]|\s#")
@@ -79,12 +81,11 @@ def main():
     args = ap.parse_args()
 
     accepted = accepted_flags(args.study)
+    docs = [os.path.relpath(path, args.root) for pattern in DOCS
+            for path in sorted(glob.glob(os.path.join(args.root, pattern)))]
     checked, unknown = 0, []
-    for doc in DOCS:
-        path = os.path.join(args.root, doc)
-        if not os.path.exists(path):
-            continue
-        for number, flag in used_flags(path):
+    for doc in docs:
+        for number, flag in used_flags(os.path.join(args.root, doc)):
             checked += 1
             if flag not in accepted:
                 unknown.append(f"{doc}:{number}: {flag}")
@@ -96,7 +97,7 @@ def main():
         for entry in unknown:
             print("  " + entry)
         return 1
-    print(f"ok: {checked} flag uses in {len(DOCS)} docs are all accepted")
+    print(f"ok: {checked} flag uses in {len(docs)} docs are all accepted")
     return 0
 
 

@@ -46,7 +46,7 @@ BOTH directions (a metric present on one side and absent from the
 other is a failure), and histograms must agree on totals and every
 bucket. Phase timings and meta are ignored — they are wall-clock- or
 environment-dependent. `--ignore-counters=PAT[,PAT...]` exempts
-matching counter names from the two-way diff; the crash-resume CI job
+matching counter names from the two-way diff; the crash-resume soak leg
 uses `--ignore-counters='checkpoint.*'` because an interrupted+resumed
 run legitimately carries supervision counters its straight-through
 reference lacks. `--ignore-gauges=PAT[,PAT...]` does the same for

@@ -15,7 +15,8 @@ invariant is checked:
     grouped by (path, generation) and each group's bodies must be
     byte-identical — a mismatch means a torn read across a concurrent
     re-finalization and fails the run, which is exactly what the
-    lg-soak CI job runs this tool to prove cannot happen.
+    lg-soak leg (tests/soak/lg-soak.sh) runs this tool to prove cannot
+    happen.
 
 The result is a schema dynamips.bench.v1 document (--out) gated by
 tools/check_bench.py against bench/baselines/BENCH_lg.json. The meta
