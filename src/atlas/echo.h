@@ -22,10 +22,6 @@ using simnet::Hour;
 
 enum class Family : std::uint8_t { kV4, kV6 };
 
-/// The last Family value; checkpoint loads (io/checkpoint.h) refuse any
-/// byte above it.
-constexpr Family enum_max(Family) { return Family::kV6; }
-
 /// One IP-echo measurement.
 struct EchoRecord {
   std::uint32_t probe_id = 0;
@@ -37,13 +33,6 @@ struct EchoRecord {
   // v6 fields (valid when family == kV6)
   net::IPv6Address x_client_ip6;
   net::IPv6Address src_addr6;
-
-  /// Stream-checkpoint layout (io/checkpoint.h). probe_id is left out: the
-  /// enclosing series carries it once.
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(hour, family, x_client_ip4, src_addr4, x_client_ip6, src_addr6);
-  }
 };
 
 /// Probe metadata: the user-supplied tags the sanitizer screens

@@ -25,12 +25,6 @@ struct AssociationRecord {
   bgp::Asn asn6 = 0;           ///< origin AS of the v6 side
   std::uint32_t subscriber = 0;  ///< ground truth (not available to analyses
                                  ///< mirroring the paper; used in tests)
-
-  /// Stream-checkpoint layout (io/checkpoint.h).
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(day, v4_24, v6_64, asn4, asn6, subscriber);
-  }
 };
 
 /// Per-ISP batch of association records, sorted by day.

@@ -1,6 +1,9 @@
 #include "io/columnar.h"
 
+#include <array>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -29,34 +32,136 @@ using ckpt::fourcc_name;
 using ckpt::load_le32;
 using ckpt::load_le64;
 
-// ------------------------------------------------------------ column tags
-
-// group table (shared shape; the id column differs by kind)
-constexpr std::uint32_t kColGroupProbe = fourcc('G', 'P', 'I', 'D');
-constexpr std::uint32_t kColGroupAsn = fourcc('G', 'A', 'S', 'N');
-constexpr std::uint32_t kColGroupRows = fourcc('G', 'C', 'N', 'T');
-constexpr std::uint32_t kColGroupTags = fourcc('G', 'T', 'A', 'G');
-// echo row columns
-constexpr std::uint32_t kColHour = fourcc('H', 'O', 'U', 'R');
-constexpr std::uint32_t kColFamily = fourcc('F', 'A', 'M', '_');
-constexpr std::uint32_t kColX4 = fourcc('X', '4', '_', '_');
-constexpr std::uint32_t kColS4 = fourcc('S', '4', '_', '_');
-constexpr std::uint32_t kColX6Hi = fourcc('X', '6', 'H', 'I');
-constexpr std::uint32_t kColX6Lo = fourcc('X', '6', 'L', 'O');
-constexpr std::uint32_t kColS6Hi = fourcc('S', '6', 'H', 'I');
-constexpr std::uint32_t kColS6Lo = fourcc('S', '6', 'L', 'O');
-// assoc row columns
-constexpr std::uint32_t kColDay = fourcc('D', 'A', 'Y', '_');
-constexpr std::uint32_t kColV4Addr = fourcc('V', '4', 'A', '_');
-constexpr std::uint32_t kColV4Len = fourcc('V', '4', 'L', '_');
-constexpr std::uint32_t kColV6Hi = fourcc('V', '6', 'H', 'I');
-constexpr std::uint32_t kColV6Lo = fourcc('V', '6', 'L', 'O');
-constexpr std::uint32_t kColV6Len = fourcc('V', '6', 'L', '_');
-constexpr std::uint32_t kColAsn4 = fourcc('A', 'S', '4', '_');
-constexpr std::uint32_t kColAsn6 = fourcc('A', 'S', '6', '_');
-
 constexpr std::size_t kAlign = 64;
 constexpr std::uint32_t kMaxColumns = 64;
+
+// ----------------------------------------------------------- column tables
+//
+// A kind is one column table. Its directory opens with the group table —
+// the kind's group-key column (u32 per group), then GCNT (u64 rows per
+// group), then the kind's group-tag column if it has one — followed by its
+// row columns in table order. `put` spreads one record across the row
+// columns; `get` reads one row back, classified in the CSV reader's reject
+// order; `text` renders a rejected row for the quarantine, the columnar
+// analog of quoting the offending CSV line.
+
+constexpr std::uint32_t kColGroupRows = fourcc('G', 'C', 'N', 'T');
+
+/// One row column: its directory tag and the bytes a row takes in it.
+struct RowColumn {
+  std::uint32_t tag;
+  std::size_t width;  // 1, 4 or 8
+};
+
+struct EchoColumns {
+  using Builder = detail::EchoBuilder;
+  using Item = Builder::Item;
+  using Record = Builder::Record;
+  static constexpr std::uint32_t kKind = kColumnarKindEcho;
+  static constexpr std::string_view kName = "echo";
+  static constexpr auto read_csv = read_echo_dataset;
+
+  static constexpr std::uint32_t kGroupKey = fourcc('G', 'P', 'I', 'D');
+  /// Per group: the tag count, then each tag as a length-prefixed string.
+  static constexpr std::uint32_t kGroupTags = fourcc('G', 'T', 'A', 'G');
+  static constexpr std::array kRows = {
+      RowColumn{fourcc('H', 'O', 'U', 'R'), 8},
+      RowColumn{fourcc('F', 'A', 'M', '_'), 1},  // 0 = v4, 1 = v6
+      RowColumn{fourcc('X', '4', '_', '_'), 4},
+      RowColumn{fourcc('S', '4', '_', '_'), 4},
+      RowColumn{fourcc('X', '6', 'H', 'I'), 8},
+      RowColumn{fourcc('X', '6', 'L', 'O'), 8},
+      RowColumn{fourcc('S', '6', 'H', 'I'), 8},
+      RowColumn{fourcc('S', '6', 'L', 'O'), 8},
+  };
+  using Row = std::array<std::uint64_t, kRows.size()>;
+
+  static std::uint32_t group_key(const Item& s) { return s.meta.probe_id; }
+
+  static Row put(const Record& rec) {
+    return {rec.hour, rec.family == atlas::Family::kV6 ? 1u : 0u,
+            rec.x_client_ip4.value(), rec.src_addr4.value(),
+            rec.x_client_ip6.bits().hi, rec.x_client_ip6.bits().lo,
+            rec.src_addr6.bits().hi, rec.src_addr6.bits().lo};
+  }
+
+  /// The hour range, then the family.
+  static std::optional<RejectReason> get(const Row& v, std::uint32_t probe,
+                                         const ReaderOptions& options,
+                                         Record& rec) {
+    if (v[0] > options.max_hour) return RejectReason::kOutOfRange;
+    if (v[1] > 1) return RejectReason::kBadNumber;
+    rec.probe_id = probe;
+    rec.hour = v[0];
+    rec.family = atlas::Family(v[1]);
+    rec.x_client_ip4 = net::IPv4Address(std::uint32_t(v[2]));
+    rec.src_addr4 = net::IPv4Address(std::uint32_t(v[3]));
+    rec.x_client_ip6 = net::IPv6Address(v[4], v[5]);
+    rec.src_addr6 = net::IPv6Address(v[6], v[7]);
+    return std::nullopt;
+  }
+
+  static std::string text(const Row& v, std::uint32_t probe) {
+    return std::to_string(probe) + "," + std::to_string(v[0]) +
+           ",family=" + std::to_string(v[1]);
+  }
+};
+
+/// mobile/registry are grafted from the run config at analysis time and
+/// subscriber is test-only ground truth; none is in the CSV schema and none
+/// is a column, so columnar and CSV exports carry identical information.
+struct AssocColumns {
+  using Builder = detail::AssocBuilder;
+  using Item = Builder::Item;
+  using Record = Builder::Record;
+  static constexpr std::uint32_t kKind = kColumnarKindAssoc;
+  static constexpr std::string_view kName = "assoc";
+  static constexpr auto read_csv = read_assoc_dataset;
+
+  static constexpr std::uint32_t kGroupKey = fourcc('G', 'A', 'S', 'N');
+  static constexpr std::uint32_t kGroupTags = 0;  // none
+  static constexpr std::array kRows = {
+      RowColumn{fourcc('D', 'A', 'Y', '_'), 4},
+      RowColumn{fourcc('V', '4', 'A', '_'), 4},
+      RowColumn{fourcc('V', '4', 'L', '_'), 1},
+      RowColumn{fourcc('V', '6', 'H', 'I'), 8},
+      RowColumn{fourcc('V', '6', 'L', 'O'), 8},
+      RowColumn{fourcc('V', '6', 'L', '_'), 1},
+      RowColumn{fourcc('A', 'S', '4', '_'), 4},
+      RowColumn{fourcc('A', 'S', '6', '_'), 4},
+  };
+  using Row = std::array<std::uint64_t, kRows.size()>;
+
+  static std::uint32_t group_key(const Item& log) { return log.asn; }
+
+  static Row put(const Record& rec) {
+    return {rec.day, rec.v4_24.address().value(),
+            std::uint64_t(rec.v4_24.length()), rec.v6_64.address().bits().hi,
+            rec.v6_64.address().bits().lo, std::uint64_t(rec.v6_64.length()),
+            rec.asn4, rec.asn6};
+  }
+
+  /// The day range, then the prefix lengths. A record joins the log of
+  /// its asn6, whatever its group.
+  static std::optional<RejectReason> get(const Row& v, std::uint32_t,
+                                         const ReaderOptions& options,
+                                         Record& rec) {
+    if (v[0] > options.max_day) return RejectReason::kOutOfRange;
+    if (v[2] > 32 || v[5] > 128) return RejectReason::kBadAddress;
+    rec.day = std::uint32_t(v[0]);
+    rec.v4_24 = net::Prefix4(net::IPv4Address(std::uint32_t(v[1])), int(v[2]));
+    rec.v6_64 = net::Prefix6(net::IPv6Address(v[3], v[4]), int(v[5]));
+    rec.asn4 = std::uint32_t(v[6]);
+    rec.asn6 = std::uint32_t(v[7]);
+    return std::nullopt;
+  }
+
+  static std::string text(const Row& v, std::uint32_t) {
+    return std::to_string(v[0]) + "," + std::to_string(v[1]) + "/" +
+           std::to_string(v[2]) + "," + std::to_string(v[3]) + ":" +
+           std::to_string(v[4]) + "/" + std::to_string(v[5]);
+  }
+};
 
 // ---------------------------------------------------------------- encoding
 
@@ -104,113 +209,48 @@ std::string assemble(std::uint32_t kind, std::uint64_t rows,
   return out;
 }
 
-}  // namespace
-
-bool is_columnar_path(std::string_view path) {
-  return path.size() >= 4 && path.substr(path.size() - 4) == ".col";
-}
-
-std::string encode_echo_columnar(
-    const std::vector<atlas::ProbeSeries>& dataset) {
+template <class Schema>
+std::string encode(const std::vector<typename Schema::Item>& dataset) {
+  constexpr auto& kRows = Schema::kRows;
   std::uint64_t rows = 0;
-  for (const auto& series : dataset) rows += series.records.size();
+  for (const auto& item : dataset) rows += item.records.size();
 
-  ckpt::Writer gid, gcnt, tags, hour, fam, x4, s4, x6hi, x6lo, s6hi, s6lo;
-  gid.reserve(dataset.size() * 4);
-  gcnt.reserve(dataset.size() * 8);
-  hour.reserve(rows * 8);
-  fam.reserve(rows);
-  x4.reserve(rows * 4);
-  s4.reserve(rows * 4);
-  x6hi.reserve(rows * 8);
-  x6lo.reserve(rows * 8);
-  s6hi.reserve(rows * 8);
-  s6lo.reserve(rows * 8);
+  ckpt::Writer keys, counts, tags;
+  std::array<ckpt::Writer, kRows.size()> row_cols;
+  keys.reserve(dataset.size() * 4);
+  counts.reserve(dataset.size() * 8);
+  for (std::size_t c = 0; c < kRows.size(); ++c)
+    row_cols[c].reserve(rows * kRows[c].width);
 
-  for (const auto& series : dataset) {
-    gid.u32(series.meta.probe_id);
-    gcnt.u64(series.records.size());
-    tags.u64(series.meta.tags.size());
-    for (core::TagId tag : series.meta.tags)
-      tags.str(core::tag_pool().name_of(tag));
-    for (const auto& rec : series.records) {
-      hour.u64(rec.hour);
-      fam.u8(rec.family == atlas::Family::kV6 ? 1 : 0);
-      x4.u32(rec.x_client_ip4.value());
-      s4.u32(rec.src_addr4.value());
-      x6hi.u64(rec.x_client_ip6.bits().hi);
-      x6lo.u64(rec.x_client_ip6.bits().lo);
-      s6hi.u64(rec.src_addr6.bits().hi);
-      s6lo.u64(rec.src_addr6.bits().lo);
+  for (const auto& item : dataset) {
+    keys.u32(Schema::group_key(item));
+    counts.u64(item.records.size());
+    if constexpr (Schema::kGroupTags != 0) {
+      tags.u64(item.meta.tags.size());
+      for (core::TagId tag : item.meta.tags)
+        tags.str(core::tag_pool().name_of(tag));
+    }
+    for (const auto& rec : item.records) {
+      const typename Schema::Row row = Schema::put(rec);
+      for (std::size_t c = 0; c < kRows.size(); ++c) {
+        switch (kRows[c].width) {
+          case 1: row_cols[c].u8(std::uint8_t(row[c])); break;
+          case 4: row_cols[c].u32(std::uint32_t(row[c])); break;
+          default: row_cols[c].u64(row[c]);
+        }
+      }
     }
   }
 
   std::vector<Column> cols;
-  cols.push_back({kColGroupProbe, gid.take()});
-  cols.push_back({kColGroupRows, gcnt.take()});
-  cols.push_back({kColGroupTags, tags.take()});
-  cols.push_back({kColHour, hour.take()});
-  cols.push_back({kColFamily, fam.take()});
-  cols.push_back({kColX4, x4.take()});
-  cols.push_back({kColS4, s4.take()});
-  cols.push_back({kColX6Hi, x6hi.take()});
-  cols.push_back({kColX6Lo, x6lo.take()});
-  cols.push_back({kColS6Hi, s6hi.take()});
-  cols.push_back({kColS6Lo, s6lo.take()});
-  return assemble(kColumnarKindEcho, rows, dataset.size(), std::move(cols));
+  cols.push_back({Schema::kGroupKey, keys.take()});
+  cols.push_back({kColGroupRows, counts.take()});
+  if (Schema::kGroupTags != 0)
+    cols.push_back({Schema::kGroupTags, tags.take()});
+  for (std::size_t c = 0; c < kRows.size(); ++c)
+    cols.push_back({kRows[c].tag, row_cols[c].take()});
+  return assemble(Schema::kKind, rows, dataset.size(), std::move(cols));
 }
-
-std::string encode_assoc_columnar(
-    const std::vector<cdn::AssociationLog>& dataset) {
-  std::uint64_t rows = 0;
-  for (const auto& log : dataset) rows += log.records.size();
-
-  ckpt::Writer gasn, gcnt, day, v4a, v4l, v6hi, v6lo, v6l, as4, as6;
-  gasn.reserve(dataset.size() * 4);
-  gcnt.reserve(dataset.size() * 8);
-  day.reserve(rows * 4);
-  v4a.reserve(rows * 4);
-  v4l.reserve(rows);
-  v6hi.reserve(rows * 8);
-  v6lo.reserve(rows * 8);
-  v6l.reserve(rows);
-  as4.reserve(rows * 4);
-  as6.reserve(rows * 4);
-
-  for (const auto& log : dataset) {
-    gasn.u32(log.asn);
-    gcnt.u64(log.records.size());
-    // mobile/registry are grafted from the run config at analysis time and
-    // subscriber is test-only ground truth; none are in the CSV schema and
-    // none are serialized here — columnar and CSV exports carry identical
-    // information.
-    for (const auto& rec : log.records) {
-      day.u32(rec.day);
-      v4a.u32(rec.v4_24.address().value());
-      v4l.u8(std::uint8_t(rec.v4_24.length()));
-      v6hi.u64(rec.v6_64.address().bits().hi);
-      v6lo.u64(rec.v6_64.address().bits().lo);
-      v6l.u8(std::uint8_t(rec.v6_64.length()));
-      as4.u32(rec.asn4);
-      as6.u32(rec.asn6);
-    }
-  }
-
-  std::vector<Column> cols;
-  cols.push_back({kColGroupAsn, gasn.take()});
-  cols.push_back({kColGroupRows, gcnt.take()});
-  cols.push_back({kColDay, day.take()});
-  cols.push_back({kColV4Addr, v4a.take()});
-  cols.push_back({kColV4Len, v4l.take()});
-  cols.push_back({kColV6Hi, v6hi.take()});
-  cols.push_back({kColV6Lo, v6lo.take()});
-  cols.push_back({kColV6Len, v6l.take()});
-  cols.push_back({kColAsn4, as4.take()});
-  cols.push_back({kColAsn6, as6.take()});
-  return assemble(kColumnarKindAssoc, rows, dataset.size(), std::move(cols));
-}
-
-namespace {
 
 Status write_bytes_atomic(const std::string& path, const std::string& bytes) {
   AtomicFileWriter out(path);
@@ -220,31 +260,21 @@ Status write_bytes_atomic(const std::string& path, const std::string& bytes) {
   return out.commit();
 }
 
-}  // namespace
-
-Status write_echo_columnar(const std::string& path,
-                           const std::vector<atlas::ProbeSeries>& dataset) {
-  return write_bytes_atomic(path, encode_echo_columnar(dataset));
-}
-
-Status write_assoc_columnar(const std::string& path,
-                            const std::vector<cdn::AssociationLog>& dataset) {
-  return write_bytes_atomic(path, encode_assoc_columnar(dataset));
-}
-
 // -------------------------------------------------------------- structure
-
-namespace {
 
 struct ColView {
   const char* data = nullptr;
   std::uint64_t length = 0;
 
-  std::uint8_t u8(std::uint64_t i) const {
-    return std::uint8_t(data[i]);
+  /// Entry `i` of a column `width` bytes per entry.
+  std::uint64_t at(std::uint64_t i, std::size_t width) const {
+    const char* p = data + i * width;
+    switch (width) {
+      case 1: return std::uint8_t(*p);
+      case 4: return load_le32(p);
+      default: return load_le64(p);
+    }
   }
-  std::uint32_t u32(std::uint64_t i) const { return load_le32(data + i * 4); }
-  std::uint64_t u64(std::uint64_t i) const { return load_le64(data + i * 8); }
 };
 
 struct Batch {
@@ -322,26 +352,27 @@ Status parse_structure(std::string_view bytes, std::uint32_t expected_kind,
   return Status::Ok();
 }
 
-/// Fetch a fixed-width column and check its length is exactly
-/// `count * width` bytes.
-Expected<ColView> fixed_column(const Batch& batch, std::uint32_t tag,
-                               std::uint64_t count, std::uint64_t width) {
+/// Fetch column `tag` into `out`; unless `width` is 0, its length must be
+/// exactly `count * width` bytes.
+Status find_column(const Batch& batch, std::uint32_t tag, std::uint64_t count,
+                   std::uint64_t width, ColView& out) {
   auto it = batch.columns.find(tag);
   if (it == batch.columns.end())
     return data_loss("missing column " + fourcc_name(tag));
-  if (it->second.length != count * width)
+  if (width != 0 && it->second.length != count * width)
     return data_loss("column " + fourcc_name(tag) + " holds " +
                      std::to_string(it->second.length) +
                      " bytes, expected " + std::to_string(count * width));
-  return it->second;
+  out = it->second;
+  return Status::Ok();
 }
 
 /// Group row counts must tile [0, rows) exactly.
-Status check_group_rows(const ColView& gcnt, std::uint64_t groups,
+Status check_group_rows(const ColView& counts, std::uint64_t groups,
                         std::uint64_t rows) {
   std::uint64_t total = 0;
   for (std::uint64_t g = 0; g < groups; ++g) {
-    const std::uint64_t n = gcnt.u64(g);
+    const std::uint64_t n = counts.at(g, 8);
     if (n > rows - total)
       return data_loss("group row counts exceed the row count");
     total += n;
@@ -352,111 +383,67 @@ Status check_group_rows(const ColView& gcnt, std::uint64_t groups,
   return Status::Ok();
 }
 
-/// Decimal rendering of one row for quarantine/offender reporting — the
-/// columnar analog of quoting the offending CSV line.
-std::string echo_row_text(std::uint32_t probe, std::uint64_t hour,
-                          std::uint8_t fam) {
-  return std::to_string(probe) + "," + std::to_string(hour) + ",family=" +
-         std::to_string(fam);
-}
-
-std::string assoc_row_text(std::uint32_t day, std::uint32_t v4,
-                           std::uint8_t l4, std::uint64_t hi, std::uint64_t lo,
-                           std::uint8_t l6) {
-  return std::to_string(day) + "," + std::to_string(v4) + "/" +
-         std::to_string(l4) + "," + std::to_string(hi) + ":" +
-         std::to_string(lo) + "/" + std::to_string(l6);
-}
-
-}  // namespace
-
-// ------------------------------------------------------------ echo decode
-
-Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
-    std::string_view bytes, const ReaderOptions& options,
-    IngestStats* stats) {
+template <class Schema>
+Expected<std::vector<typename Schema::Item>> decode(
+    std::string_view bytes, const ReaderOptions& options, IngestStats* stats) {
+  const std::string context =
+      "load " + std::string(Schema::kName) + " columnar batch";
+  constexpr auto& kRows = Schema::kRows;
+  // Every column must be present and every fixed-width one sized, in
+  // table order, and the group row counts must tile the rows.
   Batch batch;
-  if (Status st = parse_structure(bytes, kColumnarKindEcho, batch); !st.ok())
-    return st.with_context("load echo columnar batch");
+  ColView keys, counts, tags;
+  std::array<ColView, kRows.size()> cols;
+  Status st = parse_structure(bytes, Schema::kKind, batch);
+  if (st.ok())
+    st = find_column(batch, Schema::kGroupKey, batch.groups, 4, keys);
+  if (st.ok()) st = find_column(batch, kColGroupRows, batch.groups, 8, counts);
+  for (std::size_t c = 0; st.ok() && c < kRows.size(); ++c)
+    st = find_column(batch, kRows[c].tag, batch.rows, kRows[c].width, cols[c]);
+  if (st.ok() && Schema::kGroupTags != 0)
+    st = find_column(batch, Schema::kGroupTags, 0, 0, tags);
+  if (st.ok()) st = check_group_rows(counts, batch.groups, batch.rows);
+  if (!st.ok()) return st.with_context(context);
 
-  auto gid = fixed_column(batch, kColGroupProbe, batch.groups, 4);
-  auto gcnt = fixed_column(batch, kColGroupRows, batch.groups, 8);
-  auto hour = fixed_column(batch, kColHour, batch.rows, 8);
-  auto fam = fixed_column(batch, kColFamily, batch.rows, 1);
-  auto x4 = fixed_column(batch, kColX4, batch.rows, 4);
-  auto s4 = fixed_column(batch, kColS4, batch.rows, 4);
-  auto x6hi = fixed_column(batch, kColX6Hi, batch.rows, 8);
-  auto x6lo = fixed_column(batch, kColX6Lo, batch.rows, 8);
-  auto s6hi = fixed_column(batch, kColS6Hi, batch.rows, 8);
-  auto s6lo = fixed_column(batch, kColS6Lo, batch.rows, 8);
-  for (auto* col : {&gid, &gcnt, &hour, &fam, &x4, &s4, &x6hi, &x6lo, &s6hi,
-                    &s6lo})
-    if (!col->ok())
-      return Status(col->status()).with_context("load echo columnar batch");
-  auto tags_it = batch.columns.find(kColGroupTags);
-  if (tags_it == batch.columns.end())
-    return data_loss("missing column " + fourcc_name(kColGroupTags))
-        .with_context("load echo columnar batch");
-  if (Status st = check_group_rows(gcnt.value(), batch.groups, batch.rows);
-      !st.ok())
-    return st.with_context("load echo columnar batch");
-
-  // Group preamble: the role of the CSV `#probe`/`#tags` meta lines.
-  detail::RejectLedger ledger(options, "echo columnar ingest", "record");
-  detail::EchoBuilder builder(options);
-  ckpt::Reader tag_reader(
-      std::string_view(tags_it->second.data, tags_it->second.length));
-  for (std::uint64_t g = 0; g < batch.groups; ++g) {
-    std::vector<core::TagId> tags;
-    const std::uint64_t n_tags = tag_reader.size();
-    tags.reserve(n_tags);
-    for (std::uint64_t t = 0; t < n_tags; ++t)
-      tags.push_back(core::tag_pool().intern(tag_reader.str()));
-    if (!tag_reader.ok())
-      return data_loss("tag table failed to parse")
-          .with_context("load echo columnar batch");
-    builder.offer_tags(gid.value().u32(g), std::move(tags));
+  detail::RejectLedger ledger(
+      options, std::string(Schema::kName) + " columnar ingest", "record");
+  typename Schema::Builder builder(options);
+  if constexpr (Schema::kGroupTags != 0) {
+    // Group preamble: the role of the CSV `#probe`/`#tags` meta lines.
+    ckpt::Reader tag_reader(std::string_view(tags.data, tags.length));
+    for (std::uint64_t g = 0; g < batch.groups; ++g) {
+      std::vector<core::TagId> group_tags;
+      const std::uint64_t n_tags = tag_reader.size();
+      group_tags.reserve(n_tags);
+      for (std::uint64_t t = 0; t < n_tags; ++t)
+        group_tags.push_back(core::tag_pool().intern(tag_reader.str()));
+      if (!tag_reader.ok())
+        return data_loss("tag table failed to parse").with_context(context);
+      builder.offer_tags(std::uint32_t(keys.at(g, 4)), std::move(group_tags));
+    }
+    if (tag_reader.remaining() != 0)
+      return data_loss("tag table has trailing bytes").with_context(context);
   }
-  if (tag_reader.remaining() != 0)
-    return data_loss("tag table has trailing bytes")
-        .with_context("load echo columnar batch");
 
-  // Row decode, in the CSV reader's order: the hour range, the family,
-  // then the builder's duplicate rule (it applies on the clean path too).
+  // Every row is classified by the schema's get, then put to the
+  // builder's duplicate rule.
   std::uint64_t row = 0;
+  typename Schema::Row values{};
   for (std::uint64_t g = 0; g < batch.groups && !ledger.tripped(); ++g) {
-    const std::uint32_t probe = gid.value().u32(g);
-    const std::uint64_t n = gcnt.value().u64(g);
-    auto& records = builder.declare(probe).records;
+    const std::uint32_t key = std::uint32_t(keys.at(g, 4));
+    const std::uint64_t n = counts.at(g, 8);
+    auto& records = builder.declare(key).records;
     records.reserve(records.size() + n);
     for (std::uint64_t k = 0; k < n && !ledger.tripped(); ++k, ++row) {
       ledger.count_unit();
       ledger.count_data();
-      const std::uint8_t f = fam.value().u8(row);
-      const std::uint64_t h = hour.value().u64(row);
-      auto reject = [&](RejectReason why) {
-        ledger.reject(why, echo_row_text(probe, h, f), row + 1);
-      };
-      if (h > options.max_hour) {
-        reject(RejectReason::kOutOfRange);
-        continue;
-      }
-      if (f > 1) {
-        reject(RejectReason::kBadNumber);
-        continue;
-      }
-      atlas::EchoRecord rec;
-      rec.probe_id = probe;
-      rec.hour = h;
-      rec.family = atlas::Family(f);
-      rec.x_client_ip4 = net::IPv4Address(x4.value().u32(row));
-      rec.src_addr4 = net::IPv4Address(s4.value().u32(row));
-      rec.x_client_ip6 =
-          net::IPv6Address(x6hi.value().u64(row), x6lo.value().u64(row));
-      rec.src_addr6 =
-          net::IPv6Address(s6hi.value().u64(row), s6lo.value().u64(row));
-      if (!builder.admit(rec)) {
-        reject(RejectReason::kDuplicate);
+      for (std::size_t c = 0; c < kRows.size(); ++c)
+        values[c] = cols[c].at(row, kRows[c].width);
+      typename Schema::Record rec;
+      std::optional<RejectReason> why = Schema::get(values, key, options, rec);
+      if (!why && !builder.admit(rec)) why = RejectReason::kDuplicate;
+      if (why) {
+        ledger.reject(*why, Schema::text(values, key), row + 1);
         continue;
       }
       builder.add(rec);
@@ -465,102 +452,12 @@ Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
   }
 
   if (stats) stats->merge(ledger.stats());
-  if (Status st = ledger.finish(); !st.ok())
-    return st.with_context("load echo columnar batch");
-  return builder.take();
-}
-
-// ----------------------------------------------------------- assoc decode
-
-Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
-    std::string_view bytes, const ReaderOptions& options,
-    IngestStats* stats) {
-  Batch batch;
-  if (Status st = parse_structure(bytes, kColumnarKindAssoc, batch); !st.ok())
-    return st.with_context("load assoc columnar batch");
-
-  auto gasn = fixed_column(batch, kColGroupAsn, batch.groups, 4);
-  auto gcnt = fixed_column(batch, kColGroupRows, batch.groups, 8);
-  auto day = fixed_column(batch, kColDay, batch.rows, 4);
-  auto v4a = fixed_column(batch, kColV4Addr, batch.rows, 4);
-  auto v4l = fixed_column(batch, kColV4Len, batch.rows, 1);
-  auto v6hi = fixed_column(batch, kColV6Hi, batch.rows, 8);
-  auto v6lo = fixed_column(batch, kColV6Lo, batch.rows, 8);
-  auto v6l = fixed_column(batch, kColV6Len, batch.rows, 1);
-  auto as4 = fixed_column(batch, kColAsn4, batch.rows, 4);
-  auto as6 = fixed_column(batch, kColAsn6, batch.rows, 4);
-  for (auto* col :
-       {&gasn, &gcnt, &day, &v4a, &v4l, &v6hi, &v6lo, &v6l, &as4, &as6})
-    if (!col->ok())
-      return Status(col->status()).with_context("load assoc columnar batch");
-  if (Status st = check_group_rows(gcnt.value(), batch.groups, batch.rows);
-      !st.ok())
-    return st.with_context("load assoc columnar batch");
-
-  const ColView& c_day = day.value();
-  const ColView& c_v4a = v4a.value();
-  const ColView& c_v4l = v4l.value();
-  const ColView& c_v6hi = v6hi.value();
-  const ColView& c_v6lo = v6lo.value();
-  const ColView& c_v6l = v6l.value();
-  const ColView& c_as4 = as4.value();
-  const ColView& c_as6 = as6.value();
-
-  detail::RejectLedger ledger(options, "assoc columnar ingest", "record");
-  detail::AssocBuilder builder(options);
-
-  // Rows are classified in the CSV reader's order: the day range, the
-  // prefix lengths, then the builder's duplicate rule.
-  std::uint64_t row = 0;
-  for (std::uint64_t g = 0; g < batch.groups && !ledger.tripped(); ++g) {
-    const std::uint64_t n = gcnt.value().u64(g);
-    auto& records = builder.declare(gasn.value().u32(g)).records;
-    records.reserve(records.size() + n);
-    for (std::uint64_t k = 0; k < n && !ledger.tripped(); ++k, ++row) {
-      ledger.count_unit();
-      ledger.count_data();
-      const std::uint32_t d = c_day.u32(row);
-      const std::uint8_t l4 = c_v4l.u8(row);
-      const std::uint8_t l6 = c_v6l.u8(row);
-      auto reject = [&](RejectReason why) {
-        ledger.reject(why,
-                      assoc_row_text(d, c_v4a.u32(row), l4, c_v6hi.u64(row),
-                                     c_v6lo.u64(row), l6),
-                      row + 1);
-      };
-      if (d > options.max_day) {
-        reject(RejectReason::kOutOfRange);
-        continue;
-      }
-      if (l4 > 32 || l6 > 128) {
-        reject(RejectReason::kBadAddress);
-        continue;
-      }
-      cdn::AssociationRecord rec;
-      rec.day = d;
-      rec.v4_24 = net::Prefix4(net::IPv4Address(c_v4a.u32(row)), l4);
-      rec.v6_64 = net::Prefix6(
-          net::IPv6Address(c_v6hi.u64(row), c_v6lo.u64(row)), l6);
-      rec.asn4 = c_as4.u32(row);
-      rec.asn6 = c_as6.u32(row);
-      if (!builder.admit(rec)) {
-        reject(RejectReason::kDuplicate);
-        continue;
-      }
-      builder.add(rec);
-      ledger.accept();
-    }
-  }
-
-  if (stats) stats->merge(ledger.stats());
-  if (Status st = ledger.finish(); !st.ok())
-    return st.with_context("load assoc columnar batch");
+  if (Status done = ledger.finish(); !done.ok())
+    return done.with_context(context);
   return builder.take();
 }
 
 // ------------------------------------------------------------------- mmap
-
-namespace {
 
 /// Read-only bytes of one file: mmap'd on POSIX (falling back to a plain
 /// read when mmap is unavailable or fails), read into memory elsewhere.
@@ -609,10 +506,12 @@ class MappedBytes {
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open())
       return Status(StatusCode::kNotFound, "cannot open dataset: " + path);
-    out.fallback_.assign(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-    if (in.bad())
-      return Status(StatusCode::kInternal, "read failed: " + path);
+    // istream::read turns a failed read into badbit; the stream buffer's
+    // exception never escapes.
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof chunk), in.gcount() > 0)
+      out.fallback_.append(chunk, std::size_t(in.gcount()));
+    if (in.bad()) return Status(StatusCode::kInternal, "read failed: " + path);
     return out;
   }
 
@@ -630,48 +529,77 @@ class MappedBytes {
   std::string fallback_;
 };
 
+// --------------------------------------------------------------- dispatch
+
+template <class Schema>
+Expected<std::vector<typename Schema::Item>> load_file(
+    const std::string& path, const ReaderOptions& options,
+    IngestStats* stats) {
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec))
+    return Status(StatusCode::kInvalidArgument,
+                  "dataset path is a directory: " + path);
+  ReaderOptions ropts = options;
+  ropts.source_label = path;
+  if (is_columnar_path(path)) {
+    auto mapped = MappedBytes::open(path);
+    if (!mapped.ok()) return mapped.status();
+    return decode<Schema>(mapped.value().view(), ropts, stats);
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open())
+    return Status(StatusCode::kNotFound, "cannot open dataset: " + path);
+  return Schema::read_csv(in, ropts, stats);
+}
+
 }  // namespace
 
-Expected<std::vector<atlas::ProbeSeries>> read_echo_columnar(
-    const std::string& path, const ReaderOptions& options,
-    IngestStats* stats) {
-  auto mapped = MappedBytes::open(path);
-  if (!mapped.ok()) return mapped.status();
-  return decode_echo_columnar(mapped.value().view(), options, stats);
+bool is_columnar_path(std::string_view path) {
+  return path.size() >= 4 && path.substr(path.size() - 4) == ".col";
 }
 
-Expected<std::vector<cdn::AssociationLog>> read_assoc_columnar(
-    const std::string& path, const ReaderOptions& options,
-    IngestStats* stats) {
-  auto mapped = MappedBytes::open(path);
-  if (!mapped.ok()) return mapped.status();
-  return decode_assoc_columnar(mapped.value().view(), options, stats);
+std::string encode_echo_columnar(
+    const std::vector<atlas::ProbeSeries>& dataset) {
+  return encode<EchoColumns>(dataset);
 }
 
-// --------------------------------------------------------------- dispatch
+std::string encode_assoc_columnar(
+    const std::vector<cdn::AssociationLog>& dataset) {
+  return encode<AssocColumns>(dataset);
+}
+
+Status write_echo_columnar(const std::string& path,
+                           const std::vector<atlas::ProbeSeries>& dataset) {
+  return write_bytes_atomic(path, encode<EchoColumns>(dataset));
+}
+
+Status write_assoc_columnar(const std::string& path,
+                            const std::vector<cdn::AssociationLog>& dataset) {
+  return write_bytes_atomic(path, encode<AssocColumns>(dataset));
+}
+
+Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
+    std::string_view bytes, const ReaderOptions& options,
+    IngestStats* stats) {
+  return decode<EchoColumns>(bytes, options, stats);
+}
+
+Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
+    std::string_view bytes, const ReaderOptions& options,
+    IngestStats* stats) {
+  return decode<AssocColumns>(bytes, options, stats);
+}
 
 Expected<std::vector<atlas::ProbeSeries>> load_echo_file(
     const std::string& path, const ReaderOptions& options,
     IngestStats* stats) {
-  ReaderOptions ropts = options;
-  ropts.source_label = path;
-  if (is_columnar_path(path)) return read_echo_columnar(path, ropts, stats);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open())
-    return Status(StatusCode::kNotFound, "cannot open dataset: " + path);
-  return read_echo_dataset(in, ropts, stats);
+  return load_file<EchoColumns>(path, options, stats);
 }
 
 Expected<std::vector<cdn::AssociationLog>> load_assoc_file(
     const std::string& path, const ReaderOptions& options,
     IngestStats* stats) {
-  ReaderOptions ropts = options;
-  ropts.source_label = path;
-  if (is_columnar_path(path)) return read_assoc_columnar(path, ropts, stats);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open())
-    return Status(StatusCode::kNotFound, "cannot open dataset: " + path);
-  return read_assoc_dataset(in, ropts, stats);
+  return load_file<AssocColumns>(path, options, stats);
 }
 
 }  // namespace dynamips::io

@@ -3,11 +3,11 @@
 // The CSV readers (readers.h) parse text row by row; at paper scale (the
 // CDN dataset is 32.7 B association tuples) the parse itself dominates
 // ingest. A `.col` batch stores the same dataset as structure-of-arrays
-// columns of fixed-width little-endian integers, so loading is a bounds
-// check plus a column-wise transpose — branch-free loops over contiguous
-// arrays the compiler can vectorize — instead of a hundred bytes of text
-// handling per record. Measured on the CI runner the columnar path ingests
-// well over an order of magnitude more tuples per second than CSV.
+// columns of fixed-width little-endian integers, so loading a row is a
+// handful of fixed-offset loads and a plausibility check instead of a
+// hundred bytes of text handling. Decode still puts every row through the
+// same per-row classification and dataset builder as the CSV path; DESIGN.md
+// records the measured gain over CSV ingest (about 9x for assoc tuples).
 //
 // File layout (all integers little-endian):
 //
@@ -28,8 +28,8 @@
 // never a silently wrong dataset. Version skew is kFailedPrecondition,
 // mirroring io/checkpoint.h.
 //
-// Mmap safety: column payloads are only ever read through std::memcpy into
-// properly-typed locals (never cast-and-dereference), so mapping the file
+// Mmap safety: column payloads are only ever read through byte-wise
+// little-endian loads (never cast-and-dereference), so mapping the file
 // needs no alignment guarantees from the format — the 64-byte alignment is
 // a cache/vectorization courtesy, not a correctness requirement. The bytes
 // are validated (CRCs, directory bounds, group counts summing to the row
@@ -47,10 +47,12 @@
 // through either path, which is what the columnar-vs-CSV byte-identity CI
 // legs assert end to end.
 //
-// The echo columns are: group probe ids + row counts + tag blob, then per
-// row hour, family, v4 addresses, v6 address halves. The assoc columns are:
-// group ASNs + row counts, then per row day, v4 prefix (address + length),
-// v6 prefix (halves + length), asn4, asn6. The assoc schema deliberately
+// Each kind's columns are listed once, in directory order, in its column
+// table in columnar.cpp: the group table (the kind's group key and per-group
+// row counts; echo adds the probe tags), then the row columns — echo: hour,
+// family, v4 addresses, v6 address halves; assoc: day, v4 prefix (address +
+// length), v6 prefix (halves + length), asn4, asn6. One generic encoder and
+// one generic decoder run over those tables. The assoc schema deliberately
 // matches the CSV schema — no subscriber column — so columnar and CSV
 // exports of the same dataset carry identical information.
 #pragma once
@@ -110,23 +112,14 @@ core::Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
     std::string_view bytes, const ReaderOptions& options = {},
     IngestStats* stats = nullptr);
 
-/// Read a `.col` batch from disk. On POSIX the file is memory-mapped
-/// (falling back to a plain read when mmap fails); elsewhere it is read
-/// into memory. Decoded records are copied out — the mapping does not
-/// outlive the call.
-core::Expected<std::vector<atlas::ProbeSeries>> read_echo_columnar(
-    const std::string& path, const ReaderOptions& options = {},
-    IngestStats* stats = nullptr);
-core::Expected<std::vector<cdn::AssociationLog>> read_assoc_columnar(
-    const std::string& path, const ReaderOptions& options = {},
-    IngestStats* stats = nullptr);
-
 // -------------------------------------------------------------- dispatch
 
 /// Load one dataset file, choosing the columnar or CSV reader by
 /// extension. This is the single entry the study pipeline and the stream
 /// driver load every input through, so `.col` batches ride alongside
-/// `.csv` everywhere files are accepted.
+/// `.csv` everywhere files are accepted. A `.col` file is memory-mapped on
+/// POSIX where it can be; the mapping does not outlive the call. A
+/// directory is kInvalidArgument and a failed read kInternal.
 core::Expected<std::vector<atlas::ProbeSeries>> load_echo_file(
     const std::string& path, const ReaderOptions& options = {},
     IngestStats* stats = nullptr);

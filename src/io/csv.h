@@ -10,16 +10,15 @@
 
 #include <charconv>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace dynamips::io {
 
-/// Hard cap on fields per line. Our widest schema has 5 fields; 64 leaves
-/// generous headroom while bounding the allocation for a line that is
-/// nothing but commas.
-inline constexpr std::size_t kMaxCsvFields = 64;
+/// Hard cap on fields per line. Our widest schema has 5 fields; 16 leaves
+/// headroom while bounding the allocation for a line that is nothing but
+/// commas.
+inline constexpr std::size_t kMaxCsvFields = 16;
 
 /// Split one CSV line into fields (no quoting rules; empty fields kept).
 /// At most `max_fields` fields are produced: once the cap is reached the
@@ -71,16 +70,6 @@ std::optional<T> parse_csv_num(std::string_view s) {
   auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
   return v;
-}
-
-/// Join fields with commas.
-inline std::string join_csv(const std::vector<std::string>& fields) {
-  std::string out;
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out.push_back(',');
-    out += fields[i];
-  }
-  return out;
 }
 
 }  // namespace dynamips::io

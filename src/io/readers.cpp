@@ -84,8 +84,8 @@ RejectLedger::RejectLedger(const ReaderOptions& options,
 void RejectLedger::reject(RejectReason reason, std::string_view text,
                           std::uint64_t position) {
   ++stats_.rejects[std::size_t(reason)];
-  std::string_view kept = text.substr(0, options_.keep_text_bytes);
-  if (stats_.first_rejects.size() < options_.keep_first_rejects) {
+  std::string_view kept = text.substr(0, kKeepTextBytes);
+  if (stats_.first_rejects.size() < kKeepFirstRejects) {
     stats_.first_rejects.push_back(
         RejectedLine{position, reason, std::string(kept)});
   }
@@ -176,22 +176,26 @@ LineCursor::LineCursor(std::istream& is, const ReaderOptions& options,
   buffer_.resize(options.max_line_bytes + 2);
 }
 
+bool LineCursor::read_failed(std::string_view what) {
+  ledger_.fail(core::Status(
+      core::StatusCode::kInternal,
+      label_ + ": " + std::string(what) + " at line " +
+          std::to_string(ledger_.stats().lines_seen + 1)));
+  return false;
+}
+
 bool LineCursor::next_line(std::string_view& line) {
   while (!tripped()) {
     if (auto fp = core::failpoint("readers.line"); fp) {
-      if (fp.is_error()) {
-        std::string msg = label_;
-        msg += ": injected read failure (";
-        msg += fp.errno_name();
-        msg += ") at line ";
-        msg += std::to_string(ledger_.stats().lines_seen + 1);
-        ledger_.fail(core::Status(core::StatusCode::kInternal,
-                                  std::move(msg)));
-        return false;
-      }
+      if (fp.is_error())
+        return read_failed("injected read failure (" +
+                           std::string(fp.errno_name()) + ")");
       core::failpoint_sleep(fp);
     }
     is_.getline(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    // badbit is a failed read (the stream buffer threw), not an end of
+    // stream: the rest of the input was never seen.
+    if (is_.bad()) return read_failed("read failed");
     std::size_t got = static_cast<std::size_t>(is_.gcount());
     if (got == 0 && !is_.good()) return false;  // clean end of stream
     ledger_.count_unit();
@@ -316,7 +320,7 @@ std::optional<typename Builder::Record> next_record(
       continue;
     }
     cursor.count_data_line();
-    auto f = split_csv(line, options.max_fields);
+    auto f = split_csv(line);
     if (f.size() != 5) {
       cursor.reject(RejectReason::kBadFieldCount, line);
       continue;
@@ -347,7 +351,7 @@ EchoReader::EchoReader(std::istream& is, ReaderOptions options)
       builder_(options_) {}
 
 void EchoReader::handle_meta(std::string_view line) {
-  auto f = split_csv(line, options_.max_fields);
+  auto f = split_csv(line);
   const bool tags_line = f[0] == "#tags" && f.size() == 3;
   if (!tags_line && !(f[0] == "#probe" && f.size() == 2)) {
     cursor_.count_meta();  // unknown comment: tolerated
@@ -387,7 +391,7 @@ AssocReader::AssocReader(std::istream& is, ReaderOptions options)
       builder_(options_) {}
 
 void AssocReader::handle_meta(std::string_view line) {
-  auto f = split_csv(line, options_.max_fields);
+  auto f = split_csv(line);
   if (f[0] == "#log" && f.size() == 2) {
     auto asn = parse_csv_num<bgp::Asn>(f[1]);
     if (!asn) {

@@ -76,15 +76,18 @@ std::string_view reject_reason_name(RejectReason reason);
 struct RejectedLine {
   std::uint64_t line_number = 0;  ///< 1-based physical line in the stream
   RejectReason reason = RejectReason::kBadFieldCount;
-  std::string text;  ///< truncated to ReaderOptions::keep_text_bytes
+  std::string text;  ///< truncated to kKeepTextBytes
 };
+
+/// How many offending lines a load keeps verbatim for its failure Status.
+inline constexpr std::size_t kKeepFirstRejects = 5;
+/// Bytes of each offending line kept and quarantined.
+inline constexpr std::size_t kKeepTextBytes = 160;
 
 struct ReaderOptions {
   /// Lines longer than this are rejected as kOversizeLine without ever
   /// being buffered whole (the reader skips to the next newline).
   std::size_t max_line_bytes = 4096;
-  /// Field-split cap forwarded to split_csv().
-  std::size_t max_fields = 16;
 
   // --- error budget -----------------------------------------------------
   /// Maximum tolerated reject share of data lines, evaluated at finish():
@@ -110,10 +113,6 @@ struct ReaderOptions {
   bool assoc_dedup_adjacent = false;
 
   // --- reporting --------------------------------------------------------
-  /// How many offending lines to keep verbatim for the failure Status.
-  std::size_t keep_first_rejects = 5;
-  /// Bytes of each offending line kept / quarantined.
-  std::size_t keep_text_bytes = 160;
   /// When non-null, every rejected line is appended as
   /// "<source>,<line_number>,<reason>,<text>" (source may be empty).
   std::ostream* quarantine = nullptr;
@@ -145,7 +144,7 @@ struct IngestStats {
   /// results or fingerprints.
   std::uint64_t load_wall_ns = 0;
   std::array<std::uint64_t, kRejectReasonCount> rejects{};
-  std::vector<RejectedLine> first_rejects;  ///< first keep_first_rejects
+  std::vector<RejectedLine> first_rejects;  ///< first kKeepFirstRejects
 
   std::uint64_t total_rejects() const {
     std::uint64_t total = 0;
@@ -255,6 +254,9 @@ class LineCursor {
   const IngestStats& stats() const { return ledger_.stats(); }
 
  private:
+  /// Trip the ledger with a kInternal read failure at the next line.
+  bool read_failed(std::string_view what);
+
   std::istream& is_;
   RejectLedger ledger_;
   std::string label_;

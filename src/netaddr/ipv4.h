@@ -59,12 +59,6 @@ class IPv4Address {
     return a.value_ <=> b.value_;
   }
 
-  /// Checkpoint layout (io/checkpoint.h): the 32-bit value.
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(value_);
-  }
-
  private:
   std::uint32_t value_ = 0;
 };

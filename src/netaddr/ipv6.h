@@ -65,12 +65,6 @@ class IPv6Address {
     return a.bits_ <=> b.bits_;
   }
 
-  /// Checkpoint layout (io/checkpoint.h): the high then the low 64 bits.
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(bits_.hi, bits_.lo);
-  }
-
  private:
   U128 bits_{};
 };

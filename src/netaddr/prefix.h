@@ -49,14 +49,6 @@ class Prefix4 {
   friend constexpr std::strong_ordering operator<=>(const Prefix4&,
                                                     const Prefix4&) = default;
 
-  /// Checkpoint layout (io/checkpoint.h): address, then a one-byte length.
-  /// A load refuses lengths above 32 and host bits below the length.
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(addr_, length_);
-    ar.require(length_ <= 32 && *this == Prefix4(addr_, length_));
-  }
-
  private:
   IPv4Address addr_{};
   std::uint8_t length_ = 0;
@@ -90,14 +82,6 @@ class Prefix6 {
   friend constexpr bool operator==(const Prefix6&, const Prefix6&) = default;
   friend constexpr std::strong_ordering operator<=>(const Prefix6&,
                                                     const Prefix6&) = default;
-
-  /// Checkpoint layout (io/checkpoint.h): address, then a one-byte length.
-  /// A load refuses lengths above 128 and host bits below the length.
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(addr_, length_);
-    ar.require(length_ <= 128 && *this == Prefix6(addr_, length_));
-  }
 
  private:
   IPv6Address addr_{};

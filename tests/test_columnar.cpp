@@ -304,10 +304,127 @@ TEST(ColumnarCorruption, VersionSkewIsFailedPrecondition) {
       << out.status().to_string();
 }
 
+/// Rewrite directory entry `index` of an encoded batch — its tag and its
+/// length — and re-seal that column's CRC over the new length and the
+/// header CRC, so the edit is the batch's only defect.
+void patch_entry(std::string& bytes, std::size_t index, std::uint32_t tag,
+                 std::uint64_t length) {
+  const std::size_t entry = 36 + index * 24;
+  auto store = [&](std::size_t off, std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i)
+      bytes[off + std::size_t(i)] = char((v >> (8 * i)) & 0xFF);
+  };
+  std::uint64_t offset = 0;
+  for (int i = 0; i < 8; ++i)
+    offset |= std::uint64_t(std::uint8_t(bytes[entry + 4 + std::size_t(i)]))
+              << (8 * i);
+  store(entry, tag, 4);
+  store(entry + 12, length, 8);
+  store(entry + 20,
+        io::ckpt::crc32(std::string_view(bytes).substr(offset, length)), 4);
+  const std::size_t ncols = std::uint8_t(bytes[32]);
+  const std::size_t header_size = 36 + ncols * 24 + 4;
+  store(header_size - 4,
+        io::ckpt::crc32(std::string_view(bytes).substr(0, header_size - 4)),
+        4);
+}
+
+/// Each directory entry's tag and length, in directory order.
+std::vector<std::pair<std::uint32_t, std::uint64_t>> directory(
+    const std::string& bytes) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+  for (std::size_t c = 0; c < std::uint8_t(bytes[32]); ++c) {
+    const char* e = bytes.data() + 36 + c * 24;
+    out.emplace_back(io::ckpt::load_le32(e), io::ckpt::load_le64(e + 12));
+  }
+  return out;
+}
+
+// Every column of either kind is required, and every fixed-width one must
+// hold exactly its rows' bytes: a renamed entry is a missing column, an
+// entry one byte short or long is named with both lengths, and a repeated
+// tag is a duplicate — each a kDataLoss naming the column. The group-tag
+// column has no fixed width, so only its presence is checked.
+template <class Decode>
+void expect_every_column_required(const std::string& clean,
+                                  std::vector<std::string> tags,
+                                  Decode decode) {
+  const auto dir = directory(clean);
+  ASSERT_EQ(dir.size(), tags.size());
+  auto expect_refused = [&](const std::string& bytes,
+                            const std::string& message) {
+    auto out = decode(bytes);
+    ASSERT_FALSE(out.ok()) << message;
+    EXPECT_EQ(out.status().code(), core::StatusCode::kDataLoss) << message;
+    EXPECT_NE(out.status().message().find(message), std::string::npos)
+        << out.status().to_string();
+  };
+  for (std::size_t c = 0; c < dir.size(); ++c) {
+    const auto [tag, length] = dir[c];
+    const std::string name = io::ckpt::fourcc_name(tag);
+    EXPECT_EQ(name, tags[c]);
+
+    std::string renamed = clean;
+    patch_entry(renamed, c, io::ckpt::fourcc('Z', 'Z', 'Z', 'Z'), length);
+    expect_refused(renamed, "missing column " + name);
+
+    std::string repeated = clean;
+    const std::size_t other = c == 0 ? 1 : c - 1;
+    patch_entry(repeated, other, tag, dir[other].second);
+    expect_refused(repeated, "duplicate column " + name);
+
+    if (name == "GTAG") continue;
+    ASSERT_GT(length, 0u) << name;
+    // One byte short, and one byte long except for the last column, whose
+    // payload ends the file.
+    for (std::uint64_t wrong : {length - 1, length + 1}) {
+      if (wrong > length && c + 1 == dir.size()) continue;
+      std::string resized = clean;
+      patch_entry(resized, c, tag, wrong);
+      expect_refused(resized, "column " + name + " holds " +
+                                  std::to_string(wrong) + " bytes, expected " +
+                                  std::to_string(length));
+    }
+  }
+}
+
+TEST(ColumnarCorruption, EveryColumnIsRequiredAndSized) {
+  expect_every_column_required(
+      io::encode_echo_columnar(echo_fixture(0.02)),
+      {"GPID", "GCNT", "GTAG", "HOUR", "FAM_", "X4__", "S4__", "X6HI", "X6LO",
+       "S6HI", "S6LO"},
+      [](const std::string& b) { return io::decode_echo_columnar(b); });
+  expect_every_column_required(
+      io::encode_assoc_columnar(assoc_fixture(0.02)),
+      {"GASN", "GCNT", "DAY_", "V4A_", "V4L_", "V6HI", "V6LO", "V6L_", "AS4_",
+       "AS6_"},
+      [](const std::string& b) { return io::decode_assoc_columnar(b); });
+}
+
 TEST(ColumnarFiles, MissingFileIsNotFound) {
-  auto out = io::read_echo_columnar(temp_path("never_written.col"));
+  auto out = io::load_echo_file(temp_path("never_written.col"));
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), core::StatusCode::kNotFound);
+}
+
+// A directory is neither dataset format: as `.csv` or `.col`, for either
+// kind, the load fails naming the path instead of yielding an empty
+// dataset or escaping as an exception.
+TEST(ColumnarFiles, DirectoryIsRefusedNamingThePath) {
+  for (const char* name : {"dir_in.csv", "dir_in.col"}) {
+    const std::string path = temp_path(name);
+    std::filesystem::create_directories(path);
+    auto echo = io::load_echo_file(path);
+    ASSERT_FALSE(echo.ok()) << path;
+    EXPECT_EQ(echo.status().code(), core::StatusCode::kInvalidArgument);
+    EXPECT_NE(echo.status().message().find(path), std::string::npos)
+        << echo.status().to_string();
+    auto assoc = io::load_assoc_file(path);
+    ASSERT_FALSE(assoc.ok()) << path;
+    EXPECT_EQ(assoc.status().code(), core::StatusCode::kInvalidArgument);
+    EXPECT_NE(assoc.status().message().find(path), std::string::npos)
+        << assoc.status().to_string();
+  }
 }
 
 TEST(ColumnarFiles, ExtensionDispatch) {

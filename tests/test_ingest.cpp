@@ -327,6 +327,47 @@ TEST(Ingest, ToleratesCrlfBomAndRepeatedHeaders) {
   EXPECT_EQ(stats.total_rejects(), 0u);
 }
 
+/// A stream buffer over `text` whose next read past it fails, as a file
+/// buffer does on an I/O error: the istream catches the exception and sets
+/// badbit.
+class FailingAfterBuf : public std::streambuf {
+ public:
+  explicit FailingAfterBuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ protected:
+  int_type underflow() override {
+    throw std::ios_base::failure("simulated read error");
+  }
+
+ private:
+  std::string text_;
+};
+
+// A read error after two good lines is a failed load, not a clean end of
+// stream that quietly keeps the first two records.
+TEST(Ingest, ReadErrorMidStreamFailsTheLoad) {
+  FailingAfterBuf echo_buf(
+      "probe_id,hour,family,x_client_ip,src_addr\n"
+      "1,0,4,80.1.2.3,192.168.1.5\n"
+      "1,1,4,80.1.2.3,192.168.1.5\n");
+  std::istream echo_in(&echo_buf);
+  io::IngestStats stats;
+  auto echo = io::read_echo_dataset(echo_in, {}, &stats);
+  ASSERT_FALSE(echo.ok());
+  EXPECT_EQ(echo.status().code(), StatusCode::kInternal);
+  EXPECT_TRUE(contains(echo.status().message(), "read failed at line 4"))
+      << echo.status().to_string();
+  EXPECT_EQ(stats.records_accepted, 2u);
+
+  FailingAfterBuf assoc_buf("1,80.1.2.0/24,2003:ec57:11:2200::/64,7,7\n");
+  std::istream assoc_in(&assoc_buf);
+  auto assoc = io::read_assoc_dataset(assoc_in);
+  ASSERT_FALSE(assoc.ok());
+  EXPECT_EQ(assoc.status().code(), StatusCode::kInternal);
+}
+
 TEST(Ingest, OversizeLineIsRejectedWithoutDerailingTheStream) {
   ReaderOptions opts;
   opts.max_line_bytes = 64;
@@ -345,7 +386,7 @@ TEST(Ingest, OversizeLineIsRejectedWithoutDerailingTheStream) {
   ASSERT_EQ(stats.first_rejects.size(), 1u);
   EXPECT_EQ(stats.first_rejects[0].line_number, 3u);
   // The kept text is a bounded prefix, never the whole 5000-byte line.
-  EXPECT_LE(stats.first_rejects[0].text.size(), opts.keep_text_bytes);
+  EXPECT_LE(stats.first_rejects[0].text.size(), io::kKeepTextBytes);
 }
 
 // ---------------------------------------------------------- error budget

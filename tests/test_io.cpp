@@ -37,11 +37,6 @@ TEST(Csv, SplitEmptyFields) {
   EXPECT_EQ(f[3], "");
 }
 
-TEST(Csv, JoinRoundTrip) {
-  EXPECT_EQ(join_csv({"x", "y", "z"}), "x,y,z");
-  EXPECT_EQ(join_csv({}), "");
-}
-
 TEST(EchoIo, V4RoundTrip) {
   atlas::EchoRecord r;
   r.probe_id = 12345;
