@@ -1,6 +1,7 @@
 #include "io/columnar.h"
 
 #include <array>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -425,8 +426,8 @@ Expected<std::vector<typename Schema::Item>> decode(
       return data_loss("tag table has trailing bytes").with_context(context);
   }
 
-  // Every row is classified by the schema's get, then put to the
-  // builder's duplicate rule.
+  // Every row is classified by the schema's get, then pushed into the
+  // builder under its duplicate rule.
   std::uint64_t row = 0;
   typename Schema::Row values{};
   for (std::uint64_t g = 0; g < batch.groups && !ledger.tripped(); ++g) {
@@ -441,12 +442,11 @@ Expected<std::vector<typename Schema::Item>> decode(
         values[c] = cols[c].at(row, kRows[c].width);
       typename Schema::Record rec;
       std::optional<RejectReason> why = Schema::get(values, key, options, rec);
-      if (!why && !builder.admit(rec)) why = RejectReason::kDuplicate;
+      if (!why && !builder.push(rec)) why = RejectReason::kDuplicate;
       if (why) {
         ledger.reject(*why, Schema::text(values, key), row + 1);
         continue;
       }
-      builder.add(rec);
       ledger.accept();
     }
   }
@@ -459,8 +459,9 @@ Expected<std::vector<typename Schema::Item>> decode(
 
 // ------------------------------------------------------------------- mmap
 
-/// Read-only bytes of one file: mmap'd on POSIX (falling back to a plain
-/// read when mmap is unavailable or fails), read into memory elsewhere.
+/// Read-only bytes of one file: a regular file is mmap'd on POSIX; a pipe,
+/// a device, or a file mmap fails on is read to its end, as is every file
+/// elsewhere.
 class MappedBytes {
  public:
   MappedBytes() = default;
@@ -473,15 +474,12 @@ class MappedBytes {
   }
   ~MappedBytes() {
 #ifdef __unix__
-    if (map_ != nullptr && map_ != MAP_FAILED) ::munmap(map_, map_len_);
+    if (map_ != nullptr) ::munmap(map_, len_);
 #endif
   }
 
   std::string_view view() const {
-#ifdef __unix__
-    if (map_ != nullptr && map_ != MAP_FAILED)
-      return {static_cast<const char*>(map_), len_};
-#endif
+    if (map_ != nullptr) return {static_cast<const char*>(map_), len_};
     return fallback_;
   }
 
@@ -489,20 +487,37 @@ class MappedBytes {
     MappedBytes out;
 #ifdef __unix__
     int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      struct stat st{};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    if (fd < 0)
+      return Status(StatusCode::kNotFound, "cannot open dataset: " + path);
+    // Only a regular file's size is its length: a FIFO's reads 0 until
+    // its writer is done. Whatever is not mapped is read from this fd to
+    // EOF; reopening a FIFO by name would race its writer.
+    struct stat st{};
+    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+      void* map = ::mmap(nullptr, std::size_t(st.st_size), PROT_READ,
+                         MAP_PRIVATE, fd, 0);
+      if (map != MAP_FAILED) {
+        out.map_ = map;
         out.len_ = std::size_t(st.st_size);
-        out.map_len_ = out.len_;
-        out.map_ = ::mmap(nullptr, out.map_len_, PROT_READ, MAP_PRIVATE, fd,
-                          0);
       }
-      ::close(fd);
-      if (out.map_ != nullptr && out.map_ != MAP_FAILED) return out;
-      out.map_ = nullptr;
-      if (out.len_ == 0) return out;  // empty file: empty view is correct
     }
-#endif
+    bool read_failed = false;
+    if (out.map_ == nullptr) {
+      char chunk[1 << 16];
+      for (;;) {
+        const ssize_t got = ::read(fd, chunk, sizeof chunk);
+        if (got > 0) {
+          out.fallback_.append(chunk, std::size_t(got));
+        } else if (got == 0 || errno != EINTR) {
+          read_failed = got < 0;
+          break;
+        }
+      }
+    }
+    ::close(fd);
+    if (read_failed)
+      return Status(StatusCode::kInternal, "read failed: " + path);
+#else
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open())
       return Status(StatusCode::kNotFound, "cannot open dataset: " + path);
@@ -512,19 +527,18 @@ class MappedBytes {
     while (in.read(chunk, sizeof chunk), in.gcount() > 0)
       out.fallback_.append(chunk, std::size_t(in.gcount()));
     if (in.bad()) return Status(StatusCode::kInternal, "read failed: " + path);
+#endif
     return out;
   }
 
  private:
   void swap(MappedBytes& o) {
     std::swap(map_, o.map_);
-    std::swap(map_len_, o.map_len_);
     std::swap(len_, o.len_);
     std::swap(fallback_, o.fallback_);
   }
 
-  void* map_ = nullptr;
-  std::size_t map_len_ = 0;
+  void* map_ = nullptr;  // with len_, the mapping
   std::size_t len_ = 0;
   std::string fallback_;
 };

@@ -232,9 +232,8 @@ bool LineCursor::next_line(std::string_view& line) {
 namespace {
 
 /// Parse the five echo fields into `rec`; on failure reports why.
-bool parse_echo_fields(const std::vector<std::string_view>& f,
-                       const ReaderOptions& options, atlas::EchoRecord& rec,
-                       RejectReason& why) {
+bool parse_echo_fields(const CsvFields& f, const ReaderOptions& options,
+                       atlas::EchoRecord& rec, RejectReason& why) {
   auto probe = parse_csv_num<std::uint32_t>(f[0]);
   auto hour = parse_csv_num<std::uint64_t>(f[1]);
   if (!probe || !hour) {
@@ -274,8 +273,7 @@ bool parse_echo_fields(const std::vector<std::string_view>& f,
   return true;
 }
 
-bool parse_assoc_fields(const std::vector<std::string_view>& f,
-                        const ReaderOptions& options,
+bool parse_assoc_fields(const CsvFields& f, const ReaderOptions& options,
                         cdn::AssociationRecord& rec, RejectReason& why) {
   auto day = parse_csv_num<std::uint32_t>(f[0]);
   auto asn4 = parse_csv_num<std::uint32_t>(f[3]);
@@ -303,8 +301,9 @@ bool parse_assoc_fields(const std::vector<std::string_view>& f,
 }
 
 /// The record loop both readers share: meta lines go to `meta`, repeated
-/// headers are skipped, and a data line is split, parsed and put to the
-/// builder's duplicate rule, each failure rejected with its reason.
+/// headers are skipped, and a data line is split, parsed and pushed into
+/// the builder under its duplicate rule, each failure rejected with its
+/// reason.
 template <class Builder, class Parse, class Meta>
 std::optional<typename Builder::Record> next_record(
     detail::LineCursor& cursor, const ReaderOptions& options,
@@ -331,7 +330,7 @@ std::optional<typename Builder::Record> next_record(
       cursor.reject(why, line);
       continue;
     }
-    if (!builder.admit(rec)) {
+    if (!builder.push(rec)) {
       cursor.reject(RejectReason::kDuplicate, line);
       continue;
     }
@@ -415,13 +414,14 @@ std::optional<cdn::AssociationRecord> AssocReader::next() {
 
 namespace {
 
-/// Run `Reader` to the end, adding each accepted record to its builder.
+/// Run `Reader` to the end; next() stores each accepted record in its
+/// builder.
 template <class Reader>
 auto read_dataset(std::istream& is, const ReaderOptions& options,
                   IngestStats* stats, const char* what)
     -> core::Expected<decltype(std::declval<Reader&>().builder().take())> {
   Reader reader(is, options);
-  while (auto rec = reader.next()) reader.builder().add(*rec);
+  while (reader.next()) continue;
   if (stats) stats->merge(reader.stats());
   if (core::Status st = reader.finish(); !st.ok())
     return st.with_context(what);

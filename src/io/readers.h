@@ -42,6 +42,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -290,17 +291,27 @@ struct AssocSchema {
 ///  * a record belongs to the item of Schema::key — the probe id, or an
 ///    association record's asn6;
 ///  * first non-empty tags win;
-///  * admit() is the duplicate rule: at most one echo record per (probe,
-///    hour, family); with ReaderOptions::assoc_dedup_adjacent, no assoc
-///    record equal to the last admitted one;
+///  * push() appends a record unless it is a duplicate: a second echo
+///    record for one (probe, hour, family), or, with
+///    ReaderOptions::assoc_dedup_adjacent, an assoc record equal to the
+///    last one pushed. Echo checks it at the seam: each item keeps its
+///    last admitted hour per family, and a record past it is admitted
+///    with no lookup. The first record at or before it indexes that
+///    item's records into an exact (hour << 1 | v6) set, which from then
+///    on checks and records every later record of that item alone;
+///  * the duplicate rule covers one builder's pushes, i.e. one file: a
+///    builder either pushes (a reader or DYNCOL1 decoder) or folds in
+///    datasets (merge_*_datasets, a stream's accumulator), and merge() and
+///    absorb() keep every record, so a (probe, hour, family) in two files
+///    or stream batches is kept twice;
 ///  * records absorbed into a known item are merged in at the seam: kept
 ///    as they are when they start at or after the item's last record,
 ///    otherwise stably merged (std::inplace_merge). The item they join is
 ///    in time order, as the readers return items, so this equals a stable
 ///    sort of the whole item at the cost of the absorbed records alone;
 ///  * take() restores time order (a stable sort, so same-time records
-///    keep their arrival order) in the items add() filled that are out of
-///    order; an item taken whole stays as is.
+///    keep their arrival order) in the items a push put out of order; an
+///    item taken whole stays as is.
 template <class Schema>
 class DatasetBuilder {
  public:
@@ -313,7 +324,8 @@ class DatasetBuilder {
       : dedup_adjacent_(options.assoc_dedup_adjacent) {}
   /// Continue an existing dataset (merge_*_datasets).
   explicit DatasetBuilder(std::vector<Item>&& items)
-      : items_(std::move(items)), check_order_(items_.size(), false) {
+      : items_(std::move(items)), unsorted_(items_.size(), false) {
+    if constexpr (kEcho) seams_.resize(items_.size());
     for (std::size_t i = 0; i < items_.size(); ++i)
       index_.emplace(Schema::key(items_[i]), i);
   }
@@ -328,30 +340,23 @@ class DatasetBuilder {
     if (have.empty()) have = std::move(tags);
   }
 
-  /// False when `rec` is a duplicate; otherwise its item is declared.
-  bool admit(const Record& rec) {
-    slot(Schema::key(rec));
+  /// Append `rec` to its item, declaring the item; false, and nothing
+  /// appended, when `rec` is a duplicate.
+  bool push(const Record& rec) {
+    const std::size_t at = slot(Schema::key(rec));
     if constexpr (kEcho) {
-      if (!last_seen_ || last_seen_probe_ != rec.probe_id) {
-        last_seen_ = &seen_[rec.probe_id];
-        last_seen_probe_ = rec.probe_id;
-      }
-      const bool v6 = rec.family == atlas::Family::kV6;
-      return last_seen_->insert((rec.hour << 1) | std::uint64_t(v6)).second;
-    } else {
-      if (!dedup_adjacent_) return true;
+      if (!admit_echo(at, rec)) return false;
+    } else if (dedup_adjacent_) {
       if (last_ && last_->day == rec.day && last_->v4_24 == rec.v4_24 &&
           last_->v6_64 == rec.v6_64 && last_->asn4 == rec.asn4 &&
           last_->asn6 == rec.asn6)
         return false;
       last_ = rec;
-      return true;
     }
-  }
-
-  /// Append a record to its item.
-  void add(const Record& rec) {
-    items_[slot(Schema::key(rec))].records.push_back(rec);
+    auto& records = items_[at].records;
+    if (!records.empty() && by_time(rec, records.back())) unsorted_[at] = true;
+    records.push_back(rec);
+    return true;
   }
 
   /// Fold in a whole item: a new key is taken as is, a known one gains
@@ -361,7 +366,6 @@ class DatasetBuilder {
     const std::size_t before = items_.size();
     const Key key = Schema::key(item);
     const std::size_t at = slot(key);
-    check_order_[at] = false;
     if (items_.size() > before) {
       items_[at] = std::move(item);
       return;
@@ -387,7 +391,9 @@ class DatasetBuilder {
   /// The dataset. Call once, last.
   std::vector<Item> take() {
     for (std::size_t i = 0; i < items_.size(); ++i)
-      if (check_order_[i]) order_from(items_[i].records, 0);
+      if (unsorted_[i])
+        std::stable_sort(items_[i].records.begin(), items_[i].records.end(),
+                         by_time);
     return std::move(items_);
   }
 
@@ -407,6 +413,31 @@ class DatasetBuilder {
       std::inplace_merge(records.begin(), tail, records.end(), by_time);
   }
 
+  /// An echo record's duplicate key: (hour << 1) | v6.
+  static std::uint64_t echo_key(const Record& rec) {
+    return (rec.hour << 1) | std::uint64_t(rec.family == atlas::Family::kV6);
+  }
+
+  /// The echo duplicate rule for `rec`, a record of item `at`.
+  bool admit_echo(std::size_t at, const Record& rec) {
+    const std::uint64_t key = echo_key(rec);
+    Seam& seam = seams_[at];
+    if (!seam.exact) {
+      // The seam compares the hour as the key holds it (key >> 1), so it
+      // agrees with the exact set for every hour.
+      std::uint64_t& next = seam.next[key & 1];
+      if ((key >> 1) >= next) {
+        next = (key >> 1) + 1;
+        return true;
+      }
+      const auto& records = items_[at].records;
+      seam.exact = std::make_unique<std::unordered_set<std::uint64_t>>();
+      seam.exact->reserve(records.size() + 1);
+      for (const Record& r : records) seam.exact->insert(echo_key(r));
+    }
+    return seam.exact->insert(key).second;
+  }
+
   /// Index of the item for `key`; caches the last one, since consecutive
   /// records usually share an item.
   std::size_t slot(Key key) {
@@ -415,22 +446,26 @@ class DatasetBuilder {
     auto [it, fresh] = index_.try_emplace(key, items_.size());
     if (fresh) {
       Schema::key(items_.emplace_back()) = key;
-      check_order_.push_back(true);
+      unsorted_.push_back(false);
+      if constexpr (kEcho) seams_.emplace_back();
     }
     return last_slot_ = it->second;
   }
 
+  /// Echo, per item: one past the last hour admitted at the seam, per
+  /// family (0: none yet), and the exact key set once a record went back
+  /// in time.
+  struct Seam {
+    std::array<std::uint64_t, 2> next{};
+    std::unique_ptr<std::unordered_set<std::uint64_t>> exact;
+  };
+
   std::vector<Item> items_;
-  // Per item: whether take() checks its time order — the items add()
-  // filled. An adopted or absorbed item is ordered already.
-  std::vector<bool> check_order_;
+  // Per item: whether a push put it out of time order, for take().
+  std::vector<bool> unsorted_;
+  std::vector<Seam> seams_;  // echo only, per item
   std::unordered_map<Key, std::size_t> index_;
   std::size_t last_slot_ = std::size_t(-1);
-  // Echo: the (hour, family) pairs admitted per probe, and the last
-  // probe's set, since consecutive records usually share a probe.
-  std::unordered_map<Key, std::unordered_set<std::uint64_t>> seen_;
-  std::unordered_set<std::uint64_t>* last_seen_ = nullptr;
-  Key last_seen_probe_ = 0;
   bool dedup_adjacent_ = false;
   std::optional<Record> last_;  // assoc, with dedup_adjacent_
 };
@@ -458,9 +493,10 @@ class EchoReader {
 
   const IngestStats& stats() const { return cursor_.stats(); }
 
-  /// The probes declared so far (`#probe`/`#tags` lines and accepted
-  /// records, tags interned through core::tag_pool()) and the duplicate
-  /// set. next() does not add records to it; read_echo_dataset does.
+  /// The dataset read so far: the probes declared (`#probe`/`#tags` lines
+  /// and accepted records, tags interned through core::tag_pool()) with
+  /// every record next() accepted, which the duplicate rule checks
+  /// against. read_echo_dataset takes it at the end of the stream.
   detail::EchoBuilder& builder() { return builder_; }
 
  private:
@@ -485,8 +521,9 @@ class AssocReader {
   core::Status finish() const { return cursor_.finish(); }
   const IngestStats& stats() const { return cursor_.stats(); }
 
-  /// The logs declared so far (`#log` lines and accepted records' asn6)
-  /// and the last accepted record. read_assoc_dataset adds the records.
+  /// The dataset read so far: the logs declared (`#log` lines and
+  /// accepted records' asn6) with every record next() accepted.
+  /// read_assoc_dataset takes it at the end of the stream.
   detail::AssocBuilder& builder() { return builder_; }
 
  private:

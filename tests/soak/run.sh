@@ -15,7 +15,7 @@ SOAK=$(cd "$(dirname "$0")" && pwd)
 ROOT=$(cd "$SOAK/../.." && pwd)
 
 JOBS="bench-smoke perf-smoke columnar-soak crash-resume stream-soak lg-soak
-chaos-soak supervise-soak journal-soak"
+chaos-soak supervise-soak journal-soak ingest-soak"
 
 sorted() { printf '%s\n' $* | sort; }
 

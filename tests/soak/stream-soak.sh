@@ -22,7 +22,10 @@ dynamips_study stream --atlas-only --follow watch --threads 1 \
   --metrics-out stream.metrics.json >stream.log 2>&1 &
 pid=$!
 track $pid
-sleep 1.5
+# Stop it once a batch is journaled: the feeder slices the whole export
+# before it drops the first batch, so a fixed delay may land before any.
+wait_until 30 test -f stream/study.ckpt.journal ||
+  fail "no batch was journaled"
 # Without a sentinel the stream cannot finish on its own: only exit 3
 # (interrupted, checkpoint written) is acceptable.
 stop_expect 3 $pid stream.log

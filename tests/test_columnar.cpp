@@ -15,8 +15,17 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
+
+#ifdef __unix__
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
 
 #include "atlas/generator.h"
 #include "cdn/generator.h"
@@ -24,6 +33,7 @@
 #include "core/pipeline.h"
 #include "io/checkpoint.h"
 #include "io/columnar.h"
+#include "io/csv.h"
 #include "io/readers.h"
 #include "io/results_io.h"
 #include "simnet/isp.h"
@@ -427,6 +437,45 @@ TEST(ColumnarFiles, DirectoryIsRefusedNamingThePath) {
   }
 }
 
+#ifdef __unix__
+// A `.col` path may name a FIFO (`cat batch.col > p.col &`): it has no size
+// up front, so it is read to its end, and loads what the file loads.
+TEST(ColumnarFiles, NamedPipeLoadsLikeTheFile) {
+  const std::string bytes = io::encode_echo_columnar(echo_fixture());
+  ASSERT_GT(bytes.size(), std::size_t(1) << 17);  // several pipe buffers
+  const std::string file = temp_path("fifo_source.col");
+  write_raw(file, bytes);
+  const std::string fifo = temp_path("fifo_in.col");
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] {
+    // A loader that stops reading early fails this thread's write with
+    // EPIPE instead of raising SIGPIPE in the test process.
+    sigset_t pipe;
+    sigemptyset(&pipe);
+    sigaddset(&pipe, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &pipe, nullptr);
+    const int fd = ::open(fifo.c_str(), O_WRONLY);  // waits for the loader
+    for (std::size_t at = 0; fd >= 0 && at < bytes.size();) {
+      const ssize_t n = ::write(fd, bytes.data() + at, bytes.size() - at);
+      if (n <= 0) break;
+      at += std::size_t(n);
+    }
+    if (fd >= 0) ::close(fd);
+  });
+  io::IngestStats piped_stats, file_stats;
+  auto piped = io::load_echo_file(fifo, {}, &piped_stats);
+  writer.join();
+  auto from_file = io::load_echo_file(file, {}, &file_stats);
+  ASSERT_TRUE(piped.ok()) << piped.status().to_string();
+  ASSERT_TRUE(from_file.ok()) << from_file.status().to_string();
+  EXPECT_EQ(io::encode_echo_columnar(*piped),
+            io::encode_echo_columnar(*from_file));
+  EXPECT_EQ(piped_stats.records_accepted, file_stats.records_accepted);
+  EXPECT_EQ(piped_stats.lines_seen, file_stats.lines_seen);
+}
+#endif
+
 TEST(ColumnarFiles, ExtensionDispatch) {
   EXPECT_TRUE(io::is_columnar_path("batch-000.col"));
   EXPECT_FALSE(io::is_columnar_path("batch-000.csv"));
@@ -610,6 +659,98 @@ TEST(ColumnarBudget, AssocRejectOrderMatchesCsvReader) {
   io::write_assoc_dataset(a, *from_csv);
   io::write_assoc_dataset(b, *from_col);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// The echo duplicate rule, through CSV and DYNCOL1 alike. Probe 42's hours
+// 5, 3, 5, 4, 3, 6 in each family go back in time at the second row, so
+// its later repeats of 5 (admitted in order, before that row) and of 3 are
+// caught by the exact check, and so is its last row, a repeat of the
+// in-order hour 6 after that. Probe 43 repeats an in-order hour at once.
+// With no header or `#probe` line in the CSV, line numbers and row numbers
+// coincide.
+TEST(ColumnarBudget, EchoDuplicateRuleMatchesCsvReader) {
+  using F = atlas::Family;
+  const std::vector<std::tuple<std::uint32_t, std::uint64_t, F>> rows = {
+      {42, 5, F::kV4}, {42, 3, F::kV4}, {42, 5, F::kV4}, {42, 4, F::kV4},
+      {42, 3, F::kV4}, {42, 6, F::kV4}, {42, 5, F::kV6}, {42, 3, F::kV6},
+      {42, 5, F::kV6}, {42, 4, F::kV6}, {42, 3, F::kV6}, {42, 6, F::kV6},
+      {42, 6, F::kV4}, {43, 7, F::kV4}, {43, 7, F::kV4}, {43, 8, F::kV4}};
+  std::vector<atlas::ProbeSeries> dataset(2);
+  dataset[0].meta.probe_id = 42;
+  dataset[1].meta.probe_id = 43;
+  std::string csv_text;
+  for (const auto& [probe, hour, family] : rows) {
+    atlas::EchoRecord rec;
+    rec.probe_id = probe;
+    rec.hour = hour;
+    rec.family = family;
+    rec.x_client_ip4 = *net::IPv4Address::parse("80.1.2.3");
+    rec.src_addr4 = *net::IPv4Address::parse("192.168.1.5");
+    rec.x_client_ip6 = *net::IPv6Address::parse("2003:ec57:11:2200::1");
+    rec.src_addr6 = rec.x_client_ip6;
+    dataset[probe - 42].records.push_back(rec);
+    csv_text += io::to_csv(rec) + "\n";
+  }
+
+  io::ReaderOptions opts;
+  opts.max_reject_fraction = 1.0;
+  std::ostringstream col_quarantine, csv_quarantine;
+  io::IngestStats col_stats, csv_stats;
+  opts.quarantine = &col_quarantine;
+  auto from_col = io::decode_echo_columnar(
+      io::encode_echo_columnar(dataset), opts, &col_stats);
+  ASSERT_TRUE(from_col.ok()) << from_col.status().to_string();
+  opts.quarantine = &csv_quarantine;
+  std::istringstream csv(csv_text);
+  auto from_csv = io::read_echo_dataset(csv, opts, &csv_stats);
+  ASSERT_TRUE(from_csv.ok()) << from_csv.status().to_string();
+
+  // Rows 3, 5, 9 and 11 repeat probe 42's hours 5 and 3, row 13 its hour
+  // 6, and row 15 probe 43's hour 7.
+  const std::vector<std::uint64_t> dups = {3, 5, 9, 11, 13, 15};
+  for (const io::IngestStats* stats : {&csv_stats, &col_stats}) {
+    std::vector<std::uint64_t> got;
+    for (const auto& r : stats->first_rejects) {
+      EXPECT_EQ(r.reason, io::RejectReason::kDuplicate);
+      got.push_back(r.line_number);
+    }
+    EXPECT_EQ(got, std::vector<std::uint64_t>(
+                       dups.begin(), dups.begin() + io::kKeepFirstRejects));
+  }
+  // "position,reason" of every quarantine row; the source label is empty
+  // and the text column differs by format.
+  auto quarantined = [](const std::ostringstream& q) {
+    std::vector<std::string> out;
+    std::istringstream in(q.str());
+    for (std::string line; std::getline(in, line);) {
+      const auto f = io::split_csv(line, 4);
+      out.push_back(std::string(f[1]) + "," + std::string(f[2]));
+    }
+    return out;
+  };
+  std::vector<std::string> all;
+  for (std::uint64_t pos : dups)
+    all.push_back(std::to_string(pos) + ",duplicate");
+  EXPECT_EQ(quarantined(csv_quarantine), all);
+  EXPECT_EQ(quarantined(col_quarantine), all);
+  EXPECT_EQ(col_stats.rejects, csv_stats.rejects);
+  EXPECT_EQ(col_stats.rejects_for(io::RejectReason::kDuplicate), 6u);
+  EXPECT_EQ(col_stats.lines_seen, csv_stats.lines_seen);
+  EXPECT_EQ(col_stats.data_lines, csv_stats.data_lines);
+  EXPECT_EQ(col_stats.records_accepted, 10u);
+  EXPECT_EQ(col_stats.records_accepted, csv_stats.records_accepted);
+  std::ostringstream a, b;
+  io::write_echo_dataset(a, *from_csv);
+  io::write_echo_dataset(b, *from_col);
+  EXPECT_EQ(a.str(), b.str());
+  // Time order restored stably: each hour's v4 record before its v6 one.
+  std::vector<std::pair<std::uint64_t, F>> probe42;
+  for (const auto& rec : (*from_col)[0].records)
+    probe42.emplace_back(rec.hour, rec.family);
+  const std::vector<std::pair<std::uint64_t, F>> sorted = {
+      {3, F::kV4}, {3, F::kV6}, {4, F::kV4}, {4, F::kV6}, {5, F::kV4},
+      {5, F::kV6}, {6, F::kV4}, {6, F::kV6}};
+  EXPECT_EQ(probe42, sorted);
 }
 
 // --------------------------------------- end-to-end study byte-identity

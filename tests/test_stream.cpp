@@ -693,6 +693,46 @@ TEST(AtlasStream, StreamFeedBatchesMatchOneShotSourceStudy) {
   EXPECT_EQ(stats.batches, 5u);
 }
 
+// One (probe, hour, family) in two batch files. The duplicate rule holds
+// within each file's reader, and merging files keeps every record, so the
+// stream keeps the record twice, as the one-shot run over the same files
+// does. In the second file the repeat also goes back in time, which that
+// file's reader checks exactly and admits.
+TEST(AtlasStream, RecordRepeatedAcrossBatchesMatchesOneShot) {
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path watch = temp_dir("stream_atlas_repeat_watch");
+  const auto paths = write_atlas_batches(watch, fx.dataset, 2);
+  auto first = io::load_echo_file(paths[0]);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  const atlas::EchoRecord repeat = first->front().records.back();
+  {
+    std::ofstream out(paths[1], std::ios::binary | std::ios::app);
+    out << io::to_csv(repeat) << '\n';
+  }
+  drop_sentinel(watch, "stream.stop");
+  std::uint64_t records = 1;
+  for (const auto& series : fx.dataset) records += series.records.size();
+
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 1;
+  io::IngestStats ref_ingest;
+  auto ref =
+      core::run_atlas_study_from_files(paths, fx.isps, cfg, &ref_ingest);
+  ASSERT_TRUE(ref.ok()) << ref.status().to_string();
+  io::IngestStats ingest;
+  core::StreamStats stats;
+  auto study = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), fx.isps, cfg, core::StreamConfig{}, {}, &ingest,
+      &stats);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(atlas_signature(*study), atlas_signature(*ref));
+  EXPECT_EQ(stats.batches, 2u);
+  for (const io::IngestStats* s : {&ref_ingest, &ingest}) {
+    EXPECT_EQ(s->rejects_for(io::RejectReason::kDuplicate), 0u);
+    EXPECT_EQ(s->records_accepted, records);
+  }
+}
+
 TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
   const AtlasFixture& fx = atlas_fixture();
   const fs::path watch = temp_dir("stream_atlas_resume_watch");
