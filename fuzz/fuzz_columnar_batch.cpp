@@ -3,48 +3,84 @@
 // version skew as kFailedPrecondition — or as a valid dataset. Never a
 // crash, never an out-of-bounds read (the directory is validated before
 // any payload is touched), and on success the ingest accounting must match
-// the decoded dataset exactly.
+// the decoded dataset exactly. Each input is also decoded through a
+// 3-thread executor, which must give the same Status, stats, quarantine,
+// `ingest.*` counters and dataset as the decode on the caller.
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <string_view>
 
+#include "core/parallel.h"
 #include "core/status.h"
 #include "io/columnar.h"
 #include "io/readers.h"
+#include "obs/metrics.h"
 
-extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
-                                      std::size_t size) {
-  namespace io = dynamips::io;
-  using dynamips::core::StatusCode;
-  const std::string_view bytes(reinterpret_cast<const char*>(data), size);
+namespace {
 
+namespace io = dynamips::io;
+using dynamips::core::StatusCode;
+
+/// Everything one decode reports; `counters` renders the metrics sink.
+struct Outcome {
+  std::string status, dataset, quarantine, counters;
+  io::IngestStats stats;
+};
+
+template <class Decode, class Encode>
+Outcome run(std::string_view bytes, dynamips::core::ShardExecutor* exec,
+            Decode decode, Encode encode) {
   io::ReaderOptions options;
   options.max_reject_fraction = 1.0;     // never trip on fraction
   options.max_consecutive_rejects = 16;  // exercise the fail-fast path
+  Outcome out;
+  std::ostringstream quarantine;
+  dynamips::obs::MetricsSink metrics;
+  options.quarantine = &quarantine;
+  options.metrics = &metrics;
+  auto data = decode(bytes, options, &out.stats, exec);
+  out.quarantine = quarantine.str();
+  for (const auto& [name, counter] : metrics.counters())
+    out.counters += name + "=" + std::to_string(counter.value) + "\n";
+  if (data.ok()) {
+    std::uint64_t records = 0;
+    for (const auto& item : *data) records += item.records.size();
+    if (out.stats.records_accepted != records) __builtin_trap();
+    out.dataset = encode(*data);
+  } else if (data.status().code() != StatusCode::kDataLoss &&
+             data.status().code() != StatusCode::kFailedPrecondition) {
+    __builtin_trap();
+  }
+  out.status = data.status().to_string();
+  return out;
+}
 
-  {
-    io::IngestStats stats;
-    auto echo = io::decode_echo_columnar(bytes, options, &stats);
-    if (echo.ok()) {
-      std::uint64_t records = 0;
-      for (const auto& series : *echo) records += series.records.size();
-      if (stats.records_accepted != records) __builtin_trap();
-    } else if (echo.status().code() != StatusCode::kDataLoss &&
-               echo.status().code() != StatusCode::kFailedPrecondition) {
-      __builtin_trap();
-    }
-  }
-  {
-    io::IngestStats stats;
-    auto assoc = io::decode_assoc_columnar(bytes, options, &stats);
-    if (assoc.ok()) {
-      std::uint64_t records = 0;
-      for (const auto& log : *assoc) records += log.records.size();
-      if (stats.records_accepted != records) __builtin_trap();
-    } else if (assoc.status().code() != StatusCode::kDataLoss &&
-               assoc.status().code() != StatusCode::kFailedPrecondition) {
-      __builtin_trap();
-    }
-  }
+template <class Decode, class Encode>
+void check(std::string_view bytes, dynamips::core::ShardExecutor& exec,
+           Decode decode, Encode encode) {
+  const Outcome serial = run(bytes, nullptr, decode, encode);
+  const Outcome threaded = run(bytes, &exec, decode, encode);
+  if (threaded.status != serial.status || threaded.dataset != serial.dataset ||
+      threaded.quarantine != serial.quarantine ||
+      threaded.counters != serial.counters || !(threaded.stats == serial.stats))
+    __builtin_trap();
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size) {
+  static dynamips::core::ShardExecutor exec(3);
+  const std::string_view bytes(reinterpret_cast<const char*>(data), size);
+  check(
+      bytes, exec,
+      [](auto... a) { return io::decode_echo_columnar(a...); },
+      [](const auto& d) { return io::encode_echo_columnar(d); });
+  check(
+      bytes, exec,
+      [](auto... a) { return io::decode_assoc_columnar(a...); },
+      [](const auto& d) { return io::encode_assoc_columnar(d); });
   return 0;
 }

@@ -910,9 +910,10 @@ namespace {
 //
 // The per-study glue of file-driven runs, one-shot and streamed alike: how
 // to load a batch file into the accumulated dataset (CSV vs columnar is
-// dispatched by extension, so `.col` batches ride alongside `.csv`), how a
-// stream journals a loaded batch (one DYNCOL1 segment) and how to run one
-// analysis pass over the accumulated dataset.
+// dispatched by extension, so `.col` batches ride alongside `.csv`; a `.col`
+// batch and a journal segment decode on the pass's executor, which is idle
+// while a batch loads), how a stream journals a loaded batch (one DYNCOL1
+// segment) and how to run one analysis pass over the accumulated dataset.
 
 struct AtlasFilePolicy {
   const std::vector<simnet::IspProfile>& isps;
@@ -934,9 +935,16 @@ struct AtlasFilePolicy {
   obs::MetricsRegistry* metrics() const { return config.metrics; }
   const io::ReaderOptions& reader() const { return config.reader; }
 
-  static constexpr auto load = io::load_echo_file;
+  Expected<Dataset> load(const std::string& path,
+                         const io::ReaderOptions& options,
+                         io::IngestStats* stats) const {
+    return io::load_echo_file(path, options, stats, &exec);
+  }
   static constexpr auto encode_segment = io::encode_echo_columnar;
-  static constexpr auto decode_segment = io::decode_echo_columnar;
+  Expected<Dataset> decode_segment(std::string_view bytes,
+                                   const io::ReaderOptions& options) const {
+    return io::decode_echo_columnar(bytes, options, nullptr, &exec);
+  }
 
   void init_study(Study& study) const { init_atlas_study(isps, study); }
 
@@ -971,9 +979,16 @@ struct CdnFilePolicy {
   obs::MetricsRegistry* metrics() const { return config.metrics; }
   const io::ReaderOptions& reader() const { return config.reader; }
 
-  static constexpr auto load = io::load_assoc_file;
+  Expected<Dataset> load(const std::string& path,
+                         const io::ReaderOptions& options,
+                         io::IngestStats* stats) const {
+    return io::load_assoc_file(path, options, stats, &exec);
+  }
   static constexpr auto encode_segment = io::encode_assoc_columnar;
-  static constexpr auto decode_segment = io::decode_assoc_columnar;
+  Expected<Dataset> decode_segment(std::string_view bytes,
+                                   const io::ReaderOptions& options) const {
+    return io::decode_assoc_columnar(bytes, options, nullptr, &exec);
+  }
 
   void init_study(Study& study) const { study.asn_names = config.asn_names; }
 
@@ -1019,7 +1034,7 @@ Expected<typename Policy::Study> run_file_study(
   typename Policy::Accumulator dataset;
   const std::uint64_t load_start = obs::now_ns();
   for (const auto& path : paths) {
-    auto part = Policy::load(path, ropts, ingest);
+    auto part = policy.load(path, ropts, ingest);
     if (!part.ok()) {
       Status st = part.status();
       return st.with_context(path).with_context(Policy::kStudyLabel);
@@ -1194,8 +1209,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     // still being there unchanged.
     Status replayed = io::read_journal(
         ck, [&](std::size_t i, std::string_view bytes) -> Status {
-          auto part =
-              Policy::decode_segment(bytes, journal_reader_options(), nullptr);
+          auto part = policy.decode_segment(bytes, journal_reader_options());
           if (!part.ok())
             return Status(StatusCode::kDataLoss,
                           "checkpoint is corrupt: journal segment " +
@@ -1501,7 +1515,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         obs::MetricsSink attempt_sink;
         if (base_ropts.metrics) ropts.metrics = &attempt_sink;
         io::IngestStats attempt_ingest;
-        auto part = Policy::load(path.string(), ropts, &attempt_ingest);
+        auto part = policy.load(path.string(), ropts, &attempt_ingest);
         if (!part.ok()) return part.status();
         batch = part.take();
         if (ingest) ingest->merge(attempt_ingest);

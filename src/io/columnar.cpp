@@ -1,9 +1,12 @@
 #include "io/columnar.h"
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -16,6 +19,7 @@
 #endif
 
 #include "core/intern.h"
+#include "core/parallel.h"
 #include "io/atomic_file.h"
 #include "io/checkpoint.h"
 
@@ -77,6 +81,10 @@ struct EchoColumns {
   };
   using Row = std::array<std::uint64_t, kRows.size()>;
 
+  /// A row's fate hangs on earlier rows of its own probe alone (the
+  /// duplicate set is per probe), so each probe's rows decode as one task.
+  static constexpr bool kItemTasks = true;
+
   static std::uint32_t group_key(const Item& s) { return s.meta.probe_id; }
 
   static Row put(const Record& rec) {
@@ -132,6 +140,11 @@ struct AssocColumns {
       RowColumn{fourcc('A', 'S', '6', '_'), 4},
   };
   using Row = std::array<std::uint64_t, kRows.size()>;
+
+  /// A record joins the log of its asn6, whatever its group, and the
+  /// adjacent-duplicate rule compares rows across groups, so the rows
+  /// decode as one task.
+  static constexpr bool kItemTasks = false;
 
   static std::uint32_t group_key(const Item& log) { return log.asn; }
 
@@ -289,11 +302,21 @@ Status data_loss(const std::string& what) {
   return Status(StatusCode::kDataLoss, "columnar batch is corrupt: " + what);
 }
 
+/// Run task(lane, 0) .. task(lane, n - 1) on `exec`, or in order on the
+/// caller (lane 0) without one.
+void run_tasks(core::ShardExecutor* exec, std::size_t n,
+               const std::function<void(unsigned, std::size_t)>& task) {
+  if (exec != nullptr) return exec->dispatch(n, task);
+  for (std::size_t i = 0; i < n; ++i) task(0, i);
+}
+
 /// Validate the container: magic, version, header CRC, directory bounds,
 /// per-column CRCs. Everything here is structural — damage is kDataLoss,
-/// never a crash and never a partial dataset.
+/// never a crash and never a partial dataset. The column CRCs are one task
+/// each; the checks then run in directory order, so the first bad column
+/// is the one named whatever the thread count.
 Status parse_structure(std::string_view bytes, std::uint32_t expected_kind,
-                       Batch& out) {
+                       Batch& out, core::ShardExecutor* exec) {
   constexpr std::size_t kFixedHeader = 8 + 4 + 4 + 8 + 8 + 4;
   if (bytes.size() < kFixedHeader + 4)
     return data_loss("file truncated before the header");
@@ -334,21 +357,55 @@ Status parse_structure(std::string_view bytes, std::uint32_t expected_kind,
   if (crc32(bytes.substr(0, header_size - 4)) != stored_header_crc)
     return data_loss("header checksum mismatch");
 
-  const char* dir = bytes.data() + kFixedHeader;
+  struct Entry {
+    std::uint32_t tag, crc;
+    std::uint64_t offset, length;
+    bool in_bounds;
+    std::uint32_t got = 0;  // the payload's CRC, when in bounds
+  };
+  std::vector<Entry> dir;
+  std::vector<std::size_t> tasks;  // the in-bounds entries
+  // The checks below stop at the first bad entry, so no CRC after it is
+  // needed: a task skips its column once an earlier one is known bad. On
+  // one thread the tasks keep directory order, so a damaged batch costs
+  // the CRCs up to its first bad column only; on several they run largest
+  // first.
+  std::atomic<std::size_t> first_bad{ncols};
   for (std::uint32_t i = 0; i < ncols; ++i) {
-    const char* e = dir + std::size_t(i) * 24;
-    const std::uint32_t tag = load_le32(e);
-    const std::uint64_t offset = load_le64(e + 4);
-    const std::uint64_t length = load_le64(e + 12);
-    const std::uint32_t crc = load_le32(e + 20);
-    if (offset < header_size || offset > bytes.size() ||
-        length > bytes.size() - offset)
-      return data_loss("column " + fourcc_name(tag) + " is out of bounds");
-    std::string_view payload = bytes.substr(offset, length);
-    if (crc32(payload) != crc)
-      return data_loss("column " + fourcc_name(tag) + " checksum mismatch");
-    if (!out.columns.emplace(tag, ColView{payload.data(), length}).second)
-      return data_loss("duplicate column " + fourcc_name(tag));
+    const char* e = bytes.data() + kFixedHeader + std::size_t(i) * 24;
+    Entry& d = dir.emplace_back(Entry{load_le32(e), load_le32(e + 20),
+                                      load_le64(e + 4), load_le64(e + 12),
+                                      false});
+    d.in_bounds = d.offset >= header_size && d.offset <= bytes.size() &&
+                  d.length <= bytes.size() - d.offset;
+    if (d.in_bounds)
+      tasks.push_back(i);
+    else if (first_bad == ncols)
+      first_bad = i;
+  }
+  if (exec != nullptr && exec->thread_count() > 1)
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return dir[a].length > dir[b].length;
+                     });
+  run_tasks(exec, tasks.size(), [&](unsigned, std::size_t t) {
+    const std::size_t i = tasks[t];
+    if (i > first_bad) return;
+    Entry& d = dir[i];
+    d.got = crc32(bytes.substr(d.offset, d.length));
+    std::size_t bad = first_bad;
+    while (d.got != d.crc && i < bad &&
+           !first_bad.compare_exchange_weak(bad, i)) {
+    }
+  });
+  for (const Entry& d : dir) {
+    if (!d.in_bounds)
+      return data_loss("column " + fourcc_name(d.tag) + " is out of bounds");
+    if (d.got != d.crc)
+      return data_loss("column " + fourcc_name(d.tag) + " checksum mismatch");
+    if (!out.columns.emplace(d.tag, ColView{bytes.data() + d.offset, d.length})
+             .second)
+      return data_loss("duplicate column " + fourcc_name(d.tag));
   }
   return Status::Ok();
 }
@@ -385,8 +442,119 @@ Status check_group_rows(const ColView& counts, std::uint64_t groups,
 }
 
 template <class Schema>
+using RowCols = std::array<ColView, Schema::kRows.size()>;
+
+template <class Schema>
+typename Schema::Row read_row(const RowCols<Schema>& cols, std::uint64_t row) {
+  typename Schema::Row values;
+  for (std::size_t c = 0; c < values.size(); ++c)
+    values[c] = cols[c].at(row, Schema::kRows[c].width);
+  return values;
+}
+
+/// One row a decode task rejected, kept for the replay.
+struct RowReject {
+  std::uint64_t row;
+  std::uint32_t key;  // its group's key, for the quarantine text
+  RejectReason reason;
+};
+
+/// Classify rows [row, row + n) of a group keyed `key` by the schema's
+/// get, hand each plausible record to `push` (false: a duplicate), and
+/// note every reject in `rejects`.
+template <class Schema, class Push>
+void decode_group(const RowCols<Schema>& cols, std::uint64_t row,
+                  std::uint64_t n, std::uint32_t key,
+                  const ReaderOptions& options, Push&& push,
+                  std::vector<RowReject>& rejects) {
+  for (const std::uint64_t end = row + n; row < end; ++row) {
+    typename Schema::Record rec;
+    std::optional<RejectReason> why =
+        Schema::get(read_row<Schema>(cols, row), key, options, rec);
+    if (!why && !push(rec)) why = RejectReason::kDuplicate;
+    if (why) rejects.push_back({row, key, *why});
+  }
+}
+
+/// Decode every row into `builder`; returns the rejects in row order.
+/// Echo decodes each probe as one task on `exec`: a serial pre-pass
+/// declares the items in group order (first appearance), lists each item's
+/// groups in file order and reserves its summed rows once; each task then
+/// pushes its item's rows through push_at(), which touches that item
+/// alone. Assoc decodes all rows as one task on the caller.
+template <class Schema>
+std::vector<RowReject> decode_rows(const RowCols<Schema>& cols,
+                                   const ColView& keys, const ColView& counts,
+                                   std::uint64_t groups,
+                                   const ReaderOptions& options,
+                                   typename Schema::Builder& builder,
+                                   core::ShardExecutor* exec) {
+  auto key_of = [&](std::uint64_t g) { return std::uint32_t(keys.at(g, 4)); };
+  std::vector<std::vector<RowReject>> found(exec ? exec->thread_count() : 1);
+  if constexpr (Schema::kItemTasks) {
+    // Item i's groups are order[first[i], first[i + 1]), in file order.
+    std::vector<std::size_t> item_of(groups);
+    std::vector<std::uint64_t> group_row(groups);
+    std::uint64_t row = 0;
+    for (std::uint64_t g = 0; g < groups; ++g) {
+      item_of[g] = builder.slot(key_of(g));
+      group_row[g] = row;
+      row += counts.at(g, 8);
+    }
+    const std::size_t items = builder.items().size();
+    std::vector<std::size_t> first(items + 1, 0);
+    std::vector<std::uint64_t> item_rows(items, 0);
+    for (std::uint64_t g = 0; g < groups; ++g) {
+      ++first[item_of[g] + 1];
+      item_rows[item_of[g]] += counts.at(g, 8);
+    }
+    for (std::size_t i = 0; i < items; ++i) {
+      first[i + 1] += first[i];
+      auto& records = builder.items()[i].records;
+      records.reserve(records.size() + item_rows[i]);
+    }
+    std::vector<std::uint64_t> order(groups);
+    std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+    for (std::uint64_t g = 0; g < groups; ++g) order[fill[item_of[g]]++] = g;
+
+    run_tasks(exec, items, [&](unsigned lane, std::size_t i) {
+      auto push = [&](const typename Schema::Record& rec) {
+        return builder.push_at(i, rec);
+      };
+      for (std::size_t k = first[i]; k < first[i + 1]; ++k) {
+        const std::uint64_t g = order[k];
+        decode_group<Schema>(cols, group_row[g], counts.at(g, 8), key_of(g),
+                             options, push, found[lane]);
+      }
+    });
+  } else {
+    auto push = [&](const typename Schema::Record& rec) {
+      return builder.push(rec);
+    };
+    std::uint64_t row = 0;
+    for (std::uint64_t g = 0; g < groups; ++g) {
+      const std::uint64_t n = counts.at(g, 8);
+      // Reserve for the group's rows, but geometrically: a key repeated
+      // over many small groups must not reallocate per group.
+      auto& records = builder.declare(key_of(g)).records;
+      if (records.capacity() - records.size() < n)
+        records.reserve(std::max(records.size() + n, 2 * records.capacity()));
+      decode_group<Schema>(cols, row, n, key_of(g), options, push, found[0]);
+      row += n;
+    }
+  }
+  std::vector<RowReject> rejects = std::move(found[0]);
+  for (std::size_t lane = 1; lane < found.size(); ++lane)
+    rejects.insert(rejects.end(), found[lane].begin(), found[lane].end());
+  std::sort(rejects.begin(), rejects.end(),
+            [](const RowReject& a, const RowReject& b) { return a.row < b.row; });
+  return rejects;
+}
+
+template <class Schema>
 Expected<std::vector<typename Schema::Item>> decode(
-    std::string_view bytes, const ReaderOptions& options, IngestStats* stats) {
+    std::string_view bytes, const ReaderOptions& options, IngestStats* stats,
+    core::ShardExecutor* exec) {
   const std::string context =
       "load " + std::string(Schema::kName) + " columnar batch";
   constexpr auto& kRows = Schema::kRows;
@@ -394,8 +562,8 @@ Expected<std::vector<typename Schema::Item>> decode(
   // table order, and the group row counts must tile the rows.
   Batch batch;
   ColView keys, counts, tags;
-  std::array<ColView, kRows.size()> cols;
-  Status st = parse_structure(bytes, Schema::kKind, batch);
+  RowCols<Schema> cols;
+  Status st = parse_structure(bytes, Schema::kKind, batch, exec);
   if (st.ok())
     st = find_column(batch, Schema::kGroupKey, batch.groups, 4, keys);
   if (st.ok()) st = find_column(batch, kColGroupRows, batch.groups, 8, counts);
@@ -426,27 +594,22 @@ Expected<std::vector<typename Schema::Item>> decode(
       return data_loss("tag table has trailing bytes").with_context(context);
   }
 
-  // Every row is classified by the schema's get, then pushed into the
-  // builder under its duplicate rule.
-  std::uint64_t row = 0;
-  typename Schema::Row values{};
-  for (std::uint64_t g = 0; g < batch.groups && !ledger.tripped(); ++g) {
-    const std::uint32_t key = std::uint32_t(keys.at(g, 4));
-    const std::uint64_t n = counts.at(g, 8);
-    auto& records = builder.declare(key).records;
-    records.reserve(records.size() + n);
-    for (std::uint64_t k = 0; k < n && !ledger.tripped(); ++k, ++row) {
-      ledger.count_unit();
-      ledger.count_data();
-      for (std::size_t c = 0; c < kRows.size(); ++c)
-        values[c] = cols[c].at(row, kRows[c].width);
-      typename Schema::Record rec;
-      std::optional<RejectReason> why = Schema::get(values, key, options, rec);
-      if (!why && !builder.push(rec)) why = RejectReason::kDuplicate;
-      if (why) {
-        ledger.reject(*why, Schema::text(values, key), row + 1);
-        continue;
-      }
+  const std::vector<RowReject> rejects = decode_rows<Schema>(
+      cols, keys, counts, batch.groups, options, builder, exec);
+
+  // The replay: every row through the ledger in row order, accepted or
+  // rejected as its task found it, stopping where a trip stops it — so the
+  // stats, counters, quarantine and Status are the serial loop's.
+  auto next = rejects.begin();
+  for (std::uint64_t row = 0; row < batch.rows && !ledger.tripped(); ++row) {
+    ledger.count_unit();
+    ledger.count_data();
+    if (next != rejects.end() && next->row == row) {
+      ledger.reject(next->reason,
+                    Schema::text(read_row<Schema>(cols, row), next->key),
+                    row + 1);
+      ++next;
+    } else {
       ledger.accept();
     }
   }
@@ -547,8 +710,8 @@ class MappedBytes {
 
 template <class Schema>
 Expected<std::vector<typename Schema::Item>> load_file(
-    const std::string& path, const ReaderOptions& options,
-    IngestStats* stats) {
+    const std::string& path, const ReaderOptions& options, IngestStats* stats,
+    core::ShardExecutor* exec) {
   std::error_code ec;
   if (std::filesystem::is_directory(path, ec))
     return Status(StatusCode::kInvalidArgument,
@@ -558,7 +721,7 @@ Expected<std::vector<typename Schema::Item>> load_file(
   if (is_columnar_path(path)) {
     auto mapped = MappedBytes::open(path);
     if (!mapped.ok()) return mapped.status();
-    return decode<Schema>(mapped.value().view(), ropts, stats);
+    return decode<Schema>(mapped.value().view(), ropts, stats, exec);
   }
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open())
@@ -593,27 +756,39 @@ Status write_assoc_columnar(const std::string& path,
 }
 
 Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
-    std::string_view bytes, const ReaderOptions& options,
-    IngestStats* stats) {
-  return decode<EchoColumns>(bytes, options, stats);
+    std::string_view bytes, const ReaderOptions& options, IngestStats* stats,
+    core::ShardExecutor* exec) {
+  return decode<EchoColumns>(bytes, options, stats, exec);
 }
 
 Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
-    std::string_view bytes, const ReaderOptions& options,
-    IngestStats* stats) {
-  return decode<AssocColumns>(bytes, options, stats);
+    std::string_view bytes, const ReaderOptions& options, IngestStats* stats,
+    core::ShardExecutor* exec) {
+  return decode<AssocColumns>(bytes, options, stats, exec);
+}
+
+Expected<std::vector<atlas::ProbeSeries>> load_echo_file(
+    const std::string& path, const ReaderOptions& options, IngestStats* stats,
+    core::ShardExecutor* exec) {
+  return load_file<EchoColumns>(path, options, stats, exec);
+}
+
+Expected<std::vector<cdn::AssociationLog>> load_assoc_file(
+    const std::string& path, const ReaderOptions& options, IngestStats* stats,
+    core::ShardExecutor* exec) {
+  return load_file<AssocColumns>(path, options, stats, exec);
 }
 
 Expected<std::vector<atlas::ProbeSeries>> load_echo_file(
     const std::string& path, const ReaderOptions& options,
     IngestStats* stats) {
-  return load_file<EchoColumns>(path, options, stats);
+  return load_file<EchoColumns>(path, options, stats, nullptr);
 }
 
 Expected<std::vector<cdn::AssociationLog>> load_assoc_file(
     const std::string& path, const ReaderOptions& options,
     IngestStats* stats) {
-  return load_file<AssocColumns>(path, options, stats);
+  return load_file<AssocColumns>(path, options, stats, nullptr);
 }
 
 }  // namespace dynamips::io

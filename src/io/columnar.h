@@ -55,6 +55,22 @@
 // one generic decoder run over those tables. The assoc schema deliberately
 // matches the CSV schema — no subscriber column — so columnar and CSV
 // exports of the same dataset carry identical information.
+//
+// Threads: the decoders and load_*_file take an optional
+// core::ShardExecutor; without one the same tasks run on the caller. The
+// column CRCs are one task each (largest first on several threads) and are
+// checked afterwards in directory order, so the first bad column named does
+// not depend on the thread count. Echo rows decode one probe per task: a serial pre-pass over
+// the group table declares the probes in group order (first appearance),
+// lists each probe's groups in file order and reserves its rows once, and
+// each task pushes its probe's rows under that probe's duplicate set alone,
+// noting its rejects. Assoc rows decode as one task, since a record joins
+// the log of its asn6 and the adjacent-duplicate rule compares rows across
+// groups. A serial replay then walks the rows in order through the one
+// reject ledger, accepting or rejecting each as its task found it and
+// stopping where a trip stops it, so the stats, `first_rejects`,
+// quarantine bytes, `ingest.*` counters and Status are those of a
+// row-by-row loop.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +82,10 @@
 #include "cdn/rum.h"
 #include "core/status.h"
 #include "io/readers.h"
+
+namespace dynamips::core {
+class ShardExecutor;
+}
 
 namespace dynamips::io {
 
@@ -105,12 +125,14 @@ core::Status write_assoc_columnar(
 /// duplicates) go through the shared reject classification and error
 /// budget exactly like CSV line rejects. `source_label` is the quarantine
 /// source column (typically the file path).
+/// With `exec`, the decode runs on its threads (see the header comment);
+/// the result is the same with or without it, at any thread count.
 core::Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(
     std::string_view bytes, const ReaderOptions& options = {},
-    IngestStats* stats = nullptr);
+    IngestStats* stats = nullptr, core::ShardExecutor* exec = nullptr);
 core::Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
     std::string_view bytes, const ReaderOptions& options = {},
-    IngestStats* stats = nullptr);
+    IngestStats* stats = nullptr, core::ShardExecutor* exec = nullptr);
 
 // -------------------------------------------------------------- dispatch
 
@@ -119,7 +141,16 @@ core::Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
 /// driver load every input through, so `.col` batches ride alongside
 /// `.csv` everywhere files are accepted. A `.col` file is memory-mapped on
 /// POSIX where it can be; the mapping does not outlive the call. A
-/// directory is kInvalidArgument and a failed read kInternal.
+/// directory is kInvalidArgument and a failed read kInternal. With `exec`,
+/// a `.col` file decodes on its threads; the CSV readers ignore it.
+core::Expected<std::vector<atlas::ProbeSeries>> load_echo_file(
+    const std::string& path, const ReaderOptions& options,
+    IngestStats* stats, core::ShardExecutor* exec);
+core::Expected<std::vector<cdn::AssociationLog>> load_assoc_file(
+    const std::string& path, const ReaderOptions& options,
+    IngestStats* stats, core::ShardExecutor* exec);
+/// The same with no executor. An overload rather than a default argument,
+/// so these still bind to a three-argument function pointer.
 core::Expected<std::vector<atlas::ProbeSeries>> load_echo_file(
     const std::string& path, const ReaderOptions& options = {},
     IngestStats* stats = nullptr);

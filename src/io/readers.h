@@ -78,6 +78,8 @@ struct RejectedLine {
   std::uint64_t line_number = 0;  ///< 1-based physical line in the stream
   RejectReason reason = RejectReason::kBadFieldCount;
   std::string text;  ///< truncated to kKeepTextBytes
+
+  bool operator==(const RejectedLine&) const = default;
 };
 
 /// How many offending lines a load keeps verbatim for its failure Status.
@@ -158,6 +160,8 @@ struct IngestStats {
 
   /// Aggregate another pass (e.g. a second input file).
   void merge(const IngestStats& other);
+
+  bool operator==(const IngestStats&) const = default;
 
   /// One human-readable line, e.g.
   /// "1204 records, 7 rejected (3 bad_address, 4 duplicate), 7 quarantined".
@@ -324,7 +328,7 @@ class DatasetBuilder {
       : dedup_adjacent_(options.assoc_dedup_adjacent) {}
   /// Continue an existing dataset (merge_*_datasets).
   explicit DatasetBuilder(std::vector<Item>&& items)
-      : items_(std::move(items)), unsorted_(items_.size(), false) {
+      : items_(std::move(items)), unsorted_(items_.size(), 0) {
     if constexpr (kEcho) seams_.resize(items_.size());
     for (std::size_t i = 0; i < items_.size(); ++i)
       index_.emplace(Schema::key(items_[i]), i);
@@ -340,21 +344,46 @@ class DatasetBuilder {
     if (have.empty()) have = std::move(tags);
   }
 
+  /// Index of the item for `key`, appended empty on first sight; caches
+  /// the last one, since consecutive records usually share an item.
+  std::size_t slot(Key key) {
+    if (last_slot_ < items_.size() && Schema::key(items_[last_slot_]) == key)
+      return last_slot_;
+    auto [it, fresh] = index_.try_emplace(key, items_.size());
+    if (fresh) {
+      Schema::key(items_.emplace_back()) = key;
+      unsorted_.push_back(0);
+      if constexpr (kEcho) seams_.emplace_back();
+    }
+    return last_slot_ = it->second;
+  }
+
   /// Append `rec` to its item, declaring the item; false, and nothing
   /// appended, when `rec` is a duplicate.
   bool push(const Record& rec) {
     const std::size_t at = slot(Schema::key(rec));
+    if constexpr (!kEcho) {
+      if (dedup_adjacent_) {
+        if (last_ && last_->day == rec.day && last_->v4_24 == rec.v4_24 &&
+            last_->v6_64 == rec.v6_64 && last_->asn4 == rec.asn4 &&
+            last_->asn6 == rec.asn6)
+          return false;
+        last_ = rec;
+      }
+    }
+    return push_at(at, rec);
+  }
+
+  /// push() into item `at` (a slot() index, `rec`'s item), under the
+  /// item's own rule: the echo duplicate set. The assoc adjacent rule spans
+  /// items and is push()'s alone. Touches no state but item `at`'s, so
+  /// pushes to different items may run on different threads.
+  bool push_at(std::size_t at, const Record& rec) {
     if constexpr (kEcho) {
       if (!admit_echo(at, rec)) return false;
-    } else if (dedup_adjacent_) {
-      if (last_ && last_->day == rec.day && last_->v4_24 == rec.v4_24 &&
-          last_->v6_64 == rec.v6_64 && last_->asn4 == rec.asn4 &&
-          last_->asn6 == rec.asn6)
-        return false;
-      last_ = rec;
     }
     auto& records = items_[at].records;
-    if (!records.empty() && by_time(rec, records.back())) unsorted_[at] = true;
+    if (!records.empty() && by_time(rec, records.back())) unsorted_[at] = 1;
     records.push_back(rec);
     return true;
   }
@@ -438,20 +467,6 @@ class DatasetBuilder {
     return seam.exact->insert(key).second;
   }
 
-  /// Index of the item for `key`; caches the last one, since consecutive
-  /// records usually share an item.
-  std::size_t slot(Key key) {
-    if (last_slot_ < items_.size() && Schema::key(items_[last_slot_]) == key)
-      return last_slot_;
-    auto [it, fresh] = index_.try_emplace(key, items_.size());
-    if (fresh) {
-      Schema::key(items_.emplace_back()) = key;
-      unsorted_.push_back(false);
-      if constexpr (kEcho) seams_.emplace_back();
-    }
-    return last_slot_ = it->second;
-  }
-
   /// Echo, per item: one past the last hour admitted at the seam, per
   /// family (0: none yet), and the exact key set once a record went back
   /// in time.
@@ -461,8 +476,10 @@ class DatasetBuilder {
   };
 
   std::vector<Item> items_;
-  // Per item: whether a push put it out of time order, for take().
-  std::vector<bool> unsorted_;
+  // Per item: whether a push put it out of time order, for take(). A byte
+  // each, not std::vector<bool>'s shared words, so push_at() on different
+  // items never writes the same memory.
+  std::vector<std::uint8_t> unsorted_;
   std::vector<Seam> seams_;  // echo only, per item
   std::unordered_map<Key, std::size_t> index_;
   std::size_t last_slot_ = std::size_t(-1);

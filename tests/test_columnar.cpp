@@ -5,13 +5,15 @@
 // bytes, truncations, kind/version skew — kDataLoss/kFailedPrecondition,
 // never a crash), and the shared row-level error budget: columnar decode
 // failures count against the same RejectLedger budgets as CSV line
-// rejects.
+// rejects. Decoding on an executor gives the same result, accounting and
+// Status as decoding on the caller, at every thread count.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
+#include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -30,12 +32,14 @@
 #include "atlas/generator.h"
 #include "cdn/generator.h"
 #include "core/intern.h"
+#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "io/checkpoint.h"
 #include "io/columnar.h"
 #include "io/csv.h"
 #include "io/readers.h"
 #include "io/results_io.h"
+#include "obs/metrics.h"
 #include "simnet/isp.h"
 
 namespace dynamips {
@@ -56,7 +60,7 @@ void write_raw(const std::string& path, const std::string& bytes) {
 /// CRCs, so the batch passes the structural checks and reaches row decode.
 void patch_column(
     std::string& bytes, std::string_view tag,
-    std::initializer_list<std::pair<std::size_t, std::uint8_t>> edits) {
+    const std::vector<std::pair<std::size_t, std::uint8_t>>& edits) {
   auto u64_at = [&](std::size_t off) {
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i)
@@ -201,6 +205,60 @@ TEST(ColumnarCodec, EmptyDatasetsRoundTrip) {
 // ckpt::crc32 (IEEE/zlib) so one checksum convention covers the whole
 // persistence layer. Verify by recomputing a directory entry's CRC with
 // the checkpoint codec's reference implementation.
+// A key repeated over many groups decodes in linear time: 80,000 one-row
+// groups of one probe, and of one ASN. Reserving each group's rows
+// exactly, per group, once made this quadratic (~30 s); a linear decode
+// takes milliseconds.
+TEST(ColumnarCodec, KeyRepeatedOverManyGroupsDecodesInLinearTime) {
+  constexpr std::uint32_t kGroups = 80000;
+  std::vector<atlas::ProbeSeries> echo(kGroups);
+  std::vector<cdn::AssociationLog> assoc(kGroups);
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    atlas::EchoRecord rec;
+    rec.probe_id = echo[g].meta.probe_id = 42;
+    rec.hour = g / 2;
+    rec.family = g % 2 ? atlas::Family::kV6 : atlas::Family::kV4;
+    echo[g].records.push_back(rec);
+    cdn::AssociationRecord tuple;
+    tuple.day = g;
+    tuple.asn4 = tuple.asn6 = assoc[g].asn = 7;
+    assoc[g].records.push_back(tuple);
+  }
+  io::ReaderOptions opts;
+  opts.max_day = kGroups;
+  const std::string echo_bytes = io::encode_echo_columnar(echo);
+  const std::string assoc_bytes = io::encode_assoc_columnar(assoc);
+  auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+
+  auto t0 = std::chrono::steady_clock::now();
+  auto probes = io::decode_echo_columnar(echo_bytes, opts);
+  EXPECT_LT(seconds_since(t0), 2.0);
+  ASSERT_TRUE(probes.ok()) << probes.status().to_string();
+  ASSERT_EQ(probes->size(), 1u);
+  const auto& records = (*probes)[0].records;
+  ASSERT_EQ(records.size(), kGroups);
+  bool intact = true;
+  for (std::uint32_t g = 0; g < kGroups; ++g)
+    intact = intact && records[g].probe_id == 42 && records[g].hour == g / 2 &&
+             records[g].family == echo[g].records[0].family;
+  EXPECT_TRUE(intact);
+
+  t0 = std::chrono::steady_clock::now();
+  auto logs = io::decode_assoc_columnar(assoc_bytes, opts);
+  EXPECT_LT(seconds_since(t0), 2.0);
+  ASSERT_TRUE(logs.ok()) << logs.status().to_string();
+  ASSERT_EQ(logs->size(), 1u);
+  const auto& tuples = (*logs)[0].records;
+  ASSERT_EQ(tuples.size(), kGroups);
+  intact = true;
+  for (std::uint32_t g = 0; g < kGroups; ++g)
+    intact = intact && tuples[g].day == g && tuples[g].asn6 == 7;
+  EXPECT_TRUE(intact);
+}
+
 TEST(ColumnarCodec, ColumnCrcsMatchCheckpointCrc32) {
   auto dataset = echo_fixture(0.02);
   std::string bytes = io::encode_echo_columnar(dataset);
@@ -751,6 +809,238 @@ TEST(ColumnarBudget, EchoDuplicateRuleMatchesCsvReader) {
       {3, F::kV4}, {3, F::kV6}, {4, F::kV4}, {4, F::kV6}, {5, F::kV4},
       {5, F::kV6}, {6, F::kV4}, {6, F::kV6}};
   EXPECT_EQ(probe42, sorted);
+}
+
+// ------------------------------------------------ thread-count identity
+//
+// A batch decodes with no executor, or on one with 1 or 4 threads: the
+// column CRCs are parallel tasks, echo probes decode one per task, and the
+// rejects are replayed in row order. Each decode must report the same
+// Status text, every IngestStats field (first_rejects included), the same
+// quarantine bytes and ingest.* counters, and the same dataset.
+
+/// Everything one decode reports.
+struct Decoded {
+  std::string status;
+  std::string dataset;  // re-encoded, when the batch loaded
+  std::string quarantine;
+  std::string counters;  // "name=value" lines
+  io::IngestStats stats;
+};
+
+template <class Decode, class Encode>
+Decoded decode_once(const std::string& bytes, io::ReaderOptions opts,
+                    core::ShardExecutor* exec, Decode decode, Encode encode) {
+  Decoded out;
+  std::ostringstream quarantine;
+  obs::MetricsSink metrics;
+  opts.quarantine = &quarantine;
+  opts.metrics = &metrics;
+  opts.source_label = "batch.col";
+  auto data = decode(bytes, opts, &out.stats, exec);
+  out.status = data.status().to_string();
+  if (data.ok()) out.dataset = encode(*data);
+  out.quarantine = quarantine.str();
+  for (const auto& [name, counter] : metrics.counters())
+    out.counters += name + "=" + std::to_string(counter.value) + "\n";
+  return out;
+}
+
+core::ShardExecutor& pool(unsigned threads) {
+  static core::ShardExecutor one(1), four(4);
+  return threads == 1 ? one : four;
+}
+
+/// Decode `bytes` with no executor, then on 1 and on 4 threads, expecting
+/// the same report each time; returns the first.
+template <class Decode, class Encode>
+Decoded expect_thread_invariant(const std::string& bytes,
+                                const io::ReaderOptions& opts, Decode decode,
+                                Encode encode, const std::string& what) {
+  const Decoded serial = decode_once(bytes, opts, nullptr, decode, encode);
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(what + " on " + std::to_string(threads) + " threads");
+    const Decoded got =
+        decode_once(bytes, opts, &pool(threads), decode, encode);
+    EXPECT_EQ(got.status, serial.status);
+    EXPECT_TRUE(got.dataset == serial.dataset);
+    EXPECT_EQ(got.quarantine, serial.quarantine);
+    EXPECT_EQ(got.counters, serial.counters);
+    EXPECT_TRUE(got.stats == serial.stats)
+        << got.stats.summary() << " vs " << serial.stats.summary();
+  }
+  return serial;
+}
+
+const auto decode_echo = [](auto&&... a) {
+  return io::decode_echo_columnar(a...);
+};
+const auto encode_echo = [](const auto& d) {
+  return io::encode_echo_columnar(d);
+};
+const auto decode_assoc = [](auto&&... a) {
+  return io::decode_assoc_columnar(a...);
+};
+const auto encode_assoc = [](const auto& d) {
+  return io::encode_assoc_columnar(d);
+};
+
+/// Seed `seed`'s error budget: loose, tripped by a run of rejects, or
+/// tripped by the reject fraction (the last two only when the batch has
+/// enough rejects).
+io::ReaderOptions seeded_budget(std::uint64_t seed) {
+  io::ReaderOptions opts;
+  opts.max_hour = 1000;
+  opts.max_day = 500;
+  opts.assoc_dedup_adjacent = seed % 2 == 0;
+  opts.max_reject_fraction = 1.0;
+  opts.max_consecutive_rejects = 1000000;
+  if (seed % 3 == 1) opts.max_consecutive_rejects = seed % 4;
+  if (seed % 3 == 2) opts.max_reject_fraction = 0.05;
+  return opts;
+}
+
+/// A seeded echo batch: probes from a pool of five, repeated over
+/// non-adjacent groups; hours that mostly move forward but go back in
+/// time, repeat or pass `max_hour`; and a few rows of an invalid family.
+std::string random_echo_batch(std::uint64_t seed, std::uint64_t max_hour) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&](std::uint64_t n) { return rng() % n; };
+  std::vector<atlas::ProbeSeries> groups(1 + pick(12));
+  std::uint64_t rows = 0;
+  for (auto& group : groups) {
+    group.meta.probe_id = 100 + std::uint32_t(pick(5));
+    if (pick(3) == 0)
+      group.meta.tags = {
+          core::tag_pool().intern("tag" + std::to_string(pick(3)))};
+    std::uint64_t hour = pick(max_hour / 2);
+    for (std::uint64_t n = pick(40); n > 0; --n, ++rows) {
+      atlas::EchoRecord rec;
+      rec.probe_id = group.meta.probe_id;
+      switch (pick(10)) {
+        case 0: hour = pick(hour + 1); break;  // back in time
+        case 1: break;                         // the same hour again
+        default: hour += 1 + pick(3);
+      }
+      rec.hour = pick(12) == 0 ? max_hour + 1 + pick(5) : hour;
+      rec.family = pick(2) ? atlas::Family::kV6 : atlas::Family::kV4;
+      rec.x_client_ip4 = net::IPv4Address(std::uint32_t(rng()));
+      rec.src_addr4 = net::IPv4Address(std::uint32_t(rng()));
+      rec.x_client_ip6 = net::IPv6Address(rng(), rng());
+      rec.src_addr6 = net::IPv6Address(rng(), rng());
+      group.records.push_back(rec);
+    }
+  }
+  std::string bytes = io::encode_echo_columnar(groups);
+  std::vector<std::pair<std::size_t, std::uint8_t>> bad_family;
+  for (std::uint64_t r = 0; r < rows; ++r)
+    if (pick(25) == 0) bad_family.emplace_back(r, 7);
+  if (!bad_family.empty()) patch_column(bytes, "FAM_", bad_family);
+  return bytes;
+}
+
+/// A seeded assoc batch: groups of three ASNs whose records sometimes
+/// belong to another (asn6), days that pass `max_day`, adjacent repeats,
+/// and a few rows of an invalid v4 prefix length.
+std::string random_assoc_batch(std::uint64_t seed, std::uint32_t max_day) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&](std::uint64_t n) { return rng() % n; };
+  std::vector<cdn::AssociationLog> groups(1 + pick(8));
+  std::uint64_t rows = 0;
+  for (auto& group : groups) {
+    group.asn = 7 + std::uint32_t(pick(3));
+    cdn::AssociationRecord rec;
+    for (std::uint64_t n = pick(40); n > 0; --n, ++rows) {
+      if (pick(6) != 0) {  // else an adjacent repeat
+        rec.day = pick(12) == 0 ? max_day + 1 : std::uint32_t(pick(max_day));
+        rec.v4_24 = net::Prefix4(net::IPv4Address(std::uint32_t(rng())), 24);
+        rec.v6_64 = net::Prefix6(net::IPv6Address(rng(), 0), 64);
+        rec.asn4 = group.asn;
+        rec.asn6 = pick(5) == 0 ? 7 + std::uint32_t(pick(3)) : group.asn;
+      }
+      group.records.push_back(rec);
+    }
+  }
+  std::string bytes = io::encode_assoc_columnar(groups);
+  std::vector<std::pair<std::size_t, std::uint8_t>> bad_length;
+  for (std::uint64_t r = 0; r < rows; ++r)
+    if (pick(25) == 0) bad_length.emplace_back(r, 33);
+  if (!bad_length.empty()) patch_column(bytes, "V4L_", bad_length);
+  return bytes;
+}
+
+TEST(ColumnarThreads, SeededEchoBatchesDecodeAlikeAtEveryThreadCount) {
+  int loaded = 0, refused = 0;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    const io::ReaderOptions opts = seeded_budget(seed);
+    const Decoded d =
+        expect_thread_invariant(random_echo_batch(seed, opts.max_hour), opts,
+                                decode_echo, encode_echo,
+                                "echo seed " + std::to_string(seed));
+    (d.status == "OK" ? loaded : refused)++;
+  }
+  EXPECT_GT(loaded, 50);
+  EXPECT_GT(refused, 50);
+  expect_thread_invariant(io::encode_echo_columnar(echo_fixture(0.02)), {},
+                          decode_echo, encode_echo, "echo fixture");
+}
+
+TEST(ColumnarThreads, SeededAssocBatchesDecodeAlikeAtEveryThreadCount) {
+  int loaded = 0, refused = 0;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    const io::ReaderOptions opts = seeded_budget(seed);
+    const Decoded d =
+        expect_thread_invariant(random_assoc_batch(seed, opts.max_day), opts,
+                                decode_assoc, encode_assoc,
+                                "assoc seed " + std::to_string(seed));
+    (d.status == "OK" ? loaded : refused)++;
+  }
+  EXPECT_GT(loaded, 50);
+  EXPECT_GT(refused, 50);
+}
+
+// With two damaged columns the first in directory order is named, at every
+// thread count, although on several threads the larger, later column's CRC
+// runs first.
+TEST(ColumnarThreads, FirstDamagedColumnInDirectoryOrderIsNamed) {
+  const std::string clean = io::encode_echo_columnar(echo_fixture(0.02));
+  const auto dir = directory(clean);
+  auto index_of = [&](std::string_view tag) {
+    for (std::size_t c = 0; c < dir.size(); ++c)
+      if (io::ckpt::fourcc_name(dir[c].first) == tag) return c;
+    ADD_FAILURE() << "no column " << tag;
+    return std::size_t(0);
+  };
+  // Flip the first payload byte of `tag`, leaving its CRC stale.
+  auto damage = [&](std::string& bytes, std::string_view tag) {
+    const char* entry = clean.data() + 36 + index_of(tag) * 24;
+    bytes[io::ckpt::load_le64(entry + 4)] ^= 0x01;
+  };
+  // Point `tag` past the end of the file, the header CRC re-sealed.
+  auto overrun = [&](std::string& bytes, std::string_view tag) {
+    const std::size_t c = index_of(tag);
+    patch_entry(bytes, c, dir[c].first, bytes.size());
+  };
+  auto expect_named = [&](const std::string& bytes, const std::string& want) {
+    const Decoded d = expect_thread_invariant(bytes, {}, decode_echo,
+                                              encode_echo, want);
+    EXPECT_NE(d.status.find(want), std::string::npos) << d.status;
+  };
+
+  std::string two_crcs = clean;
+  damage(two_crcs, "FAM_");
+  damage(two_crcs, "S6LO");
+  expect_named(two_crcs, "column FAM_ checksum mismatch");
+
+  std::string crc_then_bounds = clean;
+  damage(crc_then_bounds, "HOUR");
+  overrun(crc_then_bounds, "X6LO");
+  expect_named(crc_then_bounds, "column HOUR checksum mismatch");
+
+  std::string bounds_then_crc = clean;
+  overrun(bounds_then_crc, "X4__");
+  damage(bounds_then_crc, "S6HI");
+  expect_named(bounds_then_crc, "column X4__ is out of bounds");
 }
 
 // --------------------------------------- end-to-end study byte-identity
