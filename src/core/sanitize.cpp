@@ -128,38 +128,37 @@ std::vector<CleanProbe> Sanitizer::sanitize(const ProbeObservations& probe) {
     }
   }
 
-  struct Tagged {
-    Hour hour;
-    bgp::Asn asn;
-  };
-  ArenaVector<Tagged> tagged{ArenaAllocator<Tagged>(arena_)};
-  tagged.reserve(v4.size() + probe.v6.size());
-  for (std::size_t i = 0; i < v4.size(); ++i)
-    tagged.push_back({v4[i].hour, asn4[i]});
-  for (std::size_t i = 0; i < probe.v6.size(); ++i)
-    tagged.push_back({probe.v6[i].hour, asn6[i]});
-  std::sort(tagged.begin(), tagged.end(),
-            [](const Tagged& a, const Tagged& b) { return a.hour < b.hour; });
-  // Drop unrouted observations (addresses outside any announcement).
-  tagged.erase(std::remove_if(tagged.begin(), tagged.end(),
-                              [](const Tagged& t) { return t.asn == 0; }),
-               tagged.end());
-  if (tagged.empty()) {
-    ++stats_.dropped_short;
-    return {};
-  }
-
+  // Each family is hour-ordered (ProbeObservations), so one linear merge
+  // gives the chronological sequence; at equal hours v4 comes first.
+  // Unrouted observations (addresses outside any announcement) are skipped.
   struct Run {
     bgp::Asn asn;
     Hour first, last;
   };
   ArenaVector<Run> runs{ArenaAllocator<Run>(arena_)};
-  for (const auto& t : tagged) {
-    if (runs.empty() || runs.back().asn != t.asn) {
-      runs.push_back({t.asn, t.hour, t.hour});
+  auto extend = [&runs](Hour hour, bgp::Asn asn) {
+    if (asn == 0) return;
+    if (runs.empty() || runs.back().asn != asn) {
+      runs.push_back({asn, hour, hour});
     } else {
-      runs.back().last = t.hour;
+      runs.back().last = hour;
     }
+  };
+  std::size_t i4 = 0, i6 = 0;
+  while (i4 < v4.size() && i6 < probe.v6.size()) {
+    if (probe.v6[i6].hour < v4[i4].hour) {
+      extend(probe.v6[i6].hour, asn6[i6]);
+      ++i6;
+    } else {
+      extend(v4[i4].hour, asn4[i4]);
+      ++i4;
+    }
+  }
+  for (; i4 < v4.size(); ++i4) extend(v4[i4].hour, asn4[i4]);
+  for (; i6 < probe.v6.size(); ++i6) extend(probe.v6[i6].hour, asn6[i6]);
+  if (runs.empty()) {
+    ++stats_.dropped_short;
+    return {};
   }
   if (int(runs.size()) > options_.max_as_runs) {
     ++stats_.dropped_multihomed;

@@ -112,6 +112,8 @@ class Sanitizer {
 
   /// Sanitize one probe. Returns zero CleanProbes when fully filtered, one
   /// for a typical probe, several for a probe that moved between ASes.
+  /// `probe.v4` and `probe.v6` must each be hour-ordered, as from_series()
+  /// leaves them; the AS runs follow their merge, v4 first at equal hours.
   std::vector<CleanProbe> sanitize(const ProbeObservations& probe);
 
   /// Absorb another sanitizer's filter accounting (shard reduction).

@@ -9,6 +9,7 @@
 // Status as decoding on the caller, at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -301,23 +302,81 @@ TEST(ColumnarCodec, ColumnCrcsMatchCheckpointCrc32) {
 
 // ------------------------------------------------------ corruption safety
 
-// Flip a sample of single bytes across the file. Every flip must either be
-// rejected (kDataLoss for structural damage, kFailedPrecondition for
-// version/kind skew) or — only for bytes in CRC-free alignment padding —
-// decode to the identical dataset. Never a crash, never silently wrong.
+/// Field-by-field equality of two association datasets.
+::testing::AssertionResult same_assoc(
+    const std::vector<cdn::AssociationLog>& a,
+    const std::vector<cdn::AssociationLog>& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure()
+           << a.size() << " logs, want " << b.size();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].asn != b[i].asn || a[i].mobile != b[i].mobile ||
+        a[i].registry != b[i].registry ||
+        a[i].records.size() != b[i].records.size())
+      return ::testing::AssertionFailure() << "log " << i << " differs";
+    for (std::size_t r = 0; r < a[i].records.size(); ++r) {
+      const cdn::AssociationRecord& x = a[i].records[r];
+      const cdn::AssociationRecord& y = b[i].records[r];
+      if (x.day != y.day || !(x.v4_24 == y.v4_24) || !(x.v6_64 == y.v6_64) ||
+          x.asn4 != y.asn4 || x.asn6 != y.asn6 || x.subscriber != y.subscriber)
+        return ::testing::AssertionFailure()
+               << "log " << i << " record " << r << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Flip a sample of single bytes across the file, plus every alignment
+// padding byte. Every flip must either be rejected (kDataLoss for
+// structural damage, kFailedPrecondition for version/kind skew) or — only
+// for bytes in CRC-free alignment padding — decode to exactly the
+// reference dataset. Never a crash, never silently wrong. The fixture is
+// small, since every flip decodes the whole batch, but has several logs,
+// rows in every column and padding between columns.
 TEST(ColumnarCorruption, SampledByteFlipsNeverYieldWrongData) {
-  auto dataset = assoc_fixture(0.02);
+  auto dataset = assoc_fixture(0.002);
+  ASSERT_GE(dataset.size(), 3u);
   const std::string clean = io::encode_assoc_columnar(dataset);
   auto reference = io::decode_assoc_columnar(clean);
   ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(reference.value().size(), dataset.size());
+
+  // The directory (see patch_column): the padding is every byte between
+  // the header and the first column or between two columns.
+  auto u64_at = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+      v |= std::uint64_t(std::uint8_t(clean[off + std::size_t(i)]))
+           << (8 * i);
+    return v;
+  };
+  const std::uint32_t ncols = std::uint8_t(clean[32]);  // < 64 columns
+  std::vector<bool> padding(clean.size(), false);
+  std::size_t end = 36 + std::size_t(ncols) * 24 + 4;
+  for (std::uint32_t c = 0; c < ncols; ++c) {
+    const std::size_t entry = 36 + std::size_t(c) * 24;
+    const std::uint64_t offset = u64_at(entry + 4);
+    const std::uint64_t length = u64_at(entry + 12);
+    EXPECT_GT(length, 0u) << "column " << c;
+    ASSERT_GE(offset, end) << "column " << c;
+    for (std::size_t pos = end; pos < offset; ++pos) padding[pos] = true;
+    end = std::size_t(offset + length);
+  }
+  ASSERT_EQ(end, clean.size());
+  ASSERT_GT(std::count(padding.begin(), padding.end(), true), 0);
+
   const std::size_t stride = clean.size() > 4096 ? clean.size() / 4096 : 1;
-  for (std::size_t pos = 0; pos < clean.size(); pos += stride) {
+  std::size_t accepted = 0;
+  for (std::size_t pos = 0; pos < clean.size(); ++pos) {
+    if (pos % stride != 0 && !padding[pos]) continue;
     std::string bent = clean;
     bent[pos] = char(std::uint8_t(bent[pos]) ^ 0x20);
     auto out = io::decode_assoc_columnar(bent);
     if (out.ok()) {
       // Padding byte: tolerated, but the payload must be untouched.
-      ASSERT_EQ(out.value().size(), reference.value().size())
+      ++accepted;
+      EXPECT_TRUE(padding[pos]) << "flip at " << pos;
+      EXPECT_TRUE(same_assoc(out.value(), reference.value()))
           << "flip at " << pos;
       continue;
     }
@@ -325,6 +384,7 @@ TEST(ColumnarCorruption, SampledByteFlipsNeverYieldWrongData) {
                 out.status().code() == core::StatusCode::kFailedPrecondition)
         << "flip at " << pos << ": " << out.status().to_string();
   }
+  EXPECT_GT(accepted, 0u) << "no flip reached the dataset comparison";
 }
 
 TEST(ColumnarCorruption, EveryTruncationRejected) {

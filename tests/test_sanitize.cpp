@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "io/readers.h"
+
 namespace dynamips::core {
 namespace {
 
@@ -214,6 +224,374 @@ TEST(Sanitize, FromSeriesConversion) {
   EXPECT_FALSE(from_series(series).v4[0].src_public);
   series.records[0].src_addr4 = *IPv4Address::parse("8.8.8.8");
   EXPECT_TRUE(from_series(series).v4[0].src_public);
+}
+
+// ------------------------------------------------------ reference oracle
+//
+// A plain reference of Sanitizer::sanitize: the same filters and run
+// splitting, but both families are concatenated, std::stable_sort-ed by
+// (hour, v4 before v6), and every observation is attributed by its own RIB
+// lookup. The sanitizer's linear merge must agree with it on every probe.
+
+std::vector<CleanProbe> reference_sanitize(const bgp::Rib& rib,
+                                           const SanitizeOptions& opt,
+                                           const ProbeObservations& probe,
+                                           SanitizeStats& stats) {
+  ++stats.probes_seen;
+  for (TagId tag : probe.tags) {
+    const std::string& name = tag_pool().name_of(tag);
+    if (std::find(opt.bad_tags.begin(), opt.bad_tags.end(), name) !=
+        opt.bad_tags.end()) {
+      ++stats.dropped_bad_tag;
+      return {};
+    }
+  }
+  std::vector<Obs4> v4;
+  for (const Obs4& o : probe.v4) {
+    if (o.addr == atlas::ripe_test_address()) {
+      ++stats.test_address_records;
+    } else {
+      v4.push_back(o);
+    }
+  }
+  const std::vector<Obs6>& v6 = probe.v6;
+  if (!v4.empty()) {
+    const auto pub = std::count_if(v4.begin(), v4.end(),
+                                   [](const Obs4& o) { return o.src_public; });
+    if (double(pub) / double(v4.size()) > opt.public_src_threshold) {
+      ++stats.dropped_public_src;
+      return {};
+    }
+  }
+  if (!v6.empty()) {
+    const auto mism = std::count_if(
+        v6.begin(), v6.end(), [](const Obs6& o) { return !o.src_matches; });
+    if (double(mism) / double(v6.size()) > opt.v6_mismatch_threshold) {
+      ++stats.dropped_v6_mismatch;
+      return {};
+    }
+  }
+
+  struct Tagged {
+    Hour hour;
+    int family;  // 0 = v4, 1 = v6
+    bgp::Asn asn;
+  };
+  std::vector<Tagged> tagged;
+  for (const Obs4& o : v4) tagged.push_back({o.hour, 0, rib.asn_of(o.addr)});
+  for (const Obs6& o : v6) tagged.push_back({o.hour, 1, rib.asn_of(o.addr)});
+  std::stable_sort(tagged.begin(), tagged.end(),
+                   [](const Tagged& a, const Tagged& b) {
+                     return std::tie(a.hour, a.family) <
+                            std::tie(b.hour, b.family);
+                   });
+  std::erase_if(tagged, [](const Tagged& t) { return t.asn == 0; });
+  if (tagged.empty()) {
+    ++stats.dropped_short;
+    return {};
+  }
+  struct Run {
+    bgp::Asn asn;
+    Hour first, last;
+  };
+  std::vector<Run> runs;
+  for (const Tagged& t : tagged) {
+    if (runs.empty() || runs.back().asn != t.asn)
+      runs.push_back({t.asn, t.hour, t.hour});
+    runs.back().last = t.hour;
+  }
+  if (int(runs.size()) > opt.max_as_runs) {
+    ++stats.dropped_multihomed;
+    return {};
+  }
+
+  std::vector<CleanProbe> out;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& run = runs[i];
+    if (run.last - run.first < opt.min_observation_hours) {
+      ++stats.dropped_short;
+      continue;
+    }
+    CleanProbe cp;
+    cp.probe_id = probe.probe_id;
+    cp.virtual_index = int(i);
+    cp.asn = run.asn;
+    cp.first_hour = run.first;
+    cp.last_hour = run.last;
+    for (const Obs4& o : v4)
+      if (o.hour >= run.first && o.hour <= run.last &&
+          rib.asn_of(o.addr) == run.asn)
+        cp.v4.push_back(o);
+    for (const Obs6& o : v6)
+      if (o.hour >= run.first && o.hour <= run.last &&
+          rib.asn_of(o.addr) == run.asn)
+        cp.v6.push_back(o);
+    out.push_back(std::move(cp));
+  }
+  if (!out.empty()) {
+    ++stats.probes_kept;
+    stats.virtual_probes += out.size();
+    if (out.size() > 1) ++stats.split_probes;
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> stats_fields(SanitizeStats stats) {
+  std::vector<std::uint64_t> out;
+  auto collect = [&out](auto&... fields) { (out.push_back(fields), ...); };
+  stats.fields(collect);
+  return out;
+}
+
+void expect_same_probes(const std::vector<CleanProbe>& got,
+                        const std::vector<CleanProbe>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const CleanProbe& a = got[i];
+    const CleanProbe& b = want[i];
+    EXPECT_EQ(std::tie(a.probe_id, a.virtual_index, a.asn, a.first_hour,
+                       a.last_hour),
+              std::tie(b.probe_id, b.virtual_index, b.asn, b.first_hour,
+                       b.last_hour))
+        << what << " virtual probe " << i;
+    ASSERT_EQ(a.v4.size(), b.v4.size()) << what << " virtual probe " << i;
+    for (std::size_t j = 0; j < a.v4.size(); ++j)
+      EXPECT_TRUE(a.v4[j].hour == b.v4[j].hour &&
+                  a.v4[j].addr == b.v4[j].addr &&
+                  a.v4[j].src_public == b.v4[j].src_public)
+          << what << " v4 " << j;
+    ASSERT_EQ(a.v6.size(), b.v6.size()) << what << " virtual probe " << i;
+    for (std::size_t j = 0; j < a.v6.size(); ++j)
+      EXPECT_TRUE(a.v6[j].hour == b.v6[j].hour &&
+                  a.v6[j].addr == b.v6[j].addr &&
+                  a.v6[j].src_matches == b.v6[j].src_matches)
+          << what << " v6 " << j;
+  }
+}
+
+/// The shape of a random probe: which families it has and how its
+/// addresses move between AS100, AS200 and unrouted space.
+enum class Shape {
+  kDualStack,       ///< both families, one AS
+  kTieDisagree,     ///< a switch whose hour has v4 and v6 in different ASes
+  kUnrouted,        ///< unrouted blips in both families
+  kTestAddress,     ///< RIPE test address at the head of the v4 history
+  kV4Only,
+  kV6Only,
+  kEmpty,
+  kAlternating,     ///< AS100/AS200 alternation (multihomed)
+  kSwitch,          ///< one A->B switch at a random hour
+  kCount,
+};
+
+IPv4Address v4_in(bgp::Asn asn, std::uint32_t host) {
+  const std::uint32_t net = asn == 100 ? 10 : asn == 200 ? 20 : 99;
+  return IPv4Address((net << 24) | (host & 0xFFFFFF));
+}
+
+IPv6Address v6_in(bgp::Asn asn, std::uint64_t host) {
+  const std::uint64_t hi = asn == 100   ? 0x2001010000000000ULL
+                           : asn == 200 ? 0x2001020000000000ULL
+                                        : 0x3fff000000000000ULL;
+  return IPv6Address(hi | (host & 0xFFFF), host);
+}
+
+ProbeObservations random_probe(std::mt19937_64& rng, std::uint32_t id,
+                               Shape shape) {
+  ProbeObservations p;
+  p.probe_id = id;
+  p.tags = {tag_pool().intern("home")};
+  if (shape == Shape::kEmpty) return p;
+  auto coin = [&rng](double pr) {
+    return std::uniform_real_distribution<double>(0, 1)(rng) < pr;
+  };
+  const Hour span = 200 + rng() % 3000;
+  const Hour switch_at = rng() % (span + 1);
+  const bool v4_on = shape != Shape::kV6Only;
+  const bool v6_on = shape != Shape::kV4Only;
+  const bgp::Asn home = coin(0.5) ? 100 : 200;
+  const bgp::Asn other = home == 100 ? 200 : 100;
+  const Hour period = 1 + rng() % 40;
+  const bool every_hour = shape == Shape::kTieDisagree;
+  for (Hour h = 0; h < span; h += every_hour ? 1 : 1 + rng() % 3) {
+    for (int family = 0; family < 2; ++family) {
+      if (!(family == 0 ? v4_on : v6_on)) continue;
+      if (h != switch_at && coin(0.1)) continue;
+      bgp::Asn asn = home;
+      switch (shape) {
+        case Shape::kTieDisagree:
+          // One switch, where the families disagree at the switch hour.
+          asn = h < switch_at || (h == switch_at && family == 0) ? home
+                                                                 : other;
+          break;
+        case Shape::kUnrouted:
+          if (coin(0.05)) asn = 0;
+          break;
+        case Shape::kAlternating:
+          asn = (h / period) % 2 ? home : other;
+          break;
+        case Shape::kSwitch:
+          asn = h < switch_at ? home : other;
+          break;
+        default:
+          break;
+      }
+      const std::uint32_t host = std::uint32_t(rng() % 4);
+      if (family == 0) {
+        IPv4Address addr = v4_in(asn, host);
+        if (shape == Shape::kTestAddress && h < 48)
+          addr = atlas::ripe_test_address();
+        p.v4.push_back({h, addr, coin(0.01)});
+      } else {
+        p.v6.push_back({h, v6_in(asn, host), !coin(0.01)});
+      }
+    }
+  }
+  return p;
+}
+
+TEST(SanitizeReference, MergeAgreesWithStableSortOnRandomProbes) {
+  const auto rib = test_rib();
+  SanitizeOptions opt;
+  Sanitizer s(rib, opt);
+  SanitizeStats ref_stats;
+  std::mt19937_64 rng(20240611);
+  std::vector<int> kept(std::size_t(Shape::kCount), 0);
+  for (std::uint32_t id = 0; id < 900; ++id) {
+    const Shape shape = Shape(id % std::uint32_t(Shape::kCount));
+    const ProbeObservations p = random_probe(rng, id, shape);
+    const std::string what =
+        "probe " + std::to_string(id) + " shape " + std::to_string(int(shape));
+    const auto want = reference_sanitize(rib, opt, p, ref_stats);
+    expect_same_probes(s.sanitize(p), want, what);
+    kept[std::size_t(shape)] += !want.empty();
+  }
+  EXPECT_EQ(stats_fields(s.stats()), stats_fields(ref_stats));
+  // The random shapes reach every outcome the oracle has to agree on.
+  EXPECT_GT(ref_stats.probes_kept, 0u);
+  EXPECT_GT(ref_stats.split_probes, 0u);
+  EXPECT_GT(ref_stats.dropped_multihomed, 0u);
+  EXPECT_GT(ref_stats.dropped_short, 0u);
+  EXPECT_GT(ref_stats.test_address_records, 0u);
+  EXPECT_GT(kept[std::size_t(Shape::kTieDisagree)], 0);
+  EXPECT_GT(kept[std::size_t(Shape::kV4Only)], 0);
+  EXPECT_GT(kept[std::size_t(Shape::kV6Only)], 0);
+}
+
+// At equal hours v4 comes before v6. Here v4 stays in AS100 through hour
+// 1000 and v6 is in AS200 from hour 1000 on: v4 first gives one A->B
+// switch (two virtual probes that meet at hour 1000); v6 first would give
+// AS100, AS200, AS100, AS200 and drop the probe as multihomed.
+TEST(Sanitize, SameHourTieTakesV4First) {
+  auto rib = test_rib();
+  Sanitizer s(rib, {});
+  ProbeObservations p;
+  p.probe_id = 11;
+  for (Hour h = 0; h <= 1000; ++h)
+    p.v4.push_back({h, *IPv4Address::parse("10.1.2.3"), false});
+  for (Hour h = 1000; h <= 2000; ++h)
+    p.v6.push_back({h, *IPv6Address::parse("2001:200::1"), true});
+  auto out = s.sanitize(p);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].asn, 100u);
+  EXPECT_EQ(out[0].first_hour, 0u);
+  EXPECT_EQ(out[0].last_hour, 1000u);
+  EXPECT_EQ(out[0].v4.size(), 1001u);
+  EXPECT_TRUE(out[0].v6.empty());
+  EXPECT_EQ(out[1].asn, 200u);
+  EXPECT_EQ(out[1].first_hour, 1000u);
+  EXPECT_EQ(out[1].last_hour, 2000u);
+  EXPECT_TRUE(out[1].v4.empty());
+  EXPECT_EQ(out[1].v6.size(), 1001u);
+  EXPECT_EQ(s.stats().dropped_multihomed, 0u);
+  EXPECT_EQ(s.stats().split_probes, 1u);
+}
+
+// ------------------------------------------------ the order precondition
+//
+// sanitize() merges the two families in one pass, so from_series must hand
+// it hour-ordered v4 and v6 lists whatever order the records arrived in.
+
+void expect_hour_ordered(const ProbeObservations& obs) {
+  EXPECT_TRUE(std::is_sorted(
+      obs.v4.begin(), obs.v4.end(),
+      [](const Obs4& a, const Obs4& b) { return a.hour < b.hour; }))
+      << "probe " << obs.probe_id;
+  EXPECT_TRUE(std::is_sorted(
+      obs.v6.begin(), obs.v6.end(),
+      [](const Obs6& a, const Obs6& b) { return a.hour < b.hour; }))
+      << "probe " << obs.probe_id;
+}
+
+/// Echo records of probes 1..3 at `hours`, both families, as CSV lines.
+std::vector<std::string> echo_lines(const std::vector<Hour>& hours) {
+  std::vector<std::string> lines;
+  for (std::uint32_t probe = 1; probe <= 3; ++probe) {
+    for (Hour h : hours) {
+      atlas::EchoRecord r;
+      r.probe_id = probe;
+      r.hour = h;
+      r.family = atlas::Family::kV4;
+      r.x_client_ip4 = v4_in(h % 500 < 250 ? 100 : 200, probe);
+      r.src_addr4 = *IPv4Address::parse("192.168.1.2");
+      lines.push_back(io::to_csv(r));
+      r.family = atlas::Family::kV6;
+      r.x_client_ip6 = v6_in(100, probe);
+      r.src_addr6 = r.x_client_ip6;
+      lines.push_back(io::to_csv(r));
+    }
+  }
+  return lines;
+}
+
+std::vector<atlas::ProbeSeries> read_lines(
+    const std::vector<std::string>& lines) {
+  std::stringstream csv;
+  csv << "probe_id,hour,family,x_client_ip,src_addr\n";
+  for (const std::string& line : lines) csv << line << '\n';
+  auto dataset = io::read_echo_dataset(csv);
+  EXPECT_TRUE(dataset.ok()) << dataset.status().to_string();
+  return dataset.ok() ? std::move(dataset.value())
+                      : std::vector<atlas::ProbeSeries>{};
+}
+
+TEST(SanitizeOrder, OutOfOrderCsvRecordsGiveHourOrderedObservations) {
+  std::vector<Hour> hours(1500);
+  for (Hour h = 0; h < hours.size(); ++h) hours[h] = h;
+  auto lines = echo_lines(hours);
+  std::mt19937_64 rng(7);
+  std::shuffle(lines.begin(), lines.end(), rng);
+  const auto dataset = read_lines(lines);
+  ASSERT_EQ(dataset.size(), 3u);
+
+  const auto rib = test_rib();
+  Sanitizer s(rib, {});
+  SanitizeStats ref_stats;
+  for (const auto& series : dataset) {
+    const ProbeObservations obs = from_series(series);
+    EXPECT_EQ(obs.v4.size(), hours.size());
+    EXPECT_EQ(obs.v6.size(), hours.size());
+    expect_hour_ordered(obs);
+    expect_same_probes(s.sanitize(obs),
+                       reference_sanitize(rib, {}, obs, ref_stats),
+                       "probe " + std::to_string(obs.probe_id));
+  }
+  EXPECT_EQ(stats_fields(s.stats()), stats_fields(ref_stats));
+}
+
+TEST(SanitizeOrder, MergedDatasetsWithInterleavedHoursGiveHourOrdered) {
+  std::vector<Hour> even, odd;
+  for (Hour h = 0; h < 1500; ++h) (h % 2 ? odd : even).push_back(h);
+  auto dataset = read_lines(echo_lines(even));
+  io::merge_echo_datasets(dataset, read_lines(echo_lines(odd)));
+  ASSERT_EQ(dataset.size(), 3u);
+  for (const auto& series : dataset) {
+    const ProbeObservations obs = from_series(series);
+    EXPECT_EQ(obs.v4.size(), 1500u);
+    EXPECT_EQ(obs.v6.size(), 1500u);
+    expect_hour_ordered(obs);
+  }
 }
 
 }  // namespace
