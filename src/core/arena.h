@@ -1,11 +1,13 @@
 // arena.h — a monotonic bump arena for per-shard scratch vectors.
 //
-// The pipeline add-loops build short-lived working vectors for every record
-// batch (the sanitizer's merged/tagged observation list, the CDN analyzer's
-// flattened tuple and pair tables). With the default allocator each call
-// pays a malloc/free round trip per vector; with an arena the shard reuses
-// one contiguous slab: reset() at the top of each call rewinds the bump
-// pointer and the vectors land in already-hot memory.
+// The pipeline add-loops build short-lived working memory for every record
+// batch (the sanitizer's observation and run lists, the CDN analyzer's
+// one slab of flattened tuples, radix ping-pong buffer and histograms).
+// With the default allocator each call pays a malloc/free round trip per
+// buffer; with an arena the shard reuses one contiguous slab: reset() at
+// the top of each call rewinds the bump pointer and the buffers land in
+// already-hot memory. Blocks are not zero-filled, so the pages of a block
+// that a call never reaches are never touched.
 //
 // Usage pattern (single-threaded per shard, like all analyzer state):
 //
@@ -63,7 +65,8 @@ class MonotonicArena {
       std::size_t want = blocks_.empty() ? first_block_bytes_
                                          : blocks_.back().size * 2;
       if (want < bytes + align) want = bytes + align;
-      blocks_.push_back({std::make_unique<std::byte[]>(want), want});
+      blocks_.push_back(
+          {std::make_unique_for_overwrite<std::byte[]>(want), want});
     }
   }
 

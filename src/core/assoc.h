@@ -32,7 +32,7 @@ struct AssocOptions {
   /// starts a new run when it reappears.
   std::uint32_t max_gap_days = 14;
   /// External-merge spill budget for add_log's per-shard sort scratch, in
-  /// MiB. 0 (the default) keeps the sort fully in memory; a positive
+  /// MiB. 0 (the default) sorts in memory with radix passes; a positive
   /// budget bounds the working set per shard — sorted runs spill to temp
   /// files and merge back (stats/extsort.h). Results are byte-identical at
   /// every budget, so neither knob enters the config fingerprint.
@@ -112,6 +112,13 @@ class CdnSnapshot {
     std::uint64_t s = single_24_64s_[mobile];
     std::uint64_t m = multi_24_64s_[mobile];
     return (s + m) ? double(s) / double(s + m) : 0.0;
+  }
+  /// /64s that saw exactly one /24, and those that saw several.
+  std::uint64_t single_24_64s(bool mobile) const {
+    return single_24_64s_[mobile];
+  }
+  std::uint64_t multi_24_64s(bool mobile) const {
+    return multi_24_64s_[mobile];
   }
   std::uint64_t total_tuples() const { return total_tuples_; }
   std::uint64_t total_mismatched() const { return total_mismatched_; }
@@ -211,7 +218,7 @@ class CdnAnalyzer {
   stats::FlatMap<RegistryClass, std::vector<double>> registry_durations_;
   std::vector<std::pair<std::uint32_t, bool>> degrees_;
   stats::FlatMap<RegistryClass, ZeroBoundaryCounts> zero_counts_;
-  MonotonicArena arena_;  ///< per-log scratch for the tuple/pair sorts
+  MonotonicArena arena_;  ///< per-log scratch for the radix sorts
   // Inverse connectivity tallies: /64s by how many distinct /24s they saw.
   std::uint64_t single_24_64s_[2] = {0, 0};  // [mobile]
   std::uint64_t multi_24_64s_[2] = {0, 0};

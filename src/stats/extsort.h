@@ -1,14 +1,17 @@
 // extsort.h — bounded-memory stable external merge sort.
 //
-// CdnAnalyzer::add_log sorts each log's tuples to group them by /64; at
-// paper scale (§4: 32.7 B association tuples) a single dense log can exceed
-// RAM, which is ROADMAP item 3's out-of-core requirement. ExternalSorter
-// keeps the classic external-merge contract: push elements until done, then
-// drain them in sorted order. While the buffered bytes stay within the
-// budget everything is one in-memory stable_sort; past the budget, sorted
-// runs spill to temp files as raw little-endian-agnostic memory images
-// (the files never leave the machine or the process generation, so native
-// layout is fine) and drain() k-way-merges them back.
+// CdnAnalyzer::add_log sorts each log's tuples to group them by /64, and
+// the distinct (/24, /64) pairs of those groups by /24; in memory that is
+// two radix passes (stats/radix_sort.h). At paper scale (§4: 32.7 B
+// association tuples) a single dense log can exceed RAM, so a positive
+// --spill-mb routes both sorts through this sorter instead, with the same
+// stable order. ExternalSorter keeps the classic external-merge contract:
+// push elements until done, then drain them in sorted order. While the
+// buffered bytes stay within the budget everything is one in-memory
+// stable_sort; past the budget, sorted runs spill to temp files as raw
+// little-endian-agnostic memory images (the files never leave the machine
+// or the process generation, so native layout is fine) and drain()
+// k-way-merges them back.
 //
 // Determinism: runs are sorted with std::stable_sort and the merge breaks
 // comparison ties toward the earlier run, so the drained order equals one

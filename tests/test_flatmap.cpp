@@ -59,6 +59,11 @@ void* counted_alloc(std::size_t size, std::size_t align) noexcept {
   return std::aligned_alloc(align, (size + align - 1) / align * align);
 }
 
+// The one release point of counted_alloc's blocks. Out of line, so that
+// GCC's -Wmismatched-new-delete does not see a replacement operator
+// delete handing operator new's pointer straight to std::free.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -77,16 +82,18 @@ void* operator new(std::size_t size, std::align_val_t align,
   return counted_alloc(size, std::size_t(align));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace dynamips {
