@@ -1,17 +1,25 @@
 // bench_micro — google-benchmark microbenchmarks of the hot data paths:
-// address parsing/formatting, trie insert/LPM, span extraction, and the
-// total-time-fraction accumulator. These are the operations that dominate
-// full-dataset analysis runs.
+// address parsing/formatting, echo CSV ingest, trie insert/LPM, span
+// extraction, and the total-time-fraction accumulator. These are the
+// operations that dominate full-dataset analysis runs.
 #include <benchmark/benchmark.h>
 
+#include <istream>
+#include <sstream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
+#include "atlas/generator.h"
 #include "bench/bench_util.h"
 #include "core/changes.h"
+#include "core/parallel.h"
+#include "io/readers.h"
 #include "netaddr/ipv4.h"
 #include "netaddr/ipv6.h"
 #include "netaddr/rng.h"
 #include "rtrie/prefix_trie.h"
+#include "simnet/isp.h"
 #include "stats/ttf.h"
 
 using namespace dynamips;
@@ -33,6 +41,56 @@ void BM_ParseIPv6(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseIPv6);
+
+/// An echo CSV export of a fixed-seed Atlas population: 11.9 MB and 217 k
+/// records, about one batch of perfbench's follow-serve stream.
+const std::string& echo_csv() {
+  static const std::string csv = [] {
+    atlas::AtlasConfig cfg;
+    cfg.probe_scale = 0.05;
+    cfg.window_hours = 1500;
+    cfg.seed = 1;
+    atlas::AtlasSimulator sim(simnet::paper_isps(), cfg);
+    std::vector<atlas::ProbeSeries> dataset;
+    for (std::size_t i = 0; i < sim.probe_count(); ++i)
+      dataset.push_back(sim.series_for(i));
+    std::ostringstream os;
+    io::write_echo_dataset(os, dataset);
+    return os.str();
+  }();
+  return csv;
+}
+
+/// A read-only stream over a string, without copying it.
+struct StringBuf : std::streambuf {
+  explicit StringBuf(const std::string& s) {
+    char* p = const_cast<char*>(s.data());
+    setg(p, p, p + s.size());
+  }
+};
+
+/// read_echo_dataset over echo_csv() on an executor of range(0) threads.
+void BM_LoadEchoCsv(benchmark::State& state) {
+  const std::string& csv = echo_csv();
+  core::ShardExecutor exec(unsigned(state.range(0)));
+  std::size_t records = 0;
+  for (auto _ : state) {
+    StringBuf buf(csv);
+    std::istream in(&buf);
+    auto dataset = io::read_echo_dataset(in, {}, nullptr, &exec);
+    records = 0;
+    for (const auto& series : *dataset) records += series.records.size();
+    benchmark::DoNotOptimize(records);
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations() * csv.size()));
+  state.SetItemsProcessed(std::int64_t(state.iterations() * records));
+}
+BENCHMARK(BM_LoadEchoCsv)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_FormatIPv6(benchmark::State& state) {
   net::IPv6Address a{0x2003ec5712345600ull, 0x1};

@@ -7,6 +7,9 @@
 // (probe, hour, family) keys, every duplicate reject repeats a yielded key,
 // and the yielded records read back in reverse order, where nearly every
 // record goes back in time and is checked exactly, are all accepted again.
+// The input, and the input tiled past four line ranges, with and without
+// a long last line, load alike with no executor and on four threads
+// (reader_equivalence.h).
 #include <cstddef>
 #include <cstdint>
 #include <set>
@@ -17,16 +20,18 @@
 
 #include "io/csv.h"
 #include "io/readers.h"
+#include "reader_equivalence.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   namespace io = dynamips::io;
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(data), size));
+  const std::string text(reinterpret_cast<const char*>(data), size);
+  std::istringstream in(text);
   io::ReaderOptions options;
   options.max_line_bytes = 256;           // exercise the oversize path
   options.max_reject_fraction = 1.0;      // never trip on fraction
   options.max_consecutive_rejects = 16;   // exercise the fail-fast path
+  dynamips::fuzz::expect_thread_invariant<io::EchoReader>(text, options);
   std::ostringstream quarantine;
   options.quarantine = &quarantine;
   io::EchoReader reader(in, options);

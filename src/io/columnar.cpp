@@ -726,7 +726,7 @@ Expected<std::vector<typename Schema::Item>> load_file(
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open())
     return Status(StatusCode::kNotFound, "cannot open dataset: " + path);
-  return Schema::read_csv(in, ropts, stats);
+  return Schema::read_csv(in, ropts, stats, exec);
 }
 
 }  // namespace

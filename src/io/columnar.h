@@ -142,7 +142,7 @@ core::Expected<std::vector<cdn::AssociationLog>> decode_assoc_columnar(
 /// `.csv` everywhere files are accepted. A `.col` file is memory-mapped on
 /// POSIX where it can be; the mapping does not outlive the call. A
 /// directory is kInvalidArgument and a failed read kInternal. With `exec`,
-/// a `.col` file decodes on its threads; the CSV readers ignore it.
+/// a `.col` file decodes, and a CSV file's lines parse, on its threads.
 core::Expected<std::vector<atlas::ProbeSeries>> load_echo_file(
     const std::string& path, const ReaderOptions& options,
     IngestStats* stats, core::ShardExecutor* exec);

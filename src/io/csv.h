@@ -62,7 +62,7 @@ inline CsvFields split_csv(std::string_view line,
   return out;
 }
 
-/// Drop one trailing '\r' (CRLF line endings read via std::getline).
+/// Drop one trailing '\r' (a CRLF line ending).
 inline std::string_view chomp_cr(std::string_view line) {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   return line;

@@ -1,12 +1,13 @@
 #include "io/readers.h"
 
+#include <cstring>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "core/failpoint.h"
+#include "core/parallel.h"
 #include "io/csv.h"
 
 namespace dynamips::io {
@@ -168,65 +169,6 @@ std::string RejectLedger::format_offenders() const {
   return out;
 }
 
-LineCursor::LineCursor(std::istream& is, const ReaderOptions& options,
-                       std::string_view label)
-    : is_(is), ledger_(options, label, "line"), label_(label) {
-  // +1 slack so that a line of exactly max_line_bytes fits and only a
-  // strictly longer one trips getline's failbit.
-  buffer_.resize(options.max_line_bytes + 2);
-}
-
-bool LineCursor::read_failed(std::string_view what) {
-  ledger_.fail(core::Status(
-      core::StatusCode::kInternal,
-      label_ + ": " + std::string(what) + " at line " +
-          std::to_string(ledger_.stats().lines_seen + 1)));
-  return false;
-}
-
-bool LineCursor::next_line(std::string_view& line) {
-  while (!tripped()) {
-    if (auto fp = core::failpoint("readers.line"); fp) {
-      if (fp.is_error())
-        return read_failed("injected read failure (" +
-                           std::string(fp.errno_name()) + ")");
-      core::failpoint_sleep(fp);
-    }
-    is_.getline(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    // badbit is a failed read (the stream buffer threw), not an end of
-    // stream: the rest of the input was never seen.
-    if (is_.bad()) return read_failed("read failed");
-    std::size_t got = static_cast<std::size_t>(is_.gcount());
-    if (got == 0 && !is_.good()) return false;  // clean end of stream
-    ledger_.count_unit();
-    if (is_.fail() && !is_.eof()) {
-      // The line exceeded the buffer: reject what we buffered, then skip
-      // the remainder without ever holding more than the buffer.
-      std::string_view head(buffer_.data(), got);
-      is_.clear();
-      is_.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-      ledger_.count_data();
-      reject(RejectReason::kOversizeLine, head);
-      continue;
-    }
-    // gcount includes the extracted-but-not-stored '\n' delimiter; a final
-    // line terminated by EOF instead of '\n' sets eofbit and stores all of
-    // its gcount characters.
-    std::size_t len = got;
-    if (!is_.eof() && len > 0) --len;
-    std::string_view text(buffer_.data(), len);
-    text = chomp_cr(text);
-    if (ledger_.stats().lines_seen == 1) text = strip_utf8_bom(text);
-    if (text.empty()) {
-      ++ledger_.stats().blank_lines;
-      continue;
-    }
-    line = text;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace detail
 
 namespace {
@@ -300,68 +242,43 @@ bool parse_assoc_fields(const CsvFields& f, const ReaderOptions& options,
   return true;
 }
 
-/// The record loop both readers share: meta lines go to `meta`, repeated
-/// headers are skipped, and a data line is split, parsed and pushed into
-/// the builder under its duplicate rule, each failure rejected with its
-/// reason.
-template <class Builder, class Parse, class Meta>
-std::optional<typename Builder::Record> next_record(
-    detail::LineCursor& cursor, const ReaderOptions& options,
-    Builder& builder, std::string_view header, Parse parse, Meta meta) {
-  std::string_view line;
-  while (cursor.next_line(line)) {
-    if (line.front() == '#') {
-      meta(line);
-      continue;
+/// Read up to `want` bytes of `is` into `out`; fewer only at the end of the
+/// input or at a failed read, which sets badbit like istream::read. Unlike
+/// istream::read, the count returned covers every byte delivered before a
+/// stream buffer threw: each copy takes only what the buffer holds.
+std::size_t read_window(std::istream& is, char* out, std::size_t want) {
+  const std::istream::sentry ok(is, /*noskipws=*/true);
+  if (!ok) return 0;
+  std::streambuf* const sb = is.rdbuf();
+  std::size_t got = 0;
+  try {
+    while (got < want) {
+      const std::streamsize ready = sb->in_avail();
+      if (ready > 0) {
+        const std::streamsize n = sb->sgetn(
+            out + got, std::min(ready, std::streamsize(want - got)));
+        got += std::size_t(n);
+        if (n > 0) continue;
+      }
+      if (std::istream::traits_type::eq_int_type(
+              sb->sgetc(), std::istream::traits_type::eof())) {
+        is.setstate(std::ios::eofbit);
+        break;
+      }
     }
-    if (line.starts_with(header)) {
-      cursor.count_header();
-      continue;
-    }
-    cursor.count_data_line();
-    auto f = split_csv(line);
-    if (f.size() != 5) {
-      cursor.reject(RejectReason::kBadFieldCount, line);
-      continue;
-    }
-    typename Builder::Record rec;
-    RejectReason why{};
-    if (!parse(f, options, rec, why)) {
-      cursor.reject(why, line);
-      continue;
-    }
-    if (!builder.push(rec)) {
-      cursor.reject(RejectReason::kDuplicate, line);
-      continue;
-    }
-    cursor.accept();
-    return rec;
+  } catch (...) {
+    is.setstate(std::ios::badbit);
   }
-  return std::nullopt;
+  return got;
 }
 
-}  // namespace
-
-// ------------------------------------------------------------- EchoReader
-
-EchoReader::EchoReader(std::istream& is, ReaderOptions options)
-    : cursor_(is, options, "echo ingest"),
-      options_(std::move(options)),
-      builder_(options_) {}
-
-void EchoReader::handle_meta(std::string_view line) {
-  auto f = split_csv(line);
+/// `#probe,<id>` and `#tags,<id>,t1;t2` declare a probe and its tags;
+/// false when the id is not a number. Other '#' lines are ignored.
+bool apply_echo_meta(const CsvFields& f, detail::EchoBuilder& builder) {
   const bool tags_line = f[0] == "#tags" && f.size() == 3;
-  if (!tags_line && !(f[0] == "#probe" && f.size() == 2)) {
-    cursor_.count_meta();  // unknown comment: tolerated
-    return;
-  }
+  if (!tags_line && !(f[0] == "#probe" && f.size() == 2)) return true;
   auto pid = parse_csv_num<std::uint32_t>(f[1]);
-  if (!pid) {
-    cursor_.count_data_line();
-    cursor_.reject(RejectReason::kBadNumber, line);
-    return;
-  }
+  if (!pid) return false;
   // A `#probe` line declares the probe: an offer of no tags.
   std::vector<core::TagId> tags;
   std::string_view rest = tags_line ? f[2] : std::string_view();
@@ -372,43 +289,268 @@ void EchoReader::handle_meta(std::string_view line) {
     if (semi == std::string_view::npos) break;
     rest.remove_prefix(semi + 1);
   }
-  builder_.offer_tags(*pid, std::move(tags));
-  cursor_.count_meta();
+  builder.offer_tags(*pid, std::move(tags));
+  return true;
 }
 
-std::optional<atlas::EchoRecord> EchoReader::next() {
-  return next_record(cursor_, options_, builder_, "probe_id,",
-                     parse_echo_fields,
-                     [this](std::string_view line) { handle_meta(line); });
+/// `#log,<asn>` declares a log; false when the ASN is not a number.
+bool apply_assoc_meta(const CsvFields& f, detail::AssocBuilder& builder) {
+  if (f[0] != "#log" || f.size() != 2) return true;
+  auto asn = parse_csv_num<bgp::Asn>(f[1]);
+  if (!asn) return false;
+  builder.declare(*asn);
+  return true;
 }
 
-// ------------------------------------------------------------ AssocReader
+/// What one schema's CSV text adds to its reader: the ingest label, the
+/// header line's prefix, how five fields parse into a record, and how a
+/// meta line's fields apply to the dataset.
+template <class Schema>
+struct CsvFormat;
 
-AssocReader::AssocReader(std::istream& is, ReaderOptions options)
-    : cursor_(is, options, "assoc ingest"),
+template <>
+struct CsvFormat<detail::EchoSchema> {
+  static constexpr std::string_view kLabel = "echo ingest";
+  static constexpr std::string_view kHeader = "probe_id,";
+  static constexpr auto parse = parse_echo_fields;
+  static constexpr auto apply_meta = apply_echo_meta;
+};
+
+template <>
+struct CsvFormat<detail::AssocSchema> {
+  static constexpr std::string_view kLabel = "assoc ingest";
+  static constexpr std::string_view kHeader = "day,";
+  static constexpr auto parse = parse_assoc_fields;
+  static constexpr auto apply_meta = apply_assoc_meta;
+};
+
+}  // namespace
+
+// -------------------------------------------------------------- CsvReader
+
+template <class Schema>
+CsvReader<Schema>::CsvReader(std::istream& is, ReaderOptions options,
+                             core::ShardExecutor* exec)
+    : is_(is),
       options_(std::move(options)),
-      builder_(options_) {}
+      exec_(exec),
+      ledger_(options_, CsvFormat<Schema>::kLabel, "line"),
+      builder_(options_),
+      ranges_(exec ? kCsvRangesPerThread * exec->thread_count() : 1) {}
 
-void AssocReader::handle_meta(std::string_view line) {
-  auto f = split_csv(line);
-  if (f[0] == "#log" && f.size() == 2) {
-    auto asn = parse_csv_num<bgp::Asn>(f[1]);
-    if (!asn) {
-      cursor_.count_data_line();
-      cursor_.reject(RejectReason::kBadNumber, line);
-      return;
-    }
-    builder_.declare(*asn);
-    cursor_.count_meta();
+template <class Schema>
+void CsvReader<Schema>::classify(std::string_view raw, bool first, Line& line,
+                                 std::vector<Record>& records) const {
+  using Kind = typename Line::Kind;
+  // Longer than max_line_bytes plus a CR: rejected with its head.
+  if (raw.size() > options_.max_line_bytes + 1) {
+    line.kind = Kind::kOversize;
+    line.text = raw.substr(0, options_.max_line_bytes + 1);
     return;
   }
-  cursor_.count_meta();
+  std::string_view text = chomp_cr(raw);
+  if (first) text = strip_utf8_bom(text);
+  line.text = text;
+  if (text.empty()) {
+    line.kind = Kind::kBlank;
+  } else if (text.front() == '#') {
+    line.kind = Kind::kMeta;
+  } else if (text.starts_with(CsvFormat<Schema>::kHeader)) {
+    line.kind = Kind::kHeader;
+  } else if (const CsvFields f = split_csv(text); f.size() != 5) {
+    line.kind = Kind::kReject;
+    line.why = RejectReason::kBadFieldCount;
+  } else if (CsvFormat<Schema>::parse(f, options_, records.emplace_back(),
+                                      line.why)) {
+    line.kind = Kind::kRecord;
+  } else {
+    line.kind = Kind::kReject;
+    records.pop_back();
+  }
 }
 
-std::optional<cdn::AssociationRecord> AssocReader::next() {
-  return next_record(cursor_, options_, builder_, "day,", parse_assoc_fields,
-                     [this](std::string_view line) { handle_meta(line); });
+template <class Schema>
+void CsvReader<Schema>::scan(const char* begin, const char* end, bool first,
+                             Range& out) const {
+  // Count the lines first: the reused array is resized once, and its
+  // lines are overwritten in place.
+  std::size_t count = 0;
+  for (const char* p = begin; p != end; ++count)
+    p = static_cast<const char*>(std::memchr(p, '\n', end - p)) + 1;
+  out.lines.resize(count);
+  out.records.clear();
+  for (Line& line : out.lines) {
+    const char* nl =
+        static_cast<const char*>(std::memchr(begin, '\n', end - begin));
+    classify(std::string_view(begin, nl - begin), first, line, out.records);
+    first = false;
+    begin = nl + 1;
+  }
 }
+
+template <class Schema>
+bool CsvReader<Schema>::fill() {
+  // A carried partial line holds at most max_line_bytes + 1 bytes.
+  if (!window_)
+    window_ = std::make_unique_for_overwrite<char[]>(
+        kCsvWindowBytes + options_.max_line_bytes + 1);
+  char* const window = window_.get();
+  while (!at_end_) {
+    // Carry the partial line to the front, and read a window behind it.
+    if (begin_ > 0) std::memmove(window, window + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    const std::size_t got = read_window(is_, window + end_, kCsvWindowBytes);
+    if (skipping_) {
+      // The rest of an oversize line, through its '\n', is dropped.
+      const void* nl = std::memchr(window + end_, '\n', got);
+      begin_ = nl ? std::size_t(static_cast<const char*>(nl) - window) + 1
+                  : end_ + got;
+      skipping_ = nl == nullptr;
+    }
+    end_ += got;
+    // badbit is a failed read (the stream buffer threw), not an end of
+    // stream: the rest of the input was never seen.
+    read_error_ = is_.bad();
+    at_end_ = read_error_ || got < kCsvWindowBytes;
+
+    // The complete lines, cut into line-aligned ranges.
+    const char* const lo = window + begin_;
+    const std::size_t last = std::string_view(lo, end_ - begin_).rfind('\n');
+    std::size_t n = 0;  // ranges scanned
+    bool lines = last != std::string_view::npos;
+    if (lines) {
+      const char* const hi = lo + last + 1;
+      const std::size_t bytes = std::size_t(hi - lo);
+      n = std::clamp<std::size_t>(bytes / kCsvMinRangeBytes, 1,
+                                  ranges_.size());
+      std::vector<const char*> cut(n + 1, hi);
+      cut[0] = lo;
+      for (std::size_t k = 1; k < n; ++k) {
+        const char* at = std::max(cut[k - 1], lo + bytes * k / n);
+        if (at == hi) {  // a long line ran past the remaining cut points
+          n = k;
+          break;
+        }
+        cut[k] = static_cast<const char*>(std::memchr(at, '\n', hi - at)) + 1;
+      }
+      const bool first = first_line_;
+      auto task = [&](unsigned, std::size_t k) {
+        scan(cut[k], cut[k + 1], first && k == 0, ranges_[k]);
+      };
+      if (n > 1) {
+        exec_->dispatch(n, task);
+      } else {
+        task(0, 0);
+      }
+      first_line_ = false;
+      begin_ = std::size_t(hi - window);
+    }
+    for (std::size_t k = n; k < ranges_.size(); ++k) {
+      ranges_[k].lines.clear();
+      ranges_[k].records.clear();
+    }
+    // The partial line: the last line when the input ended without a
+    // '\n', or, once it is longer than a line may be, an oversize line
+    // whose rest is skipped. After a read failure a partial line that may
+    // still be a line is not counted: the failure is reported at it.
+    const std::size_t partial = end_ - begin_;
+    const bool clean_end = at_end_ && !read_error_;
+    if (clean_end ? partial > 0 : partial > options_.max_line_bytes + 1) {
+      Range& range = ranges_[n > 0 ? n - 1 : 0];
+      classify(std::string_view(window + begin_, partial), first_line_,
+               range.lines.emplace_back(), range.records);
+      first_line_ = false;
+      skipping_ = !at_end_;
+      begin_ = end_;
+      lines = true;
+    }
+    if (lines) {
+      range_ = at_ = record_ = 0;
+      return true;
+    }
+  }
+  // range_ stays past the last range: the end of the input is final.
+  return false;
+}
+
+template <class Schema>
+void CsvReader<Schema>::read_failed(std::string_view what) {
+  ledger_.fail(core::Status(
+      core::StatusCode::kInternal,
+      std::string(CsvFormat<Schema>::kLabel) + ": " + std::string(what) +
+          " at line " + std::to_string(ledger_.stats().lines_seen + 1)));
+}
+
+template <class Schema>
+void CsvReader<Schema>::handle_meta(std::string_view line) {
+  if (!CsvFormat<Schema>::apply_meta(split_csv(line), builder_)) {
+    ledger_.count_data();
+    ledger_.reject(RejectReason::kBadNumber, line, ledger_.stats().lines_seen);
+    return;
+  }
+  ++ledger_.stats().meta_lines;  // declared, or an unknown comment
+}
+
+template <class Schema>
+std::optional<typename Schema::Record> CsvReader<Schema>::next() {
+  using Kind = typename Line::Kind;
+  while (!ledger_.tripped()) {
+    if (auto fp = core::failpoint("readers.line"); fp) {
+      if (fp.is_error()) {
+        read_failed("injected read failure (" + std::string(fp.errno_name()) +
+                    ")");
+        break;
+      }
+      core::failpoint_sleep(fp);
+    }
+    while (range_ < ranges_.size() && at_ == ranges_[range_].lines.size()) {
+      ++range_;
+      at_ = record_ = 0;
+    }
+    if (range_ == ranges_.size() && !fill()) {
+      if (read_error_) read_failed("read failed");
+      break;
+    }
+    Range& range = ranges_[range_];
+    const Line& line = range.lines[at_++];
+    ledger_.count_unit();
+    const std::uint64_t at = ledger_.stats().lines_seen;
+    switch (line.kind) {
+      case Kind::kBlank:
+        ++ledger_.stats().blank_lines;
+        break;
+      case Kind::kMeta:
+        handle_meta(line.text);
+        break;
+      case Kind::kHeader:
+        ++ledger_.stats().headers_skipped;
+        break;
+      case Kind::kOversize:
+        ledger_.count_data();
+        ledger_.reject(RejectReason::kOversizeLine, line.text, at);
+        break;
+      case Kind::kReject:
+        ledger_.count_data();
+        ledger_.reject(line.why, line.text, at);
+        break;
+      case Kind::kRecord: {
+        ledger_.count_data();
+        const Record& rec = range.records[record_++];
+        if (!builder_.push(rec)) {
+          ledger_.reject(RejectReason::kDuplicate, line.text, at);
+          break;
+        }
+        ledger_.accept();
+        return rec;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+template class CsvReader<detail::EchoSchema>;
+template class CsvReader<detail::AssocSchema>;
 
 // --------------------------------------------------------------- datasets
 
@@ -418,9 +560,10 @@ namespace {
 /// builder.
 template <class Reader>
 auto read_dataset(std::istream& is, const ReaderOptions& options,
-                  IngestStats* stats, const char* what)
+                  IngestStats* stats, core::ShardExecutor* exec,
+                  const char* what)
     -> core::Expected<decltype(std::declval<Reader&>().builder().take())> {
-  Reader reader(is, options);
+  Reader reader(is, options, exec);
   while (reader.next()) continue;
   if (stats) stats->merge(reader.stats());
   if (core::Status st = reader.finish(); !st.ok())
@@ -431,13 +574,17 @@ auto read_dataset(std::istream& is, const ReaderOptions& options,
 }  // namespace
 
 core::Expected<std::vector<atlas::ProbeSeries>> read_echo_dataset(
-    std::istream& is, const ReaderOptions& options, IngestStats* stats) {
-  return read_dataset<EchoReader>(is, options, stats, "load echo dataset");
+    std::istream& is, const ReaderOptions& options, IngestStats* stats,
+    core::ShardExecutor* exec) {
+  return read_dataset<EchoReader>(is, options, stats, exec,
+                                  "load echo dataset");
 }
 
 core::Expected<std::vector<cdn::AssociationLog>> read_assoc_dataset(
-    std::istream& is, const ReaderOptions& options, IngestStats* stats) {
-  return read_dataset<AssocReader>(is, options, stats, "load assoc dataset");
+    std::istream& is, const ReaderOptions& options, IngestStats* stats,
+    core::ShardExecutor* exec) {
+  return read_dataset<AssocReader>(is, options, stats, exec,
+                                   "load assoc dataset");
 }
 
 void merge_echo_datasets(std::vector<atlas::ProbeSeries>& into,

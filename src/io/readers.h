@@ -19,10 +19,31 @@
 //    `core::Status` failure carrying the first few offending lines — a
 //    mostly-broken file fails loudly instead of yielding a quietly empty
 //    dataset;
-//  * reading is BOUNDS-HARDENED: lines are read through a fixed-size
-//    buffer (an unterminated gigabyte "line" is rejected, not buffered),
-//    field splitting is capped (csv.h), and CRLF line endings / a UTF-8
-//    BOM on the header are tolerated.
+//  * reading is BOUNDS-HARDENED: the stream is read in windows of
+//    kCsvWindowBytes, and a line carried into the next window is kept only
+//    up to max_line_bytes + 1 bytes (an unterminated gigabyte "line" is
+//    rejected with its head, then skipped to its '\n', not buffered), field
+//    splitting is capped (csv.h), and CRLF line endings / a UTF-8 BOM on
+//    the first line are tolerated.
+//
+// Windows and replay: CsvReader finds a window's complete lines with
+// memchr and cuts them into line-aligned ranges, a few per thread of the
+// ShardExecutor it is given (one range without one, or for a small
+// window). Each range classifies its lines on its own: blank, oversize,
+// meta, header, or a data line split and parsed into a record or a reject
+// reason. Nothing a range does depends on another range or on earlier
+// lines. next() then replays the window's lines in order through one
+// RejectLedger and one DatasetBuilder: the `readers.line` failpoint (one
+// hit per line fetched, and one at the end of input), meta lines and tag
+// interning, headers, the duplicate rule, rejects, quarantine writes and
+// the `ingest.*` counters. Replay stops where the consecutive-reject cap
+// trips, and the lines parsed past it are never seen. The stats, the
+// dataset, the quarantine bytes, the counters and the Status are
+// therefore those of a line-by-line loop, at every thread count. A stream
+// that fails mid-read keeps the complete lines before the failure and
+// fails at the line it could not finish. Memory is the window buffer and
+// its outcome arrays (a 24-byte entry per line, a record per data line),
+// all reused from window to window.
 //
 // Besides the schema lines, optional '#'-prefixed metadata lines let
 // datasets survive a round trip through CSV:
@@ -56,6 +77,10 @@
 #include "cdn/rum.h"
 #include "core/status.h"
 #include "obs/metrics.h"
+
+namespace dynamips::core {
+class ShardExecutor;
+}
 
 namespace dynamips::io {
 
@@ -172,7 +197,7 @@ namespace detail {
 
 /// Reject classification, quarantine, and error-budget accounting — ONE
 /// shared implementation for every ingest surface. The CSV readers feed it
-/// per line (through LineCursor below); the columnar readers (columnar.h)
+/// per line (CsvReader below); the columnar readers (columnar.h)
 /// feed it per decoded row. Both therefore count into the same
 /// `ingest.reject.<reason>` metric names, trip the same
 /// `max_consecutive_rejects` cap (strictly more than the cap of
@@ -225,47 +250,6 @@ class RejectLedger {
   core::Status fatal_;
   obs::Counter* lines_counter_ = nullptr;
   obs::Counter* accepted_counter_ = nullptr;
-};
-
-/// Line-level machinery shared by both CSV readers: bounded line fetch with
-/// CRLF/BOM tolerance, delegating all reject accounting to RejectLedger.
-class LineCursor {
- public:
-  LineCursor(std::istream& is, const ReaderOptions& options,
-             std::string_view label);
-
-  /// Fetch the next non-blank line (CR/BOM stripped). Oversize lines are
-  /// rejected internally and skipped. Returns false at end of stream or
-  /// once the consecutive-reject cap has tripped.
-  bool next_line(std::string_view& line);
-
-  void reject(RejectReason reason, std::string_view text) {
-    ledger_.reject(reason, text, ledger_.stats().lines_seen);
-  }
-  void accept() { ledger_.accept(); }
-  void count_header() { ++ledger_.stats().headers_skipped; }
-  void count_meta() { ++ledger_.stats().meta_lines; }
-  /// Mark the current line as a record candidate (call before accept or
-  /// reject so the budget denominator counts it).
-  void count_data_line() { ledger_.count_data(); }
-
-  bool tripped() const { return ledger_.tripped(); }
-  std::uint64_t line_number() const { return ledger_.stats().lines_seen; }
-
-  /// Evaluate the end-of-stream error budget; returns the fatal status if
-  /// the cursor tripped mid-stream.
-  core::Status finish() const { return ledger_.finish(); }
-
-  const IngestStats& stats() const { return ledger_.stats(); }
-
- private:
-  /// Trip the ledger with a kInternal read failure at the next line.
-  bool read_failed(std::string_view what);
-
-  std::istream& is_;
-  RejectLedger ledger_;
-  std::string label_;
-  std::vector<char> buffer_;
 };
 
 struct EchoSchema {
@@ -492,75 +476,126 @@ using AssocBuilder = DatasetBuilder<AssocSchema>;
 
 }  // namespace detail
 
-/// Streaming reader for the echo schema
-/// (`probe_id,hour,family,x_client_ip,src_addr`). A duplicate is a second
-/// record for an already-seen (probe_id, hour, family) key — the schema
-/// allows at most one measurement per probe, hour and family.
-class EchoReader {
+/// Bytes a CSV reader reads from its stream at a time. Its buffer holds one
+/// window plus the partial line carried from the last one (at most
+/// max_line_bytes + 1 bytes).
+inline constexpr std::size_t kCsvWindowBytes = std::size_t(256) << 10;
+/// A window's complete lines are cut into line-aligned ranges, at most
+/// this many per executor thread and each of at least kCsvMinRangeBytes.
+/// Several ranges per thread let the threads share a window when one of
+/// them starts late, instead of leaving its one range to the others.
+inline constexpr std::size_t kCsvRangesPerThread = 4;
+inline constexpr std::size_t kCsvMinRangeBytes = std::size_t(16) << 10;
+
+/// Streaming CSV reader over one schema (see the header comment for the
+/// windows and the replay). next() returns each accepted record in line
+/// order and stores it in builder(). With `exec`, each window's lines are
+/// parsed on its threads; the result is the same with or without it.
+template <class Schema>
+class CsvReader {
  public:
-  explicit EchoReader(std::istream& is, ReaderOptions options = {});
+  using Record = typename Schema::Record;
+
+  explicit CsvReader(std::istream& is, ReaderOptions options = {},
+                     core::ShardExecutor* exec = nullptr);
 
   /// Next accepted record; nullopt at end of stream or once the error
-  /// budget tripped (distinguish via finish()).
-  std::optional<atlas::EchoRecord> next();
+  /// budget tripped (distinguish via finish()), and on every call after.
+  std::optional<Record> next();
 
   /// Final verdict: OK, or a Status describing the budget violation with
   /// the first offending lines. Call after next() returned nullopt.
-  core::Status finish() const { return cursor_.finish(); }
+  core::Status finish() const { return ledger_.finish(); }
 
-  const IngestStats& stats() const { return cursor_.stats(); }
+  const IngestStats& stats() const { return ledger_.stats(); }
 
-  /// The dataset read so far: the probes declared (`#probe`/`#tags` lines
-  /// and accepted records, tags interned through core::tag_pool()) with
-  /// every record next() accepted, which the duplicate rule checks
-  /// against. read_echo_dataset takes it at the end of the stream.
-  detail::EchoBuilder& builder() { return builder_; }
+  /// The dataset read so far: the items declared (meta lines and accepted
+  /// records) with every record next() accepted, which the duplicate rule
+  /// checks against. read_*_dataset takes it at the end of the stream.
+  detail::DatasetBuilder<Schema>& builder() { return builder_; }
 
  private:
-  void handle_meta(std::string_view line);
+  /// One physical line as its range classified it. `text` points into the
+  /// window: the line without CR (and BOM, on the first line), or an
+  /// oversize line's first max_line_bytes + 1 bytes.
+  struct Line {
+    enum class Kind : std::uint8_t {
+      kBlank,
+      kOversize,
+      kMeta,
+      kHeader,
+      kRecord,
+      kReject,
+    };
+    Kind kind = Kind::kBlank;
+    RejectReason why = RejectReason::kBadFieldCount;  // of a kReject
+    std::string_view text;
+  };
+  /// One range's lines of the window and, in line order, the records of
+  /// its kRecord lines. Reused from window to window.
+  struct Range {
+    std::vector<Line> lines;
+    std::vector<Record> records;
+  };
 
-  detail::LineCursor cursor_;
+  /// Classify `raw`, a line without its '\n', into `line`; a parsed
+  /// record is appended to `records`.
+  void classify(std::string_view raw, bool first, Line& line,
+                std::vector<Record>& records) const;
+  void scan(const char* begin, const char* end, bool first,
+            Range& out) const;
+  /// Read windows until one yields lines; false at the end of the input or
+  /// at a read failure.
+  bool fill();
+  void handle_meta(std::string_view line);
+  /// Trip the ledger with a kInternal read failure at the next line.
+  void read_failed(std::string_view what);
+
+  std::istream& is_;
   ReaderOptions options_;
-  detail::EchoBuilder builder_;
+  core::ShardExecutor* exec_;
+  detail::RejectLedger ledger_;
+  detail::DatasetBuilder<Schema> builder_;
+  std::unique_ptr<char[]> window_;
+  std::size_t begin_ = 0, end_ = 0;  // the carried partial line
+  std::vector<Range> ranges_;  // the window's lines, in order
+  // The next line to replay: line at_ and record record_ of range range_.
+  std::size_t range_ = 0, at_ = 0, record_ = 0;
+  bool first_line_ = true;  // no line classified yet
+  bool skipping_ = false;   // inside an oversize line, up to its '\n'
+  bool at_end_ = false;     // nothing more to read
+  bool read_error_ = false;
 };
+
+/// Streaming reader for the echo schema
+/// (`probe_id,hour,family,x_client_ip,src_addr`). A duplicate is a second
+/// record for an already-seen (probe_id, hour, family) key — the schema
+/// allows at most one measurement per probe, hour and family. `#probe` and
+/// `#tags` lines declare probes, tags interned through core::tag_pool().
+using EchoReader = CsvReader<detail::EchoSchema>;
 
 /// Streaming reader for the association schema
 /// (`day,v4_24,v6_64,asn4,asn6`). With `assoc_dedup_adjacent` set, a
 /// record whose parsed fields equal those of the immediately preceding
 /// accepted record is rejected as a duplicate (the signature of a
 /// duplicated export row in a dataset aggregated to unique tuples;
-/// non-adjacent repeats are always kept).
-class AssocReader {
- public:
-  explicit AssocReader(std::istream& is, ReaderOptions options = {});
+/// non-adjacent repeats are always kept). `#log` lines declare logs.
+using AssocReader = CsvReader<detail::AssocSchema>;
 
-  std::optional<cdn::AssociationRecord> next();
-  core::Status finish() const { return cursor_.finish(); }
-  const IngestStats& stats() const { return cursor_.stats(); }
-
-  /// The dataset read so far: the logs declared (`#log` lines and
-  /// accepted records' asn6) with every record next() accepted.
-  /// read_assoc_dataset takes it at the end of the stream.
-  detail::AssocBuilder& builder() { return builder_; }
-
- private:
-  void handle_meta(std::string_view line);
-
-  detail::LineCursor cursor_;
-  ReaderOptions options_;
-  detail::AssocBuilder builder_;
-};
+extern template class CsvReader<detail::EchoSchema>;
+extern template class CsvReader<detail::AssocSchema>;
 
 // --------------------------------------------------------------- datasets
 
 /// Load a whole multi-probe echo stream: records grouped into one
 /// ProbeSeries per probe (first-appearance order), tags attached, records
 /// in hour order (detail::DatasetBuilder). Fails only when the error
-/// budget is exceeded.
-/// `stats`, when non-null, receives the accounting even on failure.
+/// budget is exceeded or the stream fails.
+/// `stats`, when non-null, receives the accounting even on failure. With
+/// `exec`, lines are parsed on its threads (CsvReader).
 core::Expected<std::vector<atlas::ProbeSeries>> read_echo_dataset(
     std::istream& is, const ReaderOptions& options = {},
-    IngestStats* stats = nullptr);
+    IngestStats* stats = nullptr, core::ShardExecutor* exec = nullptr);
 
 /// Load a whole association stream: records grouped into one
 /// AssociationLog per origin ASN (asn6, first-appearance order), records
@@ -568,7 +603,7 @@ core::Expected<std::vector<atlas::ProbeSeries>> read_echo_dataset(
 /// caller.
 core::Expected<std::vector<cdn::AssociationLog>> read_assoc_dataset(
     std::istream& is, const ReaderOptions& options = {},
-    IngestStats* stats = nullptr);
+    IngestStats* stats = nullptr, core::ShardExecutor* exec = nullptr);
 
 /// Append `more` into `into`, merging series of the same probe id (records
 /// appended, first tags win, hour order restored) — for datasets split

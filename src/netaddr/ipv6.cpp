@@ -1,7 +1,6 @@
 #include "netaddr/ipv6.h"
 
 #include <charconv>
-#include <vector>
 
 #include "netaddr/ipv4.h"
 
@@ -9,92 +8,72 @@ namespace dynamips::net {
 
 namespace {
 
-// Parse one hex group (1-4 hex digits). Returns nullopt on bad syntax.
-std::optional<std::uint16_t> parse_group(std::string_view s) {
-  if (s.empty() || s.size() > 4) return std::nullopt;
-  unsigned v = 0;
-  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
-  return std::uint16_t(v);
-}
+/// Each byte's value as a hex digit, or -1.
+constexpr std::array<std::int8_t, 256> kHexDigit = [] {
+  std::array<std::int8_t, 256> t{};
+  for (int c = 0; c < 256; ++c) {
+    t[std::size_t(c)] = c >= '0' && c <= '9'   ? std::int8_t(c - '0')
+                        : c >= 'a' && c <= 'f' ? std::int8_t(c - 'a' + 10)
+                        : c >= 'A' && c <= 'F' ? std::int8_t(c - 'A' + 10)
+                                               : std::int8_t(-1);
+  }
+  return t;
+}();
+
+int hex_digit(char c) { return kHexDigit[std::uint8_t(c)]; }
 
 }  // namespace
 
+// One pass over the text into a fixed array of groups. A group is 1-4 hex
+// digits; groups are separated by single colons, and one "::" may stand
+// for one or more zero groups (so at most 7 are written around it). A
+// token that reaches a '.' must be a dotted quad running to the end of the
+// text, and fills two groups.
 std::optional<IPv6Address> IPv6Address::parse(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-
-  // Split on "::" if present. More than one occurrence is invalid.
-  std::size_t dc = text.find("::");
-  if (dc != std::string_view::npos &&
-      text.find("::", dc + 1) != std::string_view::npos)
-    return std::nullopt;
-
-  auto split_groups = [](std::string_view part,
-                         std::vector<std::string_view>& out) -> bool {
-    if (part.empty()) return true;
-    std::size_t start = 0;
-    while (true) {
-      std::size_t colon = part.find(':', start);
-      std::string_view tok = colon == std::string_view::npos
-                                 ? part.substr(start)
-                                 : part.substr(start, colon - start);
-      if (tok.empty()) return false;  // "a::b:" or ":a" style junk
-      out.push_back(tok);
-      // 9+ tokens can never form a valid address; bail instead of
-      // growing proportionally to a hostile "1:1:1:..." input.
-      if (out.size() > 8) return false;
-      if (colon == std::string_view::npos) break;
-      start = colon + 1;
+  std::array<std::uint16_t, 8> g{};
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  if (p == end) return std::nullopt;
+  int n = 0;     // groups parsed
+  int gap = -1;  // where "::" stands, as a group index
+  if (*p == ':') {
+    if (end - p < 2 || p[1] != ':') return std::nullopt;
+    p += 2;
+    gap = 0;
+    if (p == end) return IPv6Address{};
+  }
+  while (true) {
+    const char* const token = p;
+    unsigned value = 0;
+    for (; p != end && hex_digit(*p) >= 0; ++p)
+      value = value << 4 | unsigned(hex_digit(*p));
+    if (p != end && *p == '.') {
+      if (n > 6) return std::nullopt;  // the quad takes two groups
+      auto quad = IPv4Address::parse(std::string_view(token, end - token));
+      if (!quad) return std::nullopt;
+      g[std::size_t(n++)] = std::uint16_t(quad->value() >> 16);
+      g[std::size_t(n++)] = std::uint16_t(quad->value());
+      break;
     }
-    return true;
-  };
-
-  std::vector<std::string_view> head, tail;
-  if (dc == std::string_view::npos) {
-    if (!split_groups(text, head)) return std::nullopt;
-  } else {
-    if (!split_groups(text.substr(0, dc), head)) return std::nullopt;
-    if (!split_groups(text.substr(dc + 2), tail)) return std::nullopt;
+    if (p == token || p - token > 4 || n == 8) return std::nullopt;
+    g[std::size_t(n++)] = std::uint16_t(value);
+    if (p == end) break;
+    if (*p != ':' || ++p == end) return std::nullopt;
+    if (*p == ':') {
+      if (gap >= 0) return std::nullopt;
+      gap = n;
+      if (++p == end) break;
+    }
   }
-
-  // An embedded IPv4 dotted quad may terminate the address ("::ffff:1.2.3.4").
-  auto& last_list = tail.empty() && dc == std::string_view::npos ? head : tail;
-  std::optional<IPv4Address> embedded;
-  if (!last_list.empty() &&
-      last_list.back().find('.') != std::string_view::npos) {
-    embedded = IPv4Address::parse(last_list.back());
-    if (!embedded) return std::nullopt;
-    last_list.pop_back();
+  if (gap < 0) return n == 8 ? std::optional(from_groups(g)) : std::nullopt;
+  if (n > 7) return std::nullopt;
+  // Move the groups after "::" to the end; zeros fill the gap.
+  const int moved = n - gap;
+  for (int i = moved - 1; i >= 0; --i) {
+    g[std::size_t(8 - moved + i)] = g[std::size_t(gap + i)];
+    g[std::size_t(gap + i)] = 0;
   }
-
-  std::array<std::uint16_t, 8> groups{};
-  std::size_t total = head.size() + tail.size() + (embedded ? 2 : 0);
-  if (dc == std::string_view::npos) {
-    if (total != 8) return std::nullopt;
-  } else {
-    // "::" must stand for at least one zero group.
-    if (total > 7) return std::nullopt;
-  }
-
-  std::size_t gi = 0;
-  for (auto tok : head) {
-    auto g = parse_group(tok);
-    if (!g) return std::nullopt;
-    groups[gi++] = *g;
-  }
-  std::size_t zero_fill = 8 - total;
-  gi += zero_fill;
-  for (auto tok : tail) {
-    auto g = parse_group(tok);
-    if (!g) return std::nullopt;
-    groups[gi++] = *g;
-  }
-  if (embedded) {
-    std::uint32_t v = embedded->value();
-    groups[6] = std::uint16_t(v >> 16);
-    groups[7] = std::uint16_t(v);
-  }
-  return from_groups(groups);
+  return from_groups(g);
 }
 
 std::string IPv6Address::to_string() const {

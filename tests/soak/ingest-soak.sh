@@ -1,6 +1,7 @@
 # ingest-soak: damaged echo exports through dynamips_study. Within the
 # error budget a corrupted export loads, counts its rejects per reason and
-# quarantines each offending line; over budget the same file fails. An
+# quarantines each offending line, with the same CSVs, quarantine bytes
+# and counters at --threads 1 and 4; over budget the same file fails. An
 # export damaged by reordered and duplicated lines puts every duplicate it
 # rejects in the quarantine, as many as `ingest.reject.duplicate` counts,
 # and that count is not zero.
@@ -11,12 +12,18 @@ export_echo
 
 say "within budget: a damaged export loads and quarantines its rejects"
 python3 "$TOOLS/corrupt_csv.py" echo.csv echo_bad.csv --seed 7 --rate 0.1
-dynamips_study out --atlas-only --atlas-in echo_bad.csv \
-  --max-reject-fraction 0.5 --quarantine-out quarantine.csv \
-  --metrics-out ingest.metrics.json
-test -s quarantine.csv || fail "quarantine.csv is empty"
-python3 "$TOOLS/check_metrics.py" ingest.metrics.json \
+for t in 1 4; do
+  dynamips_study out$t --atlas-only --atlas-in echo_bad.csv --threads $t \
+    --max-reject-fraction 0.5 --quarantine-out quarantine$t.csv \
+    --metrics-out ingest$t.metrics.json
+done
+test -s quarantine1.csv || fail "quarantine1.csv is empty"
+python3 "$TOOLS/check_metrics.py" ingest1.metrics.json \
   --require-counters='ingest.reject.*,ingest.quarantined' --verbose
+cmp quarantine1.csv quarantine4.csv || fail "quarantines differ by threads"
+same_csvs out1 out4
+same_metrics ingest4.metrics.json ingest1.metrics.json \
+  --ignore-gauges="$SHARD_GAUGES"
 
 say "over budget: the same file fails loudly"
 expect_exit nonzero over.log dynamips_study out2 --atlas-only \

@@ -13,11 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -26,6 +30,7 @@
 
 #include "atlas/generator.h"
 #include "cdn/generator.h"
+#include "core/failpoint.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/status.h"
@@ -772,6 +777,605 @@ TEST(ShardExecutor, TryDispatchTurnsExceptionsIntoStatus) {
     ASSERT_FALSE(odd.ok());
     EXPECT_TRUE(contains(odd.message(), "non-standard")) << odd.to_string();
   }
+}
+
+// ------------------------------------------- CSV ingest at every thread count
+//
+// CsvReader parses each window's lines in line-aligned ranges, a few per
+// executor thread, and replays them in order. Every load below runs with no
+// executor and on 2 and 4 threads and must report the same dataset, stats,
+// quarantine bytes, counters and Status.
+
+/// Everything a CSV load reports.
+struct CsvLoad {
+  std::string status;
+  std::string dataset;  // rewritten as CSV, when the load succeeded
+  std::string quarantine;
+  std::string counters;  // "name=value" lines
+  io::IngestStats stats;
+};
+
+core::ShardExecutor& csv_pool(unsigned threads) {
+  static core::ShardExecutor two(2), four(4);
+  return threads == 2 ? two : four;
+}
+
+/// One load of `text`, with `failpoints` (when non-empty) armed for it
+/// alone, so each load sees the same hit sequence.
+template <class Read, class Write>
+CsvLoad load_csv_once(const std::string& text, io::ReaderOptions opts,
+                      core::ShardExecutor* exec, Read read, Write write,
+                      const std::string& failpoints = {}) {
+  if (!failpoints.empty()) {
+    EXPECT_TRUE(core::arm_failpoints(failpoints).ok());
+  }
+  CsvLoad out;
+  std::ostringstream quarantine;
+  obs::MetricsSink metrics;
+  opts.quarantine = &quarantine;
+  opts.metrics = &metrics;
+  opts.source_label = "batch.csv";
+  std::istringstream in(text);
+  auto data = read(in, opts, &out.stats, exec);
+  core::disarm_failpoints();
+  out.status = data.status().to_string();
+  if (data.ok()) {
+    std::ostringstream os;
+    write(os, *data);
+    out.dataset = os.str();
+  }
+  out.quarantine = quarantine.str();
+  for (const auto& [name, counter] : metrics.counters())
+    out.counters += name + "=" + std::to_string(counter.value) + "\n";
+  return out;
+}
+
+/// Load `text` with no executor, then on 2 and 4 threads, expecting the
+/// same report each time; returns the first.
+template <class Read, class Write>
+CsvLoad expect_csv_thread_invariant(const std::string& text,
+                                    const io::ReaderOptions& opts, Read read,
+                                    Write write, const std::string& what,
+                                    const std::string& failpoints = {}) {
+  const CsvLoad serial =
+      load_csv_once(text, opts, nullptr, read, write, failpoints);
+  for (unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE(what + " on " + std::to_string(threads) + " threads");
+    const CsvLoad got = load_csv_once(text, opts, &csv_pool(threads), read,
+                                      write, failpoints);
+    EXPECT_EQ(got.status, serial.status);
+    EXPECT_TRUE(got.dataset == serial.dataset);
+    EXPECT_EQ(got.quarantine, serial.quarantine);
+    EXPECT_EQ(got.counters, serial.counters);
+    EXPECT_TRUE(got.stats == serial.stats)
+        << got.stats.summary() << " vs " << serial.stats.summary();
+  }
+  return serial;
+}
+
+const auto read_echo = [](auto&&... a) { return io::read_echo_dataset(a...); };
+const auto write_echo = [](std::ostream& os, const auto& d) {
+  io::write_echo_dataset(os, d);
+};
+const auto read_assoc = [](auto&&... a) {
+  return io::read_assoc_dataset(a...);
+};
+const auto write_assoc = [](std::ostream& os, const auto& d) {
+  io::write_assoc_dataset(os, d);
+};
+
+CsvLoad expect_echo_invariant(const std::string& text,
+                              const io::ReaderOptions& opts,
+                              const std::string& what,
+                              const std::string& failpoints = {}) {
+  return expect_csv_thread_invariant(text, opts, read_echo, write_echo, what,
+                                     failpoints);
+}
+
+/// An echo export of a small generated population: about 2 MB, several
+/// windows.
+const std::string& echo_export() {
+  static const std::string text = [] {
+    atlas::AtlasConfig acfg;
+    acfg.probe_scale = 0.008;
+    acfg.window_hours = 1500;
+    acfg.seed = 5;
+    atlas::AtlasSimulator sim(simnet::paper_isps(), acfg);
+    std::vector<atlas::ProbeSeries> dataset;
+    for (std::size_t i = 0; i < sim.probe_count(); ++i)
+      dataset.push_back(sim.series_for(i));
+    std::ostringstream os;
+    io::write_echo_dataset(os, dataset);
+    return os.str();
+  }();
+  return text;
+}
+
+/// tools/corrupt_csv.py's four fault modes, in process: each line after
+/// the first is, at `rate`, truncated, bit-flipped (never into a line
+/// break), swapped with the next line, or followed by a copy of itself.
+std::string corrupt_lines(const std::string& text, std::uint64_t seed,
+                          double rate) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string line = lines[i];
+    if (i == 0 || coin(rng) >= rate) {
+      out.push_back(line);
+      continue;
+    }
+    switch (rng() % 4) {
+      case 0:  // truncate
+        out.push_back(line.substr(0, line.empty() ? 0 : rng() % line.size()));
+        break;
+      case 1:  // bitflip
+        if (!line.empty()) {
+          char& c = line[rng() % line.size()];
+          c = char(c ^ (1 << (rng() % 7)));
+          if (c == '\n' || c == '\r') c = '?';
+        }
+        out.push_back(line);
+        break;
+      case 2:  // reorder
+        if (i + 1 < lines.size()) {
+          out.push_back(lines[i + 1]);
+          lines[i + 1] = line;
+        } else {
+          out.push_back(line);
+        }
+        break;
+      default:  // duplicate
+        out.push_back(line);
+        out.push_back(line);
+    }
+  }
+  std::string joined;
+  for (const auto& line : out) joined += line + '\n';
+  return joined;
+}
+
+/// `count` lines of exactly `width` bytes each, '\n' included; `line(i)`
+/// gives line i without its '\n'. Fixed-width lines put each range cut at
+/// a computable line (range_starts).
+std::string fixed_lines(std::size_t count, std::size_t width,
+                        const std::function<std::string(std::size_t)>& line) {
+  std::string text;
+  text.reserve(count * width);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string l = line(i);
+    EXPECT_EQ(l.size() + 1, width) << l;
+    text += l + '\n';
+  }
+  return text;
+}
+
+/// The first line of every range but the first on `threads` threads, for
+/// `count` lines of `width` bytes in one window: its B bytes are cut into
+/// n = clamp(B / kCsvMinRangeBytes, 1, kCsvRangesPerThread * threads)
+/// ranges, cut k after the first '\n' at or after byte B * k / n.
+std::vector<std::size_t> range_starts(std::size_t count, std::size_t width,
+                                      std::size_t threads) {
+  const std::size_t bytes = count * width;
+  EXPECT_LE(bytes, io::kCsvWindowBytes);
+  const std::size_t n = std::clamp<std::size_t>(
+      bytes / io::kCsvMinRangeBytes, 1, io::kCsvRangesPerThread * threads);
+  std::vector<std::size_t> starts;
+  for (std::size_t k = 1; k < n; ++k)
+    starts.push_back((bytes * k / n + width) / width);
+  return starts;
+}
+
+/// range_starts on 2 and on 4 threads.
+std::set<std::size_t> all_range_starts(std::size_t count, std::size_t width) {
+  std::set<std::size_t> starts;
+  for (std::size_t threads : {2u, 4u})
+    for (std::size_t line : range_starts(count, width, threads))
+      starts.insert(line);
+  return starts;
+}
+
+/// A 46-byte echo line: probe 1000 + `probe`, hour 100000 + `hour`.
+std::string echo_line(std::size_t probe, std::size_t hour) {
+  return std::to_string(1000 + probe) + "," + std::to_string(100000 + hour) +
+         ",4,100.100.100.100,200.200.200.200";
+}
+constexpr std::size_t kEchoWidth = 46;
+constexpr std::size_t kFixedLines = 4096;  // 184 KiB: one window
+
+/// The fixed-width echo input with `special` lines in place of records.
+std::string fixed_echo(const std::map<std::size_t, std::string>& special) {
+  return fixed_lines(kFixedLines, kEchoWidth, [&](std::size_t i) {
+    auto it = special.find(i);
+    return it != special.end() ? it->second : echo_line(i % 7, i);
+  });
+}
+
+/// `s` padded with `pad` to 45 bytes.
+std::string pad45(std::string s, char pad) {
+  s.resize(kEchoWidth - 1, pad);
+  return s;
+}
+
+TEST(CsvThreads, CleanAndDamagedExportsLoadAlike) {
+  const std::string& clean = echo_export();
+  ASSERT_GT(clean.size(), io::kCsvWindowBytes);  // several windows
+  const CsvLoad ref = expect_echo_invariant(clean, {}, "clean export");
+  EXPECT_EQ(ref.status, "OK");
+  EXPECT_EQ(ref.stats.total_rejects(), 0u);
+  EXPECT_EQ(ref.dataset, clean);  // the writer's own form round-trips
+
+  io::ReaderOptions open_budget;
+  open_budget.max_reject_fraction = 1.0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::string damaged = corrupt_lines(clean, seed, 0.05);
+    const CsvLoad d = expect_echo_invariant(
+        damaged, open_budget, "damaged export seed " + std::to_string(seed));
+    EXPECT_EQ(d.status, "OK");
+    for (RejectReason why :
+         {RejectReason::kBadFieldCount, RejectReason::kBadNumber,
+          RejectReason::kBadAddress, RejectReason::kDuplicate})
+      EXPECT_GT(d.stats.rejects_for(why), 0u) << reject_reason_name(why);
+  }
+  // A zero budget fails alike, naming the same first offenders.
+  const CsvLoad failed = expect_echo_invariant(corrupt_lines(clean, 4, 0.05),
+                                               {}, "damaged, zero budget");
+  EXPECT_NE(failed.status, "OK");
+}
+
+TEST(CsvThreads, EdgeLinesAtWindowBoundariesLoadAlike) {
+  const std::string& base = echo_export();
+  const std::size_t w = io::kCsvWindowBytes;
+  io::ReaderOptions opts;
+  opts.max_line_bytes = 256;  // longer than every line of the export
+  opts.max_reject_fraction = 1.0;
+  // Splice `line` into a copy of `base` so that it starts at byte `at`:
+  // the line `at` falls in becomes a filler of 'P's that ends before it.
+  auto splice = [&](std::size_t at, const std::string& line) {
+    const std::size_t from = base.rfind('\n', at - 1) + 1;
+    std::string text = base.substr(0, from);
+    if (at > from) text += std::string(at - from - 1, 'P') + '\n';
+    text += line;
+    text += base.substr(base.find('\n', at));
+    return text;
+  };
+  // Every physical line is counted once: an oversize line's rest is
+  // skipped, not read as more lines.
+  auto load = [&](const std::string& text, const io::ReaderOptions& o,
+                  const std::string& what) {
+    const CsvLoad got = expect_echo_invariant(text, o, what);
+    EXPECT_EQ(got.stats.lines_seen,
+              std::uint64_t(std::count(text.begin(), text.end(), '\n')))
+        << what;
+    return got.stats;
+  };
+  const std::string long_line(300, 'L');
+  for (std::size_t start : {w - 301, w - 300, w - 299, w - 258, w - 257,
+                            w - 1, w, w + 1}) {
+    const io::IngestStats st = load(splice(start, long_line), opts,
+                                    "oversize line at " +
+                                        std::to_string(start));
+    EXPECT_EQ(st.rejects_for(RejectReason::kOversizeLine), 1u);
+  }
+  // Lines at the limit: 257 bytes fit (a CR's slack), 258 do not.
+  for (std::size_t len : {256u, 257u, 258u}) {
+    const io::IngestStats st =
+        load(splice(w - 30, std::string(len, 'M')), opts,
+             "line of " + std::to_string(len) + " at w - 30");
+    EXPECT_EQ(st.rejects_for(RejectReason::kOversizeLine),
+              len == 258 ? 1u : 0u);
+  }
+  // A CRLF pair split by the window boundary, and a CRLF export.
+  {
+    std::string text = splice(w - 40, std::string(39, 'C'));
+    text.insert(w - 1, "\r");
+    load(text, opts, "CR at w - 1, LF at w");
+  }
+  std::string crlf;
+  for (char c : base) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  const CsvLoad crlf_load = expect_echo_invariant(crlf, {}, "CRLF export");
+  EXPECT_EQ(crlf_load.dataset, base);
+  // An oversize line longer than a window is skipped across windows, and
+  // with a larger limit a line that long is carried whole.
+  const std::string huge(w + w / 2, 'H');
+  EXPECT_EQ(load(splice(w - 1000, huge), opts, "window-long line")
+                .rejects_for(RejectReason::kOversizeLine),
+            1u);
+  io::ReaderOptions roomy = opts;
+  roomy.max_line_bytes = 2 * w;
+  EXPECT_EQ(load(splice(w - 1000, huge), roomy,
+                 "window-long line under a larger limit")
+                .rejects_for(RejectReason::kOversizeLine),
+            0u);
+}
+
+// A line long enough to run past the range cut points after it, last in
+// its window: the cuts stop at the window's last '\n' and the ranges after
+// them stay empty. The input is smaller than a window, or the line ends a
+// full window with nothing or a partial line after it.
+TEST(CsvThreads, LongLastLineOfAWindowLoadsAlike) {
+  const std::size_t w = io::kCsvWindowBytes;
+  const std::string records = fixed_echo({}).substr(0, 220 * kEchoWidth);
+  const std::string more = fixed_echo({}).substr(300 * kEchoWidth);
+  io::ReaderOptions opts;
+  opts.max_reject_fraction = 1.0;
+  io::ReaderOptions roomy = opts;
+  roomy.max_line_bytes = 2 * w;
+  auto load = [&](const std::string& text, const io::ReaderOptions& o,
+                  const std::string& what) {
+    const CsvLoad got = expect_echo_invariant(text, o, what);
+    EXPECT_EQ(got.stats.lines_seen,
+              std::uint64_t(std::count(text.begin(), text.end(), '\n')))
+        << what;
+    return got.stats;
+  };
+  for (std::size_t len : {20000u, 40000u, 100000u}) {
+    const std::string text = records + std::string(len, 'J') + '\n';
+    const std::string what = "10 KB, then a line of " + std::to_string(len);
+    const io::IngestStats st = load(text, opts, what);
+    EXPECT_EQ(st.rejects_for(RejectReason::kOversizeLine), 1u);
+    EXPECT_EQ(st.records_accepted, 220u);
+    load(text, roomy, what + " under a larger limit");
+  }
+  for (std::size_t tail : {0u, 1u, 20u}) {
+    const std::size_t len = w - records.size() - tail - 1;
+    const std::string text = records + std::string(len, 'J') + '\n' + more;
+    const std::string what = "a line ending " + std::to_string(tail) +
+                             " bytes before a full window";
+    const io::IngestStats st = load(text, opts, what);
+    EXPECT_EQ(st.rejects_for(RejectReason::kOversizeLine), 1u) << what;
+    EXPECT_EQ(st.records_accepted,
+              220u + std::count(more.begin(), more.end(), '\n'))
+        << what;
+    load(text, roomy, what + " under a larger limit");
+  }
+}
+
+/// Load `text` through a stream that fails once it is read, as
+/// FailingAfterBuf does, with no executor and on 2 and 4 threads.
+CsvLoad expect_failing_stream_invariant(const std::string& text,
+                                        const io::ReaderOptions& opts,
+                                        const std::string& what) {
+  auto read = [&](std::istream&, const io::ReaderOptions& o,
+                  io::IngestStats* stats, core::ShardExecutor* exec) {
+    FailingAfterBuf buf(text);
+    std::istream in(&buf);
+    return io::read_echo_dataset(in, o, stats, exec);
+  };
+  return expect_csv_thread_invariant(text, opts, read, write_echo, what);
+}
+
+// A stream that fails mid-input keeps the complete lines before the
+// failure and fails at the line it could not finish; a partial line known
+// to be oversize is rejected first.
+TEST(CsvThreads, ReadFailureKeepsTheCompleteLinesBeforeIt) {
+  io::ReaderOptions opts;
+  opts.max_line_bytes = 64;
+  opts.max_reject_fraction = 1.0;
+  const std::string lines = fixed_echo({});
+  const CsvLoad at_boundary =
+      expect_failing_stream_invariant(lines, opts, "failure after a '\\n'");
+  EXPECT_NE(at_boundary.status.find("read failed at line " +
+                                    std::to_string(kFixedLines + 1)),
+            std::string::npos)
+      << at_boundary.status;
+  EXPECT_EQ(at_boundary.stats.records_accepted, kFixedLines);
+
+  const CsvLoad partial = expect_failing_stream_invariant(
+      lines + "1001,1,4,100.100", opts, "failure inside a line");
+  EXPECT_NE(partial.status.find("read failed at line " +
+                                std::to_string(kFixedLines + 1)),
+            std::string::npos)
+      << partial.status;
+  EXPECT_EQ(partial.stats.lines_seen, kFixedLines);
+
+  const CsvLoad oversize = expect_failing_stream_invariant(
+      lines + std::string(66, 'O'), opts, "failure inside an oversize line");
+  EXPECT_NE(oversize.status.find("read failed at line " +
+                                 std::to_string(kFixedLines + 2)),
+            std::string::npos)
+      << oversize.status;
+  EXPECT_EQ(oversize.stats.rejects_for(RejectReason::kOversizeLine), 1u);
+
+  // At the limit the partial line could still end: not yet oversize.
+  const CsvLoad at_limit = expect_failing_stream_invariant(
+      lines + std::string(65, 'O'), opts, "failure after 65 bytes");
+  EXPECT_NE(at_limit.status.find("read failed at line " +
+                                 std::to_string(kFixedLines + 1)),
+            std::string::npos)
+      << at_limit.status;
+}
+
+TEST(CsvThreads, RangeBoundariesKeepTagsDuplicatesAndTheRejectCap) {
+  io::ReaderOptions opts;
+  opts.max_reject_fraction = 1.0;
+  const std::set<std::size_t> starts =
+      all_range_starts(kFixedLines, kEchoWidth);
+  ASSERT_GE(starts.size(), 10u);
+  // A `#tags` line first in each range, for a probe whose records come
+  // both before and after it, and an unknown comment.
+  {
+    std::map<std::size_t, std::string> special;
+    for (std::size_t line : starts)
+      special[line] = pad45("#tags," + std::to_string(1000 + line % 7) +
+                                "," + std::to_string(line) + ";",
+                            't');
+    special[*starts.begin() + 1] = pad45("# comment", ' ');
+    const CsvLoad got =
+        expect_echo_invariant(fixed_echo(special), opts, "tags at cuts");
+    EXPECT_EQ(got.stats.meta_lines, special.size());
+    EXPECT_NE(got.dataset.find("#tags,"), std::string::npos);
+  }
+  // A record, and its duplicates first in other ranges.
+  {
+    std::map<std::size_t, std::string> special;
+    for (std::size_t line : starts) special[line] = echo_line(5 % 7, 5);
+    const CsvLoad got =
+        expect_echo_invariant(fixed_echo(special), opts, "duplicates");
+    EXPECT_EQ(got.stats.rejects_for(RejectReason::kDuplicate), starts.size());
+  }
+  // A BOM counts on the stream's first line only, not on a range's, and a
+  // last line without a '\n' is replayed after every range.
+  {
+    std::map<std::size_t, std::string> special;
+    for (std::size_t line : starts)
+      special[line] = "\xEF\xBB\xBF" + std::to_string(1000 + line % 7) + "," +
+                      std::to_string(100000 + line) +
+                      ",4,100.100.100.10,200.200.200.2";
+    const std::string text =
+        fixed_echo(special) + "1006,200000,4,100.100.100.10,200.200.200.2";
+    const CsvLoad got =
+        expect_echo_invariant(text, opts, "BOMs at cuts, no last newline");
+    EXPECT_EQ(got.stats.rejects_for(RejectReason::kBadNumber), starts.size());
+    EXPECT_EQ(got.stats.records_accepted, kFixedLines - starts.size() + 1);
+  }
+  // A run of rejects across a range cut that trips the consecutive cap:
+  // the lines parsed past the trip are never seen.
+  for (std::size_t threads : {2u, 4u}) {
+    io::ReaderOptions capped = opts;
+    capped.max_consecutive_rejects = 10;
+    const std::size_t cut = range_starts(kFixedLines, kEchoWidth, threads)[0];
+    std::map<std::size_t, std::string> special;
+    for (std::size_t i = cut - 6; i < cut + 6; ++i)
+      special[i] = pad45("zzz", 'z');
+    const CsvLoad got = expect_echo_invariant(
+        fixed_echo(special), capped,
+        "reject cap across a cut on " + std::to_string(threads) + " threads");
+    EXPECT_NE(got.status.find("11 consecutive malformed lines"),
+              std::string::npos)
+        << got.status;
+    EXPECT_EQ(got.stats.lines_seen, cut + 5);
+    EXPECT_EQ(got.stats.records_accepted, cut - 6);
+  }
+  // The readers.line failpoint fails at the same line, with the same
+  // records accepted, at every thread count.
+  for (const std::string line : {"1", "2000", "4096", "4097"}) {
+    const CsvLoad got = expect_echo_invariant(
+        fixed_echo({}), opts, "failpoint at " + line,
+        "readers.line=err(ENOSPC)@" + line);
+    EXPECT_NE(got.status.find("injected read failure (ENOSPC) at line " +
+                              line),
+              std::string::npos)
+        << got.status;
+    EXPECT_EQ(got.stats.records_accepted, std::stoull(line) - 1);
+  }
+}
+
+TEST(CsvThreads, SmallInputsBomAndMissingNewlineLoadAlike) {
+  const std::string bom = "\xEF\xBB\xBF";
+  const std::string header = "probe_id,hour,family,x_client_ip,src_addr\n";
+  const std::string rec = "1,0,4,80.1.2.3,192.168.1.5";
+  for (const std::string& text :
+       {std::string(), std::string("\n"), bom, bom + header + rec,
+        header + rec, header + rec + "\n" + bom + rec, rec + "\r",
+        "#tags,1,a;b\n" + rec, fixed_echo({}).substr(0, 8000),
+        fixed_echo({}).substr(0, 70000)})
+    expect_echo_invariant(text, {}, "small input of " +
+                                        std::to_string(text.size()));
+  // A BOM counts only on the first line.
+  const CsvLoad first = expect_echo_invariant(bom + header + rec, {}, "BOM");
+  EXPECT_EQ(first.stats.headers_skipped, 1u);
+  EXPECT_EQ(first.stats.records_accepted, 1u);
+  const CsvLoad second =
+      expect_echo_invariant(header + bom + rec, {}, "BOM on line 2");
+  EXPECT_EQ(second.stats.records_accepted, 0u);
+}
+
+TEST(CsvThreads, AssocAdjacentDuplicatesAcrossRangesLoadAlike) {
+  // 59-byte assoc lines; a repeat of the previous line at each cut.
+  constexpr std::size_t kWidth = 59;
+  auto assoc_line = [](std::size_t i) {
+    return std::to_string(10000 + i % 20000) + ",100.100." +
+           std::to_string(100 + i % 100) + ".0/24,2001:db8:" +
+           std::to_string(1000 + i % 9000) + ":1000::/64,65001,65001";
+  };
+  const std::set<std::size_t> repeats = all_range_starts(kFixedLines, kWidth);
+  const std::string text =
+      fixed_lines(kFixedLines, kWidth, [&](std::size_t i) {
+        return assoc_line(repeats.count(i) ? i - 1 : i);
+      });
+  for (bool dedup : {false, true}) {
+    io::ReaderOptions opts;
+    opts.assoc_dedup_adjacent = dedup;
+    const CsvLoad got = expect_csv_thread_invariant(
+        text, opts, read_assoc, write_assoc,
+        dedup ? "adjacent dedup" : "no dedup");
+    EXPECT_EQ(got.stats.rejects_for(RejectReason::kDuplicate),
+              dedup ? repeats.size() : 0u);
+  }
+  // A damaged assoc export.
+  std::string export_text;
+  for (std::size_t i = 0; i < 20000; ++i)
+    export_text += assoc_line(i * 7) + "\n";
+  io::ReaderOptions open_budget;
+  open_budget.max_reject_fraction = 1.0;
+  open_budget.assoc_dedup_adjacent = true;
+  expect_csv_thread_invariant(corrupt_lines(export_text, 9, 0.05),
+                              open_budget, read_assoc, write_assoc,
+                              "damaged assoc export");
+}
+
+// Once next() returned nullopt at the end of the input, it keeps doing so
+// and counts nothing more.
+TEST(CsvThreads, EndOfInputIsFinal) {
+  const std::string rec = "1,0,4,80.1.2.3,192.168.1.5";
+  for (const std::string& text :
+       {std::string(), rec, rec + "\n", rec + "\nbad\n" + rec,
+        corrupt_lines(echo_export(), 12, 0.02)}) {
+    for (core::ShardExecutor* exec :
+         {static_cast<core::ShardExecutor*>(nullptr), &csv_pool(2),
+          &csv_pool(4)}) {
+      SCOPED_TRACE(std::to_string(text.size()) + " bytes, " +
+                   (exec ? std::to_string(exec->thread_count()) + " threads"
+                         : std::string("no executor")));
+      std::ostringstream quarantine;
+      obs::MetricsSink metrics;
+      io::ReaderOptions opts;
+      opts.max_reject_fraction = 1.0;
+      opts.quarantine = &quarantine;
+      opts.metrics = &metrics;
+      std::istringstream in(text);
+      io::EchoReader reader(in, opts, exec);
+      while (reader.next()) continue;
+      const io::IngestStats at_end = reader.stats();
+      const std::string quarantined = quarantine.str();
+      const std::uint64_t lines = metrics.counter("ingest.lines").value;
+      for (int again = 0; again < 2; ++again) EXPECT_FALSE(reader.next());
+      EXPECT_TRUE(reader.stats() == at_end) << reader.stats().summary();
+      EXPECT_EQ(quarantine.str(), quarantined);
+      EXPECT_EQ(metrics.counter("ingest.lines").value, lines);
+      EXPECT_TRUE(reader.finish().ok());
+    }
+  }
+}
+
+TEST(CsvThreads, FileLoadsMatchStreamLoads) {
+  const fs::path path = temp_path("csv_threads.csv");
+  const std::string text = corrupt_lines(echo_export(), 11, 0.02);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  io::ReaderOptions opts;
+  opts.max_reject_fraction = 1.0;
+  auto load_file = [&](std::istream&, const io::ReaderOptions& o,
+                       io::IngestStats* stats, core::ShardExecutor* exec) {
+    return io::load_echo_file(path.string(), o, stats, exec);
+  };
+  const CsvLoad from_file = expect_csv_thread_invariant(
+      text, opts, load_file, write_echo, "file load");
+  CsvLoad from_stream = load_csv_once(text, opts, nullptr, read_echo,
+                                      write_echo);
+  EXPECT_EQ(from_file.dataset, from_stream.dataset);
+  EXPECT_TRUE(from_file.stats == from_stream.stats);
+  // The file load labels its quarantine rows with the path.
+  EXPECT_NE(from_file.quarantine.find(path.string()), std::string::npos);
 }
 
 }  // namespace

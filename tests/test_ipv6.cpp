@@ -5,8 +5,11 @@
 #include <string>
 
 #include "corpus_util.h"
+#include "reference/ipv6_parse.h"
 
 #include <string>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "netaddr/rng.h"
@@ -169,6 +172,102 @@ TEST(IPv6, FuzzRegressionCorpus) {
   dynamips::testing::run_parse_corpus("ipv6", [](const std::string& s) {
     return IPv6Address::parse(s).has_value();
   });
+}
+
+// ------------------------------------------------- one-pass parser oracle
+
+/// The one-pass parser and the reference agree on `text`: both refuse it,
+/// or both return the same address.
+::testing::AssertionResult AgreesWithReference(const std::string& text) {
+  const auto got = IPv6Address::parse(text);
+  const auto want = reference::reference_parse_ipv6(text);
+  if (got == want) return ::testing::AssertionSuccess();
+  auto show = [](const std::optional<IPv6Address>& a) {
+    return a ? a->to_string() : std::string("refused");
+  };
+  return ::testing::AssertionFailure()
+         << "\"" << text << "\": parse " << show(got) << ", reference "
+         << show(want);
+}
+
+TEST(IPv6Oracle, AdversarialLiteralsAgreeWithReference) {
+  for (const char* text :
+       {"", ":", "::", ":::", "::::", "::1", "1::", "1:::2", "1::2::3",
+        "12345::", "::12345", "1:2:3:4:5:6:7::", "::2:3:4:5:6:7:8",
+        "1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8:9", "1:2:3:4:5:6:7",
+        "1:2:3:4:5:6:7:8::", "::1:2:3:4:5:6:7:8", "1:2:3:4:5:6:1.2.3.4",
+        "1:2:3:4:5:1.2.3.4", "1:2:3:4:5:6:7:1.2.3.4", "1:2:3:4:5::1.2.3.4",
+        "1:2:3:4:5:6::1.2.3.4", "::1.2.3.4", "::ffff:1.2.3.4",
+        "::ffff:01.2.3.4", "::ffff:256.2.3.4", "::ffff:1.2.3", "1.2.3.4::",
+        "1.2.3.4", "abcd.1.2.3", "::.1.2.3", "::1.2.3.4.5", "::1.2.3.4:5",
+        ":1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8:", ":1::", "::1:", "1::2:",
+        "0000:0000:0000:0000:0000:0000:0000:0000", "00000::", "FFFF::fFfF",
+        "g::", "::g", "1::2g", "-1::", "+1::", " ::1", "::1 ", "::1%eth0",
+        "2001:db8::/64", "::0:0", "0::0", "a:b:c:d:e:f:a:b"})
+    EXPECT_TRUE(AgreesWithReference(text));
+  // Parsed values, not only the verdicts.
+  EXPECT_EQ(IPv6Address::parse("1:2:3:4:5:6:1.2.3.4"),
+            IPv6Address::parse("1:2:3:4:5:6:102:304"));
+  EXPECT_EQ(IPv6Address::parse("1:2:3:4:5:6:7::"),
+            IPv6Address::parse("1:2:3:4:5:6:7:0"));
+  for (const char* refused :
+       {"", ":::", "1:::2", "1::2::3", "12345::", "1:2:3:4:5:6:7:8:9",
+        "1.2.3.4::", "abcd.1.2.3", ":1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8:"})
+    EXPECT_FALSE(IPv6Address::parse(refused).has_value()) << refused;
+}
+
+TEST(IPv6Oracle, MillionSeededInputsAgreeWithReference) {
+  Rng rng(20201027);
+  constexpr std::string_view kAlphabet = "0123456789abcdefABCDEF:.";
+  auto pick = [&](std::string_view from) {
+    return from[std::size_t(rng.uniform(from.size()))];
+  };
+  auto random_address = [&] {
+    U128 bits{rng.next_u64(), rng.next_u64()};
+    // Zero-dense halves and groups exercise the "::" forms.
+    if (rng.bernoulli(0.5)) bits.hi &= rng.next_u64() & rng.next_u64();
+    if (rng.bernoulli(0.5)) bits.lo &= rng.next_u64() & rng.next_u64();
+    if (rng.bernoulli(0.2)) bits.hi = 0;
+    if (rng.bernoulli(0.2)) bits.lo = 0;
+    return IPv6Address{bits};
+  };
+  auto octet = [&] {
+    // Mostly valid, sometimes out of range or with a leading zero.
+    const std::string leading = rng.bernoulli(0.1) ? "0" : "";
+    return leading +
+           std::to_string(rng.uniform(rng.bernoulli(0.8) ? 256 : 400));
+  };
+  std::uint64_t accepted = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    std::string text;
+    switch (i % 4) {
+      case 0: {  // random strings over the address alphabet
+        const std::size_t len = std::size_t(rng.uniform(42));
+        for (std::size_t k = 0; k < len; ++k) text += pick(kAlphabet);
+        break;
+      }
+      case 1: {  // a canonical form with one byte mutated
+        text = random_address().to_string();
+        text[std::size_t(rng.uniform(text.size()))] = pick(kAlphabet);
+        break;
+      }
+      case 2: {  // a canonical form with a stray ':' or a leading '0'
+        text = random_address().to_string();
+        const std::size_t at = std::size_t(rng.uniform(text.size() + 1));
+        text.insert(at, 1, rng.bernoulli(0.5) ? ':' : '0');
+        break;
+      }
+      default:  // an embedded dotted quad
+        text = (rng.bernoulli(0.5) ? "::ffff:" : random_address().to_string()
+                                                      .substr(0, 10)) +
+               octet() + "." + octet() + "." + octet() + "." + octet();
+    }
+    ASSERT_TRUE(AgreesWithReference(text));
+    accepted += IPv6Address::parse(text).has_value();
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(accepted, 100'000u);
+  EXPECT_LT(accepted, 900'000u);
 }
 
 }  // namespace
