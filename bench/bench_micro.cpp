@@ -1,9 +1,11 @@
 // bench_micro — google-benchmark microbenchmarks of the hot data paths:
-// address parsing/formatting, echo CSV ingest, trie insert/LPM, span
-// extraction, and the total-time-fraction accumulator. These are the
-// operations that dominate full-dataset analysis runs.
+// address parsing/formatting, echo CSV ingest, the DYNCOL1 encode and the
+// stream checkpoint commit, trie insert/LPM, span extraction, and the
+// total-time-fraction accumulator. These are the operations that dominate
+// full-dataset analysis runs and the per-batch work of a stream.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <istream>
 #include <sstream>
 #include <streambuf>
@@ -14,6 +16,8 @@
 #include "bench/bench_util.h"
 #include "core/changes.h"
 #include "core/parallel.h"
+#include "io/checkpoint.h"
+#include "io/columnar.h"
 #include "io/readers.h"
 #include "netaddr/ipv4.h"
 #include "netaddr/ipv6.h"
@@ -42,20 +46,28 @@ void BM_ParseIPv6(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseIPv6);
 
-/// An echo CSV export of a fixed-seed Atlas population: 11.9 MB and 217 k
-/// records, about one batch of perfbench's follow-serve stream.
-const std::string& echo_csv() {
-  static const std::string csv = [] {
+/// A fixed-seed Atlas population of 217 k echo records, about one batch of
+/// perfbench's follow-serve stream.
+const std::vector<atlas::ProbeSeries>& echo_batch() {
+  static const std::vector<atlas::ProbeSeries> dataset = [] {
     atlas::AtlasConfig cfg;
     cfg.probe_scale = 0.05;
     cfg.window_hours = 1500;
     cfg.seed = 1;
     atlas::AtlasSimulator sim(simnet::paper_isps(), cfg);
-    std::vector<atlas::ProbeSeries> dataset;
+    std::vector<atlas::ProbeSeries> out;
     for (std::size_t i = 0; i < sim.probe_count(); ++i)
-      dataset.push_back(sim.series_for(i));
+      out.push_back(sim.series_for(i));
+    return out;
+  }();
+  return dataset;
+}
+
+/// echo_batch() as an echo CSV export: 11.9 MB.
+const std::string& echo_csv() {
+  static const std::string csv = [] {
     std::ostringstream os;
-    io::write_echo_dataset(os, dataset);
+    io::write_echo_dataset(os, echo_batch());
     return os.str();
   }();
   return csv;
@@ -89,6 +101,66 @@ BENCHMARK(BM_LoadEchoCsv)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// encode_echo_columnar of echo_batch() on an executor of range(0)
+/// threads: the segment a stream commits per batch.
+void BM_EncodeEchoColumnar(benchmark::State& state) {
+  const auto& batch = echo_batch();
+  core::ShardExecutor exec(unsigned(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    io::EncodedBatch encoded = io::encode_echo_columnar(batch, &exec);
+    bytes = encoded.bytes.size();
+    benchmark::DoNotOptimize(encoded.bytes.data());
+    benchmark::DoNotOptimize(encoded.crc);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations() * bytes));
+}
+BENCHMARK(BM_EncodeEchoColumnar)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// One stream commit of echo_batch()'s segment in a temporary directory:
+/// the journal append at the committed length of one earlier segment,
+/// with its fsync, then the manifest.
+void BM_CommitStreamCheckpoint(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "bench_micro_commit";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "stream.ckpt").string();
+  const io::EncodedBatch segment = io::encode_echo_columnar(echo_batch());
+  io::StudyCheckpoint manifest;
+  manifest.kind = io::kCkptAtlasStream;
+  manifest.consumed = {"batch-000.csv"};
+  manifest.item_count = 1;
+  manifest.shards = {{0, 1, 1, {}}};
+  if (!io::commit_stream_checkpoint(path, manifest, segment.bytes,
+                                    segment.crc)
+           .ok())
+    state.SkipWithError("the first commit failed");
+  const std::vector<io::JournalSegment> first = manifest.journal;
+  manifest.consumed.push_back("batch-001.csv");
+  manifest.item_count = 2;
+  manifest.shards = {{0, 2, 2, {}}};
+  for (auto _ : state) {
+    manifest.journal = first;
+    const bool ok = io::commit_stream_checkpoint(path, manifest, segment.bytes,
+                                                 segment.crc)
+                        .ok();
+    if (!ok) state.SkipWithError("commit failed");
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetBytesProcessed(
+      std::int64_t(state.iterations() * segment.bytes.size()));
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_CommitStreamCheckpoint)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -5,15 +5,19 @@
 // any payload is touched), and on success the ingest accounting must match
 // the decoded dataset exactly. Each input is also decoded through a
 // 3-thread executor, which must give the same Status, stats, quarantine,
-// `ingest.*` counters and dataset as the decode on the caller.
+// `ingest.*` counters and dataset as the decode on the caller. Each decoded
+// dataset is re-encoded by the same executor (or on the caller): the bytes
+// must not depend on it, and the returned CRC must be crc32() of them.
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/parallel.h"
 #include "core/status.h"
+#include "io/checkpoint.h"
 #include "io/columnar.h"
 #include "io/readers.h"
 #include "obs/metrics.h"
@@ -23,7 +27,8 @@ namespace {
 namespace io = dynamips::io;
 using dynamips::core::StatusCode;
 
-/// Everything one decode reports; `counters` renders the metrics sink.
+/// Everything one decode reports; `counters` renders the metrics sink and
+/// `dataset` is the decoded dataset re-encoded.
 struct Outcome {
   std::string status, dataset, quarantine, counters;
   io::IngestStats stats;
@@ -48,7 +53,9 @@ Outcome run(std::string_view bytes, dynamips::core::ShardExecutor* exec,
     std::uint64_t records = 0;
     for (const auto& item : *data) records += item.records.size();
     if (out.stats.records_accepted != records) __builtin_trap();
-    out.dataset = encode(*data);
+    io::EncodedBatch encoded = encode(*data, exec);
+    if (encoded.crc != io::ckpt::crc32(encoded.bytes)) __builtin_trap();
+    out.dataset = std::move(encoded.bytes);
   } else if (data.status().code() != StatusCode::kDataLoss &&
              data.status().code() != StatusCode::kFailedPrecondition) {
     __builtin_trap();
@@ -77,10 +84,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   check(
       bytes, exec,
       [](auto... a) { return io::decode_echo_columnar(a...); },
-      [](const auto& d) { return io::encode_echo_columnar(d); });
+      [](const auto& d, auto* e) { return io::encode_echo_columnar(d, e); });
   check(
       bytes, exec,
       [](auto... a) { return io::decode_assoc_columnar(a...); },
-      [](const auto& d) { return io::encode_assoc_columnar(d); });
+      [](const auto& d, auto* e) { return io::encode_assoc_columnar(d, e); });
   return 0;
 }

@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -940,7 +942,9 @@ struct AtlasFilePolicy {
                          io::IngestStats* stats) const {
     return io::load_echo_file(path, options, stats, &exec);
   }
-  static constexpr auto encode_segment = io::encode_echo_columnar;
+  io::EncodedBatch encode_segment(const Dataset& batch) const {
+    return io::encode_echo_columnar(batch, &exec);
+  }
   Expected<Dataset> decode_segment(std::string_view bytes,
                                    const io::ReaderOptions& options) const {
     return io::decode_echo_columnar(bytes, options, nullptr, &exec);
@@ -984,7 +988,9 @@ struct CdnFilePolicy {
                          io::IngestStats* stats) const {
     return io::load_assoc_file(path, options, stats, &exec);
   }
-  static constexpr auto encode_segment = io::encode_assoc_columnar;
+  io::EncodedBatch encode_segment(const Dataset& batch) const {
+    return io::encode_assoc_columnar(batch, &exec);
+  }
   Expected<Dataset> decode_segment(std::string_view bytes,
                                    const io::ReaderOptions& options) const {
     return io::decode_assoc_columnar(bytes, options, nullptr, &exec);
@@ -1186,6 +1192,12 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   // one-shot file studies, a resumed stream does not re-ingest consumed
   // batches, so the counters must travel with the high-water mark.
   obs::MetricsSink sink;
+  // The wall-clock entries, the `checkpoint.write` phase and the
+  // `stream.lag_seconds` gauge, accumulate apart and are never saved, so
+  // two identical streams write identical manifests. The final pass folds
+  // them into the registry with the stream sink; after a resume they cover
+  // this process only.
+  obs::MetricsSink timing;
   typename Policy::Accumulator dataset;
   std::vector<std::string> consumed;
   // The stream checkpoint's manifest; its journal table grows by one
@@ -1226,6 +1238,9 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
         return Status(StatusCode::kDataLoss,
                       "checkpoint is corrupt: stream accounting failed to "
                       "parse");
+      // Manifests of older builds saved them.
+      sink.erase("checkpoint.write");
+      sink.erase("stream.lag_seconds");
     }
     consumed = ck.consumed;
     manifest.journal = ck.journal;
@@ -1261,25 +1276,27 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
 
   // --- transient-IO retry policy ---
   // `attempt` runs up to `io_retry_attempts` times with exponential backoff
-  // between tries; each retry counts in `io.retries`, running out in
-  // `io.giveups`, and the last failure is returned. The jitter comes from
-  // splitmix64 over the configured seed and the caller's salt, never from a
-  // clock, so a replayed chaos run makes the identical retry/sleep decisions.
+  // between tries; each retry counts in `acct`'s `io.retries`, running out
+  // in its `io.giveups`, and the last failure is returned. The jitter comes
+  // from splitmix64 over the configured seed and the caller's salt, never
+  // from a clock, so a replayed chaos run makes the identical retry/sleep
+  // decisions.
   const std::uint64_t max_attempts =
       stream.io_retry_attempts > 0 ? stream.io_retry_attempts : 1;
   const std::uint64_t base_ms =
       stream.io_retry_base_ms > 0 ? stream.io_retry_base_ms : 1;
-  auto with_retries = [&](std::uint64_t salt, const auto& attempt) -> Status {
+  auto with_retries = [&](obs::MetricsSink& acct, std::uint64_t salt,
+                          const auto& attempt) -> Status {
     Status last = attempt();
     for (std::uint64_t n = 0; !last.ok() && n + 1 < max_attempts; ++n) {
       const std::uint64_t jitter =
           splitmix64(stream.io_retry_seed ^ salt ^ n) % (base_ms + 1);
-      sink.counter("io.retries").add(1);
+      acct.counter("io.retries").add(1);
       const std::uint64_t shift = n < 10 ? n : 10;
       interruptible_sleep_ms((base_ms << shift) + jitter, stream.token);
       last = attempt();
     }
-    if (!last.ok()) sink.counter("io.giveups").add(1);
+    if (!last.ok()) acct.counter("io.giveups").add(1);
     return last;
   };
 
@@ -1300,18 +1317,22 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     return failed;
   };
 
-  // Commit the batch high-water mark durably: `batch` (the batch just
-  // consumed, null when there is none) goes into the journal as one
-  // DYNCOL1 segment, then the manifest records the consumed-batch list,
-  // the journal table and the stream accounting sink. Written after every
-  // batch, so a killed stream replays only unconsumed batches, and each
-  // write costs one batch, not the dataset so far.
-  auto write_stream_checkpoint =
-      [&](const typename Policy::Dataset* batch) -> Status {
-    if (stream.checkpoint_path.empty()) return Status::Ok();
-    obs::PhaseTimer timer(&sink.phase("checkpoint.write"));
-    const std::string segment =
-        batch ? Policy::encode_segment(*batch) : std::string();
+  // A commit of the batch high-water mark, prepared on the driver thread:
+  // the segment of the batch consumed since the last commit (none for an
+  // interrupt or memory-pressure commit), encoded on the executor, and the
+  // manifest with the consumed-batch list, the journal table and the
+  // stream accounting sink. A stream commits after every batch, so a
+  // killed stream replays only unconsumed batches, and each commit costs
+  // one batch, not the dataset so far.
+  struct Commit {
+    io::EncodedBatch segment;
+    bool keep_previous = true;
+    std::uint64_t prepare_ns = 0;
+  };
+  auto prepare_commit = [&](const typename Policy::Dataset* batch) {
+    const std::uint64_t start = obs::now_ns();
+    Commit commit;
+    if (batch) commit.segment = policy.encode_segment(*batch);
     manifest.item_count = consumed.size();
     manifest.shards = {{0, consumed.size(), consumed.size(), {}}};
     manifest.consumed = consumed;
@@ -1321,19 +1342,35 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     // Disk soft pressure: drop manifest retention to keep-last-1. The
     // manifest is a few KB and both generations share the journal, so this
     // gives back little; it is still the one copy that can go.
-    bool keep_previous = true;
     if (stream.governor && stream.governor->disk_soft()) {
-      keep_previous = false;
+      commit.keep_previous = false;
       stream.governor->count("retention_drops");
     }
-    return with_retries(/*salt=*/0x636b7074 /*'ckpt'*/, [&] {
+    commit.prepare_ns = obs::now_ns() - start;
+    return commit;
+  };
+  // Write a prepared commit durably, with retries: the segment into the
+  // journal, then the manifest. It touches only `manifest` and `acct`, so
+  // it can run on a writer thread while the driver goes on.
+  auto write_commit = [&](const Commit& commit,
+                          obs::MetricsSink& acct) -> Status {
+    return with_retries(acct, /*salt=*/0x636b7074 /*'ckpt'*/, [&] {
       Status wrote = io::commit_stream_checkpoint(
-          stream.checkpoint_path, manifest, segment, keep_previous);
-      sink.counter(wrote.ok() ? "checkpoint.writes"
+          stream.checkpoint_path, manifest, commit.segment.bytes,
+          commit.segment.crc, commit.keep_previous);
+      acct.counter(wrote.ok() ? "checkpoint.writes"
                               : "checkpoint.write_failures")
           .add(1);
       return wrote;
     });
+  };
+  // A commit with no segment, on the driver thread.
+  auto write_stream_checkpoint = [&]() -> Status {
+    if (stream.checkpoint_path.empty()) return Status::Ok();
+    const std::uint64_t start = obs::now_ns();
+    Status wrote = write_commit(prepare_commit(nullptr), sink);
+    timing.phase("checkpoint.write").record(obs::now_ns() - start);
+    return wrote;
   };
 
   // One re-finalization: a full sharded analysis pass over the accumulated
@@ -1341,10 +1378,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   // null registry (no metric records, no throwaway totals); only the final
   // pass records analysis metrics and folds the stream sink in, so the
   // registry ends up identical to a one-shot run over the same batches.
+  // The caller counts the pass in `stream.refinalize`.
   auto refinalize = [&](bool final_pass) -> Expected<Study> {
-    sink.counter("stream.refinalize").add(1);
-    // The final pass folds the sink into the registry: report it first.
-    if (final_pass) publish_stats();
     Study study;
     policy.init_study(study);
     CheckpointConfig cc;
@@ -1359,9 +1394,10 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
     return study;
   };
 
-  // An intermediate re-finalization, handed to the caller's callback.
-  auto publish_snapshot = [&]() -> Status {
-    Expected<Study> snap = refinalize(/*final_pass=*/false);
+  // Count an intermediate re-finalization and hand its study to the
+  // caller's callback.
+  auto publish_snapshot = [&](Expected<Study> snap) -> Status {
+    sink.counter("stream.refinalize").add(1);
     if (!snap.ok()) {
       publish_stats();
       Status st = snap.status();
@@ -1386,19 +1422,22 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   // release valve: deferring one under memory pressure (the pass builds a
   // full per-shard analyzer set over the accumulated dataset) or skipping
   // one while ingestion lags cannot change the final outputs. Both are
-  // counted, never silent.
+  // counted, never silent: hold() says why a due pass may not run, and
+  // count_hold() counts that and returns whether it may.
   double last_lag = 0.0;
   bool mem_pressure_prev = false;
-  auto intermediate_allowed = [&]() -> bool {
-    if (stream.governor && stream.governor->memory_pressure()) {
-      stream.governor->count("refinalize_deferred");
-      return false;
-    }
-    if (stream.max_lag_seconds > 0 && last_lag > stream.max_lag_seconds) {
-      sink.counter("stream.refinalize_skipped").add(1);
-      return false;
-    }
-    return true;
+  enum class Hold { kNone, kMemory, kLag };
+  auto hold = [&] {
+    if (stream.governor && stream.governor->memory_pressure())
+      return Hold::kMemory;
+    if (stream.max_lag_seconds > 0 && last_lag > stream.max_lag_seconds)
+      return Hold::kLag;
+    return Hold::kNone;
+  };
+  auto count_hold = [&](Hold why) {
+    if (why == Hold::kMemory) stream.governor->count("refinalize_deferred");
+    if (why == Hold::kLag) sink.counter("stream.refinalize_skipped").add(1);
+    return why == Hold::kNone;
   };
 
   for (;;) {
@@ -1409,7 +1448,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                          std::to_string(consumed.size()) +
                          " consumed batches";
       if (!stream.checkpoint_path.empty()) {
-        Status wrote = write_stream_checkpoint(nullptr);
+        Status wrote = write_stream_checkpoint();
         if (!wrote.ok()) return resumable_or(wrote);
         note += "; checkpoint written to " + stream.checkpoint_path;
       }
@@ -1452,13 +1491,17 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       const bool mem = stream.governor->memory_pressure();
       if (mem && !mem_pressure_prev) {
         stream.governor->count("early_checkpoints");
-        Status wrote = write_stream_checkpoint(nullptr);
+        Status wrote = write_stream_checkpoint();
         if (!wrote.ok()) return resumable_or(wrote);
       }
       mem_pressure_prev = mem;
     }
 
     if (reached_cap || (fresh.empty() && sentinel_present)) {
+      sink.counter("stream.refinalize").add(1);
+      // The final pass folds the sink into the registry: report it first.
+      publish_stats();
+      sink.merge(std::move(timing));
       Expected<Study> final_study = refinalize(/*final_pass=*/true);
       if (!final_study.ok()) {
         Status st = final_study.status();
@@ -1469,8 +1512,8 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
 
     if (fresh.empty()) {
       if (on_snapshot && batches_since_refinalize > 0 && timer_due() &&
-          intermediate_allowed()) {
-        Status published = publish_snapshot();
+          count_hold(hold())) {
+        Status published = publish_snapshot(refinalize(/*final_pass=*/false));
         if (!published.ok()) return published;
         continue;
       }
@@ -1504,7 +1547,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       const std::uint64_t batch_salt =
           splitmix64(std::hash<std::string>{}(path.filename().string()));
       typename Policy::Dataset batch;
-      Status loaded = with_retries(batch_salt, [&]() -> Status {
+      Status loaded = with_retries(sink, batch_salt, [&]() -> Status {
         io::ReaderOptions ropts = base_ropts;
         ropts.source_label = path.string();
         // Disk soft pressure: shed quarantine copies of rejected lines —
@@ -1536,20 +1579,48 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
       consumed_set.insert(name);
       sink.counter("stream.batches").add(1);
       sink.counter("stream.records").add(records);
-      sink.gauge("stream.lag_seconds").set(lag);
+      timing.gauge("stream.lag_seconds").set(lag);
       ++batches_since_refinalize;
 
-      Status wrote = write_stream_checkpoint(&batch);
-      if (!wrote.ok()) return resumable_or(wrote);
+      // The batch's commit runs on a writer thread while the batch merges
+      // and a due intermediate pass runs. Only after the commit is durable
+      // is the pass counted and its snapshot published; when the commit
+      // fails, the pass is dropped and the stream gives up as it would
+      // have before merging the batch. The writer's accounting goes into
+      // its own sink, folded in after the join, and `checkpoint.write`
+      // records the commit's own time, not the wait for it.
+      Commit commit;
+      obs::MetricsSink writer_sink;
+      std::uint64_t writer_ns = 0;
+      std::future<Status> writer;
+      if (!stream.checkpoint_path.empty()) {
+        commit = prepare_commit(&batch);
+        writer = std::async(std::launch::async, [&] {
+          const std::uint64_t start = obs::now_ns();
+          Status wrote = write_commit(commit, writer_sink);
+          writer_ns = obs::now_ns() - start;
+          return wrote;
+        });
+      }
       dataset.merge(std::move(batch));
-      publish_stats();
-
-      if (on_snapshot &&
+      const bool due =
+          on_snapshot &&
           ((stream.refinalize_every_batches > 0 &&
             batches_since_refinalize >= stream.refinalize_every_batches) ||
-           timer_due()) &&
-          intermediate_allowed()) {
-        Status published = publish_snapshot();
+           timer_due());
+      const Hold why = due ? hold() : Hold::kNone;
+      std::optional<Expected<Study>> snap;
+      if (due && why == Hold::kNone) snap = refinalize(/*final_pass=*/false);
+      if (writer.valid()) {
+        Status wrote = writer.get();
+        sink.merge(std::move(writer_sink));
+        timing.phase("checkpoint.write").record(commit.prepare_ns + writer_ns);
+        if (!wrote.ok()) return resumable_or(wrote);
+      }
+      publish_stats();
+
+      if (due && count_hold(why)) {
+        Status published = publish_snapshot(std::move(*snap));
         if (!published.ok()) return published;
       }
     }

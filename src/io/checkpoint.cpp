@@ -1,7 +1,8 @@
 #include "io/checkpoint.h"
 
 #include <algorithm>
-
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,6 +10,11 @@
 
 #include "core/failpoint.h"
 #include "io/atomic_file.h"
+
+#ifdef __unix__
+#include <fcntl.h>
+#include <unistd.h>
+#endif
 
 namespace dynamips::io {
 
@@ -269,9 +275,51 @@ Status publish_checkpoint(const std::string& path, std::string_view encoded,
 }
 
 /// Write `bytes` into the journal at `offset`, cut the file there, and
-/// fsync it (and, for a new journal, its directory entry).
+/// fsync it (and, for a new journal, its directory entry): one descriptor
+/// for the write, the cut and the fsync. The `atomic_file.fsync` and
+/// `atomic_file.dirsync` failpoints are evaluated as fsync_path and
+/// fsync_parent_dir evaluate them.
 Status write_journal_at(const std::string& path, std::uint64_t offset,
                         std::string_view bytes) {
+#ifdef __unix__
+  int fd;
+  do {
+    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0)
+    return Status(StatusCode::kInternal,
+                  "cannot open journal " + path + ": " + std::strerror(errno));
+  auto fail = [&](std::string what, int err) {
+    int ignored;
+    atomic_detail::close_checked(fd, &ignored);
+    if (err != 0) what += std::string(": ") + std::strerror(err);
+    return Status(StatusCode::kInternal, what);
+  };
+  for (std::size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::pwrite(fd, bytes.data() + done, bytes.size() - done,
+                               off_t(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return fail("short write to journal " + path, n < 0 ? errno : 0);
+    done += std::size_t(n);
+  }
+  int rc;
+  do {
+    rc = ::ftruncate(fd, off_t(offset + bytes.size()));
+  } while (rc != 0 && errno == EINTR);
+  if (rc != 0) return fail("cannot cut journal " + path, errno);
+  if (auto fp = core::failpoint("atomic_file.fsync"); fp.is_error())
+    return fail(std::string("fsync failed (injected ") + fp.errno_name() +
+                    "): " + path,
+                0);
+  do {
+    rc = ::fsync(fd);
+  } while (rc != 0 && errno == EINTR);
+  if (rc != 0) return fail("fsync failed: " + path, errno);
+  int close_err = 0;
+  if (!atomic_detail::close_checked(fd, &close_err))
+    return Status(StatusCode::kInternal, "close after fsync failed: " + path +
+                                             ": " + std::strerror(close_err));
+#else
   {
     std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
     if (!out.is_open())
@@ -289,7 +337,7 @@ Status write_journal_at(const std::string& path, std::uint64_t offset,
   if (ec)
     return Status(StatusCode::kInternal,
                   "cannot cut journal " + path + ": " + ec.message());
-  if (Status st = atomic_detail::fsync_path(path); !st.ok()) return st;
+#endif
   return offset == 0 ? atomic_detail::fsync_parent_dir(path) : Status::Ok();
 }
 
@@ -354,7 +402,9 @@ std::string journal_path(const std::string& path) {
 }
 
 Status commit_stream_checkpoint(const std::string& path, StudyCheckpoint& ckpt,
-                                std::string_view segment, bool keep_previous) {
+                                std::string_view segment,
+                                std::uint32_t segment_crc,
+                                bool keep_previous) {
   if (path.empty())
     return Status(StatusCode::kInvalidArgument, "empty checkpoint path");
   const std::string journal = journal_path(path);
@@ -371,7 +421,7 @@ Status commit_stream_checkpoint(const std::string& path, StudyCheckpoint& ckpt,
   if (!segment.empty()) {
     if (Status st = write_journal_at(journal, committed, segment); !st.ok())
       return st.with_context("append to journal " + journal);
-    ckpt.journal.push_back({segment.size(), ckpt::crc32(segment)});
+    ckpt.journal.push_back({segment.size(), segment_crc});
   }
   Status wrote =
       publish_checkpoint(path, encode_checkpoint(ckpt), keep_previous);

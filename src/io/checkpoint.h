@@ -42,7 +42,14 @@
 // previous checkpoint as `path.prev` until the new one is in place;
 // read_checkpoint_with_fallback() falls back to `.prev` when the primary is
 // missing or damaged. Both manifest generations share one journal: `.prev`
-// commits a prefix of what `path` commits.
+// commits a prefix of what `path` commits. A stream appends each segment
+// through one descriptor (write at the committed length, cut, fsync) and
+// publishes a snapshot that includes a batch only after that batch's
+// manifest is durable; the commit may run on a writer thread while the
+// batch is analyzed, but a failed commit drops that analysis unpublished.
+// A stream manifest holds no wall-clock value (its accounting omits the
+// `checkpoint.write` timings and the `stream.lag_seconds` gauge), so two
+// streams over the same batches write it byte for byte.
 //
 // Retention: publishing renames the current checkpoint over any existing
 // `path.prev`, so repeated writes keep exactly the last two generations —
@@ -137,6 +144,42 @@ inline std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0) {
   for (; n; --n, ++p)
     c = t[0][(c ^ std::uint8_t(*p)) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+/// a(x) * b(x) modulo the CRC polynomial, both reflected. `a` must not be
+/// 0 (every power of x mod the polynomial is non-zero).
+constexpr std::uint32_t crc32_multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31, p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) return p;
+    }
+    m >>= 1;
+    b = (b & 1) ? 0xEDB88320u ^ (b >> 1) : b >> 1;
+  }
+}
+
+/// crc32(A + B) from crc32(A), crc32(B) and B's length, without the bytes:
+/// crc(A) times x^(8 * len_b), plus crc(B), modulo the polynomial (zlib's
+/// x^(2^k) table method). The DYNCOL1 encoder CRCs each column slice on the
+/// thread that wrote it and combines the slices into the column's and the
+/// batch's CRC, so no byte is CRC'd twice.
+inline std::uint32_t crc32_combine(std::uint32_t a, std::uint32_t b,
+                                   std::uint64_t len_b) {
+  // x2n[k] = x^(2^k) mod P. The order of x divides 2^32 - 1, so k wraps
+  // at 32.
+  static const std::array<std::uint32_t, 32> x2n = [] {
+    std::array<std::uint32_t, 32> t{};
+    std::uint32_t p = 1u << 30;  // x^1
+    t[0] = p;
+    for (std::size_t k = 1; k < 32; ++k) t[k] = p = crc32_multmodp(p, p);
+    return t;
+  }();
+  std::uint32_t p = 1u << 31;  // x^0; len_b bytes are 8 * len_b bits
+  for (unsigned k = 3; len_b != 0; len_b >>= 1, ++k)
+    if (len_b & 1) p = crc32_multmodp(x2n[k & 31], p);
+  return crc32_multmodp(p, a) ^ b;
 }
 
 /// Four-character section/column tag of the DYNCKPT1 and DYNCOL1
@@ -568,14 +611,16 @@ void remove_checkpoint_files(const std::string& path);
 std::string journal_path(const std::string& path);
 
 /// Commit a stream checkpoint at `path`. A non-empty `segment` (the DYNCOL1
-/// bytes of the batch consumed since the last commit) is first written into
-/// the journal at `ckpt`'s committed length, cutting off anything past it,
+/// bytes of the batch consumed since the last commit, whose crc32() is
+/// `segment_crc`, as the encoder returns them) is first written into the
+/// journal at `ckpt`'s committed length, cutting off anything past it,
 /// fsynced, and added to `ckpt.journal`; then the manifest is written as by
 /// write_checkpoint(). On failure `ckpt.journal` is left as it was, so a
 /// retry writes the segment at the same offset over whatever was torn.
 core::Status commit_stream_checkpoint(const std::string& path,
                                       StudyCheckpoint& ckpt,
                                       std::string_view segment,
+                                      std::uint32_t segment_crc,
                                       bool keep_previous = true);
 
 /// Read the segments `ckpt` commits from `ckpt.journal_path`, in order,

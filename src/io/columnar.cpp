@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -179,91 +180,171 @@ struct AssocColumns {
 
 // ---------------------------------------------------------------- encoding
 
-struct Column {
-  std::uint32_t tag = 0;
-  std::string payload;
-};
+/// Run task(lane, 0) .. task(lane, n - 1) on `exec`, or in order on the
+/// caller (lane 0) without one.
+void run_tasks(core::ShardExecutor* exec, std::size_t n,
+               const std::function<void(unsigned, std::size_t)>& task) {
+  if (exec != nullptr) return exec->dispatch(n, task);
+  for (std::size_t i = 0; i < n; ++i) task(0, i);
+}
 
-std::string assemble(std::uint32_t kind, std::uint64_t rows,
-                     std::uint64_t groups, std::vector<Column>&& columns) {
-  // header size: magic + version + kind + rows + groups + ncols +
-  // directory + header crc
-  const std::size_t header_size = 8 + 4 + 4 + 8 + 8 + 4 +
-                                  columns.size() * (4 + 8 + 8 + 4) + 4;
-  std::vector<std::uint64_t> offsets(columns.size());
-  std::size_t cursor = header_size;
-  for (std::size_t i = 0; i < columns.size(); ++i) {
+/// Item ranges per executor thread in an encode: several, so a lane that
+/// starts late still finds a share of the rows.
+constexpr std::size_t kEncodeRangesPerThread = 4;
+
+/// Store the low `kWidth` bytes of `v` at `p`, little-endian.
+template <std::size_t kWidth>
+void store_le(char* p, std::uint64_t v) {
+  for (std::size_t i = 0; i < kWidth; ++i) p[i] = char((v >> (8 * i)) & 0xFF);
+}
+
+/// Write one row into every row column, `base[c]` being column c's payload.
+template <class Schema, std::size_t... C>
+void store_row(const typename Schema::Row& row, char* const* base,
+               std::uint64_t r, std::index_sequence<C...>) {
+  (store_le<Schema::kRows[C].width>(base[C] + r * Schema::kRows[C].width,
+                                    row[C]),
+   ...);
+}
+
+/// One pass (see columnar.h, "Threads"): lay the batch out from the
+/// column sizes, fill it with item-range tasks plus a group-table task,
+/// and combine their CRCs.
+template <class Schema>
+EncodedBatch encode(const std::vector<typename Schema::Item>& dataset,
+                    core::ShardExecutor* exec) {
+  constexpr auto& kRows = Schema::kRows;
+  // Directory order: the group key, GCNT, the group tags when the kind has
+  // them, then the row columns.
+  constexpr std::size_t kGroup = Schema::kGroupTags != 0 ? 3 : 2;
+  constexpr std::size_t ncols = kGroup + kRows.size();
+
+  // Contiguous item ranges of about equal rows: range k is items
+  // [cuts[k].item, cuts[k + 1].item), its rows start at cuts[k].row.
+  struct Cut {
+    std::size_t item;
+    std::uint64_t row;
+  };
+  std::uint64_t rows = 0;
+  for (const auto& item : dataset) rows += item.records.size();
+  const std::size_t want =
+      exec != nullptr ? kEncodeRangesPerThread * exec->thread_count() : 1;
+  std::vector<Cut> cuts{{0, 0}};
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i + 1 < dataset.size() && cuts.size() < want; ++i) {
+    seen += dataset[i].records.size();
+    if (seen > cuts.back().row && seen * want >= rows * cuts.size())
+      cuts.push_back({i + 1, seen});
+  }
+  cuts.push_back({dataset.size(), rows});
+  const std::size_t ranges = cuts.size() - 1;
+
+  std::array<std::uint32_t, ncols> tags{};
+  std::array<std::uint64_t, ncols> lengths{};
+  tags[0] = Schema::kGroupKey;
+  lengths[0] = dataset.size() * 4;
+  tags[1] = kColGroupRows;
+  lengths[1] = dataset.size() * 8;
+  if constexpr (Schema::kGroupTags != 0) {
+    // Per group: the tag count, then each tag as a length-prefixed string.
+    tags[2] = Schema::kGroupTags;
+    for (const auto& item : dataset) {
+      lengths[2] += 8;
+      for (core::TagId tag : item.meta.tags)
+        lengths[2] += 8 + core::tag_pool().name_of(tag).size();
+    }
+  }
+  for (std::size_t c = 0; c < kRows.size(); ++c) {
+    tags[kGroup + c] = kRows[c].tag;
+    lengths[kGroup + c] = rows * kRows[c].width;
+  }
+  // magic + version + kind + rows + groups + ncols + directory + header crc
+  constexpr std::size_t header_size = 8 + 4 + 4 + 8 + 8 + 4 + ncols * 24 + 4;
+  std::array<std::uint64_t, ncols> offsets{};
+  std::uint64_t cursor = header_size;
+  for (std::size_t i = 0; i < ncols; ++i) {
     cursor = (cursor + kAlign - 1) / kAlign * kAlign;
     offsets[i] = cursor;
-    cursor += columns[i].payload.size();
+    cursor += lengths[i];
   }
+  EncodedBatch out;
+  out.bytes.assign(cursor, '\0');  // the padding stays zero
+  char* const data = out.bytes.data();
+  std::array<char*, kRows.size()> base{};
+  for (std::size_t c = 0; c < kRows.size(); ++c)
+    base[c] = data + offsets[kGroup + c];
+
+  std::array<std::uint32_t, ncols> crcs{};
+  std::vector<std::array<std::uint32_t, kRows.size()>> slice_crcs(ranges);
+  run_tasks(exec, ranges + 1, [&](unsigned, std::size_t k) {
+    if (k == ranges) {
+      char* key = data + offsets[0];
+      char* count = data + offsets[1];
+      for (const auto& item : dataset) {
+        store_le<4>(key, Schema::group_key(item));
+        store_le<8>(count, item.records.size());
+        key += 4;
+        count += 8;
+      }
+      if constexpr (Schema::kGroupTags != 0) {
+        char* tag = data + offsets[2];
+        for (const auto& item : dataset) {
+          store_le<8>(tag, item.meta.tags.size());
+          tag += 8;
+          for (core::TagId id : item.meta.tags) {
+            const std::string& name = core::tag_pool().name_of(id);
+            store_le<8>(tag, name.size());
+            std::memcpy(tag + 8, name.data(), name.size());
+            tag += 8 + name.size();
+          }
+        }
+      }
+      for (std::size_t i = 0; i < kGroup; ++i)
+        crcs[i] = crc32(std::string_view(data + offsets[i], lengths[i]));
+      return;
+    }
+    std::uint64_t r = cuts[k].row;
+    for (std::size_t i = cuts[k].item; i < cuts[k + 1].item; ++i)
+      for (const auto& rec : dataset[i].records)
+        store_row<Schema>(Schema::put(rec), base.data(), r++,
+                          std::make_index_sequence<kRows.size()>());
+    const std::uint64_t n = r - cuts[k].row;
+    for (std::size_t c = 0; c < kRows.size(); ++c)
+      slice_crcs[k][c] = crc32(std::string_view(
+          base[c] + cuts[k].row * kRows[c].width, n * kRows[c].width));
+  });
+  for (std::size_t k = 0; k < ranges; ++k)
+    for (std::size_t c = 0; c < kRows.size(); ++c)
+      crcs[kGroup + c] = ckpt::crc32_combine(
+          crcs[kGroup + c], slice_crcs[k][c],
+          (cuts[k + 1].row - cuts[k].row) * kRows[c].width);
 
   ckpt::Writer head;
   head.reserve(header_size);
   head.raw(kColumnarMagic);
   head.u32(kColumnarVersion);
-  head.u32(kind);
+  head.u32(Schema::kKind);
   head.u64(rows);
-  head.u64(groups);
-  head.u32(std::uint32_t(columns.size()));
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    head.u32(columns[i].tag);
+  head.u64(dataset.size());
+  head.u32(std::uint32_t(ncols));
+  for (std::size_t i = 0; i < ncols; ++i) {
+    head.u32(tags[i]);
     head.u64(offsets[i]);
-    head.u64(columns[i].payload.size());
-    head.u32(crc32(columns[i].payload));
+    head.u64(lengths[i]);
+    head.u32(crcs[i]);
   }
   head.u32(crc32(head.buffer()));
+  std::memcpy(data, head.buffer().data(), header_size);
 
-  std::string out = head.take();
-  out.reserve(cursor);
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    out.resize(offsets[i], '\0');  // alignment padding
-    out += columns[i].payload;
+  // The batch's CRC: the header, then each column's padding and payload.
+  out.crc = crc32(head.buffer());
+  std::uint64_t end = header_size;
+  for (std::size_t i = 0; i < ncols; ++i) {
+    out.crc = crc32(std::string_view(data + end, offsets[i] - end), out.crc);
+    out.crc = ckpt::crc32_combine(out.crc, crcs[i], lengths[i]);
+    end = offsets[i] + lengths[i];
   }
   return out;
-}
-
-template <class Schema>
-std::string encode(const std::vector<typename Schema::Item>& dataset) {
-  constexpr auto& kRows = Schema::kRows;
-  std::uint64_t rows = 0;
-  for (const auto& item : dataset) rows += item.records.size();
-
-  ckpt::Writer keys, counts, tags;
-  std::array<ckpt::Writer, kRows.size()> row_cols;
-  keys.reserve(dataset.size() * 4);
-  counts.reserve(dataset.size() * 8);
-  for (std::size_t c = 0; c < kRows.size(); ++c)
-    row_cols[c].reserve(rows * kRows[c].width);
-
-  for (const auto& item : dataset) {
-    keys.u32(Schema::group_key(item));
-    counts.u64(item.records.size());
-    if constexpr (Schema::kGroupTags != 0) {
-      tags.u64(item.meta.tags.size());
-      for (core::TagId tag : item.meta.tags)
-        tags.str(core::tag_pool().name_of(tag));
-    }
-    for (const auto& rec : item.records) {
-      const typename Schema::Row row = Schema::put(rec);
-      for (std::size_t c = 0; c < kRows.size(); ++c) {
-        switch (kRows[c].width) {
-          case 1: row_cols[c].u8(std::uint8_t(row[c])); break;
-          case 4: row_cols[c].u32(std::uint32_t(row[c])); break;
-          default: row_cols[c].u64(row[c]);
-        }
-      }
-    }
-  }
-
-  std::vector<Column> cols;
-  cols.push_back({Schema::kGroupKey, keys.take()});
-  cols.push_back({kColGroupRows, counts.take()});
-  if (Schema::kGroupTags != 0)
-    cols.push_back({Schema::kGroupTags, tags.take()});
-  for (std::size_t c = 0; c < kRows.size(); ++c)
-    cols.push_back({kRows[c].tag, row_cols[c].take()});
-  return assemble(Schema::kKind, rows, dataset.size(), std::move(cols));
 }
 
 Status write_bytes_atomic(const std::string& path, const std::string& bytes) {
@@ -300,14 +381,6 @@ struct Batch {
 
 Status data_loss(const std::string& what) {
   return Status(StatusCode::kDataLoss, "columnar batch is corrupt: " + what);
-}
-
-/// Run task(lane, 0) .. task(lane, n - 1) on `exec`, or in order on the
-/// caller (lane 0) without one.
-void run_tasks(core::ShardExecutor* exec, std::size_t n,
-               const std::function<void(unsigned, std::size_t)>& task) {
-  if (exec != nullptr) return exec->dispatch(n, task);
-  for (std::size_t i = 0; i < n; ++i) task(0, i);
 }
 
 /// Validate the container: magic, version, header CRC, directory bounds,
@@ -735,24 +808,26 @@ bool is_columnar_path(std::string_view path) {
   return path.size() >= 4 && path.substr(path.size() - 4) == ".col";
 }
 
-std::string encode_echo_columnar(
-    const std::vector<atlas::ProbeSeries>& dataset) {
-  return encode<EchoColumns>(dataset);
+EncodedBatch encode_echo_columnar(
+    const std::vector<atlas::ProbeSeries>& dataset,
+    core::ShardExecutor* exec) {
+  return encode<EchoColumns>(dataset, exec);
 }
 
-std::string encode_assoc_columnar(
-    const std::vector<cdn::AssociationLog>& dataset) {
-  return encode<AssocColumns>(dataset);
+EncodedBatch encode_assoc_columnar(
+    const std::vector<cdn::AssociationLog>& dataset,
+    core::ShardExecutor* exec) {
+  return encode<AssocColumns>(dataset, exec);
 }
 
 Status write_echo_columnar(const std::string& path,
                            const std::vector<atlas::ProbeSeries>& dataset) {
-  return write_bytes_atomic(path, encode<EchoColumns>(dataset));
+  return write_bytes_atomic(path, encode<EchoColumns>(dataset, nullptr).bytes);
 }
 
 Status write_assoc_columnar(const std::string& path,
                             const std::vector<cdn::AssociationLog>& dataset) {
-  return write_bytes_atomic(path, encode<AssocColumns>(dataset));
+  return write_bytes_atomic(path, encode<AssocColumns>(dataset, nullptr).bytes);
 }
 
 Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(

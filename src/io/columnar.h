@@ -56,21 +56,27 @@
 // matches the CSV schema — no subscriber column — so columnar and CSV
 // exports of the same dataset carry identical information.
 //
-// Threads: the decoders and load_*_file take an optional
+// Threads: the encoders, the decoders and load_*_file take an optional
 // core::ShardExecutor; without one the same tasks run on the caller. The
-// column CRCs are one task each (largest first on several threads) and are
-// checked afterwards in directory order, so the first bad column named does
-// not depend on the thread count. Echo rows decode one probe per task: a serial pre-pass over
-// the group table declares the probes in group order (first appearance),
-// lists each probe's groups in file order and reserves its rows once, and
-// each task pushes its probe's rows under that probe's duplicate set alone,
-// noting its rejects. Assoc rows decode as one task, since a record joins
-// the log of its asn6 and the adjacent-duplicate rule compares rows across
-// groups. A serial replay then walks the rows in order through the one
-// reject ledger, accepting or rejecting each as its task found it and
-// stopping where a trip stops it, so the stats, `first_rejects`,
-// quarantine bytes, `ingest.*` counters and Status are those of a
-// row-by-row loop.
+// encoder sizes every column first and allocates the batch once; tasks over
+// contiguous item ranges then write their rows into every row column at the
+// range's first row and CRC their slice of each column while it is in cache,
+// and one more task writes the group table. The slice CRCs combine in order
+// (ckpt::crc32_combine) into each column's CRC and, with the header and the
+// padding, into the whole batch's, which the encoder returns with the bytes.
+// The bytes do not depend on the thread count. In the decoders, the column CRCs
+// are one task each (largest first on several threads) and are checked
+// afterwards in directory order, so the first bad column named does not depend
+// on the thread count. Echo rows decode one probe per task: a serial pre-pass
+// over the group table declares the probes in group order (first appearance),
+// lists each probe's groups in file order and reserves its rows once, and each
+// task pushes its probe's rows under that probe's duplicate set alone, noting
+// its rejects. Assoc rows decode as one task, since a record joins the log of
+// its asn6 and the adjacent-duplicate rule compares rows across groups. A
+// serial replay then walks the rows in order through the one reject ledger,
+// accepting or rejecting each as its task found it and stopping where a trip
+// stops it, so the stats, `first_rejects`, quarantine bytes, `ingest.*`
+// counters and Status are those of a row-by-row loop.
 #pragma once
 
 #include <cstdint>
@@ -102,14 +108,26 @@ bool is_columnar_path(std::string_view path);
 
 // ------------------------------------------------------------------ write
 
-/// Serialize a dataset to the columnar layout (no I/O).
-std::string encode_echo_columnar(
-    const std::vector<atlas::ProbeSeries>& dataset);
-std::string encode_assoc_columnar(
-    const std::vector<cdn::AssociationLog>& dataset);
+/// A columnar batch and the CRC-32 of all its bytes (ckpt::crc32(bytes)),
+/// which the encoder combines from its column CRCs instead of a second
+/// pass: a stream journal records it for the segment.
+struct EncodedBatch {
+  std::string bytes;
+  std::uint32_t crc = 0;
+};
+
+/// Serialize a dataset to the columnar layout (no I/O). With `exec`, the
+/// rows are written and CRC'd on its threads (see the header comment).
+EncodedBatch encode_echo_columnar(
+    const std::vector<atlas::ProbeSeries>& dataset,
+    core::ShardExecutor* exec = nullptr);
+EncodedBatch encode_assoc_columnar(
+    const std::vector<cdn::AssociationLog>& dataset,
+    core::ShardExecutor* exec = nullptr);
 
 /// Atomically write a dataset as a `.col` batch (tmp + fsync + rename via
-/// io/atomic_file.h, like every other artifact).
+/// io/atomic_file.h, like every other artifact). It is encoded on the
+/// caller.
 core::Status write_echo_columnar(
     const std::string& path, const std::vector<atlas::ProbeSeries>& dataset);
 core::Status write_assoc_columnar(

@@ -55,6 +55,16 @@ void MetricsSink::merge(MetricsSink&& other) {
   other = MetricsSink{};
 }
 
+void MetricsSink::erase(std::string_view name) {
+  auto drop = [&](auto& map) {
+    if (auto it = map.find(name); it != map.end()) map.erase(it);
+  };
+  drop(counters_);
+  drop(gauges_);
+  drop(histograms_);
+  drop(phases_);
+}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

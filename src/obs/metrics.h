@@ -196,6 +196,8 @@ class MetricsSink {
 
   /// Absorb another sink (shard reduction). The argument is consumed.
   void merge(MetricsSink&& other);
+  /// Remove every metric called `name`, whatever its kind.
+  void erase(std::string_view name);
   void finalize() {}
 
   /// Checkpoint layout (io/checkpoint.h): all four value maps, bit-exact

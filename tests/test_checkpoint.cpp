@@ -9,6 +9,7 @@
 // a descriptive Status, never a crash or a silently wrong resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -16,8 +17,10 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -96,6 +99,39 @@ TEST(CheckpointCodec, SizeGuardRejectsImpossibleCounts) {
 TEST(CheckpointCodec, Crc32MatchesKnownVector) {
   // The IEEE 802.3 check value for "123456789".
   EXPECT_EQ(io::ckpt::crc32("123456789"), 0xCBF43926u);
+}
+
+// crc32_combine over the parts of a random split, empty parts included,
+// must give crc32 of the whole.
+TEST(CheckpointCodec, Crc32CombineMatchesTheConcatenation) {
+  using io::ckpt::crc32;
+  using io::ckpt::crc32_combine;
+  std::mt19937_64 rng(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string bytes(rng() % 600, '\0');
+    for (char& c : bytes) c = char(rng());
+    std::vector<std::size_t> cuts{0, bytes.size()};
+    for (std::uint64_t n = rng() % 5; n > 0; --n)
+      cuts.push_back(bytes.empty() ? 0 : rng() % (bytes.size() + 1));
+    if (trial % 3 == 0) cuts.push_back(cuts.back());  // an empty part
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t crc = 0;  // crc32 of no bytes
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const std::string_view part =
+          std::string_view(bytes).substr(cuts[i], cuts[i + 1] - cuts[i]);
+      crc = crc32_combine(crc, crc32(part), part.size());
+    }
+    EXPECT_EQ(crc, crc32(bytes)) << "trial " << trial;
+  }
+  // Lengths past 2^32 bytes: combining is associative however long the
+  // parts are.
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::uint32_t a = std::uint32_t(rng()), b = std::uint32_t(rng()),
+                        c = std::uint32_t(rng());
+    const std::uint64_t lb = rng() >> (1 + rng() % 63), lc = rng() >> 24;
+    EXPECT_EQ(crc32_combine(crc32_combine(a, b, lb), c, lc),
+              crc32_combine(a, crc32_combine(b, c, lc), lb + lc));
+  }
 }
 
 // --------------------------------------------------------------- container

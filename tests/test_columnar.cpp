@@ -41,6 +41,7 @@
 #include "io/readers.h"
 #include "io/results_io.h"
 #include "obs/metrics.h"
+#include "reference/columnar_encode.h"
 #include "simnet/isp.h"
 
 namespace dynamips {
@@ -143,7 +144,7 @@ std::string cdn_bytes(const core::CdnStudy& s) {
 TEST(ColumnarCodec, EchoRoundTripPreservesEverything) {
   auto dataset = echo_fixture();
   ASSERT_FALSE(dataset.empty());
-  std::string bytes = io::encode_echo_columnar(dataset);
+  std::string bytes = io::encode_echo_columnar(dataset).bytes;
   auto back = io::decode_echo_columnar(bytes);
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   ASSERT_EQ(back.value().size(), dataset.size());
@@ -171,7 +172,7 @@ TEST(ColumnarCodec, EchoRoundTripPreservesEverything) {
 TEST(ColumnarCodec, AssocRoundTripPreservesEverything) {
   auto dataset = assoc_fixture();
   ASSERT_FALSE(dataset.empty());
-  std::string bytes = io::encode_assoc_columnar(dataset);
+  std::string bytes = io::encode_assoc_columnar(dataset).bytes;
   auto back = io::decode_assoc_columnar(bytes);
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   ASSERT_EQ(back.value().size(), dataset.size());
@@ -194,10 +195,10 @@ TEST(ColumnarCodec, AssocRoundTripPreservesEverything) {
 }
 
 TEST(ColumnarCodec, EmptyDatasetsRoundTrip) {
-  auto echo = io::decode_echo_columnar(io::encode_echo_columnar({}));
+  auto echo = io::decode_echo_columnar(io::encode_echo_columnar({}).bytes);
   ASSERT_TRUE(echo.ok()) << echo.status().to_string();
   EXPECT_TRUE(echo.value().empty());
-  auto assoc = io::decode_assoc_columnar(io::encode_assoc_columnar({}));
+  auto assoc = io::decode_assoc_columnar(io::encode_assoc_columnar({}).bytes);
   ASSERT_TRUE(assoc.ok()) << assoc.status().to_string();
   EXPECT_TRUE(assoc.value().empty());
 }
@@ -227,8 +228,8 @@ TEST(ColumnarCodec, KeyRepeatedOverManyGroupsDecodesInLinearTime) {
   }
   io::ReaderOptions opts;
   opts.max_day = kGroups;
-  const std::string echo_bytes = io::encode_echo_columnar(echo);
-  const std::string assoc_bytes = io::encode_assoc_columnar(assoc);
+  const std::string echo_bytes = io::encode_echo_columnar(echo).bytes;
+  const std::string assoc_bytes = io::encode_assoc_columnar(assoc).bytes;
   auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
@@ -262,7 +263,7 @@ TEST(ColumnarCodec, KeyRepeatedOverManyGroupsDecodesInLinearTime) {
 
 TEST(ColumnarCodec, ColumnCrcsMatchCheckpointCrc32) {
   auto dataset = echo_fixture(0.02);
-  std::string bytes = io::encode_echo_columnar(dataset);
+  std::string bytes = io::encode_echo_columnar(dataset).bytes;
   ASSERT_GT(bytes.size(), 48u);
   auto u32_at = [&](std::size_t off) {
     std::uint32_t v = 0;
@@ -336,7 +337,7 @@ TEST(ColumnarCodec, ColumnCrcsMatchCheckpointCrc32) {
 TEST(ColumnarCorruption, SampledByteFlipsNeverYieldWrongData) {
   auto dataset = assoc_fixture(0.002);
   ASSERT_GE(dataset.size(), 3u);
-  const std::string clean = io::encode_assoc_columnar(dataset);
+  const std::string clean = io::encode_assoc_columnar(dataset).bytes;
   auto reference = io::decode_assoc_columnar(clean);
   ASSERT_TRUE(reference.ok());
   ASSERT_EQ(reference.value().size(), dataset.size());
@@ -388,7 +389,7 @@ TEST(ColumnarCorruption, SampledByteFlipsNeverYieldWrongData) {
 }
 
 TEST(ColumnarCorruption, EveryTruncationRejected) {
-  const std::string clean = io::encode_echo_columnar(echo_fixture(0.02));
+  const std::string clean = io::encode_echo_columnar(echo_fixture(0.02)).bytes;
   const std::size_t stride = clean.size() > 512 ? clean.size() / 512 : 1;
   for (std::size_t keep = 0; keep < clean.size(); keep += stride) {
     auto out = io::decode_echo_columnar(clean.substr(0, keep));
@@ -401,14 +402,14 @@ TEST(ColumnarCorruption, EveryTruncationRejected) {
 }
 
 TEST(ColumnarCorruption, KindMismatchIsFailedPrecondition) {
-  const std::string echo = io::encode_echo_columnar(echo_fixture(0.02));
+  const std::string echo = io::encode_echo_columnar(echo_fixture(0.02)).bytes;
   auto out = io::decode_assoc_columnar(echo);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), core::StatusCode::kFailedPrecondition);
 }
 
 TEST(ColumnarCorruption, VersionSkewIsFailedPrecondition) {
-  std::string bytes = io::encode_echo_columnar(echo_fixture(0.02));
+  std::string bytes = io::encode_echo_columnar(echo_fixture(0.02)).bytes;
   // Patch the version field (offset 8) and re-seal the header CRC so the
   // *only* defect is the version — must be kFailedPrecondition ("rebuild
   // the file"), not kDataLoss ("the file is damaged").
@@ -518,12 +519,12 @@ void expect_every_column_required(const std::string& clean,
 
 TEST(ColumnarCorruption, EveryColumnIsRequiredAndSized) {
   expect_every_column_required(
-      io::encode_echo_columnar(echo_fixture(0.02)),
+      io::encode_echo_columnar(echo_fixture(0.02)).bytes,
       {"GPID", "GCNT", "GTAG", "HOUR", "FAM_", "X4__", "S4__", "X6HI", "X6LO",
        "S6HI", "S6LO"},
       [](const std::string& b) { return io::decode_echo_columnar(b); });
   expect_every_column_required(
-      io::encode_assoc_columnar(assoc_fixture(0.02)),
+      io::encode_assoc_columnar(assoc_fixture(0.02)).bytes,
       {"GASN", "GCNT", "DAY_", "V4A_", "V4L_", "V6HI", "V6LO", "V6L_", "AS4_",
        "AS6_"},
       [](const std::string& b) { return io::decode_assoc_columnar(b); });
@@ -559,7 +560,7 @@ TEST(ColumnarFiles, DirectoryIsRefusedNamingThePath) {
 // A `.col` path may name a FIFO (`cat batch.col > p.col &`): it has no size
 // up front, so it is read to its end, and loads what the file loads.
 TEST(ColumnarFiles, NamedPipeLoadsLikeTheFile) {
-  const std::string bytes = io::encode_echo_columnar(echo_fixture());
+  const std::string bytes = io::encode_echo_columnar(echo_fixture()).bytes;
   ASSERT_GT(bytes.size(), std::size_t(1) << 17);  // several pipe buffers
   const std::string file = temp_path("fifo_source.col");
   write_raw(file, bytes);
@@ -587,8 +588,8 @@ TEST(ColumnarFiles, NamedPipeLoadsLikeTheFile) {
   auto from_file = io::load_echo_file(file, {}, &file_stats);
   ASSERT_TRUE(piped.ok()) << piped.status().to_string();
   ASSERT_TRUE(from_file.ok()) << from_file.status().to_string();
-  EXPECT_EQ(io::encode_echo_columnar(*piped),
-            io::encode_echo_columnar(*from_file));
+  EXPECT_EQ(io::encode_echo_columnar(*piped).bytes,
+            io::encode_echo_columnar(*from_file).bytes);
   EXPECT_EQ(piped_stats.records_accepted, file_stats.records_accepted);
   EXPECT_EQ(piped_stats.lines_seen, file_stats.lines_seen);
 }
@@ -619,7 +620,7 @@ TEST(ColumnarBudget, ConsecutiveRejectCapTrips) {
   io::ReaderOptions opts;
   opts.max_consecutive_rejects = 10;
   io::IngestStats stats;
-  auto out = io::decode_echo_columnar(io::encode_echo_columnar(dataset),
+  auto out = io::decode_echo_columnar(io::encode_echo_columnar(dataset).bytes,
                                       opts, &stats);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), core::StatusCode::kDataLoss);
@@ -639,7 +640,7 @@ TEST(ColumnarBudget, RejectFractionBudgetTrips) {
   io::ReaderOptions opts;
   opts.max_consecutive_rejects = 1000;  // don't trip the cap, only budget
   io::IngestStats stats;
-  auto out = io::decode_assoc_columnar(io::encode_assoc_columnar(dataset),
+  auto out = io::decode_assoc_columnar(io::encode_assoc_columnar(dataset).bytes,
                                        opts, &stats);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), core::StatusCode::kDataLoss);
@@ -668,7 +669,7 @@ TEST(ColumnarBudget, QuarantineReceivesDecimalRendering) {
   opts.quarantine = &qt;
   opts.source_label = "unit.col";
   io::IngestStats stats;
-  auto out = io::decode_assoc_columnar(io::encode_assoc_columnar(dataset),
+  auto out = io::decode_assoc_columnar(io::encode_assoc_columnar(dataset).bytes,
                                        opts, &stats);
   ASSERT_TRUE(out.ok()) << out.status().to_string();
   EXPECT_EQ(stats.quarantined, 1u);
@@ -693,7 +694,7 @@ TEST(ColumnarBudget, EchoRejectOrderMatchesCsvReader) {
     rec.src_addr4 = *net::IPv4Address::parse("192.168.1.5");
     dataset[0].records.push_back(rec);
   }
-  std::string bytes = io::encode_echo_columnar(dataset);
+  std::string bytes = io::encode_echo_columnar(dataset).bytes;
   patch_column(bytes, "FAM_", {{1, 5}, {2, 5}});  // rows 2 and 3: family 5
 
   io::ReaderOptions opts;
@@ -736,7 +737,7 @@ TEST(ColumnarBudget, AssocRejectOrderMatchesCsvReader) {
     rec.asn4 = rec.asn6 = 7;
     dataset[0].records.push_back(rec);
   }
-  std::string bytes = io::encode_assoc_columnar(dataset);
+  std::string bytes = io::encode_assoc_columnar(dataset).bytes;
   patch_column(bytes, "V4L_", {{2, 33}, {3, 33}});  // rows 3 and 4: /33
 
   io::ReaderOptions opts;
@@ -816,7 +817,7 @@ TEST(ColumnarBudget, EchoDuplicateRuleMatchesCsvReader) {
   io::IngestStats col_stats, csv_stats;
   opts.quarantine = &col_quarantine;
   auto from_col = io::decode_echo_columnar(
-      io::encode_echo_columnar(dataset), opts, &col_stats);
+      io::encode_echo_columnar(dataset).bytes, opts, &col_stats);
   ASSERT_TRUE(from_col.ok()) << from_col.status().to_string();
   opts.quarantine = &csv_quarantine;
   std::istringstream csv(csv_text);
@@ -907,8 +908,8 @@ Decoded decode_once(const std::string& bytes, io::ReaderOptions opts,
 }
 
 core::ShardExecutor& pool(unsigned threads) {
-  static core::ShardExecutor one(1), four(4);
-  return threads == 1 ? one : four;
+  static core::ShardExecutor one(1), two(2), four(4);
+  return threads == 1 ? one : threads == 2 ? two : four;
 }
 
 /// Decode `bytes` with no executor, then on 1 and on 4 threads, expecting
@@ -936,13 +937,13 @@ const auto decode_echo = [](auto&&... a) {
   return io::decode_echo_columnar(a...);
 };
 const auto encode_echo = [](const auto& d) {
-  return io::encode_echo_columnar(d);
+  return io::encode_echo_columnar(d).bytes;
 };
 const auto decode_assoc = [](auto&&... a) {
   return io::decode_assoc_columnar(a...);
 };
 const auto encode_assoc = [](const auto& d) {
-  return io::encode_assoc_columnar(d);
+  return io::encode_assoc_columnar(d).bytes;
 };
 
 /// Seed `seed`'s error budget: loose, tripped by a run of rejects, or
@@ -991,7 +992,7 @@ std::string random_echo_batch(std::uint64_t seed, std::uint64_t max_hour) {
       group.records.push_back(rec);
     }
   }
-  std::string bytes = io::encode_echo_columnar(groups);
+  std::string bytes = io::encode_echo_columnar(groups).bytes;
   std::vector<std::pair<std::size_t, std::uint8_t>> bad_family;
   for (std::uint64_t r = 0; r < rows; ++r)
     if (pick(25) == 0) bad_family.emplace_back(r, 7);
@@ -1021,7 +1022,7 @@ std::string random_assoc_batch(std::uint64_t seed, std::uint32_t max_day) {
       group.records.push_back(rec);
     }
   }
-  std::string bytes = io::encode_assoc_columnar(groups);
+  std::string bytes = io::encode_assoc_columnar(groups).bytes;
   std::vector<std::pair<std::size_t, std::uint8_t>> bad_length;
   for (std::uint64_t r = 0; r < rows; ++r)
     if (pick(25) == 0) bad_length.emplace_back(r, 33);
@@ -1041,8 +1042,8 @@ TEST(ColumnarThreads, SeededEchoBatchesDecodeAlikeAtEveryThreadCount) {
   }
   EXPECT_GT(loaded, 50);
   EXPECT_GT(refused, 50);
-  expect_thread_invariant(io::encode_echo_columnar(echo_fixture(0.02)), {},
-                          decode_echo, encode_echo, "echo fixture");
+  expect_thread_invariant(io::encode_echo_columnar(echo_fixture(0.02)).bytes,
+                          {}, decode_echo, encode_echo, "echo fixture");
 }
 
 TEST(ColumnarThreads, SeededAssocBatchesDecodeAlikeAtEveryThreadCount) {
@@ -1059,11 +1060,123 @@ TEST(ColumnarThreads, SeededAssocBatchesDecodeAlikeAtEveryThreadCount) {
   EXPECT_GT(refused, 50);
 }
 
+// ------------------------------------------------- the encoder's oracle
+//
+// reference/columnar_encode.h is the three-pass serial encoder. The
+// one-pass encoder must write its bytes with no executor and on 2 and 4
+// threads, and return crc32() of them.
+
+/// A field value at an extreme or at random.
+std::uint64_t wide_value(std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0: return 0;
+    case 1: return ~std::uint64_t(0);
+    default: return rng();
+  }
+}
+
+/// Seed `seed`'s item and row counts: items with no records, and for every
+/// fourth seed counts that make every column a multiple of 64 bytes long.
+std::uint64_t encoder_items(std::mt19937_64& rng, std::uint64_t seed) {
+  return seed % 4 == 0 ? 16 * (rng() % 3) : rng() % 40;
+}
+std::uint64_t encoder_rows(std::mt19937_64& rng, std::uint64_t seed) {
+  if (seed % 4 == 0) return 64 * (rng() % 3);
+  return rng() % 3 == 0 ? 0 : rng() % 300;
+}
+
+std::vector<atlas::ProbeSeries> encoder_echo_dataset(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<atlas::ProbeSeries> items(encoder_items(rng, seed));
+  for (auto& item : items) {
+    item.meta.probe_id = std::uint32_t(wide_value(rng));
+    for (std::uint64_t t = rng() % 4; t > 0; --t) {
+      const std::uint64_t kind = rng() % 4;
+      const std::string name = kind == 0   ? std::string()
+                               : kind == 1 ? std::string(1024, 'a' + rng() % 26)
+                                           : "tag" + std::to_string(rng() % 5);
+      item.meta.tags.push_back(core::tag_pool().intern(name));
+    }
+    for (std::uint64_t n = encoder_rows(rng, seed); n > 0; --n) {
+      atlas::EchoRecord rec;
+      rec.probe_id = item.meta.probe_id;
+      rec.hour = wide_value(rng);
+      rec.family = rng() % 2 ? atlas::Family::kV6 : atlas::Family::kV4;
+      rec.x_client_ip4 = net::IPv4Address(std::uint32_t(wide_value(rng)));
+      rec.src_addr4 = net::IPv4Address(std::uint32_t(wide_value(rng)));
+      rec.x_client_ip6 = net::IPv6Address(wide_value(rng), wide_value(rng));
+      rec.src_addr6 = net::IPv6Address(wide_value(rng), wide_value(rng));
+      item.records.push_back(rec);
+    }
+  }
+  return items;
+}
+
+std::vector<cdn::AssociationLog> encoder_assoc_dataset(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<cdn::AssociationLog> items(encoder_items(rng, seed));
+  for (auto& item : items) {
+    item.asn = std::uint32_t(wide_value(rng));
+    for (std::uint64_t n = encoder_rows(rng, seed); n > 0; --n) {
+      cdn::AssociationRecord rec;
+      rec.day = std::uint32_t(wide_value(rng));
+      rec.v4_24 = net::Prefix4(net::IPv4Address(std::uint32_t(wide_value(rng))),
+                               int(rng() % 33));
+      rec.v6_64 = net::Prefix6(net::IPv6Address(wide_value(rng), 0),
+                               int(rng() % 129));
+      rec.asn4 = std::uint32_t(wide_value(rng));
+      rec.asn6 = std::uint32_t(wide_value(rng));
+      item.records.push_back(rec);
+    }
+  }
+  return items;
+}
+
+template <class Dataset, class Encode>
+void expect_reference_bytes(const Dataset& dataset, const std::string& want,
+                            Encode encode, const std::string& what) {
+  for (unsigned threads : {0u, 2u, 4u}) {
+    SCOPED_TRACE(what + " on " + std::to_string(threads) + " threads");
+    const io::EncodedBatch got =
+        encode(dataset, threads == 0 ? nullptr : &pool(threads));
+    EXPECT_TRUE(got.bytes == want);
+    EXPECT_EQ(got.crc, io::ckpt::crc32(got.bytes));
+  }
+}
+
+TEST(ColumnarEncoder, MatchesTheReferenceEncoderAtEveryThreadCount) {
+  auto echo = [](const auto& d, core::ShardExecutor* exec) {
+    return io::encode_echo_columnar(d, exec);
+  };
+  auto assoc = [](const auto& d, core::ShardExecutor* exec) {
+    return io::encode_assoc_columnar(d, exec);
+  };
+  expect_reference_bytes(std::vector<atlas::ProbeSeries>{},
+                         io::reference::encode_echo({}), echo, "empty echo");
+  expect_reference_bytes(std::vector<cdn::AssociationLog>{},
+                         io::reference::encode_assoc({}), assoc,
+                         "empty assoc");
+  for (std::uint64_t seed = 0; seed < 120; ++seed) {
+    const auto echo_data = encoder_echo_dataset(seed);
+    expect_reference_bytes(echo_data, io::reference::encode_echo(echo_data),
+                           echo, "echo seed " + std::to_string(seed));
+    const auto assoc_data = encoder_assoc_dataset(seed);
+    expect_reference_bytes(assoc_data, io::reference::encode_assoc(assoc_data),
+                           assoc, "assoc seed " + std::to_string(seed));
+  }
+  const auto echo_data = echo_fixture(0.02);
+  expect_reference_bytes(echo_data, io::reference::encode_echo(echo_data),
+                         echo, "echo fixture");
+  const auto assoc_data = assoc_fixture(0.02);
+  expect_reference_bytes(assoc_data, io::reference::encode_assoc(assoc_data),
+                         assoc, "assoc fixture");
+}
+
 // With two damaged columns the first in directory order is named, at every
 // thread count, although on several threads the larger, later column's CRC
 // runs first.
 TEST(ColumnarThreads, FirstDamagedColumnInDirectoryOrderIsNamed) {
-  const std::string clean = io::encode_echo_columnar(echo_fixture(0.02));
+  const std::string clean = io::encode_echo_columnar(echo_fixture(0.02)).bytes;
   const auto dir = directory(clean);
   auto index_of = [&](std::string_view tag) {
     for (std::size_t c = 0; c < dir.size(); ++c)
@@ -1168,7 +1281,7 @@ TEST(ColumnarStudy, CdnCsvAndColumnarByteIdentical) {
 // kDataLoss — the same contract as an over-budget CSV — and never crashes.
 TEST(ColumnarStudy, CorruptBatchFailsStudyCleanly) {
   auto dataset = assoc_fixture(0.02);
-  std::string bytes = io::encode_assoc_columnar(dataset);
+  std::string bytes = io::encode_assoc_columnar(dataset).bytes;
   bytes[bytes.size() / 2] ^= 0x41;
   const std::string path = temp_path("cdn_bent.col");
   write_raw(path, bytes);
@@ -1276,8 +1389,8 @@ TEST(GoldenColumnar, EchoBatchDecodesAndReencodes) {
       EXPECT_EQ(x.src_addr6, y.src_addr6);
     }
   }
-  EXPECT_TRUE(io::encode_echo_columnar(*decoded) == bytes);
-  EXPECT_TRUE(io::encode_echo_columnar(expected) == bytes);
+  EXPECT_TRUE(io::encode_echo_columnar(*decoded).bytes == bytes);
+  EXPECT_TRUE(io::encode_echo_columnar(expected).bytes == bytes);
 }
 
 TEST(GoldenColumnar, AssocBatchDecodesAndReencodes) {
@@ -1302,8 +1415,8 @@ TEST(GoldenColumnar, AssocBatchDecodesAndReencodes) {
       EXPECT_EQ(x.asn6, y.asn6);
     }
   }
-  EXPECT_TRUE(io::encode_assoc_columnar(*decoded) == bytes);
-  EXPECT_TRUE(io::encode_assoc_columnar(expected) == bytes);
+  EXPECT_TRUE(io::encode_assoc_columnar(*decoded).bytes == bytes);
+  EXPECT_TRUE(io::encode_assoc_columnar(expected).bytes == bytes);
 }
 
 }  // namespace

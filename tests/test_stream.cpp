@@ -947,14 +947,17 @@ TEST(CdnStream, ResumeAtDifferentThreadCountIsByteIdentical) {
 //
 // tests/golden/{atlas,cdn}-stream.ckpt are stream checkpoints taken after
 // the first batches of small slices of the shared fixtures, each with its
-// `.journal` of DYNCOL1 segments. Their accounting sink holds timings, so
-// the manifest is pinned by its consumed list and journal table and the
-// journal byte for byte: a fresh stream over the same batches must write
-// both again, and resuming the fixture into another checkpoint path with a
-// tripped token must leave the same journal there. Resuming over the
-// remaining batches must then land on the one-shot results. After a
-// deliberate format change, copy the `fresh.ckpt` and `fresh.ckpt.journal`
-// the failure message names over the fixtures.
+// `.journal` of DYNCOL1 segments. The fixtures were written by a build
+// whose accounting sink saved timings (the `checkpoint.write` phase and the
+// `stream.lag_seconds` gauge), so the manifest is pinned by its consumed
+// list and journal table and the journal byte for byte: a fresh stream over
+// the same batches must write both again, and resuming the fixture into
+// another checkpoint path with a tripped token must leave the same journal
+// there and drop the timings. Resuming over the remaining batches must then
+// land on the one-shot results. A manifest now saves no wall-clock value,
+// so two fresh streams over the same batches write it byte for byte. After
+// a deliberate format change, copy the `fresh.ckpt` and
+// `fresh.ckpt.journal` the failure message names over the fixtures.
 //
 // tests/golden/{atlas,cdn}-stream-v1.ckpt are the version-1 fixtures,
 // which held the accumulated dataset inline; they must be refused.
@@ -1022,8 +1025,30 @@ void expect_fixture_journal(const io::StudyCheckpoint& fixture,
       << " differs from the golden fixture's " << fixture.journal_path;
 }
 
+/// The stream accounting a manifest saves.
+obs::MetricsSink saved_accounting(const io::StudyCheckpoint& ck) {
+  obs::MetricsSink sink;
+  io::ckpt::Reader r(ck.supervisor_blob);
+  EXPECT_TRUE(io::ckpt::load(r, sink) && r.remaining() == 0);
+  return sink;
+}
+
+/// The stream accounting saved in the manifest at `path`.
+obs::MetricsSink saved_accounting(const std::string& path) {
+  auto ck = io::read_checkpoint(path);
+  EXPECT_TRUE(ck.ok()) << ck.status().to_string();
+  return ck.ok() ? saved_accounting(*ck) : obs::MetricsSink();
+}
+
+/// Whether `sink` holds a wall-clock entry of the stream accounting.
+bool has_timings(const obs::MetricsSink& sink) {
+  return sink.phases().count("checkpoint.write") != 0 ||
+         sink.gauges().count("stream.lag_seconds") != 0;
+}
+
 /// A fresh stream over the fixture's `batches` writes the fixture's
-/// journal; resuming the fixture with a tripped token elsewhere copies it.
+/// journal; resuming the fixture with a tripped token elsewhere copies it
+/// and drops the timings the fixture's manifest saved.
 template <typename Follow>
 void expect_journal_rewritten(const io::StudyCheckpoint& fixture,
                               std::uint64_t batches, const fs::path& dir,
@@ -1046,6 +1071,9 @@ void expect_journal_rewritten(const io::StudyCheckpoint& fixture,
   ASSERT_EQ(cancelled.status().code(), StatusCode::kCancelled)
       << cancelled.status().to_string();
   expect_fixture_journal(fixture, resumed.checkpoint_path);
+  EXPECT_TRUE(has_timings(saved_accounting(fixture)));
+  EXPECT_FALSE(has_timings(saved_accounting(fresh.checkpoint_path)));
+  EXPECT_FALSE(has_timings(saved_accounting(resumed.checkpoint_path)));
 }
 
 TEST(GoldenCheckpoint, AtlasStream) {
@@ -1098,6 +1126,31 @@ TEST(GoldenCheckpoint, CdnStream) {
   auto study = follow(stream);
   ASSERT_TRUE(study.ok()) << study.status().to_string();
   EXPECT_EQ(cdn_signature(*study), cdn_signature(*ref));
+}
+
+TEST(GoldenCheckpoint, FreshStreamsWriteIdenticalManifests) {
+  const AtlasFixture& fx = atlas_fixture();
+  const fs::path watch = temp_dir("golden_manifest_watch");
+  const fs::path ckdir = temp_dir("golden_manifest_ckpt");
+  write_atlas_batches(watch, golden_echo_dataset(), 4);
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 2;
+  std::string manifests[2];
+  for (int run = 0; run < 2; ++run) {
+    core::StreamConfig stream;
+    stream.checkpoint_path =
+        (ckdir / ("run" + std::to_string(run) + ".ckpt")).string();
+    stream.max_batches = 3;
+    stream.refinalize_every_batches = 1;
+    auto study = core::StreamDriver(cfg.threads)
+                     .follow_atlas(watch.string(), fx.isps, cfg, stream,
+                                   [](const core::AtlasStudy&,
+                                      const core::StreamStats&) {});
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    manifests[run] = file_bytes(stream.checkpoint_path);
+  }
+  EXPECT_FALSE(manifests[0].empty());
+  EXPECT_TRUE(manifests[0] == manifests[1]);
 }
 
 TEST(GoldenCheckpoint, VersionOneStreamCheckpointsAreRefused) {
@@ -1169,7 +1222,7 @@ TEST(StreamJournal, TornTailPastTheManifestResumesByteIdentical) {
     // past the committed length.
     auto next = io::load_echo_file(paths[2]);
     ASSERT_TRUE(next.ok()) << next.status().to_string();
-    const std::string segment = io::encode_echo_columnar(*next);
+    const std::string segment = io::encode_echo_columnar(*next).bytes;
     const std::string journal = io::journal_path(ckpt);
     const std::uint64_t committed = fs::file_size(journal);
     {
@@ -1188,6 +1241,33 @@ TEST(StreamJournal, TornTailPastTheManifestResumesByteIdentical) {
     EXPECT_EQ(atlas_signature(*study), want) << "threads=" << threads;
     expect_journal_committed(ckpt);
   }
+}
+
+// An append writes its segment at the committed length and cuts the file
+// there, whatever stale bytes lay past it; then the segment reads back.
+TEST(StreamJournal, AppendCutsAStaleTailPastTheSegment) {
+  const fs::path dir = temp_dir("journal_append_cut");
+  const std::string ckpt = (dir / "study.ckpt").string();
+  std::ofstream(io::journal_path(ckpt), std::ios::binary)
+      << std::string(1000, 'x');
+  io::StudyCheckpoint manifest;
+  manifest.kind = io::kCkptAtlasStream;
+  manifest.item_count = 1;
+  manifest.shards = {{0, 1, 1, {}}};
+  manifest.consumed = {"batch-000.csv"};
+  const std::string segment = "a short segment";
+  ASSERT_TRUE(io::commit_stream_checkpoint(ckpt, manifest, segment,
+                                           io::ckpt::crc32(segment))
+                  .ok());
+  EXPECT_EQ(file_bytes(io::journal_path(ckpt)), segment);
+  auto ck = io::read_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  std::string read;
+  ASSERT_TRUE(io::read_journal(*ck, [&](std::size_t, std::string_view bytes) {
+                read = bytes;
+                return Status::Ok();
+              }).ok());
+  EXPECT_EQ(read, segment);
 }
 
 TEST(StreamJournal, FlippedBitInACommittedSegmentIsDataLoss) {
@@ -1445,6 +1525,194 @@ TEST_F(StreamFailpoints, ExhaustedRetriesGiveUpResumably) {
   EXPECT_EQ(atlas_signature(*study), want);
   EXPECT_EQ(stats.batches, 3u);
   expect_journal_committed(ckpt);
+}
+
+// The commit of batch k runs on a writer thread while the batch merges and
+// the re-finalization including it runs; that snapshot is published only
+// once the commit is durable. These streams run on 2 threads and publish
+// after every batch, so the commit and the pass overlap.
+
+/// What an overlapped stream published: each snapshot's batch count and
+/// results.
+struct Published {
+  std::vector<std::uint64_t> batches;
+  std::vector<std::string> signatures;
+};
+
+core::Expected<core::AtlasStudy> follow_overlapped(
+    const fs::path& watch, const std::string& ckpt, Published& published,
+    core::StreamStats& stats, obs::MetricsRegistry* metrics = nullptr,
+    std::uint64_t attempts = 3, core::ShutdownToken* token = nullptr,
+    core::ResourceGovernor* governor = nullptr) {
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 2;
+  cfg.metrics = metrics;
+  core::StreamConfig stream;
+  stream.checkpoint_path = ckpt;
+  stream.refinalize_every_batches = 1;
+  stream.poll_ms = 10;
+  stream.io_retry_attempts = attempts;
+  stream.io_retry_base_ms = 1;
+  stream.token = token;
+  stream.governor = governor;
+  return core::StreamDriver(cfg.threads)
+      .follow_atlas(
+          watch.string(), atlas_fixture().isps, cfg, stream,
+          [&](const core::AtlasStudy& snap, const core::StreamStats& st) {
+            published.batches.push_back(st.batches);
+            published.signatures.push_back(atlas_signature(snap));
+          },
+          nullptr, &stats);
+}
+
+/// Records in the batch file at `path`.
+std::uint64_t records_in(const std::string& path) {
+  auto batch = io::load_echo_file(path);
+  EXPECT_TRUE(batch.ok()) << batch.status().to_string();
+  std::uint64_t records = 0;
+  if (batch.ok())
+    for (const auto& series : *batch) records += series.records.size();
+  return records;
+}
+
+/// Resume the checkpoint at `ckpt` fault-free and require the one-shot
+/// results over `paths`.
+void expect_resume_matches(const fs::path& watch, const std::string& ckpt,
+                           const std::vector<std::string>& paths) {
+  auto ck = io::read_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  auto study = follow_atlas_stream(watch, ckpt, 2, 0, &*ck);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(atlas_signature(*study), one_shot_atlas(paths));
+  expect_journal_committed(ckpt);
+}
+
+TEST_F(StreamFailpoints, RetriedOverlappedCommitPublishesEveryBatchOnce) {
+  const fs::path watch = temp_dir("stream_overlap_retry_watch");
+  const fs::path ckdir = temp_dir("stream_overlap_retry_ckpt");
+  const auto paths = write_atlas_batches(watch, atlas_fixture().dataset, 3);
+  drop_sentinel(watch, "stream.stop");
+  std::vector<std::string> want;
+  for (std::size_t k = 1; k <= paths.size(); ++k)
+    want.push_back(one_shot_atlas({paths.begin(), paths.begin() + k}));
+
+  ASSERT_TRUE(core::arm_failpoints("checkpoint.write=err(EIO)@2").ok());
+  obs::MetricsRegistry reg;
+  Published published;
+  core::StreamStats stats;
+  auto study = follow_overlapped(watch, (ckdir / "study.ckpt").string(),
+                                 published, stats, &reg);
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  EXPECT_EQ(atlas_signature(*study), want.back());
+  EXPECT_EQ(published.batches, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(published.signatures, want);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.refinalizes, 4u);
+  auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("checkpoint.writes").value, 3u);
+  EXPECT_EQ(snap.counter("checkpoint.write_failures").value, 1u);
+  EXPECT_EQ(snap.counter("io.retries").value, 1u);
+  EXPECT_EQ(snap.counter("io.giveups").value, 0u);
+  EXPECT_EQ(snap.counter("stream.refinalize").value, 4u);
+  EXPECT_EQ(snap.phase("checkpoint.write").count, 3u);
+}
+
+// Every commit from batch 2's on fails, in the checkpoint write or in the
+// journal fsync: no snapshot that includes batch 2 is published, and the
+// stream gives up resumably with the stats a serial commit gives.
+TEST_F(StreamFailpoints, FailedOverlappedCommitNeverPublishesItsBatch) {
+  const fs::path watch = temp_dir("stream_overlap_fail_watch");
+  const auto paths = write_atlas_batches(watch, atlas_fixture().dataset, 3);
+  drop_sentinel(watch, "stream.stop");
+  const std::string first = one_shot_atlas({paths[0]});
+  // The first commit's journal and manifest fsyncs are hits 1 and 2.
+  for (const char* spec :
+       {"checkpoint.write=err(ENOSPC)@2..", "atomic_file.fsync=err@3.."}) {
+    SCOPED_TRACE(spec);
+    const fs::path ckdir = temp_dir("stream_overlap_fail_ckpt");
+    const std::string ckpt = (ckdir / "study.ckpt").string();
+    ASSERT_TRUE(core::arm_failpoints(spec).ok());
+    Published published;
+    core::StreamStats stats;
+    auto gave_up = follow_overlapped(watch, ckpt, published, stats, nullptr,
+                                     /*attempts=*/2);
+    core::disarm_failpoints();
+    ASSERT_FALSE(gave_up.ok());
+    EXPECT_EQ(gave_up.status().code(), StatusCode::kCancelled)
+        << gave_up.status().to_string();
+    EXPECT_TRUE(contains(gave_up.status().message(), "is intact"))
+        << gave_up.status().to_string();
+    EXPECT_EQ(published.batches, (std::vector<std::uint64_t>{1}));
+    EXPECT_EQ(published.signatures, (std::vector<std::string>{first}));
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(stats.records, records_in(paths[0]) + records_in(paths[1]));
+    EXPECT_EQ(stats.refinalizes, 1u);
+    // The manifest commits batch 1, with the accounting saved before its
+    // own commit.
+    auto ck = io::read_checkpoint(ckpt);
+    ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+    EXPECT_EQ(ck->consumed, (std::vector<std::string>{"batch-000.csv"}));
+    const obs::MetricsSink saved = saved_accounting(ckpt);
+    EXPECT_EQ(saved.counters().at("stream.batches").value, 1u);
+    EXPECT_EQ(saved.counters().count("checkpoint.writes"), 0u);
+    EXPECT_EQ(saved.counters().count("stream.refinalize"), 0u);
+    expect_resume_matches(watch, ckpt, paths);
+  }
+}
+
+// The token trips right after the first snapshot is published, so batch 2
+// is consumed and its pass runs with the token set, overlapped with its
+// commit. The fixture's pass is one round, so it completes and is published
+// once batch 2 is durable; the stream then stops before batch 3 with a
+// final commit.
+TEST(StreamOverlap, TokenTrippedDuringAnOverlappedPass) {
+  const fs::path watch = temp_dir("stream_overlap_token_watch");
+  const fs::path ckdir = temp_dir("stream_overlap_token_ckpt");
+  const std::string ckpt = (ckdir / "study.ckpt").string();
+  const auto paths = write_atlas_batches(watch, atlas_fixture().dataset, 3);
+  drop_sentinel(watch, "stream.stop");
+
+  // The governor probes memory at the top of every batch; the first probe
+  // after a snapshot is batch 2's.
+  core::ShutdownToken token;
+  bool armed = false;
+  core::ResourceBudgets budgets;
+  budgets.max_rss_mb = 1 << 20;
+  budgets.sample_interval_ms = 0;
+  budgets.rss_probe = [&] {
+    if (armed) token.request();
+    return std::uint64_t(1);
+  };
+  core::ResourceGovernor governor(budgets);
+  Published published;
+  core::StreamStats stats;
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 2;
+  core::StreamConfig stream;
+  stream.checkpoint_path = ckpt;
+  stream.refinalize_every_batches = 1;
+  stream.token = &token;
+  stream.governor = &governor;
+  auto stopped = core::StreamDriver(cfg.threads).follow_atlas(
+      watch.string(), atlas_fixture().isps, cfg, stream,
+      [&](const core::AtlasStudy&, const core::StreamStats& st) {
+        published.batches.push_back(st.batches);
+        armed = true;
+      },
+      nullptr, &stats);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled)
+      << stopped.status().to_string();
+  EXPECT_TRUE(contains(stopped.status().message(),
+                       "interrupted by shutdown request after 2 consumed"))
+      << stopped.status().to_string();
+  EXPECT_EQ(published.batches, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.refinalizes, 2u);
+  auto ck = io::read_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  EXPECT_EQ(ck->consumed.size(), 2u);
+  expect_resume_matches(watch, ckpt, paths);
 }
 
 TEST(StreamDriver, ReusesOneExecutorAcrossFollows) {
