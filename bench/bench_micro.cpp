@@ -1,11 +1,15 @@
 // bench_micro — google-benchmark microbenchmarks of the hot data paths:
 // address parsing/formatting, echo CSV ingest, the DYNCOL1 encode and the
-// stream checkpoint commit, trie insert/LPM, span extraction, and the
-// total-time-fraction accumulator. These are the operations that dominate
-// full-dataset analysis runs and the per-batch work of a stream.
+// stream checkpoint commit, a stream's re-finalization pass, trie
+// insert/LPM, span extraction, and the total-time-fraction accumulator.
+// These are the operations that dominate full-dataset analysis runs and the
+// per-batch work of a stream.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <istream>
 #include <sstream>
 #include <streambuf>
@@ -16,6 +20,7 @@
 #include "bench/bench_util.h"
 #include "core/changes.h"
 #include "core/parallel.h"
+#include "core/pipeline.h"
 #include "io/checkpoint.h"
 #include "io/columnar.h"
 #include "io/readers.h"
@@ -112,8 +117,8 @@ void BM_EncodeEchoColumnar(benchmark::State& state) {
   std::size_t bytes = 0;
   for (auto _ : state) {
     io::EncodedBatch encoded = io::encode_echo_columnar(batch, &exec);
-    bytes = encoded.bytes.size();
-    benchmark::DoNotOptimize(encoded.bytes.data());
+    bytes = encoded.bytes().size();
+    benchmark::DoNotOptimize(encoded.bytes().data());
     benchmark::DoNotOptimize(encoded.crc);
     benchmark::ClobberMemory();
   }
@@ -140,7 +145,7 @@ void BM_CommitStreamCheckpoint(benchmark::State& state) {
   manifest.consumed = {"batch-000.csv"};
   manifest.item_count = 1;
   manifest.shards = {{0, 1, 1, {}}};
-  if (!io::commit_stream_checkpoint(path, manifest, segment.bytes,
+  if (!io::commit_stream_checkpoint(path, manifest, segment.bytes(),
                                     segment.crc)
            .ok())
     state.SkipWithError("the first commit failed");
@@ -150,19 +155,108 @@ void BM_CommitStreamCheckpoint(benchmark::State& state) {
   manifest.shards = {{0, 2, 2, {}}};
   for (auto _ : state) {
     manifest.journal = first;
-    const bool ok = io::commit_stream_checkpoint(path, manifest, segment.bytes,
-                                                 segment.crc)
+    const bool ok = io::commit_stream_checkpoint(path, manifest,
+                                                 segment.bytes(), segment.crc)
                         .ok();
     if (!ok) state.SkipWithError("commit failed");
     benchmark::DoNotOptimize(ok);
   }
   state.SetBytesProcessed(
-      std::int64_t(state.iterations() * segment.bytes.size()));
+      std::int64_t(state.iterations() * segment.bytes().size()));
   fs::remove_all(dir);
 }
 BENCHMARK(BM_CommitStreamCheckpoint)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// A follow-serve-shaped stream: a fixed-seed Atlas population of about
+/// 1.5 M echo records cut into 12 hour slices of equal record counts,
+/// written once as batch CSVs. Returns the batch paths in order.
+const std::vector<std::string>& stream_batches() {
+  static const std::vector<std::string> paths = [] {
+    namespace fs = std::filesystem;
+    atlas::AtlasConfig cfg;
+    cfg.probe_scale = 0.05;
+    cfg.window_hours = 15000;
+    cfg.seed = 1;
+    atlas::AtlasSimulator sim(simnet::paper_isps(), cfg);
+    std::vector<atlas::ProbeSeries> dataset;
+    std::vector<simnet::Hour> hours;
+    for (std::size_t i = 0; i < sim.probe_count(); ++i) {
+      dataset.push_back(sim.series_for(i));
+      for (const auto& r : dataset.back().records) hours.push_back(r.hour);
+    }
+    constexpr std::size_t kBatches = 12;
+    std::sort(hours.begin(), hours.end());
+    std::vector<simnet::Hour> cuts;  // first hour of batches 1..11
+    for (std::size_t b = 1; b < kBatches; ++b)
+      cuts.push_back(hours[hours.size() * b / kBatches]);
+    const fs::path dir = fs::temp_directory_path() / "bench_micro_stream";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::vector<std::string> out;
+    for (std::size_t b = 0; b < kBatches; ++b) {
+      std::vector<atlas::ProbeSeries> slice;
+      for (const auto& series : dataset) {
+        atlas::ProbeSeries part;
+        part.meta = series.meta;
+        for (const auto& r : series.records) {
+          const std::size_t at = std::size_t(
+              std::upper_bound(cuts.begin(), cuts.end(), r.hour) -
+              cuts.begin());
+          if (at == b) part.records.push_back(r);
+        }
+        if (!part.records.empty()) slice.push_back(std::move(part));
+      }
+      char name[32];
+      std::snprintf(name, sizeof name, "batch-%02zu.csv", b);
+      std::ofstream file(dir / name, std::ios::binary);
+      io::write_echo_dataset(file, slice);
+      out.push_back((dir / name).string());
+    }
+    return out;
+  }();
+  return paths;
+}
+
+/// The re-finalization pass after batch range(0) of stream_batches(): a
+/// 2-thread stream over the first range(0) batches with a pass after
+/// every batch, timed at its last intermediate pass (StreamStats::pass_ns).
+/// A pass that costs the batch, not the dataset so far, keeps /12 near /2.
+void BM_RefinalizeAfterBatch(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const std::size_t n = std::size_t(state.range(0));
+  const auto& batches = stream_batches();
+  const fs::path watch = fs::temp_directory_path() / "bench_micro_watch";
+  fs::remove_all(watch);
+  fs::create_directories(watch);
+  for (std::size_t b = 0; b < n; ++b)
+    fs::copy_file(batches[b], watch / fs::path(batches[b]).filename());
+  std::ofstream(watch / "stream.stop").put('\n');
+  const auto isps = simnet::paper_isps();
+  core::AtlasFileStudyConfig cfg;
+  cfg.threads = 2;
+  core::StreamConfig stream;
+  stream.refinalize_every_batches = 1;
+  core::StreamDriver driver(cfg.threads);
+  for (auto _ : state) {
+    std::uint64_t pass_ns = 0;
+    auto study = driver.follow_atlas(
+        watch.string(), isps, cfg, stream,
+        [&](const core::AtlasStudy&, const core::StreamStats& st) {
+          if (st.batches == n) pass_ns = st.pass_ns;
+        });
+    if (!study.ok() || pass_ns == 0) state.SkipWithError("stream failed");
+    state.SetIterationTime(double(pass_ns) * 1e-9);
+  }
+  fs::remove_all(watch);
+}
+BENCHMARK(BM_RefinalizeAfterBatch)
+    ->Arg(2)
+    ->Arg(12)
+    ->Iterations(10)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FormatIPv6(benchmark::State& state) {
   net::IPv6Address a{0x2003ec5712345600ull, 0x1};

@@ -54,8 +54,8 @@ Outcome run(std::string_view bytes, dynamips::core::ShardExecutor* exec,
     for (const auto& item : *data) records += item.records.size();
     if (out.stats.records_accepted != records) __builtin_trap();
     io::EncodedBatch encoded = encode(*data, exec);
-    if (encoded.crc != io::ckpt::crc32(encoded.bytes)) __builtin_trap();
-    out.dataset = std::move(encoded.bytes);
+    if (encoded.crc != io::ckpt::crc32(encoded.bytes())) __builtin_trap();
+    out.dataset = std::string(encoded.bytes());
   } else if (data.status().code() != StatusCode::kDataLoss &&
              data.status().code() != StatusCode::kFailedPrecondition) {
     __builtin_trap();

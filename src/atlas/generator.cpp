@@ -151,17 +151,23 @@ void AtlasSimulator::publish_metrics(obs::MetricsSink& sink) const {
 }
 
 ProbeSeries AtlasSimulator::series_for(std::size_t idx) const {
-  const ProbeInfo& info = probes_[idx];
   ProbeSeries series;
+  fill_series(idx, series);
+  return series;
+}
+
+void AtlasSimulator::fill_series(std::size_t idx, ProbeSeries& series) const {
+  const ProbeInfo& info = probes_[idx];
+  series.records.clear();
   switch (info.role) {
     case ProbeRole::kMultihomed:
-      series = multihomed_series(info);
+      multihomed_records(info, series.records);
       break;
     case ProbeRole::kAsSwitch:
-      series = as_switch_series(info);
+      as_switch_records(info, series.records);
       break;
     default:
-      series = normal_series(info);
+      normal_records(info, series.records);
       break;
   }
   series.meta.probe_id = info.probe_id;
@@ -175,7 +181,6 @@ ProbeSeries AtlasSimulator::series_for(std::size_t idx) const {
         core::tag_pool().intern("multihomed")};
     series.meta.tags.push_back(kBad[info.probe_id % 4]);
   }
-  return series;
 }
 
 void AtlasSimulator::emit_hours(const ProbeInfo& info,
@@ -222,21 +227,20 @@ std::uint64_t AtlasSimulator::iid_at(const ProbeInfo& info, Hour h) const {
                                 simnet::day_of(h));
 }
 
-ProbeSeries AtlasSimulator::normal_series(const ProbeInfo& info) const {
-  ProbeSeries s;
+void AtlasSimulator::normal_records(const ProbeInfo& info,
+                                    std::vector<EchoRecord>& out) const {
   SubscriberTimeline tl =
       generators_[info.isp_index].generate(info.probe_id, info.join,
                                            info.leave);
   Rng rng(mix(config_.seed, info.probe_id));
   emit_hours(info, tl, info.join, info.leave, info.starts_with_test_addr, rng,
-             s.records);
-  return s;
+             out);
 }
 
-ProbeSeries AtlasSimulator::multihomed_series(const ProbeInfo& info) const {
+void AtlasSimulator::multihomed_records(const ProbeInfo& info,
+                                        std::vector<EchoRecord>& out) const {
   // Two concurrent upstreams; each echo goes out via a random one, so the
   // observed address sequence alternates between two ASes.
-  ProbeSeries s;
   SubscriberTimeline a = generators_[info.isp_index].generate(
       info.probe_id, info.join, info.leave);
   SubscriberTimeline b = generators_[info.second_isp_index].generate(
@@ -254,7 +258,7 @@ ProbeSeries AtlasSimulator::multihomed_series(const ProbeInfo& info) const {
       r.x_client_ip4 = s4->addr;
       r.src_addr4 = IPv4Address::from_octets(
           192, 168, 1, std::uint8_t(2 + info.probe_id % 250));
-      s.records.push_back(r);
+      out.push_back(r);
     }
     if (tl.dual_stack) {
       const Assignment6* s6 = segment_at(tl.v6, h);
@@ -265,25 +269,23 @@ ProbeSeries AtlasSimulator::multihomed_series(const ProbeInfo& info) const {
         r.family = Family::kV6;
         r.x_client_ip6 = IPv6Address{s6->lan64, iid_at(info, h)};
         r.src_addr6 = r.x_client_ip6;
-        s.records.push_back(r);
+        out.push_back(r);
       }
     }
   }
-  return s;
 }
 
-ProbeSeries AtlasSimulator::as_switch_series(const ProbeInfo& info) const {
+void AtlasSimulator::as_switch_records(const ProbeInfo& info,
+                                       std::vector<EchoRecord>& out) const {
   // Owner changed ISP at switch_hour: one timeline before, another after.
-  ProbeSeries s;
   SubscriberTimeline a = generators_[info.isp_index].generate(
       info.probe_id, info.join, info.switch_hour);
   SubscriberTimeline b = generators_[info.second_isp_index].generate(
       info.probe_id ^ 0xa5a5, info.switch_hour, info.leave);
   Rng rng(mix(config_.seed, info.probe_id));
   emit_hours(info, a, info.join, info.switch_hour,
-             info.starts_with_test_addr, rng, s.records);
-  emit_hours(info, b, info.switch_hour, info.leave, false, rng, s.records);
-  return s;
+             info.starts_with_test_addr, rng, out);
+  emit_hours(info, b, info.switch_hour, info.leave, false, rng, out);
 }
 
 }  // namespace dynamips::atlas

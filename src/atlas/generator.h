@@ -81,6 +81,10 @@ class AtlasSimulator {
 
   /// Generate the full hourly measurement series of one probe.
   ProbeSeries series_for(std::size_t idx) const;
+  /// series_for() into `series`, reusing its records' capacity, so a
+  /// caller generating probe after probe allocates (and the allocator
+  /// maps) the record buffer once instead of once per probe.
+  void fill_series(std::size_t idx, ProbeSeries& series) const;
 
   /// Ground-truth subscriber timeline backing a probe (its primary ISP).
   simnet::SubscriberTimeline timeline_for(std::size_t idx) const;
@@ -92,9 +96,13 @@ class AtlasSimulator {
   void publish_metrics(obs::MetricsSink& sink) const;
 
  private:
-  ProbeSeries normal_series(const ProbeInfo& info) const;
-  ProbeSeries multihomed_series(const ProbeInfo& info) const;
-  ProbeSeries as_switch_series(const ProbeInfo& info) const;
+  // Append one role's echo records of `info` to `out`.
+  void normal_records(const ProbeInfo& info,
+                      std::vector<EchoRecord>& out) const;
+  void multihomed_records(const ProbeInfo& info,
+                          std::vector<EchoRecord>& out) const;
+  void as_switch_records(const ProbeInfo& info,
+                         std::vector<EchoRecord>& out) const;
   std::uint64_t iid_at(const ProbeInfo& info, Hour h) const;
   void emit_hours(const ProbeInfo& info,
                   const simnet::SubscriberTimeline& tl, Hour from, Hour to,

@@ -51,23 +51,8 @@ template <typename Span>
 std::vector<TimedDuration> sandwiched(std::span<const Span> spans,
                                       const ChangeOptions& opt) {
   std::vector<TimedDuration> out;
-  for (std::size_t i = 1; i + 1 < spans.size(); ++i) {
-    Hour gap_before = spans[i].first_seen - spans[i - 1].last_seen;
-    Hour gap_after = spans[i + 1].first_seen - spans[i].last_seen;
-    if (gap_before > opt.max_boundary_gap ||
-        gap_after > opt.max_boundary_gap)
-      continue;
-    Hour d = spans[i + 1].first_seen - spans[i].first_seen;
-    if (d > 0) out.push_back({spans[i].first_seen, d});
-  }
-  return out;
-}
-
-template <typename Span>
-std::vector<Hour> durations_only(std::span<const Span> spans,
-                                 const ChangeOptions& opt) {
-  std::vector<Hour> out;
-  for (const auto& td : sandwiched(spans, opt)) out.push_back(td.duration);
+  for_each_sandwiched(spans, opt,
+                      [&out](const TimedDuration& d) { out.push_back(d); });
   return out;
 }
 
@@ -75,12 +60,11 @@ std::vector<Hour> durations_only(std::span<const Span> spans,
 
 std::vector<Hour> sandwiched_durations4(std::span<const Span4> spans,
                                         const ChangeOptions& opt) {
-  return durations_only(spans, opt);
-}
-
-std::vector<Hour> sandwiched_durations6(std::span<const Span6> spans,
-                                        const ChangeOptions& opt) {
-  return durations_only(spans, opt);
+  std::vector<Hour> out;
+  for_each_sandwiched(spans, opt, [&out](const TimedDuration& d) {
+    out.push_back(d.duration);
+  });
+  return out;
 }
 
 std::vector<TimedDuration> sandwiched_timed4(std::span<const Span4> spans,

@@ -64,12 +64,27 @@ struct TimedDuration {
   Hour duration = 0;
 };
 
+/// Call `f(TimedDuration)` for every span sandwiched between two changes
+/// whose boundary gaps satisfy `opt`, in span order; the duration of span i
+/// is spans[i+1].first_seen - spans[i].first_seen. The functions below
+/// collect the same durations into vectors.
+template <typename Span, typename F>
+void for_each_sandwiched(std::span<const Span> spans, const ChangeOptions& opt,
+                         const F& f) {
+  for (std::size_t i = 1; i + 1 < spans.size(); ++i) {
+    const Hour gap_before = spans[i].first_seen - spans[i - 1].last_seen;
+    const Hour gap_after = spans[i + 1].first_seen - spans[i].last_seen;
+    if (gap_before > opt.max_boundary_gap || gap_after > opt.max_boundary_gap)
+      continue;
+    const Hour d = spans[i + 1].first_seen - spans[i].first_seen;
+    if (d > 0) f(TimedDuration{spans[i].first_seen, d});
+  }
+}
+
 /// Exact (hourly-granularity) assignment durations: one entry per span that
 /// is sandwiched between two changes whose boundary gaps satisfy `opt`.
 /// Duration of span i is spans[i+1].first_seen - spans[i].first_seen.
 std::vector<Hour> sandwiched_durations4(std::span<const Span4> spans,
-                                        const ChangeOptions& opt = {});
-std::vector<Hour> sandwiched_durations6(std::span<const Span6> spans,
                                         const ChangeOptions& opt = {});
 
 /// Same measurement, keeping each duration's start hour.

@@ -73,11 +73,10 @@ class DurationAnalyzer {
   /// at least this fraction of its v4 observation count.
   static constexpr double kDualStackCoverage = 0.5;
 
-  void add_probe(const CleanProbe& probe);
-
   // Sink interface (core/parallel.h): everything here is a per-AS sum, so
   // merging shards in any order reproduces the serial result exactly.
-  void add(const CleanProbe& probe) { add_probe(probe); }
+  void add(const ProbeSpans& probe);
+  void add(const CleanProbe& probe) { add(CleanSpans(probe).view()); }
   void merge(DurationAnalyzer&& other);
   void finalize() {}
 
@@ -103,8 +102,12 @@ class DurationAnalyzer {
     return std::map<bgp::Asn, AsDurationStats>(by_as_.begin(), by_as_.end());
   }
 
-  /// Whether a cleaned probe qualifies as dual-stack for the splits.
-  static bool is_dual_stack(const CleanProbe& probe);
+  /// Whether a probe with this many v4 and v6 observations qualifies as
+  /// dual-stack for the splits.
+  static bool is_dual_stack(std::size_t v4_obs, std::size_t v6_obs);
+  static bool is_dual_stack(const CleanProbe& probe) {
+    return is_dual_stack(probe.v4.size(), probe.v6.size());
+  }
 
  private:
   ChangeOptions options_;

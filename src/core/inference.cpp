@@ -72,13 +72,10 @@ ZeroBoundary classify_trailing_zeros(std::uint64_t net64) {
   return ZeroBoundary::kNone;
 }
 
-void InferenceCollector::add(const CleanProbe& probe) {
-  // Both inferences consume the same /64 spans; extract them once.
-  auto spans = extract_spans6(probe.v6);
-  std::span<const Span6> view(spans);
-  if (auto inf = infer_subscriber_prefix(view))
+void InferenceCollector::add(const ProbeSpans& probe) {
+  if (auto inf = infer_subscriber_prefix(probe.v6))
     subscriber_[probe.asn].push_back(*inf);
-  if (auto pool = infer_pool(view)) pool_[probe.asn].push_back(*pool);
+  if (auto pool = infer_pool(probe.v6)) pool_[probe.asn].push_back(*pool);
 }
 
 void InferenceCollector::merge(InferenceCollector&& other) {

@@ -130,7 +130,8 @@ struct InferenceSnapshot {
 /// order reproduce the serial ordering exactly.
 class InferenceCollector {
  public:
-  void add(const CleanProbe& probe);
+  void add(const ProbeSpans& probe);
+  void add(const CleanProbe& probe) { add(CleanSpans(probe).view()); }
   void merge(InferenceCollector&& other);
   void finalize() {}
 

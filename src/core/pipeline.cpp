@@ -42,14 +42,18 @@ std::uint64_t tick() {
 // --- item sources ---------------------------------------------------------
 //
 // Where analysis_pass reads item i from; the generator and file paths
-// differ only here. A simulator builds item i by value, as a pure function
-// of (config, i), so shards generate concurrently and race on nothing. A
-// loaded dataset hands out a const reference, so no item is copied.
+// differ only here. A simulator builds item i as a pure function of
+// (config, i), so shards generate concurrently and race on nothing; the
+// Atlas one builds it into the shard's holder, whose record buffer then
+// serves every probe of the chunk. A loaded dataset hands out a const
+// reference, so no item is copied.
 // `cost(i)` estimates item i's relative work; the round loop cuts and
 // orders its chunks by it, so it steers scheduling and never results.
 // Generator runs alone time the `<study>.generate` phase and publish the
 // simulator's metrics; file runs fold their `ingest` sink (never
-// checkpointed) in with the shard sinks.
+// checkpointed) in with the shard sinks. An echo source may also hand out
+// item i's kept SanitizeFold and its rewrite count (a stream); without one
+// the shard folds each probe from record 0.
 
 struct AtlasGenerated {
   static constexpr bool kGenerated = true;
@@ -57,9 +61,15 @@ struct AtlasGenerated {
   obs::MetricsSink* ingest = nullptr;
 
   std::size_t size() const { return sim.probe_count(); }
-  atlas::ProbeSeries item(std::size_t i) const { return sim.series_for(i); }
+  const atlas::ProbeSeries& item(std::size_t i,
+                                 atlas::ProbeSeries& holder) const {
+    sim.fill_series(i, holder);
+    return holder;
+  }
   std::uint64_t cost(std::size_t) const { return 1; }
   void publish(obs::MetricsSink& m) const { sim.publish_metrics(m); }
+  SanitizeFold* fold(std::size_t) const { return nullptr; }
+  std::uint32_t rewrites(std::size_t) const { return 0; }
 };
 
 struct CdnGenerated {
@@ -78,19 +88,31 @@ struct Loaded {
   static constexpr bool kGenerated = false;
   const std::vector<Item>& dataset;
   obs::MetricsSink* ingest;
+  SanitizeFold* folds = nullptr;  ///< echo streams: one per item
+  const std::uint32_t* rewrite_counts = nullptr;  ///< DatasetBuilder's
 
   std::size_t size() const { return dataset.size(); }
   const Item& item(std::size_t i) const { return dataset[i]; }
+  const Item& item(std::size_t i, Item&) const { return dataset[i]; }
   std::uint64_t cost(std::size_t i) const { return dataset[i].records.size(); }
   void publish(obs::MetricsSink&) const {}
+  SanitizeFold* fold(std::size_t i) const {
+    return folds ? folds + i : nullptr;
+  }
+  std::uint32_t rewrites(std::size_t i) const {
+    return rewrite_counts ? rewrite_counts[i] : 0;
+  }
 };
 
 // --- shards ---------------------------------------------------------------
 //
 // One shard's private state: its analyzers plus a metrics sink that merges
 // through the same ordered reduction, so counter totals are independent of
-// the thread count. A shard holds either a checkpoint range's accumulated
-// state or one chunk of a round; a chunk frees its scratch arenas
+// the thread count. The shard's wall-clock phases go into a second sink,
+// `timing`, which merges the same way but is never checkpointed, so two
+// identical runs write identical checkpoints; analysis_pass folds it into
+// the registry at the end. A shard holds either a checkpoint range's
+// accumulated state or one chunk of a round; a chunk frees its scratch arenas
 // (release_scratch) as soon as it ends and is folded into its range after
 // the round. Each shard type writes its study's per-item body once, for
 // every source, as `process<kMetered>`: the metrics-off instantiation
@@ -107,6 +129,9 @@ struct AtlasShard {
   SpatialAnalyzer spatial;
   InferenceCollector inference;
   obs::MetricsSink metrics;
+  obs::MetricsSink timing;
+  SanitizeFold scratch;          ///< the fold of a source that keeps none
+  atlas::ProbeSeries generated;  ///< a generating source's item holder
 
   AtlasShard(const bgp::Rib& rib, const SanitizeOptions& sanitize,
              const ChangeOptions& changes)
@@ -125,17 +150,16 @@ struct AtlasShard {
       c_clean = &metrics.counter("atlas.clean_probes");
       h_records = &metrics.histogram("atlas.records_per_probe", 0, 6, 5);
       if constexpr (Source::kGenerated)
-        p_gen = &metrics.phase("atlas.generate");
-      p_san = &metrics.phase("atlas.sanitize");
-      p_dur = &metrics.phase("atlas.durations.add");
-      p_spa = &metrics.phase("atlas.spatial.add");
-      p_inf = &metrics.phase("atlas.inference.add");
+        p_gen = &timing.phase("atlas.generate");
+      p_san = &timing.phase("atlas.sanitize");
+      p_dur = &timing.phase("atlas.durations.add");
+      p_spa = &timing.phase("atlas.spatial.add");
+      p_inf = &timing.phase("atlas.inference.add");
     }
     for (std::size_t i = from; i < to; ++i) {
       [[maybe_unused]] const std::uint64_t t0 =
           tick<kMetered && Source::kGenerated>();
-      decltype(auto) series = source.item(i);
-      ProbeObservations obs = from_series(series);
+      const atlas::ProbeSeries& series = source.item(i, generated);
       [[maybe_unused]] const std::uint64_t t1 = tick<kMetered>();
       if constexpr (kMetered) {
         if constexpr (Source::kGenerated) p_gen->record(t1 - t0);
@@ -143,12 +167,16 @@ struct AtlasShard {
         c_records->add(series.records.size());
         h_records->record(double(series.records.size()));
       }
-      auto cleaned = sanitizer.sanitize(obs);
+      SanitizeFold* kept = source.fold(i);
+      if (!kept) scratch.clear();
+      SanitizeFold& fold = kept ? *kept : scratch;
+      sanitizer.fold(fold, series, source.rewrites(i));
+      const std::span<const ProbeSpans> cleaned = sanitizer.emit(fold, series);
       if constexpr (kMetered) {
         p_san->record(obs::now_ns() - t1);
         c_clean->add(cleaned.size());
       }
-      for (const CleanProbe& cp : cleaned) {
+      for (const ProbeSpans& cp : cleaned) {
         [[maybe_unused]] const std::uint64_t a0 = tick<kMetered>();
         durations.add(cp);
         [[maybe_unused]] const std::uint64_t a1 = tick<kMetered>();
@@ -171,11 +199,14 @@ struct AtlasShard {
     spatial.merge(std::move(other.spatial));
     inference.merge(std::move(other.inference));
     metrics.merge(std::move(other.metrics));
+    timing.merge(std::move(other.timing));
   }
 
   void release_scratch() {
     sanitizer.release_scratch();
     spatial.release_scratch();
+    scratch = SanitizeFold();
+    generated = atlas::ProbeSeries();
   }
 
   void finalize() {
@@ -211,6 +242,7 @@ struct CdnShard {
 
   CdnAnalyzer analyzer;
   obs::MetricsSink metrics;
+  obs::MetricsSink timing;
 
   CdnShard(const AssocOptions& options,
            const std::unordered_set<bgp::Asn>& mobile_asns)
@@ -226,8 +258,8 @@ struct CdnShard {
                                                    : "cdn.logs_loaded");
       c_tuples = &metrics.counter("cdn.association_tuples");
       h_tuples = &metrics.histogram("cdn.tuples_per_log", 0, 8, 5);
-      if constexpr (Source::kGenerated) p_gen = &metrics.phase("cdn.generate");
-      p_add = &metrics.phase("cdn.analyzer.add");
+      if constexpr (Source::kGenerated) p_gen = &timing.phase("cdn.generate");
+      p_add = &timing.phase("cdn.analyzer.add");
     }
     for (std::size_t i = from; i < to; ++i) {
       [[maybe_unused]] const std::uint64_t t0 =
@@ -248,6 +280,7 @@ struct CdnShard {
   void merge(CdnShard&& other) {
     analyzer.merge(std::move(other.analyzer));
     metrics.merge(std::move(other.metrics));
+    timing.merge(std::move(other.timing));
   }
 
   void release_scratch() { analyzer.release_scratch(); }
@@ -548,6 +581,8 @@ Status restore_shards(const CheckpointConfig& cc, std::vector<Shard>& shards,
       return Status(StatusCode::kDataLoss,
                     "checkpoint is corrupt: shard " + std::to_string(s) +
                         " state failed to parse");
+    // Checkpoints of older builds saved the shard's wall-clock phases.
+    shards[s].metrics.erase_phases();
   }
   if (registry && !ck.registry_blob.empty()) {
     obs::MetricsSink snapshot;
@@ -564,6 +599,7 @@ Status restore_shards(const CheckpointConfig& cc, std::vector<Shard>& shards,
       return Status(
           StatusCode::kDataLoss,
           "checkpoint is corrupt: supervisor state failed to parse");
+    sup.erase_phases();
   }
   sup.counter("checkpoint.resumes").add(1);
   return Status::Ok();
@@ -638,13 +674,16 @@ std::vector<Chunk> cut_round(const ShardPlan& plan, std::uint64_t round_items,
 /// append, so the shards, the round count and every checkpoint are the same
 /// for any thread count and schedule. With metrics on, each range records
 /// one `<study>.shard_wall` sample per round (its chunks' summed time) and
-/// `lane_ns[l]` accumulates pool lane l's busy time.
+/// `lane_ns[l]` accumulates pool lane l's busy time. The supervision's
+/// accounting goes into `sup`, saved with every checkpoint, and its
+/// `checkpoint.write` timings into `timing`, which is not.
 template <typename Source, typename MakeShard, typename Shard>
 Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
                     std::uint32_t kind, std::uint64_t fingerprint,
                     const Source& source, const MakeShard& make_shard,
                     ShardPlan& plan, std::vector<Shard>& shards,
                     obs::MetricsRegistry* registry, obs::MetricsSink& sup,
+                    obs::MetricsSink& timing,
                     std::vector<std::uint64_t>& lane_ns) {
   if (cc.every_items > 0 && cc.path.empty())
     return Status(StatusCode::kInvalidArgument,
@@ -668,7 +707,7 @@ Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
   // snapshot is taken here — before any partial shard sink is merged into
   // it — so a resumed process restoring it never double-counts.
   auto snapshot = [&]() -> Status {
-    obs::PhaseTimer timer(&sup.phase("checkpoint.write"));
+    obs::PhaseTimer timer(&timing.phase("checkpoint.write"));
     io::StudyCheckpoint ck;
     ck.kind = kind;
     ck.config_fingerprint = fingerprint;
@@ -737,7 +776,7 @@ Status drive_shards(ShardExecutor& exec, const CheckpointConfig& cc,
     if (!ran.ok()) return ran;
     if (registry)
       for (std::size_t s = 0; s < shards.size(); ++s)
-        shards[s].metrics.phase(wall).record(range_ns[s]);
+        shards[s].timing.phase(wall).record(range_ns[s]);
     if (cc.active()) sup.counter("checkpoint.rounds").add(1);
     if (all_done()) {
       // Shard mode: the completed checkpoint IS the output — the merge
@@ -801,21 +840,25 @@ Status analysis_pass(ShardExecutor& exec, const CheckpointConfig& cc,
   shards.reserve(plan.ranges.size());
   for (std::size_t s = 0; s < plan.ranges.size(); ++s)
     shards.push_back(make_shard());
-  obs::MetricsSink sup;
+  obs::MetricsSink sup, timing;
   Status restored = restore_shards(cc, shards, sup, metrics);
   if (!restored.ok()) return restored;
 
   std::vector<std::uint64_t> lane_ns(exec.thread_count(), 0);
   Status drove = drive_shards(exec, cc, kind, fingerprint, source, make_shard,
-                              plan, shards, metrics, sup, lane_ns);
+                              plan, shards, metrics, sup, timing, lane_ns);
   if (!drove.ok()) {
     // The checkpoint (if any) is already durable; fold the partial shard
     // sinks into the registry so an interrupted tool run can still report.
     if (metrics) {
       obs::MetricsSink partial;
-      for (Shard& shard : shards) partial.merge(std::move(shard.metrics));
+      for (Shard& shard : shards) {
+        partial.merge(std::move(shard.metrics));
+        partial.merge(std::move(shard.timing));
+      }
       if (source.ingest) partial.merge(std::move(*source.ingest));
       partial.merge(std::move(sup));
+      partial.merge(std::move(timing));
       metrics->merge(std::move(partial));
     }
     return drove;
@@ -830,8 +873,8 @@ Status analysis_pass(ShardExecutor& exec, const CheckpointConfig& cc,
   const std::uint64_t t1 = metrics ? obs::now_ns() : 0;
   root.finalize();
   if (metrics) {
-    root.metrics.phase(name + ".merge").record(t1 - t0);
-    root.metrics.phase(name + ".finalize").record(obs::now_ns() - t1);
+    root.timing.phase(name + ".merge").record(t1 - t0);
+    root.timing.phase(name + ".finalize").record(obs::now_ns() - t1);
   }
   root.extract(study);
 
@@ -843,6 +886,8 @@ Status analysis_pass(ShardExecutor& exec, const CheckpointConfig& cc,
         .set(imbalance_ratio(lane_ns));
     if (source.ingest) root.metrics.merge(std::move(*source.ingest));
     root.metrics.merge(std::move(sup));
+    root.metrics.merge(std::move(root.timing));
+    root.metrics.merge(std::move(timing));
     metrics->merge(std::move(root.metrics));
   }
   return Status::Ok();
@@ -921,6 +966,10 @@ struct AtlasFilePolicy {
   const std::vector<simnet::IspProfile>& isps;
   const AtlasFileStudyConfig& config;
   ShardExecutor& exec;
+  /// A stream's sanitize folds, one per dataset item, kept across passes
+  /// so each pass resumes them (none for a one-shot study). Never
+  /// checkpointed: a resumed stream refolds from its journal.
+  std::vector<SanitizeFold>* folds = nullptr;
 
   using Dataset = std::vector<atlas::ProbeSeries>;
   using Accumulator = io::EchoAccumulator;
@@ -952,13 +1001,18 @@ struct AtlasFilePolicy {
 
   void init_study(Study& study) const { init_atlas_study(isps, study); }
 
-  Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
+  Status run_pass(Accumulator& dataset, obs::MetricsRegistry* registry,
                   const CheckpointConfig& cc, std::uint32_t kind,
                   std::uint64_t fp, obs::MetricsSink* ingest_sink,
                   Study& study) const {
+    Loaded<atlas::ProbeSeries> source{dataset.items(), ingest_sink};
+    if (folds) {
+      folds->resize(dataset.items().size());
+      source.folds = folds->data();
+      source.rewrite_counts = dataset.rewrites().data();
+    }
     return analysis_pass(
-        exec, cc, kind, fp, registry,
-        Loaded<atlas::ProbeSeries>{dataset, ingest_sink},
+        exec, cc, kind, fp, registry, source,
         [&] { return AtlasShard(study.rib, config.sanitize, config.changes); },
         study);
   }
@@ -998,13 +1052,14 @@ struct CdnFilePolicy {
 
   void init_study(Study& study) const { study.asn_names = config.asn_names; }
 
-  Status run_pass(Dataset& dataset, obs::MetricsRegistry* registry,
+  Status run_pass(Accumulator& accumulated, obs::MetricsRegistry* registry,
                   const CheckpointConfig& cc, std::uint32_t kind,
                   std::uint64_t fp, obs::MetricsSink* ingest_sink,
                   Study& study) const {
     // The CSV schema carries no access-type or registry attribution; graft
     // the caller's ground truth onto the loaded logs. Idempotent — the
     // streaming driver re-grafts on every re-finalization pass.
+    Dataset& dataset = accumulated.items();
     for (auto& log : dataset) {
       log.mobile = config.mobile_asns.count(log.asn) > 0;
       auto reg = config.registries.find(log.asn);
@@ -1051,7 +1106,7 @@ Expected<typename Policy::Study> run_file_study(
   if (ingest) ingest->load_wall_ns += load_ns;
   if (metrics) ingest_sink.phase(Policy::kIngestPhase).record(load_ns);
 
-  Status ran = policy.run_pass(dataset.items(), metrics, checkpoint,
+  Status ran = policy.run_pass(dataset, metrics, checkpoint,
                                Policy::kFileKind, policy.fingerprint(&paths),
                                &ingest_sink, study);
   if (!ran.ok()) return ran.with_context(Policy::kStudyLabel);
@@ -1260,15 +1315,16 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   if (metrics && !base_ropts.metrics) base_ropts.metrics = &sink;
 
   // The caller-facing StreamStats are the sink's `stream.*` counters, so a
-  // resumed stream reports the batches it restored. Reading a counter never
-  // creates it: an absent one is zero.
+  // resumed stream reports the batches it restored, and the latest pass's
+  // wall time. Reading a counter never creates it: an absent one is zero.
   auto counted = [&](std::string_view name) -> std::uint64_t {
     auto it = sink.counters().find(name);
     return it == sink.counters().end() ? 0 : it->second.value;
   };
+  std::uint64_t pass_ns = 0;
   auto stats = [&] {
     return StreamStats{counted("stream.batches"), counted("stream.records"),
-                       counted("stream.refinalize")};
+                       counted("stream.refinalize"), pass_ns};
   };
   auto publish_stats = [&] {
     if (stats_out) *stats_out = stats();
@@ -1356,7 +1412,7 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
                           obs::MetricsSink& acct) -> Status {
     return with_retries(acct, /*salt=*/0x636b7074 /*'ckpt'*/, [&] {
       Status wrote = io::commit_stream_checkpoint(
-          stream.checkpoint_path, manifest, commit.segment.bytes,
+          stream.checkpoint_path, manifest, commit.segment.bytes(),
           commit.segment.crc, commit.keep_previous);
       acct.counter(wrote.ok() ? "checkpoint.writes"
                               : "checkpoint.write_failures")
@@ -1380,16 +1436,17 @@ Expected<typename Policy::Study> follow_stream(const Policy& policy,
   // registry ends up identical to a one-shot run over the same batches.
   // The caller counts the pass in `stream.refinalize`.
   auto refinalize = [&](bool final_pass) -> Expected<Study> {
+    const std::uint64_t start = obs::now_ns();
     Study study;
     policy.init_study(study);
     CheckpointConfig cc;
     cc.token = stream.token;  // poll between rounds; the batch high-water
                               // mark checkpoint is already durable, so no
                               // mid-pass snapshot is needed
-    Status ran = policy.run_pass(dataset.items(),
-                                 final_pass ? metrics : nullptr, cc,
+    Status ran = policy.run_pass(dataset, final_pass ? metrics : nullptr, cc,
                                  Policy::kStreamKind, fingerprint,
                                  final_pass ? &sink : nullptr, study);
+    pass_ns = obs::now_ns() - start;
     if (!ran.ok()) return ran;
     return study;
   };
@@ -1637,7 +1694,8 @@ Expected<AtlasStudy> StreamDriver::follow_atlas(
     const std::string& watch_dir, const std::vector<simnet::IspProfile>& isps,
     const AtlasFileStudyConfig& config, const StreamConfig& stream,
     AtlasSnapshotFn on_snapshot, io::IngestStats* ingest, StreamStats* stats) {
-  AtlasFilePolicy policy{isps, config, exec_};
+  std::vector<SanitizeFold> folds;
+  AtlasFilePolicy policy{isps, config, exec_, &folds};
   return follow_stream(policy, watch_dir, stream, on_snapshot, ingest, stats);
 }
 

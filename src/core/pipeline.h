@@ -341,6 +341,7 @@ struct StreamStats {
   std::uint64_t batches = 0;      ///< batch files consumed
   std::uint64_t records = 0;      ///< records ingested across batches
   std::uint64_t refinalizes = 0;  ///< snapshot passes (incl. the final one)
+  std::uint64_t pass_ns = 0;  ///< wall time of the latest pass (0: none yet)
 };
 
 /// Called on every windowed re-finalization with the freshly snapshotted

@@ -14,12 +14,12 @@ void SpatialAnalyzer::merge(SpatialAnalyzer&& other) {
   }
 }
 
-void SpatialAnalyzer::add_probe(const CleanProbe& probe) {
+void SpatialAnalyzer::add(const ProbeSpans& probe) {
   AsSpatialStats& as = by_as_[probe.asn];
   as.asn = probe.asn;
 
   // ----- v4: Table 2 boundary-crossing shares -----
-  auto spans4 = extract_spans4(probe.v4);
+  const std::span<const Span4> spans4 = probe.v4;
   for (std::size_t i = 1; i < spans4.size(); ++i) {
     net::IPv4Address prev = spans4[i - 1].addr;
     net::IPv4Address next = spans4[i].addr;
@@ -31,7 +31,7 @@ void SpatialAnalyzer::add_probe(const CleanProbe& probe) {
   }
 
   // ----- v6: CPL histogram, Table 2, Fig. 8 -----
-  auto spans6 = extract_spans6(probe.v6);
+  const std::span<const Span6> spans6 = probe.v6;
   std::array<bool, 65> probe_saw_cpl{};
   for (std::size_t i = 1; i < spans6.size(); ++i) {
     std::uint64_t prev = spans6[i - 1].net64;

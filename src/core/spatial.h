@@ -108,11 +108,10 @@ class SpatialAnalyzer {
  public:
   explicit SpatialAnalyzer(const bgp::Rib& rib) : rib_(rib) {}
 
-  void add_probe(const CleanProbe& probe);
-
   // Sink interface (core/parallel.h). Merge shards in index order: the
   // Fig. 8 per-probe vectors are append-ordered by probe.
-  void add(const CleanProbe& probe) { add_probe(probe); }
+  void add(const ProbeSpans& probe);
+  void add(const CleanProbe& probe) { add(CleanSpans(probe).view()); }
   void merge(SpatialAnalyzer&& other);
   void finalize() {}
   /// Free the per-call scratch arena (a finished pipeline chunk).

@@ -267,9 +267,16 @@ EncodedBatch encode(const std::vector<typename Schema::Item>& dataset,
     offsets[i] = cursor;
     cursor += lengths[i];
   }
+  // The tasks below write every byte but the paddings before each column,
+  // so the batch is allocated without zero-filling and only they are zeroed.
   EncodedBatch out;
-  out.bytes.assign(cursor, '\0');  // the padding stays zero
-  char* const data = out.bytes.data();
+  out.data = std::make_unique_for_overwrite<char[]>(cursor);
+  out.size = cursor;
+  char* const data = out.data.get();
+  for (std::uint64_t i = 0, end = header_size; i < ncols; ++i) {
+    std::memset(data + end, 0, offsets[i] - end);
+    end = offsets[i] + lengths[i];
+  }
   std::array<char*, kRows.size()> base{};
   for (std::size_t c = 0; c < kRows.size(); ++c)
     base[c] = data + offsets[kGroup + c];
@@ -347,7 +354,7 @@ EncodedBatch encode(const std::vector<typename Schema::Item>& dataset,
   return out;
 }
 
-Status write_bytes_atomic(const std::string& path, const std::string& bytes) {
+Status write_bytes_atomic(const std::string& path, std::string_view bytes) {
   AtomicFileWriter out(path);
   if (!out.ok())
     return Status(StatusCode::kInternal, "cannot open for write: " + path);
@@ -822,12 +829,14 @@ EncodedBatch encode_assoc_columnar(
 
 Status write_echo_columnar(const std::string& path,
                            const std::vector<atlas::ProbeSeries>& dataset) {
-  return write_bytes_atomic(path, encode<EchoColumns>(dataset, nullptr).bytes);
+  return write_bytes_atomic(path,
+                            encode<EchoColumns>(dataset, nullptr).bytes());
 }
 
 Status write_assoc_columnar(const std::string& path,
                             const std::vector<cdn::AssociationLog>& dataset) {
-  return write_bytes_atomic(path, encode<AssocColumns>(dataset, nullptr).bytes);
+  return write_bytes_atomic(path,
+                            encode<AssocColumns>(dataset, nullptr).bytes());
 }
 
 Expected<std::vector<atlas::ProbeSeries>> decode_echo_columnar(

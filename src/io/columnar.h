@@ -79,7 +79,9 @@
 // counters and Status are those of a row-by-row loop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,9 +113,14 @@ bool is_columnar_path(std::string_view path);
 /// A columnar batch and the CRC-32 of all its bytes (ckpt::crc32(bytes)),
 /// which the encoder combines from its column CRCs instead of a second
 /// pass: a stream journal records it for the segment.
+/// An encoded batch: its bytes, allocated without zero-filling since the
+/// encoder writes every one, and their CRC-32.
 struct EncodedBatch {
-  std::string bytes;
+  std::unique_ptr<char[]> data;
+  std::size_t size = 0;
   std::uint32_t crc = 0;
+
+  std::string_view bytes() const { return {data.get(), size}; }
 };
 
 /// Serialize a dataset to the columnar layout (no I/O). With `exec`, the

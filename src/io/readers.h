@@ -296,7 +296,10 @@ struct AssocSchema {
 ///    as they are when they start at or after the item's last record,
 ///    otherwise stably merged (std::inplace_merge). The item they join is
 ///    in time order, as the readers return items, so this equals a stable
-///    sort of the whole item at the cost of the absorbed records alone;
+///    sort of the whole item at the cost of the absorbed records alone.
+///    A merge moves records the item already had; rewrites() counts them
+///    per item, so state folded from an item's records so far (a stream's
+///    core::SanitizeFold) stays valid while its count does;
 ///  * take() restores time order (a stable sort, so same-time records
 ///    keep their arrival order) in the items a push put out of order; an
 ///    item taken whole stays as is.
@@ -312,7 +315,9 @@ class DatasetBuilder {
       : dedup_adjacent_(options.assoc_dedup_adjacent) {}
   /// Continue an existing dataset (merge_*_datasets).
   explicit DatasetBuilder(std::vector<Item>&& items)
-      : items_(std::move(items)), unsorted_(items_.size(), 0) {
+      : items_(std::move(items)),
+        unsorted_(items_.size(), 0),
+        rewrites_(items_.size(), 0) {
     if constexpr (kEcho) seams_.resize(items_.size());
     for (std::size_t i = 0; i < items_.size(); ++i)
       index_.emplace(Schema::key(items_[i]), i);
@@ -337,6 +342,7 @@ class DatasetBuilder {
     if (fresh) {
       Schema::key(items_.emplace_back()) = key;
       unsorted_.push_back(0);
+      rewrites_.push_back(0);
       if constexpr (kEcho) seams_.emplace_back();
     }
     return last_slot_ = it->second;
@@ -387,7 +393,7 @@ class DatasetBuilder {
     auto& records = items_[at].records;
     const std::size_t seam = records.size();
     records.insert(records.end(), item.records.begin(), item.records.end());
-    order_from(records, seam);
+    if (order_from(records, seam)) ++rewrites_[at];
   }
 
   /// Fold in a batch, item by item. The key index persists, so a builder
@@ -400,6 +406,11 @@ class DatasetBuilder {
   /// The dataset so far, for a builder that only absorbs (nothing is left
   /// for take() to restore).
   std::vector<Item>& items() { return items_; }
+
+  /// Per item: how many absorb() calls merged records in before ones it
+  /// already held. While an item's count stays, its records only grew at
+  /// the end.
+  const std::vector<std::uint32_t>& rewrites() const { return rewrites_; }
 
   /// The dataset. Call once, last.
   std::vector<Item> take() {
@@ -417,13 +428,16 @@ class DatasetBuilder {
 
   /// Restore time order in `records`, whose [0, seam) is in order: sort
   /// the rest stably if it is not, then merge it in unless it starts at or
-  /// after the last ordered record.
-  static void order_from(std::vector<Record>& records, std::size_t seam) {
+  /// after the last ordered record. True when it merged, i.e. moved
+  /// records of [0, seam).
+  static bool order_from(std::vector<Record>& records, std::size_t seam) {
     const auto tail = records.begin() + std::ptrdiff_t(seam);
     if (!std::is_sorted(tail, records.end(), by_time))
       std::stable_sort(tail, records.end(), by_time);
-    if (seam > 0 && tail != records.end() && by_time(*tail, *(tail - 1)))
-      std::inplace_merge(records.begin(), tail, records.end(), by_time);
+    if (seam == 0 || tail == records.end() || !by_time(*tail, *(tail - 1)))
+      return false;
+    std::inplace_merge(records.begin(), tail, records.end(), by_time);
+    return true;
   }
 
   /// An echo record's duplicate key: (hour << 1) | v6.
@@ -464,6 +478,7 @@ class DatasetBuilder {
   // each, not std::vector<bool>'s shared words, so push_at() on different
   // items never writes the same memory.
   std::vector<std::uint8_t> unsorted_;
+  std::vector<std::uint32_t> rewrites_;  // per item, see rewrites()
   std::vector<Seam> seams_;  // echo only, per item
   std::unordered_map<Key, std::size_t> index_;
   std::size_t last_slot_ = std::size_t(-1);

@@ -198,6 +198,8 @@ class MetricsSink {
   void merge(MetricsSink&& other);
   /// Remove every metric called `name`, whatever its kind.
   void erase(std::string_view name);
+  /// Remove every phase: the wall-clock timings, which differ run to run.
+  void erase_phases() { phases_.clear(); }
   void finalize() {}
 
   /// Checkpoint layout (io/checkpoint.h): all four value maps, bit-exact

@@ -1421,6 +1421,56 @@ TEST(ShardedStudy, TwoProcessAtlasRunMergesByteIdentical) {
   for (const auto& path : shard_paths) io::remove_checkpoint_files(path);
 }
 
+// With metrics on, a shard's wall-clock phases stay out of its checkpoint,
+// so two identical shard runs write the same bytes, and still reach the
+// metrics document.
+TEST(ShardedStudy, MetricsOnShardCheckpointsAreIdentical) {
+  auto run_twice = [](const std::string& name, const auto& run,
+                      const std::vector<std::string>& phases) {
+    std::vector<std::string> bytes;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const std::string path =
+          temp_path(name + "_metrics_" + std::to_string(attempt) + ".ckpt");
+      io::remove_checkpoint_files(path);
+      core::CheckpointConfig cc;
+      cc.path = path;
+      cc.shard_index = 0;
+      cc.shard_count = 2;
+      obs::MetricsRegistry registry;
+      auto ran = run(cc, &registry);
+      ASSERT_TRUE(ran.ok()) << ran.status().to_string();
+      bytes.push_back(file_bytes(path));
+      const obs::MetricsSink doc = registry.snapshot();
+      for (const std::string& phase : phases) {
+        ASSERT_EQ(doc.phases().count(phase), 1u) << name << ": " << phase;
+        EXPECT_GT(doc.phases().at(phase).count, 0u) << name << ": " << phase;
+      }
+      io::remove_checkpoint_files(path);
+    }
+    EXPECT_FALSE(bytes[0].empty());
+    EXPECT_TRUE(bytes[0] == bytes[1])
+        << name << ": two identical metrics-on shard runs differ";
+  };
+  run_twice(
+      "atlas",
+      [](const core::CheckpointConfig& cc, obs::MetricsRegistry* registry) {
+        return core::run_atlas_study_supervised(
+            study_isps(), small_atlas_config(2, registry), cc);
+      },
+      {"atlas.generate", "atlas.sanitize", "atlas.durations.add",
+       "atlas.shard_wall", "atlas.merge", "checkpoint.write"});
+  run_twice(
+      "cdn",
+      [](const core::CheckpointConfig& cc, obs::MetricsRegistry* registry) {
+        core::CdnStudyConfig cfg = golden_cdn_config();
+        cfg.metrics = registry;
+        return core::run_cdn_study_supervised(
+            cdn::default_cdn_population(0.02), cfg, cc);
+      },
+      {"cdn.generate", "cdn.analyzer.add", "cdn.shard_wall", "cdn.merge",
+       "checkpoint.write"});
+}
+
 TEST(ShardedStudy, InterruptedShardResumesThenMerges) {
   // A shard process is itself interruptible: chain-resume shard 1 of 2 at
   // every round boundary, then merge with an uninterrupted shard 0 — still

@@ -144,7 +144,7 @@ std::string cdn_bytes(const core::CdnStudy& s) {
 TEST(ColumnarCodec, EchoRoundTripPreservesEverything) {
   auto dataset = echo_fixture();
   ASSERT_FALSE(dataset.empty());
-  std::string bytes = io::encode_echo_columnar(dataset).bytes;
+  std::string bytes(io::encode_echo_columnar(dataset).bytes());
   auto back = io::decode_echo_columnar(bytes);
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   ASSERT_EQ(back.value().size(), dataset.size());
@@ -172,7 +172,7 @@ TEST(ColumnarCodec, EchoRoundTripPreservesEverything) {
 TEST(ColumnarCodec, AssocRoundTripPreservesEverything) {
   auto dataset = assoc_fixture();
   ASSERT_FALSE(dataset.empty());
-  std::string bytes = io::encode_assoc_columnar(dataset).bytes;
+  std::string bytes(io::encode_assoc_columnar(dataset).bytes());
   auto back = io::decode_assoc_columnar(bytes);
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   ASSERT_EQ(back.value().size(), dataset.size());
@@ -195,10 +195,10 @@ TEST(ColumnarCodec, AssocRoundTripPreservesEverything) {
 }
 
 TEST(ColumnarCodec, EmptyDatasetsRoundTrip) {
-  auto echo = io::decode_echo_columnar(io::encode_echo_columnar({}).bytes);
+  auto echo = io::decode_echo_columnar(io::encode_echo_columnar({}).bytes());
   ASSERT_TRUE(echo.ok()) << echo.status().to_string();
   EXPECT_TRUE(echo.value().empty());
-  auto assoc = io::decode_assoc_columnar(io::encode_assoc_columnar({}).bytes);
+  auto assoc = io::decode_assoc_columnar(io::encode_assoc_columnar({}).bytes());
   ASSERT_TRUE(assoc.ok()) << assoc.status().to_string();
   EXPECT_TRUE(assoc.value().empty());
 }
@@ -228,8 +228,8 @@ TEST(ColumnarCodec, KeyRepeatedOverManyGroupsDecodesInLinearTime) {
   }
   io::ReaderOptions opts;
   opts.max_day = kGroups;
-  const std::string echo_bytes = io::encode_echo_columnar(echo).bytes;
-  const std::string assoc_bytes = io::encode_assoc_columnar(assoc).bytes;
+  const std::string echo_bytes(io::encode_echo_columnar(echo).bytes());
+  const std::string assoc_bytes(io::encode_assoc_columnar(assoc).bytes());
   auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
@@ -263,7 +263,7 @@ TEST(ColumnarCodec, KeyRepeatedOverManyGroupsDecodesInLinearTime) {
 
 TEST(ColumnarCodec, ColumnCrcsMatchCheckpointCrc32) {
   auto dataset = echo_fixture(0.02);
-  std::string bytes = io::encode_echo_columnar(dataset).bytes;
+  std::string bytes(io::encode_echo_columnar(dataset).bytes());
   ASSERT_GT(bytes.size(), 48u);
   auto u32_at = [&](std::size_t off) {
     std::uint32_t v = 0;
@@ -337,7 +337,7 @@ TEST(ColumnarCodec, ColumnCrcsMatchCheckpointCrc32) {
 TEST(ColumnarCorruption, SampledByteFlipsNeverYieldWrongData) {
   auto dataset = assoc_fixture(0.002);
   ASSERT_GE(dataset.size(), 3u);
-  const std::string clean = io::encode_assoc_columnar(dataset).bytes;
+  const std::string clean(io::encode_assoc_columnar(dataset).bytes());
   auto reference = io::decode_assoc_columnar(clean);
   ASSERT_TRUE(reference.ok());
   ASSERT_EQ(reference.value().size(), dataset.size());
@@ -389,7 +389,7 @@ TEST(ColumnarCorruption, SampledByteFlipsNeverYieldWrongData) {
 }
 
 TEST(ColumnarCorruption, EveryTruncationRejected) {
-  const std::string clean = io::encode_echo_columnar(echo_fixture(0.02)).bytes;
+  const std::string clean(io::encode_echo_columnar(echo_fixture(0.02)).bytes());
   const std::size_t stride = clean.size() > 512 ? clean.size() / 512 : 1;
   for (std::size_t keep = 0; keep < clean.size(); keep += stride) {
     auto out = io::decode_echo_columnar(clean.substr(0, keep));
@@ -402,14 +402,14 @@ TEST(ColumnarCorruption, EveryTruncationRejected) {
 }
 
 TEST(ColumnarCorruption, KindMismatchIsFailedPrecondition) {
-  const std::string echo = io::encode_echo_columnar(echo_fixture(0.02)).bytes;
+  const std::string echo(io::encode_echo_columnar(echo_fixture(0.02)).bytes());
   auto out = io::decode_assoc_columnar(echo);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), core::StatusCode::kFailedPrecondition);
 }
 
 TEST(ColumnarCorruption, VersionSkewIsFailedPrecondition) {
-  std::string bytes = io::encode_echo_columnar(echo_fixture(0.02)).bytes;
+  std::string bytes(io::encode_echo_columnar(echo_fixture(0.02)).bytes());
   // Patch the version field (offset 8) and re-seal the header CRC so the
   // *only* defect is the version — must be kFailedPrecondition ("rebuild
   // the file"), not kDataLoss ("the file is damaged").
@@ -519,12 +519,12 @@ void expect_every_column_required(const std::string& clean,
 
 TEST(ColumnarCorruption, EveryColumnIsRequiredAndSized) {
   expect_every_column_required(
-      io::encode_echo_columnar(echo_fixture(0.02)).bytes,
+      std::string(io::encode_echo_columnar(echo_fixture(0.02)).bytes()),
       {"GPID", "GCNT", "GTAG", "HOUR", "FAM_", "X4__", "S4__", "X6HI", "X6LO",
        "S6HI", "S6LO"},
       [](const std::string& b) { return io::decode_echo_columnar(b); });
   expect_every_column_required(
-      io::encode_assoc_columnar(assoc_fixture(0.02)).bytes,
+      std::string(io::encode_assoc_columnar(assoc_fixture(0.02)).bytes()),
       {"GASN", "GCNT", "DAY_", "V4A_", "V4L_", "V6HI", "V6LO", "V6L_", "AS4_",
        "AS6_"},
       [](const std::string& b) { return io::decode_assoc_columnar(b); });
@@ -560,7 +560,7 @@ TEST(ColumnarFiles, DirectoryIsRefusedNamingThePath) {
 // A `.col` path may name a FIFO (`cat batch.col > p.col &`): it has no size
 // up front, so it is read to its end, and loads what the file loads.
 TEST(ColumnarFiles, NamedPipeLoadsLikeTheFile) {
-  const std::string bytes = io::encode_echo_columnar(echo_fixture()).bytes;
+  const std::string bytes(io::encode_echo_columnar(echo_fixture()).bytes());
   ASSERT_GT(bytes.size(), std::size_t(1) << 17);  // several pipe buffers
   const std::string file = temp_path("fifo_source.col");
   write_raw(file, bytes);
@@ -588,8 +588,8 @@ TEST(ColumnarFiles, NamedPipeLoadsLikeTheFile) {
   auto from_file = io::load_echo_file(file, {}, &file_stats);
   ASSERT_TRUE(piped.ok()) << piped.status().to_string();
   ASSERT_TRUE(from_file.ok()) << from_file.status().to_string();
-  EXPECT_EQ(io::encode_echo_columnar(*piped).bytes,
-            io::encode_echo_columnar(*from_file).bytes);
+  EXPECT_EQ(io::encode_echo_columnar(*piped).bytes(),
+            io::encode_echo_columnar(*from_file).bytes());
   EXPECT_EQ(piped_stats.records_accepted, file_stats.records_accepted);
   EXPECT_EQ(piped_stats.lines_seen, file_stats.lines_seen);
 }
@@ -620,7 +620,7 @@ TEST(ColumnarBudget, ConsecutiveRejectCapTrips) {
   io::ReaderOptions opts;
   opts.max_consecutive_rejects = 10;
   io::IngestStats stats;
-  auto out = io::decode_echo_columnar(io::encode_echo_columnar(dataset).bytes,
+  auto out = io::decode_echo_columnar(io::encode_echo_columnar(dataset).bytes(),
                                       opts, &stats);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), core::StatusCode::kDataLoss);
@@ -640,8 +640,8 @@ TEST(ColumnarBudget, RejectFractionBudgetTrips) {
   io::ReaderOptions opts;
   opts.max_consecutive_rejects = 1000;  // don't trip the cap, only budget
   io::IngestStats stats;
-  auto out = io::decode_assoc_columnar(io::encode_assoc_columnar(dataset).bytes,
-                                       opts, &stats);
+  auto out = io::decode_assoc_columnar(
+      io::encode_assoc_columnar(dataset).bytes(), opts, &stats);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), core::StatusCode::kDataLoss);
   EXPECT_EQ(stats.rejects_for(io::RejectReason::kOutOfRange), 10u);
@@ -669,8 +669,8 @@ TEST(ColumnarBudget, QuarantineReceivesDecimalRendering) {
   opts.quarantine = &qt;
   opts.source_label = "unit.col";
   io::IngestStats stats;
-  auto out = io::decode_assoc_columnar(io::encode_assoc_columnar(dataset).bytes,
-                                       opts, &stats);
+  auto out = io::decode_assoc_columnar(
+      io::encode_assoc_columnar(dataset).bytes(), opts, &stats);
   ASSERT_TRUE(out.ok()) << out.status().to_string();
   EXPECT_EQ(stats.quarantined, 1u);
   EXPECT_NE(qt.str().find("unit.col"), std::string::npos);
@@ -694,7 +694,7 @@ TEST(ColumnarBudget, EchoRejectOrderMatchesCsvReader) {
     rec.src_addr4 = *net::IPv4Address::parse("192.168.1.5");
     dataset[0].records.push_back(rec);
   }
-  std::string bytes = io::encode_echo_columnar(dataset).bytes;
+  std::string bytes(io::encode_echo_columnar(dataset).bytes());
   patch_column(bytes, "FAM_", {{1, 5}, {2, 5}});  // rows 2 and 3: family 5
 
   io::ReaderOptions opts;
@@ -737,7 +737,7 @@ TEST(ColumnarBudget, AssocRejectOrderMatchesCsvReader) {
     rec.asn4 = rec.asn6 = 7;
     dataset[0].records.push_back(rec);
   }
-  std::string bytes = io::encode_assoc_columnar(dataset).bytes;
+  std::string bytes(io::encode_assoc_columnar(dataset).bytes());
   patch_column(bytes, "V4L_", {{2, 33}, {3, 33}});  // rows 3 and 4: /33
 
   io::ReaderOptions opts;
@@ -817,7 +817,7 @@ TEST(ColumnarBudget, EchoDuplicateRuleMatchesCsvReader) {
   io::IngestStats col_stats, csv_stats;
   opts.quarantine = &col_quarantine;
   auto from_col = io::decode_echo_columnar(
-      io::encode_echo_columnar(dataset).bytes, opts, &col_stats);
+      io::encode_echo_columnar(dataset).bytes(), opts, &col_stats);
   ASSERT_TRUE(from_col.ok()) << from_col.status().to_string();
   opts.quarantine = &csv_quarantine;
   std::istringstream csv(csv_text);
@@ -937,13 +937,13 @@ const auto decode_echo = [](auto&&... a) {
   return io::decode_echo_columnar(a...);
 };
 const auto encode_echo = [](const auto& d) {
-  return io::encode_echo_columnar(d).bytes;
+  return std::string(io::encode_echo_columnar(d).bytes());
 };
 const auto decode_assoc = [](auto&&... a) {
   return io::decode_assoc_columnar(a...);
 };
 const auto encode_assoc = [](const auto& d) {
-  return io::encode_assoc_columnar(d).bytes;
+  return std::string(io::encode_assoc_columnar(d).bytes());
 };
 
 /// Seed `seed`'s error budget: loose, tripped by a run of rejects, or
@@ -992,7 +992,7 @@ std::string random_echo_batch(std::uint64_t seed, std::uint64_t max_hour) {
       group.records.push_back(rec);
     }
   }
-  std::string bytes = io::encode_echo_columnar(groups).bytes;
+  std::string bytes(io::encode_echo_columnar(groups).bytes());
   std::vector<std::pair<std::size_t, std::uint8_t>> bad_family;
   for (std::uint64_t r = 0; r < rows; ++r)
     if (pick(25) == 0) bad_family.emplace_back(r, 7);
@@ -1022,7 +1022,7 @@ std::string random_assoc_batch(std::uint64_t seed, std::uint32_t max_day) {
       group.records.push_back(rec);
     }
   }
-  std::string bytes = io::encode_assoc_columnar(groups).bytes;
+  std::string bytes(io::encode_assoc_columnar(groups).bytes());
   std::vector<std::pair<std::size_t, std::uint8_t>> bad_length;
   for (std::uint64_t r = 0; r < rows; ++r)
     if (pick(25) == 0) bad_length.emplace_back(r, 33);
@@ -1042,8 +1042,9 @@ TEST(ColumnarThreads, SeededEchoBatchesDecodeAlikeAtEveryThreadCount) {
   }
   EXPECT_GT(loaded, 50);
   EXPECT_GT(refused, 50);
-  expect_thread_invariant(io::encode_echo_columnar(echo_fixture(0.02)).bytes,
-                          {}, decode_echo, encode_echo, "echo fixture");
+  expect_thread_invariant(
+      std::string(io::encode_echo_columnar(echo_fixture(0.02)).bytes()), {},
+      decode_echo, encode_echo, "echo fixture");
 }
 
 TEST(ColumnarThreads, SeededAssocBatchesDecodeAlikeAtEveryThreadCount) {
@@ -1139,8 +1140,8 @@ void expect_reference_bytes(const Dataset& dataset, const std::string& want,
     SCOPED_TRACE(what + " on " + std::to_string(threads) + " threads");
     const io::EncodedBatch got =
         encode(dataset, threads == 0 ? nullptr : &pool(threads));
-    EXPECT_TRUE(got.bytes == want);
-    EXPECT_EQ(got.crc, io::ckpt::crc32(got.bytes));
+    EXPECT_TRUE(got.bytes() == want);
+    EXPECT_EQ(got.crc, io::ckpt::crc32(got.bytes()));
   }
 }
 
@@ -1176,7 +1177,7 @@ TEST(ColumnarEncoder, MatchesTheReferenceEncoderAtEveryThreadCount) {
 // thread count, although on several threads the larger, later column's CRC
 // runs first.
 TEST(ColumnarThreads, FirstDamagedColumnInDirectoryOrderIsNamed) {
-  const std::string clean = io::encode_echo_columnar(echo_fixture(0.02)).bytes;
+  const std::string clean(io::encode_echo_columnar(echo_fixture(0.02)).bytes());
   const auto dir = directory(clean);
   auto index_of = [&](std::string_view tag) {
     for (std::size_t c = 0; c < dir.size(); ++c)
@@ -1281,7 +1282,7 @@ TEST(ColumnarStudy, CdnCsvAndColumnarByteIdentical) {
 // kDataLoss — the same contract as an over-budget CSV — and never crashes.
 TEST(ColumnarStudy, CorruptBatchFailsStudyCleanly) {
   auto dataset = assoc_fixture(0.02);
-  std::string bytes = io::encode_assoc_columnar(dataset).bytes;
+  std::string bytes(io::encode_assoc_columnar(dataset).bytes());
   bytes[bytes.size() / 2] ^= 0x41;
   const std::string path = temp_path("cdn_bent.col");
   write_raw(path, bytes);
@@ -1389,8 +1390,8 @@ TEST(GoldenColumnar, EchoBatchDecodesAndReencodes) {
       EXPECT_EQ(x.src_addr6, y.src_addr6);
     }
   }
-  EXPECT_TRUE(io::encode_echo_columnar(*decoded).bytes == bytes);
-  EXPECT_TRUE(io::encode_echo_columnar(expected).bytes == bytes);
+  EXPECT_TRUE(io::encode_echo_columnar(*decoded).bytes() == bytes);
+  EXPECT_TRUE(io::encode_echo_columnar(expected).bytes() == bytes);
 }
 
 TEST(GoldenColumnar, AssocBatchDecodesAndReencodes) {
@@ -1415,8 +1416,8 @@ TEST(GoldenColumnar, AssocBatchDecodesAndReencodes) {
       EXPECT_EQ(x.asn6, y.asn6);
     }
   }
-  EXPECT_TRUE(io::encode_assoc_columnar(*decoded).bytes == bytes);
-  EXPECT_TRUE(io::encode_assoc_columnar(expected).bytes == bytes);
+  EXPECT_TRUE(io::encode_assoc_columnar(*decoded).bytes() == bytes);
+  EXPECT_TRUE(io::encode_assoc_columnar(expected).bytes() == bytes);
 }
 
 }  // namespace

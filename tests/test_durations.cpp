@@ -43,8 +43,8 @@ TEST(Durations, DualStackClassification) {
 
 TEST(Durations, SplitsByDualStack) {
   DurationAnalyzer an;
-  an.add_probe(periodic_probe(24, 24 * 50, false, false, 1));
-  an.add_probe(periodic_probe(48, 48 * 50, true, true, 2));
+  an.add(periodic_probe(24, 24 * 50, false, false, 1));
+  an.add(periodic_probe(48, 48 * 50, true, true, 2));
   const auto& as = an.by_as().at(100);
   EXPECT_EQ(as.probes, 2u);
   EXPECT_EQ(as.ds_probes, 1u);
@@ -57,7 +57,7 @@ TEST(Durations, SplitsByDualStack) {
 
 TEST(Durations, ChangeCountsPerTable1) {
   DurationAnalyzer an;
-  an.add_probe(periodic_probe(24, 24 * 10, true, true, 1));
+  an.add(periodic_probe(24, 24 * 10, true, true, 1));
   const auto& as = an.by_as().at(100);
   EXPECT_EQ(as.v4_changes, 9u);
   EXPECT_EQ(as.v4_changes_ds, 9u);
@@ -66,7 +66,7 @@ TEST(Durations, ChangeCountsPerTable1) {
 
 TEST(Durations, CooccurrenceFullWhenCoupled) {
   DurationAnalyzer an;
-  an.add_probe(periodic_probe(24, 24 * 30, true, true));
+  an.add(periodic_probe(24, 24 * 30, true, true));
   const auto& as = an.by_as().at(100);
   EXPECT_EQ(as.cooccur_total, 29u);
   EXPECT_EQ(as.cooccur_hits, 29u);
@@ -75,7 +75,7 @@ TEST(Durations, CooccurrenceFullWhenCoupled) {
 
 TEST(Durations, CooccurrenceZeroWhenV6Static) {
   DurationAnalyzer an;
-  an.add_probe(periodic_probe(24, 24 * 30, true, false));
+  an.add(periodic_probe(24, 24 * 30, true, false));
   const auto& as = an.by_as().at(100);
   EXPECT_DOUBLE_EQ(as.cooccurrence(), 0.0);
   EXPECT_EQ(as.v6_changes, 0u);
@@ -83,7 +83,7 @@ TEST(Durations, CooccurrenceZeroWhenV6Static) {
 
 TEST(Durations, V6DurationsAccumulate) {
   DurationAnalyzer an;
-  an.add_probe(periodic_probe(24, 24 * 30, true, true));
+  an.add(periodic_probe(24, 24 * 30, true, true));
   const auto& as = an.by_as().at(100);
   EXPECT_GT(as.v6.total_count(), 0u);
   EXPECT_DOUBLE_EQ(as.v6.fraction(24), 1.0);
@@ -98,7 +98,7 @@ TEST(Durations, StaticProbeCountsButNoChange) {
   for (Hour h = 0; h < 2000; ++h)
     cp.v4.push_back({h, *IPv4Address::parse("10.0.0.1"), false});
   DurationAnalyzer an;
-  an.add_probe(cp);
+  an.add(cp);
   const auto& as = an.by_as().at(100);
   EXPECT_EQ(as.probes, 1u);
   EXPECT_EQ(as.probes_with_change, 0u);
@@ -111,8 +111,8 @@ TEST(Durations, MultipleAsesKeptSeparate) {
   auto a = periodic_probe(24, 24 * 10, false, false, 1);
   auto b = periodic_probe(24, 24 * 10, false, false, 2);
   b.asn = 200;
-  an.add_probe(a);
-  an.add_probe(b);
+  an.add(a);
+  an.add(b);
   EXPECT_EQ(an.by_as().size(), 2u);
   EXPECT_EQ(an.by_as().at(100).probes, 1u);
   EXPECT_EQ(an.by_as().at(200).probes, 1u);
@@ -129,9 +129,9 @@ TEST(Durations, GapOptionPropagates) {
   ChangeOptions strict;
   strict.max_boundary_gap = 10;
   DurationAnalyzer strict_an(strict);
-  strict_an.add_probe(cp);
+  strict_an.add(cp);
   DurationAnalyzer lenient_an;
-  lenient_an.add_probe(cp);
+  lenient_an.add(cp);
   EXPECT_LT(strict_an.by_as().at(100).v4_nds.total_count(),
             lenient_an.by_as().at(100).v4_nds.total_count());
 }

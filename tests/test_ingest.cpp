@@ -529,7 +529,8 @@ TEST(Ingest, AssocDuplicateComparesParsedRecords) {
   ASSERT_TRUE(kept.ok()) << kept.status().to_string();
   io::IngestStats col;
   auto from_col =
-      io::decode_assoc_columnar(io::encode_assoc_columnar(*kept).bytes, opts, &col);
+      io::decode_assoc_columnar(io::encode_assoc_columnar(*kept).bytes(), opts,
+                                &col);
   ASSERT_TRUE(from_col.ok()) << from_col.status().to_string();
   EXPECT_EQ(col.records_accepted, csv.records_accepted);
   EXPECT_EQ(col.rejects, csv.rejects);

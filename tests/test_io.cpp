@@ -251,7 +251,7 @@ TEST(DatasetBuilder, FirstNonEmptyTagsWin) {
   std::vector<atlas::ProbeSeries> groups(2);
   groups[0].meta.probe_id = groups[1].meta.probe_id = 7;
   groups[1].meta.tags = {core::tag_pool().intern("home")};
-  auto from_col = decode_echo_columnar(encode_echo_columnar(groups).bytes);
+  auto from_col = decode_echo_columnar(encode_echo_columnar(groups).bytes());
   ASSERT_TRUE(from_col.ok()) << from_col.status().to_string();
   ASSERT_EQ(from_col->size(), 1u);
   EXPECT_EQ(tag_names((*from_col)[0]), (std::vector<std::string>{"home"}));

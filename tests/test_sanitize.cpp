@@ -8,15 +8,20 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "atlas/generator.h"
 #include "io/readers.h"
 #include "reference/sanitize.h"
+#include "simnet/isp.h"
 
 namespace dynamips::core {
 namespace {
 
 using reference::reference_sanitize;
+using reference::replay_fold;
 
 using net::IPv4Address;
 using net::IPv6Address;
@@ -485,6 +490,290 @@ TEST(SanitizeOrder, MergedDatasetsWithInterleavedHoursGiveHourOrdered) {
     EXPECT_EQ(obs.v6.size(), 1500u);
     expect_hour_ordered(obs);
   }
+}
+
+// ------------------------------------------------------ the resumable fold
+//
+// A stream keeps each probe's SanitizeFold across re-finalizations and
+// resumes it at the seam. Growing a probe batch by batch, the resumed fold
+// must equal a fold from record 0, and both the reference's CleanProbes
+// (their spans and observation counts) and filter accounting, after every
+// batch (replay_fold).
+
+atlas::EchoRecord echo_of(std::uint32_t id, const Obs4& o) {
+  atlas::EchoRecord r;
+  r.probe_id = id;
+  r.hour = o.hour;
+  r.family = atlas::Family::kV4;
+  r.x_client_ip4 = o.addr;
+  r.src_addr4 = *IPv4Address::parse(o.src_public ? "8.8.8.8" : "192.168.1.2");
+  return r;
+}
+
+atlas::EchoRecord echo_of(std::uint32_t id, const Obs6& o) {
+  atlas::EchoRecord r;
+  r.probe_id = id;
+  r.hour = o.hour;
+  r.family = atlas::Family::kV6;
+  r.x_client_ip6 = o.addr;
+  r.src_addr6 =
+      o.src_matches ? o.addr : IPv6Address(o.addr.network64(), 0xdeadbeef);
+  return r;
+}
+
+/// `p`'s records in hour order, each hour's v4 and v6 records in a random
+/// order (a reader keeps the order of the lines).
+std::vector<atlas::EchoRecord> records_of(const ProbeObservations& p,
+                                          std::mt19937_64& rng) {
+  std::vector<atlas::EchoRecord> out;
+  std::size_t i4 = 0, i6 = 0;
+  while (i4 < p.v4.size() || i6 < p.v6.size()) {
+    const Hour hour = i6 == p.v6.size()   ? p.v4[i4].hour
+                      : i4 == p.v4.size() ? p.v6[i6].hour
+                                          : std::min(p.v4[i4].hour,
+                                                     p.v6[i6].hour);
+    std::vector<atlas::EchoRecord> v4, v6;
+    for (; i4 < p.v4.size() && p.v4[i4].hour == hour; ++i4)
+      v4.push_back(echo_of(p.probe_id, p.v4[i4]));
+    for (; i6 < p.v6.size() && p.v6[i6].hour == hour; ++i6)
+      v6.push_back(echo_of(p.probe_id, p.v6[i6]));
+    if (rng() % 2) std::swap(v4, v6);
+    out.insert(out.end(), v4.begin(), v4.end());
+    out.insert(out.end(), v6.begin(), v6.end());
+  }
+  return out;
+}
+
+/// How a probe's records reach the stream.
+struct Delivery {
+  std::size_t batches = 1;
+  double reach_back = 0;  ///< share of records delivered in a later batch
+  double repeat = 0;      ///< share of records delivered again later
+  bool split_ties = false;  ///< a seam hour's v4 waits for the next batch
+  bool late_tags = false;   ///< tags come with the last batch
+};
+
+/// Cut an hour-ordered record list into `d.batches` equal-hour slices, then
+/// move and repeat records as `d` says. Each batch is one probe's records
+/// in hour order, as a reader returns them.
+std::vector<atlas::ProbeSeries> deliver(std::uint32_t id,
+                                        const std::vector<TagId>& tags,
+                                        const std::vector<atlas::EchoRecord>&
+                                            records,
+                                        const Delivery& d,
+                                        std::mt19937_64& rng) {
+  auto coin = [&rng](double pr) {
+    return std::uniform_real_distribution<double>(0, 1)(rng) < pr;
+  };
+  std::vector<std::vector<atlas::EchoRecord>> parts(d.batches);
+  Hour lo = records.empty() ? 0 : records.front().hour;
+  Hour hi = records.empty() ? 0 : records.back().hour;
+  auto slice_of = [&](Hour h) {
+    return std::size_t((h - lo) * d.batches / (hi - lo + 1));
+  };
+  auto later = [&](std::size_t b) {
+    return b + 1 + std::size_t(rng() % (d.batches - b));
+  };
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    atlas::EchoRecord r = records[i];
+    std::size_t b = slice_of(r.hour);
+    std::size_t next = i + 1;
+    while (next < records.size() && records[next].hour == r.hour) ++next;
+    const bool last_of_slice =
+        next == records.size() || slice_of(records[next].hour) != b;
+    if (d.split_ties && last_of_slice && r.family == atlas::Family::kV4 &&
+        b + 1 < d.batches)
+      ++b;
+    else if (b + 1 < d.batches && coin(d.reach_back))
+      b = std::min(later(b), d.batches - 1);
+    parts[b].push_back(r);
+    if (b + 1 < d.batches && coin(d.repeat)) {
+      // Again in a later batch, at times from another AS.
+      if (coin(0.5)) {
+        if (r.family == atlas::Family::kV4)
+          r.x_client_ip4 = v4_in(r.x_client_ip4.value() >> 24 == 10 ? 200 : 100,
+                                 std::uint32_t(rng() % 4));
+        else
+          r.x_client_ip6 = v6_in(200, rng() % 4);
+      }
+      parts[std::min(later(b), d.batches - 1)].push_back(r);
+    }
+  }
+  std::vector<atlas::ProbeSeries> out(d.batches);
+  for (std::size_t b = 0; b < d.batches; ++b) {
+    out[b].meta.probe_id = id;
+    out[b].records = std::move(parts[b]);
+    std::stable_sort(
+        out[b].records.begin(), out[b].records.end(),
+        [](const atlas::EchoRecord& a, const atlas::EchoRecord& c) {
+          return a.hour < c.hour;
+        });
+  }
+  (d.late_tags ? out.back() : out.front()).meta.tags = tags;
+  return out;
+}
+
+/// Make each AS switch of `obs` pass through unrouted space at times.
+template <typename Obs>
+void unroute_boundaries(std::vector<Obs>& obs, std::mt19937_64& rng) {
+  auto asn_of = [](const Obs& o) {
+    if constexpr (std::is_same_v<Obs, Obs4>)
+      return o.addr.value() >> 24;
+    else
+      return std::uint32_t(o.addr.network64() >> 40);
+  };
+  for (std::size_t i = obs.size(); i-- > 1;)
+    if (asn_of(obs[i]) != asn_of(obs[i - 1]) && rng() % 2) {
+      if constexpr (std::is_same_v<Obs, Obs4>)
+        obs[i].addr = v4_in(0, 1);
+      else
+        obs[i].addr = v6_in(0, 1);
+    }
+}
+
+TEST(SanitizeFold, ResumedAtRandomSeamsMatchesFromZeroAndTheReference) {
+  const auto rib = test_rib();
+  std::mt19937_64 rng(20261020);
+  const std::vector<TagId> home{tag_pool().intern("home")};
+  const std::vector<TagId> bad{tag_pool().intern("home"),
+                               tag_pool().intern("multihomed")};
+  for (int max_runs : {2, 3}) {
+    SanitizeOptions opt;
+    opt.max_as_runs = max_runs;
+    for (std::uint32_t id = 0; id < 600; ++id) {
+      const Shape shape = Shape(id % std::uint32_t(Shape::kCount));
+      ProbeObservations p = random_probe(rng, id, shape);
+      if (rng() % 2) {
+        unroute_boundaries(p.v4, rng);
+        unroute_boundaries(p.v6, rng);
+      }
+      Delivery d;
+      d.batches = 1 + rng() % 6;
+      switch (id / std::uint32_t(Shape::kCount) % 5) {
+        case 1: d.reach_back = 0.02; break;
+        case 2: d.repeat = 0.02; break;
+        case 3: d.split_ties = true; break;
+        case 4: d.late_tags = true; break;
+        default: break;
+      }
+      const auto batches = deliver(id, id % 7 ? home : bad,
+                                   records_of(p, rng), d, rng);
+      EXPECT_EQ(replay_fold(rib, opt, batches), "")
+          << "probe " << id << " shape " << int(shape) << " max_as_runs "
+          << max_runs;
+    }
+  }
+}
+
+TEST(SanitizeFold, GeneratorSeriesSplitIntoBatchesMatchTheReference) {
+  auto isps = simnet::paper_isps();
+  isps.resize(4);
+  bgp::Rib rib;
+  simnet::announce_all(isps, rib);
+  std::mt19937_64 rng(29);
+  for (std::uint64_t seed : {1, 2, 3}) {
+    atlas::AtlasConfig cfg;
+    cfg.probe_scale = 0.01;
+    cfg.window_hours = 4000;
+    cfg.seed = seed;
+    atlas::AtlasSimulator sim(isps, cfg);
+    for (std::size_t i = 0; i < sim.probe_count(); ++i) {
+      const atlas::ProbeSeries series = sim.series_for(i);
+      Delivery d;
+      d.batches = 2 + rng() % 11;
+      d.reach_back = i % 3 == 1 ? 0.001 : 0;
+      d.repeat = i % 3 == 2 ? 0.001 : 0;
+      d.split_ties = i % 2;
+      EXPECT_EQ(replay_fold(rib, {},
+                            deliver(series.meta.probe_id, series.meta.tags,
+                                    series.records, d, rng)),
+                "")
+          << "seed " << seed << " probe " << i;
+    }
+  }
+}
+
+/// One probe's batch of v4 and v6 records at the given hours and ASes.
+atlas::ProbeSeries batch_of(
+    std::vector<std::tuple<Hour, atlas::Family, bgp::Asn>> records) {
+  atlas::ProbeSeries out;
+  out.meta.probe_id = 1;
+  for (const auto& [hour, family, asn] : records)
+    out.records.push_back(family == atlas::Family::kV4
+                              ? echo_of(1, Obs4{hour, v4_in(asn, 1), false})
+                              : echo_of(1, Obs6{hour, v6_in(asn, 1), true}));
+  return out;
+}
+
+constexpr atlas::Family kV4 = atlas::Family::kV4;
+constexpr atlas::Family kV6 = atlas::Family::kV6;
+
+// The tie of Sanitize.SameHourTieTakesV4First split across a seam: hour
+// 1000's v6 (AS200) comes in the first batch, its v4 (AS100) in the
+// second, after it in the series. Resumed as is, the fold would see
+// AS100, AS200, AS100 and call the probe multihomed; it refolds instead.
+TEST(SanitizeFold, SameHourTieAcrossTheSeamRefolds) {
+  const auto rib = test_rib();
+  std::vector<std::tuple<Hour, atlas::Family, bgp::Asn>> first, second;
+  for (Hour h = 0; h < 1000; ++h) first.push_back({h, kV4, 100});
+  first.push_back({1000, kV6, 200});
+  second.push_back({1000, kV4, 100});
+  for (Hour h = 1001; h <= 2000; ++h) second.push_back({h, kV6, 200});
+  EXPECT_EQ(replay_fold(rib, {}, {batch_of(first), batch_of(second)}), "");
+
+  io::EchoAccumulator dataset;
+  dataset.merge({batch_of(first)});
+  dataset.merge({batch_of(second)});
+  EXPECT_EQ(dataset.rewrites().front(), 0u) << "the tie is no merge";
+  Sanitizer s(rib, {});
+  SanitizeFold fold;
+  s.fold(fold, dataset.items().front());
+  EXPECT_EQ(s.emit(fold, dataset.items().front()).size(), 2u);
+  EXPECT_EQ(s.stats().split_probes, 1u);
+}
+
+// A batch that reaches back in time merges into the probe's records, so
+// the fold restarts at record 0.
+TEST(SanitizeFold, BatchReachingBackInTimeRefolds) {
+  const auto rib = test_rib();
+  std::vector<std::tuple<Hour, atlas::Family, bgp::Asn>> a, b, c;
+  for (Hour h = 0; h < 2000; ++h)
+    if (h < 500 || h >= 600) a.push_back({h, kV4, 100});
+  for (Hour h = 2000; h < 3000; ++h) b.push_back({h, kV4, 100});
+  for (Hour h = 500; h < 600; ++h) c.push_back({h, kV4, 200});
+  EXPECT_EQ(replay_fold(rib, {}, {batch_of(a), batch_of(b), batch_of(c)}),
+            "");
+  io::EchoAccumulator dataset;
+  for (auto* batch : {&a, &b, &c}) dataset.merge({batch_of(*batch)});
+  EXPECT_EQ(dataset.rewrites().front(), 1u);
+}
+
+// Two runs of one AS meet at hour 1000, which holds a repeated v4 record
+// from another AS: with max_as_runs 3 both AS100 virtual probes take the
+// AS100 records of that hour, as the reference's per-run selection does.
+TEST(SanitizeFold, RunsOfOneAsMeetingAtAnHourMatchTheReference) {
+  const auto rib = test_rib();
+  SanitizeOptions opt;
+  opt.max_as_runs = 3;
+  std::vector<std::tuple<Hour, atlas::Family, bgp::Asn>> first, second;
+  for (Hour h = 0; h <= 1000; ++h) first.push_back({h, kV4, 100});
+  second.push_back({1000, kV4, 200});
+  second.push_back({1000, kV6, 100});
+  for (Hour h = 1001; h <= 2000; ++h) {
+    second.push_back({h, kV4, 100});
+    second.push_back({h, kV6, 100});
+  }
+  EXPECT_EQ(replay_fold(rib, opt, {batch_of(first), batch_of(second)}), "");
+}
+
+TEST(SanitizeFold, TagsArrivingInALaterBatchApplyToTheWholeProbe) {
+  const auto rib = test_rib();
+  std::vector<std::tuple<Hour, atlas::Family, bgp::Asn>> first, second;
+  for (Hour h = 0; h < 1000; ++h) first.push_back({h, kV4, 100});
+  for (Hour h = 1000; h < 2000; ++h) second.push_back({h, kV4, 100});
+  auto tagged = batch_of(second);
+  tagged.meta.tags = {tag_pool().intern("datacentre")};
+  EXPECT_EQ(replay_fold(rib, {}, {batch_of(first), tagged}), "");
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ CleanProbe probe_with_v6(std::initializer_list<const char*> addrs) {
 TEST(Spatial, V4Diff24Counting) {
   auto rib = test_rib();
   SpatialAnalyzer an(rib);
-  an.add_probe(probe_with_v4(
+  an.add(probe_with_v4(
       {"10.0.1.1", "10.0.1.2", "10.0.2.1", "10.9.1.1"}));
   const auto& s = an.by_as().at(100);
   EXPECT_EQ(s.v4_changes, 3u);
@@ -56,7 +56,7 @@ TEST(Spatial, V4Diff24Counting) {
 TEST(Spatial, V4DiffBgpCounting) {
   auto rib = test_rib();
   SpatialAnalyzer an(rib);
-  an.add_probe(probe_with_v4({"10.0.1.1", "20.0.1.1", "20.5.1.1"}));
+  an.add(probe_with_v4({"10.0.1.1", "20.0.1.1", "20.5.1.1"}));
   const auto& s = an.by_as().at(100);
   EXPECT_EQ(s.v4_changes, 2u);
   EXPECT_EQ(s.v4_diff_bgp, 1u);
@@ -68,7 +68,7 @@ TEST(Spatial, CplHistogram) {
   SpatialAnalyzer an(rib);
   // Paper's own example: 2604:...aa00 -> 2604:...aaf0 has CPL 56. Use our
   // announced space with the same offsets.
-  an.add_probe(probe_with_v6(
+  an.add(probe_with_v6(
       {"2001:100:4b80:aa00::1", "2001:100:4b80:aaf0::1"}));
   const auto& s = an.by_as().at(100);
   EXPECT_EQ(s.v6_changes, 1u);
@@ -81,7 +81,7 @@ TEST(Spatial, CplProbeCountsOncePerValue) {
   auto rib = test_rib();
   SpatialAnalyzer an(rib);
   // Three changes with the same CPL from one probe: changes=3, probes=1.
-  an.add_probe(probe_with_v6({"2001:100::1", "2001:100:0:1::1",
+  an.add(probe_with_v6({"2001:100::1", "2001:100:0:1::1",
                               "2001:100::1", "2001:100:0:1::1"}));
   const auto& s = an.by_as().at(100);
   int cpl = net::common_prefix_length64(0x2001010000000000ull,
@@ -93,7 +93,7 @@ TEST(Spatial, CplProbeCountsOncePerValue) {
 TEST(Spatial, V6DiffBgp) {
   auto rib = test_rib();
   SpatialAnalyzer an(rib);
-  an.add_probe(
+  an.add(
       probe_with_v6({"2001:100:1::1", "2001:200:1::1", "2001:200:2::1"}));
   const auto& s = an.by_as().at(100);
   EXPECT_EQ(s.v6_changes, 2u);
@@ -105,7 +105,7 @@ TEST(Spatial, UniquePrefixCounts) {
   auto rib = test_rib();
   SpatialAnalyzer an(rib);
   // Two /64s in the same /48, one further /48 in the same /40.
-  an.add_probe(probe_with_v6({"2001:100:4b80:aa00::1",
+  an.add(probe_with_v6({"2001:100:4b80:aa00::1",
                               "2001:100:4b80:bb00::1",
                               "2001:100:4b90:cc00::1"}));
   const auto& s = an.by_as().at(100);
@@ -121,7 +121,7 @@ TEST(Spatial, UniquePrefixCounts) {
 TEST(Spatial, UniqueBgpAcrossAnnouncements) {
   auto rib = test_rib();
   SpatialAnalyzer an(rib);
-  an.add_probe(probe_with_v6({"2001:100:1::1", "2001:200:1::1"}));
+  an.add(probe_with_v6({"2001:100:1::1", "2001:200:1::1"}));
   const auto& s = an.by_as().at(100);
   EXPECT_EQ(s.unique_bgp[0], 2u);
 }
@@ -129,7 +129,7 @@ TEST(Spatial, UniqueBgpAcrossAnnouncements) {
 TEST(Spatial, NoV6NoFig8Entry) {
   auto rib = test_rib();
   SpatialAnalyzer an(rib);
-  an.add_probe(probe_with_v4({"10.0.1.1", "10.0.2.1"}));
+  an.add(probe_with_v4({"10.0.1.1", "10.0.2.1"}));
   const auto& s = an.by_as().at(100);
   EXPECT_TRUE(s.unique_prefixes.empty());
   EXPECT_TRUE(s.unique_bgp.empty());
@@ -138,10 +138,10 @@ TEST(Spatial, NoV6NoFig8Entry) {
 TEST(Spatial, AggregatesAcrossProbes) {
   auto rib = test_rib();
   SpatialAnalyzer an(rib);
-  an.add_probe(probe_with_v6({"2001:100::1", "2001:100:0:1::1"}));
+  an.add(probe_with_v6({"2001:100::1", "2001:100:0:1::1"}));
   auto second = probe_with_v6({"2001:100::1", "2001:100:0:1::1"});
   second.probe_id = 2;
-  an.add_probe(second);
+  an.add(second);
   const auto& s = an.by_as().at(100);
   int cpl = net::common_prefix_length64(0x2001010000000000ull,
                                         0x2001010000000001ull);

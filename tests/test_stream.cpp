@@ -733,6 +733,156 @@ TEST(AtlasStream, RecordRepeatedAcrossBatchesMatchesOneShot) {
   }
 }
 
+/// Batches that take a stream's sanitize folds down every path: equal-hour
+/// slices as write_atlas_batches cuts them, except that each probe's v4
+/// records at the last hour of a slice wait for the next batch (a
+/// same-hour tie across the seam), every 40th record of every 5th probe
+/// waits for the last batch (reaching back in time), every 60th record of
+/// every 7th probe comes again in the next batch, and every 4th probe's
+/// tags come with its last batch.
+std::vector<std::string> write_seam_batches(
+    const fs::path& dir, const std::vector<atlas::ProbeSeries>& dataset,
+    std::size_t nbatches) {
+  std::uint64_t tmin = ~std::uint64_t(0), tmax = 0;
+  for (const auto& series : dataset)
+    for (const auto& r : series.records) {
+      tmin = std::min<std::uint64_t>(tmin, r.hour);
+      tmax = std::max<std::uint64_t>(tmax, r.hour);
+    }
+  const std::uint64_t span = tmax - tmin + 1;
+  auto slice_of = [&](std::uint64_t t) {
+    return std::min(nbatches - 1, std::size_t((t - tmin) * nbatches / span));
+  };
+  std::vector<std::vector<atlas::ProbeSeries>> slices(nbatches);
+  for (std::size_t p = 0; p < dataset.size(); ++p) {
+    const auto& records = dataset[p].records;
+    std::vector<atlas::ProbeSeries> parts(nbatches);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const atlas::EchoRecord& r = records[i];
+      std::size_t b = slice_of(r.hour);
+      std::size_t next = i + 1;
+      while (next < records.size() && records[next].hour == r.hour) ++next;
+      const bool last_hour =
+          next == records.size() || slice_of(records[next].hour) != b;
+      if (p % 5 == 0 && i % 40 == 39)
+        b = nbatches - 1;
+      else if (last_hour && r.family == atlas::Family::kV4)
+        b = std::min(b + 1, nbatches - 1);
+      parts[b].records.push_back(r);
+      if (p % 7 == 3 && i % 60 == 59 && b + 1 < nbatches)
+        parts[b + 1].records.push_back(r);
+    }
+    std::size_t last = 0;
+    for (std::size_t b = 0; b < nbatches; ++b)
+      if (!parts[b].records.empty()) last = b;
+    for (std::size_t b = 0; b < nbatches; ++b) {
+      if (parts[b].records.empty()) continue;
+      parts[b].meta.probe_id = dataset[p].meta.probe_id;
+      if (p % 4 != 1 || b == last) parts[b].meta.tags = dataset[p].meta.tags;
+      std::stable_sort(parts[b].records.begin(), parts[b].records.end(),
+                       [](const atlas::EchoRecord& a,
+                          const atlas::EchoRecord& c) {
+                         return a.hour < c.hour;
+                       });
+      slices[b].push_back(std::move(parts[b]));
+    }
+  }
+  std::vector<std::string> paths;
+  for (std::size_t b = 0; b < nbatches; ++b) {
+    char name[32];
+    std::snprintf(name, sizeof name, "batch-%03zu.csv", b);
+    std::ofstream out(dir / name, std::ios::binary);
+    io::write_echo_dataset(out, slices[b]);
+    paths.push_back((dir / name).string());
+  }
+  return paths;
+}
+
+/// The four Atlas CSVs plus the sanitizer's filter accounting.
+std::string atlas_study_bytes(const core::AtlasStudy& study) {
+  return atlas_signature(study) + save_bytes(study.sanitize);
+}
+
+// Re-finalized after every batch, a stream resumes each probe's sanitize
+// fold where the last pass stopped, or refolds it when the batch merged
+// into its records or split a same-hour tie. Every pass must equal the
+// one-shot study over the batches consumed so far.
+TEST(AtlasStream, RefinalizedEveryBatchMatchesOneShotAtEveryBatch) {
+  const AtlasFixture& fx = atlas_fixture();
+  constexpr std::size_t kBatches = 7;
+  // One more probe, reporting every hour, whose v4 stays in one AS through
+  // the last hour of the third slice and whose v6 is in another AS from
+  // that hour on: merged v4 first, that hour is one clean AS switch, which
+  // the tie the batches split across the seam must not turn into
+  // alternation.
+  std::vector<atlas::ProbeSeries> dataset = fx.dataset;
+  simnet::Hour tmin = ~simnet::Hour(0), tmax = 0;
+  const atlas::EchoRecord *r4 = nullptr, *r6 = nullptr;
+  for (const auto& series : dataset)
+    for (const auto& r : series.records) {
+      tmin = std::min(tmin, r.hour);
+      tmax = std::max(tmax, r.hour);
+      if (r.family == atlas::Family::kV4 && !r4 &&
+          fx.rib.asn_of(r.x_client_ip4) != 0)
+        r4 = &r;
+      if (r.family == atlas::Family::kV6 && !r6 && r4 &&
+          fx.rib.asn_of(r.x_client_ip6) != 0 &&
+          fx.rib.asn_of(r.x_client_ip6) != fx.rib.asn_of(r4->x_client_ip4))
+        r6 = &r;
+    }
+  ASSERT_TRUE(r4 && r6);
+  const simnet::Hour span = tmax - tmin + 1;
+  simnet::Hour seam = tmin;
+  while ((seam + 1 - tmin) * kBatches / span < 3) ++seam;
+  atlas::ProbeSeries tie;
+  tie.meta.probe_id = 999999;
+  for (simnet::Hour h = tmin; h <= tmax; ++h) {
+    atlas::EchoRecord v4 = *r4, v6 = *r6;
+    v4.probe_id = v6.probe_id = tie.meta.probe_id;
+    v4.hour = v6.hour = h;
+    if (h <= seam) tie.records.push_back(v4);
+    if (h >= seam) tie.records.push_back(v6);
+  }
+  dataset.push_back(std::move(tie));
+
+  const fs::path watch = temp_dir("stream_atlas_seam_watch");
+  const auto paths = write_seam_batches(watch, dataset, kBatches);
+  drop_sentinel(watch, "stream.stop");
+
+  std::vector<std::string> want;
+  for (std::size_t k = 1; k <= paths.size(); ++k) {
+    core::AtlasFileStudyConfig ref_cfg;
+    ref_cfg.threads = 1;
+    auto ref = core::run_atlas_study_from_files(
+        std::vector<std::string>(paths.begin(), paths.begin() + k), fx.isps,
+        ref_cfg);
+    ASSERT_TRUE(ref.ok()) << ref.status().to_string();
+    want.push_back(atlas_study_bytes(*ref));
+  }
+  ASSERT_NE(want[0], want[1]);
+
+  for (unsigned threads : {1u, 2u, 4u}) {
+    core::AtlasFileStudyConfig cfg;
+    cfg.threads = threads;
+    core::StreamConfig stream;
+    stream.refinalize_every_batches = 1;
+    std::vector<std::string> got;
+    auto study = core::StreamDriver(cfg.threads).follow_atlas(
+        watch.string(), fx.isps, cfg, stream,
+        [&](const core::AtlasStudy& snap, const core::StreamStats&) {
+          got.push_back(atlas_study_bytes(snap));
+        },
+        nullptr, nullptr);
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    got.push_back(atlas_study_bytes(*study));
+    ASSERT_EQ(got.size(), want.size() + 1) << "threads=" << threads;
+    for (std::size_t k = 0; k < want.size(); ++k)
+      EXPECT_TRUE(got[k] == want[k])
+          << "threads=" << threads << " after batch " << k;
+    EXPECT_TRUE(got.back() == want.back()) << "threads=" << threads;
+  }
+}
+
 TEST(AtlasStream, ResumeAtDifferentThreadCountIsByteIdentical) {
   const AtlasFixture& fx = atlas_fixture();
   const fs::path watch = temp_dir("stream_atlas_resume_watch");
@@ -1222,7 +1372,7 @@ TEST(StreamJournal, TornTailPastTheManifestResumesByteIdentical) {
     // past the committed length.
     auto next = io::load_echo_file(paths[2]);
     ASSERT_TRUE(next.ok()) << next.status().to_string();
-    const std::string segment = io::encode_echo_columnar(*next).bytes;
+    const std::string segment(io::encode_echo_columnar(*next).bytes());
     const std::string journal = io::journal_path(ckpt);
     const std::uint64_t committed = fs::file_size(journal);
     {
